@@ -61,6 +61,6 @@ from .variation import (
     solve_flat_variation,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

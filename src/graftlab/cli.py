@@ -139,7 +139,7 @@ def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
     q = sampling.random_quad(rng, cfg.ell, cfg.s, nmax=cfg.modes, amplitude=0.5)
     lam0, rho0 = sampling.slice_compatible_means(rng, cfg.s, sol.d0)
     config = identities.solve_configuration(
-        chart, sol, mean_left=lam0, mean_right=rho0, quad=q, method="collocation"
+        chart, sol, mean_left=lam0, mean_right=rho0, quad=q
     )
     vl, vr = config.v_left, config.v_right
     reports = []
@@ -155,7 +155,8 @@ def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
     compare("boundary_term_closed_vs_quadrature", closed, quad_val, tol_alg)
 
     reports.append(identities.slice_condition(sol, vl, vr, tol=max(tol_alg, 1e-12)))
-    reports.append(identities.master_identity(config, tol=tol_bvp))
+    master = identities.master_identity(config, tol=tol_bvp)
+    reports.append(master)
     reports.append(identities.area_derivative_report(config, tol=tol_alg))
 
     compare(
@@ -212,23 +213,8 @@ def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
         notes="five-point Laplacian on the series partial sum, h = ell/256",
     )
 
-    dtn_gap = max(
-        abs(
-            hypersolve.dtn(n, cfg.ell, cfg.a, cfg.outer_bc, method="auto")
-            - hypersolve.dtn(n, cfg.ell, cfg.a, cfg.outer_bc, method="collocation")
-        )
-        for n in (0, 1, 4)
-    )
-    compare(
-        "dtn_shooting_vs_collocation",
-        dtn_gap,
-        0.0,
-        tol_bvp,
-        notes="adaptive shooting against spectral collocation",
-    )
-
     greens = hypersolve.greens_residual(config.all_strip_modes())
-    scale = max(1.0, -identities.master_identity(config, tol=tol_bvp).terms[0][1])
+    scale = max(1.0, -master.terms[0][1])
     compare(
         "strip_greens_identity",
         greens / scale,
@@ -238,11 +224,7 @@ def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
     )
 
     det_min = min(
-        abs(
-            identities.per_mode_determinant(
-                n, cfg.ell, cfg.s, cfg.a, cfg.outer_bc, method="collocation"
-            )
-        )
+        abs(identities.per_mode_determinant(n, cfg.ell, cfg.s, cfg.a, cfg.outer_bc))
         for n in range(1, cfg.modes + 1)
     )
     reports.append(
@@ -289,11 +271,7 @@ def _sweep_point(cfg: RunConfig, value: float) -> dict:
     )
     denom = max(abs(closed), abs(quad_val), 1e-300)
     det_min = min(
-        abs(
-            identities.per_mode_determinant(
-                n, point.ell, point.s, point.a, point.outer_bc, method="collocation"
-            )
-        )
+        abs(identities.per_mode_determinant(n, point.ell, point.s, point.a, point.outer_bc))
         for n in range(1, min(point.modes, 8) + 1)
     )
     return {
@@ -349,7 +327,7 @@ def _geodesic_errors(cfg: RunConfig, t: float) -> float:
     rng = np.random.default_rng(cfg.seed)
     chart = cfg.chart()
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=min(cfg.modes, 4), amplitude=0.3)
-    config = identities.solve_configuration(chart, sol, method="collocation")
+    config = identities.solve_configuration(chart, sol)
     fld = variation.matched_global_field(chart, sol, config.v_left, config.v_right)
     fam = geometry.ConformalFamily(base=chart, hdot=fld)
     errs = []
@@ -420,7 +398,7 @@ def cmd_modes(cfg: RunConfig) -> int:
         ]
     )
     for n in range(0, cfg.modes + 1):
-        t = hypersolve.dtn(n, cfg.ell, cfg.a, cfg.outer_bc, method="collocation")
+        t = hypersolve.dtn(n, cfg.ell, cfg.a, cfg.outer_bc)
         if n == 0:
             row = [n, t, dl.mean, 0.0, dr.mean, 0.0, vl.mean, 0.0, vr.mean, 0.0]
         else:

@@ -9,7 +9,7 @@ while G'' jumps by exactly 1 there.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -209,7 +209,6 @@ class ConformalFamily:
     hdot: GlobalField
     quad: QuadDiffModes | None = None
     s_rate: float = 0.0
-    t_eval: tuple[float, ...] = field(default_factory=tuple)
 
 
 def family_metric(fam: ConformalFamily, t: float, x, y):

@@ -1,119 +1,91 @@
-"""Per-mode boundary-value solver on the hyperbolic strips.
+"""Per-mode boundary-value solutions on the hyperbolic strips.
 
 Each strip carries the metric d(xi)^2 + cosh(xi)^2 dy^2 with xi in [0, a]
 measured from the seam.  Separating (Laplace-Beltrami - 2) u = 0 with
 u = b(xi) exp(2 pi i n y / ell) gives the mode ODE
 
-    b'' + tanh(xi) b' - ((2 pi n / ell)^2 / cosh(xi)^2 + 2) b = 0.
+    b'' + tanh(xi) b' - (mu^2 / cosh(xi)^2 + 2) b = 0,    mu = 2 pi n / ell.
 
-Every mode is solved twice (adaptive shooting and Chebyshev collocation) and
-the two answers are cross-checked.
+In theta = gd(xi) it is the l = 1 Poschl-Teller equation
+b_theta_theta = (mu^2 + 2 sec^2 theta) b, whose solutions are elementary
+(Cooper, Khare, Sukhatme, "Supersymmetry and quantum mechanics",
+Phys. Rep. 251, 1995):
+
+    n >= 1:  (sinh xi + mu) exp(mu theta)  and  (sinh xi - mu) exp(-mu theta),
+    n = 0:   1 + theta sinh xi             and  sinh xi.
+
+Every profile, Dirichlet-to-Neumann value and Cauchy extension is built from
+this pair in closed form.  The strip energy keeps an independent Simpson
+quadrature, so the Green identity checks below are not circular.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import ConvergenceError
-
-#: number of Chebyshev collocation nodes
-_NCHEB = 80
-#: default number of graded sample nodes
-_NSAMPLES = 512
+from .geometry import gudermannian
 
 
-def _mu_sq(n: int, ell: float) -> float:
-    return (2.0 * np.pi * n / ell) ** 2
+def _mu(n: int, ell: float) -> float:
+    return 2.0 * np.pi * abs(n) / ell
 
 
-def _rhs(n: int, ell: float):
-    musq = _mu_sq(n, ell)
+def _pair(mu: float, xi, shift: float = 0.0):
+    """Fundamental solutions (u, u', w, w') of the mode ODE at xi.
 
-    def rhs(xi, state):
-        b, bp = state
-        ch = np.cosh(xi)
-        return [bp, (musq / ch**2 + 2.0) * b - np.tanh(xi) * bp]
-
-    return rhs
-
-
-def _shoot_basis(n: int, ell: float, a: float):
-    """Fundamental solutions with Cauchy data (1,0) and (0,1) at the seam."""
-    rhs = _rhs(n, ell)
-    sols = []
-    for y0 in ([1.0, 0.0], [0.0, 1.0]):
-        sol = solve_ivp(
-            rhs,
-            (0.0, a),
-            y0,
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise ConvergenceError(f"shooting failed for mode n={n}: {sol.message}")
-        sols.append(sol)
-    return sols
+    mu > 0: u = (sinh xi + mu) exp(mu (theta - shift)) and
+    w = (sinh xi - mu) exp(-mu theta), with u' and w' equal to
+    (cosh^2 xi +/- mu sinh xi + mu^2) sech xi times the same exponential.
+    A shift of 2 gd(a) keeps every exponent <= 0 on [0, a], so nothing
+    overflows.  mu = 0: u = 1 + theta sinh xi and w = sinh xi.
+    """
+    sh = np.sinh(xi)
+    ch = np.cosh(xi)
+    theta = np.arctan(sh)
+    if mu == 0.0:
+        return 1.0 + theta * sh, sh / ch + theta * ch, sh, ch
+    grow = np.exp(mu * (theta - shift))
+    decay = np.exp(-mu * theta)
+    return (
+        (sh + mu) * grow,
+        (ch + (mu * sh + mu * mu) / ch) * grow,
+        (sh - mu) * decay,
+        (ch + (mu * mu - mu * sh) / ch) * decay,
+    )
 
 
-def _cheb_nodes_and_D(ncheb: int):
-    """Chebyshev points on [-1, 1] and the differentiation matrix."""
-    k = np.arange(ncheb + 1)
-    xnodes = np.cos(np.pi * k / ncheb)
-    c = np.ones(ncheb + 1)
-    c[0] = c[-1] = 2.0
-    c *= (-1.0) ** k
-    X = np.tile(xnodes, (ncheb + 1, 1)).T
-    dX = X - X.T + np.eye(ncheb + 1)
-    D = np.outer(c, 1.0 / c) / dX
-    D -= np.diag(D.sum(axis=1))
-    return xnodes, D
+def _unit_solution(n: int, ell: float, a: float, outer_bc: str):
+    """(mu, shift, c_u, c_w): the unit seam solve is c_u u + c_w w.
 
-
-@lru_cache(maxsize=32)
-def _cheb_operator(a: float, ncheb: int = _NCHEB):
-    """Nodes xi (ascending from 0 to a) plus first/second derivative matrices."""
-    t, D = _cheb_nodes_and_D(ncheb)
-    # map [-1, 1] -> [a, 0] reversed so index 0 is the seam
-    xi = a * (1.0 - t) / 2.0
-    scale = -2.0 / a
-    D1 = scale * D
-    D2 = D1 @ D1
-    return xi, D1, D2
-
-
-def _collocation_solve(
-    n: int, ell: float, a: float, outer_bc: str, seam_dirichlet: complex
-):
-    """Dense spectral collocation solve; returns (xi, b, bp) at Chebyshev nodes."""
-    xi, D1, D2 = _cheb_operator(a)
-    musq = _mu_sq(n, ell)
-    L = D2 + np.diag(np.tanh(xi)) @ D1 - np.diag(musq / np.cosh(xi) ** 2 + 2.0)
-    A = L.copy()
-    rhs = np.zeros(len(xi), dtype=complex)
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    rhs[0] = seam_dirichlet
-    if outer_bc == "dirichlet":
-        A[-1, :] = 0.0
-        A[-1, -1] = 1.0
-    elif outer_bc == "neumann":
-        A[-1, :] = D1[-1, :]
-    else:
+    n >= 1, with S = sinh a, E = exp(-2 mu gd a), p+-(a) = cosh^2 a +- mu S + mu^2:
+    c_u = alpha / (mu (alpha E + beta)), c_w = -beta / (mu (alpha E + beta)),
+    (alpha, beta) = (S - mu, S + mu) for an outer Dirichlet condition and
+    (p-(a), p+(a)) for an outer Neumann condition.
+    n = 0: c_u = 1 and c_w = k, k = -(1/S + gd a) or -(gd a + S / cosh^2 a).
+    """
+    if a <= 0:
+        raise ValueError("strip half-width a must be positive")
+    if outer_bc not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown outer boundary condition {outer_bc!r}")
-    rhs[-1] = 0.0
-    b = np.linalg.solve(A, rhs)
-    return xi, b, D1 @ b
+    mu = _mu(n, ell)
+    G = gudermannian(a)
+    S, C = np.sinh(a), np.cosh(a)
+    if mu == 0.0:
+        k = -(1.0 / S + G) if outer_bc == "dirichlet" else -(G + S / C**2)
+        return mu, 0.0, 1.0, k
+    if outer_bc == "dirichlet":
+        alpha, beta = S - mu, S + mu
+    else:
+        alpha, beta = C**2 - mu * S + mu**2, C**2 + mu * S + mu**2
+    denom = mu * (alpha * np.exp(-2.0 * mu * G) + beta)
+    return mu, 2.0 * G, alpha / denom, -beta / denom
 
 
 @dataclass
 class HyperbolicModeSolution:
-    """One solved strip mode with sampled profile and seam DtN ratio."""
+    """One solved strip mode: its profile and seam DtN ratio."""
 
     n: int
     ell: float
@@ -121,11 +93,8 @@ class HyperbolicModeSolution:
     outer_bc: str
     seam_dirichlet: complex
     dtn: float
-    samples: np.ndarray  # columns (xi, b, b')
-    cross_discrepancy: float
     b_fn: Callable = field(repr=False)
     bp_fn: Callable = field(repr=False)
-    forcing_fn: Callable | None = field(default=None, repr=False)
 
     def interior_quadrature(self, npts: int = 2001):
         """(integral of b cosh, energy integrand integral) on this strip.
@@ -136,7 +105,7 @@ class HyperbolicModeSolution:
         b = self.b_fn(xi)
         bp = self.bp_fn(xi)
         ch = np.cosh(xi)
-        musq = _mu_sq(self.n, self.ell)
+        musq = _mu(self.n, self.ell) ** 2
         from scipy.integrate import simpson
 
         ib = simpson(np.real(b) * ch, x=xi) + 1j * simpson(np.imag(b) * ch, x=xi)
@@ -146,115 +115,53 @@ class HyperbolicModeSolution:
         return ib, float(energy)
 
 
-def _graded_grid(a: float, m: int) -> np.ndarray:
-    """m nodes on [0, a] clustered at the seam xi = 0."""
-    u = np.linspace(0.0, 1.0, m)
-    return a * (1.0 - np.cos(np.pi * u / 2.0))
-
-
 def mode_solve(
     n: int,
     ell: float,
     a: float,
     outer_bc: str = "dirichlet",
     seam_dirichlet: complex = 1.0,
-    n_samples: int = _NSAMPLES,
-    cross_tol: float = 1e-8,
-    method: str = "auto",
 ) -> HyperbolicModeSolution:
     """Solve the strip mode BVP with the given seam Dirichlet value.
 
-    method "auto" runs both shooting and collocation and cross-checks them;
-    "collocation" skips the shooting solve (used in large parameter scans,
-    the cross-check being sampled elsewhere).
+    Closed form: seam_dirichlet times the unit solve c_u u + c_w w of
+    _unit_solution, on the scaled Poschl-Teller pair of _pair.
     """
-    if a <= 0:
-        raise ValueError("strip half-width a must be positive")
+    mu, shift, cu, cw = _unit_solution(n, ell, a, outer_bc)
 
-    xi_c, b_c, bp_c = _collocation_solve(n, ell, a, outer_bc, 1.0)
-    if abs(b_c[0]) < 1e-14:
-        raise ConvergenceError("degenerate seam value b(0) = 0")
-    dtn_c = float(np.real(bp_c[0] / b_c[0]))
+    def b_fn(xi, sd=seam_dirichlet):
+        u, _, w, _ = _pair(mu, xi, shift)
+        return sd * (cu * u + cw * w)
 
-    if method == "collocation":
-        order = np.argsort(xi_c)
-        from scipy.interpolate import CubicSpline
+    def bp_fn(xi, sd=seam_dirichlet):
+        _, up, _, wp = _pair(mu, xi, shift)
+        return sd * (cu * up + cw * wp)
 
-        spl = CubicSpline(xi_c[order], np.real(b_c[order]))
-        spl_p = spl.derivative()
-        sd = seam_dirichlet
-
-        def b_fn(xi, spl=spl, sd=sd):
-            return sd * spl(xi)
-
-        def bp_fn(xi, spl_p=spl_p, sd=sd):
-            return sd * spl_p(xi)
-
-        grid = _graded_grid(a, n_samples)
-        samples = np.column_stack([grid, b_fn(grid), bp_fn(grid)])
-        return HyperbolicModeSolution(
-            n=n,
-            ell=ell,
-            a=a,
-            outer_bc=outer_bc,
-            seam_dirichlet=seam_dirichlet,
-            dtn=dtn_c,
-            samples=samples,
-            cross_discrepancy=float("nan"),
-            b_fn=b_fn,
-            bp_fn=bp_fn,
-        )
-
-    phi1, phi2 = _shoot_basis(n, ell, a)
-    if outer_bc == "dirichlet":
-        denom = phi2.sol(a)[0]
-        kappa = -phi1.sol(a)[0] / denom
-    elif outer_bc == "neumann":
-        denom = phi2.sol(a)[1]
-        kappa = -phi1.sol(a)[1] / denom
-    else:
-        raise ValueError(f"unknown outer boundary condition {outer_bc!r}")
-    dtn = float(kappa)  # b(0) = 1, b'(0) = kappa for the unit solve
-
-    def b_fn(xi, sd=seam_dirichlet, k=kappa):
-        vals = phi1.sol(np.atleast_1d(xi))
-        vals2 = phi2.sol(np.atleast_1d(xi))
-        out = sd * (vals[0] + k * vals2[0])
-        return out if np.ndim(xi) else out[0]
-
-    def bp_fn(xi, sd=seam_dirichlet, k=kappa):
-        vals = phi1.sol(np.atleast_1d(xi))
-        vals2 = phi2.sol(np.atleast_1d(xi))
-        out = sd * (vals[1] + k * vals2[1])
-        return out if np.ndim(xi) else out[0]
-
-    # cross-check the two methods on the unit solve
-    unit = phi1.sol(xi_c)[0] + kappa * phi2.sol(xi_c)[0]
-    disc = float(np.max(np.abs(unit - np.real(b_c))))
-    if disc > cross_tol:
-        raise ConvergenceError(
-            f"shooting/collocation disagree by {disc:.2e} for mode n={n}"
-        )
-
-    grid = _graded_grid(a, n_samples)
-    samples = np.column_stack([grid, b_fn(grid), bp_fn(grid)])
     return HyperbolicModeSolution(
         n=n,
         ell=ell,
         a=a,
         outer_bc=outer_bc,
         seam_dirichlet=seam_dirichlet,
-        dtn=dtn,
-        samples=samples,
-        cross_discrepancy=disc,
+        dtn=float(bp_fn(0.0, sd=1.0)),
         b_fn=b_fn,
         bp_fn=bp_fn,
     )
 
 
 def dtn(n: int, ell: float, a: float, outer_bc: str = "dirichlet", method: str = "auto") -> float:
-    """Seam Neumann value per unit seam Dirichlet value, b'(0)/b(0)."""
-    return mode_solve(n, ell, a, outer_bc, 1.0, n_samples=2, method=method).dtn
+    """Seam Neumann value per unit seam Dirichlet value, b'(0)/b(0).
+
+    n >= 1: ((1 + mu^2) / mu) (alpha E - beta) / (alpha E + beta), with the
+    (alpha, beta, E) of _unit_solution; n = 0: the k of _unit_solution.
+    """
+    # The only value is "auto": perfbench/run.py's self-test still passes
+    # method="auto", so the keyword stays until the benchmark drops it.
+    if method != "auto":
+        raise ValueError(f"unknown dtn method {method!r}")
+    mu, shift, cu, cw = _unit_solution(n, ell, a, outer_bc)
+    _, up, _, wp = _pair(mu, 0.0, shift)
+    return float(cu * up + cw * wp)
 
 
 @dataclass
@@ -273,21 +180,32 @@ class StripModeExtension:
 def mode_extend(
     n: int, ell: float, a: float, seam_value: complex, seam_slope: complex
 ) -> StripModeExtension:
-    """Integrate the mode ODE from the seam with prescribed Cauchy data.
+    """Extend the mode from the seam with prescribed Cauchy data (v, p).
+
+    Closed form on the unscaled pair of _pair: for n >= 1,
+    b = A u + B w with A = (v/mu + p/(1+mu^2))/2 and B = (p/(1+mu^2) - v/mu)/2;
+    for n = 0, b = v u + p w.  The growing solution is kept, so the profile
+    grows exactly as the Cauchy problem does.
 
     Used to build globally matched fields: the strip-side profile that is
     continuous with the cylinder trace and carries a prescribed strip-side
     normal derivative.
     """
-    phi1, phi2 = _shoot_basis(n, ell, a)
+    mu = _mu(n, ell)
+    v, p = seam_value, seam_slope
+    if mu == 0.0:
+        cu, cw = v, p
+    else:
+        cu = (v / mu + p / (1.0 + mu * mu)) / 2.0
+        cw = (p / (1.0 + mu * mu) - v / mu) / 2.0
 
-    def b_fn(xi, v=seam_value, p=seam_slope):
-        out = v * phi1.sol(np.atleast_1d(xi))[0] + p * phi2.sol(np.atleast_1d(xi))[0]
-        return out if np.ndim(xi) else out[0]
+    def b_fn(xi):
+        u, _, w, _ = _pair(mu, xi)
+        return cu * u + cw * w
 
-    def bp_fn(xi, v=seam_value, p=seam_slope):
-        out = v * phi1.sol(np.atleast_1d(xi))[1] + p * phi2.sol(np.atleast_1d(xi))[1]
-        return out if np.ndim(xi) else out[0]
+    def bp_fn(xi):
+        _, up, _, wp = _pair(mu, xi)
+        return cu * up + cw * wp
 
     return StripModeExtension(
         n=n, ell=ell, a=a, seam_value=seam_value, seam_slope=seam_slope, b_fn=b_fn, bp_fn=bp_fn
@@ -384,7 +302,7 @@ def manufactured_mode(
     Returns the pseudo-solution and f(xi) = b'' + tanh b' - (mu^2/cosh^2+2) b,
     for method-of-manufactured-solutions checks of the Green identity.
     """
-    musq = _mu_sq(n, ell)
+    musq = _mu(n, ell) ** 2
 
     def forcing(xi):
         return (
@@ -393,8 +311,6 @@ def manufactured_mode(
             - (musq / np.cosh(xi) ** 2 + 2.0) * b_fn(xi)
         )
 
-    grid = _graded_grid(a, 64)
-    samples = np.column_stack([grid, b_fn(grid), bp_fn(grid)])
     sol = HyperbolicModeSolution(
         n=n,
         ell=ell,
@@ -402,10 +318,7 @@ def manufactured_mode(
         outer_bc="manufactured",
         seam_dirichlet=complex(b_fn(0.0)),
         dtn=float(np.real(bp_fn(0.0) / b_fn(0.0))) if abs(b_fn(0.0)) > 0 else 0.0,
-        samples=samples,
-        cross_discrepancy=0.0,
         b_fn=b_fn,
         bp_fn=bp_fn,
-        forcing_fn=forcing,
     )
     return sol, forcing

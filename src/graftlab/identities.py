@@ -168,7 +168,6 @@ def solve_configuration(
     mean_right: float | None = None,
     s_rate: float = 0.0,
     quad: QuadDiffModes | None = None,
-    method: str = "auto",
 ) -> SolvedConfiguration:
     """Solve everything a configuration needs for the identity suite.
 
@@ -179,7 +178,7 @@ def solve_configuration(
     dl = sol.dirichlet_trace("left")
     dr = sol.dirichlet_trace("right")
     if mean_left is None or mean_right is None:
-        dtn0 = hypersolve.dtn(0, ell, a, chart.outer_bc, method=method)
+        dtn0 = hypersolve.dtn(0, ell, a, chart.outer_bc)
         lam0, rho0 = pinned_means(dtn0, dl.mean, dr.mean)
         mean_left = lam0 if mean_left is None else mean_left
         mean_right = rho0 if mean_right is None else mean_right
@@ -189,14 +188,10 @@ def solve_configuration(
     strips = {}
     for side, trace in (("left", dl), ("right", dr)):
         per_mode = {
-            0: hypersolve.mode_solve(
-                0, ell, a, chart.outer_bc, seam_dirichlet=trace.mean, method=method
-            )
+            0: hypersolve.mode_solve(0, ell, a, chart.outer_bc, seam_dirichlet=trace.mean)
         }
         for n, value in trace.modes.items():
-            per_mode[n] = hypersolve.mode_solve(
-                n, ell, a, chart.outer_bc, seam_dirichlet=value, method=method
-            )
+            per_mode[n] = hypersolve.mode_solve(n, ell, a, chart.outer_bc, seam_dirichlet=value)
         strips[side] = per_mode
     return SolvedConfiguration(
         chart=chart,
@@ -324,7 +319,6 @@ def area_derivative_analytic(
     sol: FourierSolution,
     v_left: VariationField,
     v_right: VariationField,
-    hyper=None,
 ) -> float:
     """Derivative of the flat-insert area through the interior integral of
     -H: -ell (lam0 - rho0) - d0 ell s."""
@@ -508,7 +502,6 @@ def per_mode_determinant(
     s: float,
     a: float,
     outer_bc: str = "dirichlet",
-    method: str = "collocation",
     dtn_value: float | None = None,
 ) -> float:
     """Row-normalized determinant of the 2x2 system matching the variation
@@ -521,7 +514,7 @@ def per_mode_determinant(
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    t = dtn_value if dtn_value is not None else hypersolve.dtn(n, ell, a, outer_bc, method=method)
+    t = dtn_value if dtn_value is not None else hypersolve.dtn(n, ell, a, outer_bc)
     k = (4.0 * np.pi**2 * n**2 + ell**2) / (2.0 * np.pi * n * ell)
     # sinh and cosh scaled by exp(-arg): the normalized determinant is
     # invariant under the common row factor, and this never overflows
@@ -537,9 +530,9 @@ def per_mode_determinant(
 
 
 def n0_balance_coefficient(
-    ell: float, s: float, a: float, outer_bc: str = "dirichlet", method: str = "auto"
+    ell: float, s: float, a: float, outer_bc: str = "dirichlet"
 ) -> float:
     """Coefficient multiplying d0 in the combined n = 0 seam balance and
     slice condition: 2 * dtn(0) - s.  Strictly negative (the seam ratio is
     negative and s >= 0), so the balance forces d0 = 0."""
-    return 2.0 * hypersolve.dtn(0, ell, a, outer_bc, method=method) - s
+    return 2.0 * hypersolve.dtn(0, ell, a, outer_bc) - s

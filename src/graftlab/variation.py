@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hypersolve
-from .errors import SolvabilityError
+from .errors import ConvergenceError, SolvabilityError
 from .geometry import GlobalField, GraftedCollar
 from .spectral import FourierSolution, QuadDiffModes, TraceModes, _mode_sum
 
@@ -112,14 +112,12 @@ def solve_amended_variation(
     )
 
 
-def extended_hyperbolic_neumann(
-    w: VariationField, q: QuadDiffModes | None = None
-) -> TraceModes:
+def extended_hyperbolic_neumann(w: VariationField) -> TraceModes:
     """Hyperbolic-side d/dx data implied by the amended field: -2 (W_yy - W).
 
     Computed spectrally from the starred coefficients, which is identical to
     the explicit cosh/sinh expansion in the (c, d, u, v) data (checked in
-    the test suite).  q is accepted for interface symmetry only.
+    the test suite).
     """
     if not w.amended:
         raise ValueError("expected an amended variation field")
@@ -292,7 +290,7 @@ def _solve_perturbed_geodesic(
     # the flat-region directions are nearly degenerate; judge by the residual
     res_norm = float(np.max(np.abs(residual(result.x))))
     if res_norm > 1e-9:
-        raise hypersolve.ConvergenceError(
+        raise ConvergenceError(
             f"geodesic Newton failed (residual {res_norm:.2e}): {result.message}"
         )
     return y, result.x

@@ -141,21 +141,21 @@ def test_06_vanishing_mechanism():
         for s in np.linspace(0.1, 4.0, 5):
             for a in (0.5, 1.0, 2.0):
                 dets = [
-                    abs(identities.per_mode_determinant(n, ell, s, a, method="collocation"))
+                    abs(identities.per_mode_determinant(n, ell, s, a))
                     for n in range(1, 33)
                 ]
                 det_min = min(det_min, min(dets))
                 bal_max = max(
                     bal_max,
-                    identities.n0_balance_coefficient(ell, s, a, method="collocation"),
+                    identities.n0_balance_coefficient(ell, s, a),
                 )
     chart = GraftedCollar(ell=2 * np.pi, s=1.0, a=1.0)
     zero = identities.master_identity(
-        identities.solve_configuration(chart, FourierSolution(ell=2 * np.pi, s=1.0), method="collocation")
+        identities.solve_configuration(chart, FourierSolution(ell=2 * np.pi, s=1.0))
     )
     nonzero = identities.master_identity(
         identities.solve_configuration(
-            chart, FourierSolution(ell=2 * np.pi, s=1.0, modes={1: (0.3, 0.0)}), method="collocation"
+            chart, FourierSolution(ell=2 * np.pi, s=1.0, modes={1: (0.3, 0.0)})
         )
     )
     ok = det_min > 1e-6 and bal_max < 0 and abs(zero.lhs) < 1e-12 and nonzero.lhs < -1e-6
@@ -176,7 +176,7 @@ def test_07_master_identity_nonpositivity():
         sol = sampling.random_solution(rng, ell, s, nmax=4)
         lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
         cfg = identities.solve_configuration(
-            chart, sol, mean_left=lam0, mean_right=rho0, method="collocation"
+            chart, sol, mean_left=lam0, mean_right=rho0
         )
         rep = identities.master_identity(cfg)
         assert rep.passed
@@ -193,7 +193,7 @@ def test_08_extended_reduction_and_scaling():
     sol = sampling.random_solution(rng, ell, s, nmax=4)
     q = sampling.random_quad(rng, ell, s, nmax=4)
 
-    cfg0 = identities.solve_configuration(chart, sol, method="collocation")
+    cfg0 = identities.solve_configuration(chart, sol)
     base = identities.master_identity(cfg0)
     ext0 = identities.extended_master_identity(cfg0)
     exact = ext0.lhs == base.lhs and dict(ext0.terms)["mixed_series"] == 0.0
@@ -201,7 +201,7 @@ def test_08_extended_reduction_and_scaling():
     eps = np.array([1e-2, 1e-3, 1e-4])
     mixed = []
     for e in eps:
-        cfg = identities.solve_configuration(chart, sol, quad=q.scaled(float(e)), method="collocation")
+        cfg = identities.solve_configuration(chart, sol, quad=q.scaled(float(e)))
         mixed.append(abs(dict(identities.extended_master_identity(cfg).terms)["mixed_series"]))
     slope = np.polyfit(np.log(eps), np.log(mixed), 1)[0]
     ok = exact and abs(slope - 1.0) < 0.05
@@ -215,7 +215,7 @@ def test_09_geodesic_oracle():
     ell, s = 2 * np.pi, 1.0
     chart = GraftedCollar(ell=ell, s=s, a=1.0)
     sol = sampling.random_solution(rng, ell, s, nmax=4, amplitude=0.3)
-    cfg = identities.solve_configuration(chart, sol, method="collocation")
+    cfg = identities.solve_configuration(chart, sol)
     fld = variation.matched_global_field(chart, sol, cfg.v_left, cfg.v_right)
     fam = geometry.ConformalFamily(base=chart, hdot=fld)
     y0 = np.arange(256) * (ell / 256)

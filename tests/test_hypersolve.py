@@ -59,15 +59,63 @@ def test_coercivity_over_sample_grid():
         for n in (0, 1, 4, 16):
             for ell in (1.0, 2 * np.pi):
                 for a in (0.3, 1.0, 2.5):
-                    assert hypersolve.dtn(n, ell, a, outer, method="collocation") <= 0
+                    assert hypersolve.dtn(n, ell, a, outer) <= 0
 
 
-def test_cross_method_agreement():
-    for n in (0, 1, 8):
-        sol = hypersolve.mode_solve(n, ELL, 1.5)
-        assert sol.cross_discrepancy < 1e-8
-        gap = abs(sol.dtn - hypersolve.dtn(n, ELL, 1.5, method="collocation"))
-        assert gap < 1e-8
+def _collocation_dtn(n, ell, a, outer_bc, ncheb):
+    """Chebyshev collocation solve of the unit strip BVP; returns b'(0)."""
+    k = np.arange(ncheb + 1)
+    t = np.cos(np.pi * k / ncheb)
+    c = np.ones(ncheb + 1)
+    c[0] = c[-1] = 2.0
+    c *= (-1.0) ** k
+    D1 = np.outer(c, 1.0 / c) / (t[:, None] - t[None, :] + np.eye(ncheb + 1))
+    D1 -= np.diag(D1.sum(axis=1))
+    # map [-1, 1] -> [a, 0] so that index 0 is the seam
+    xi = a * (1.0 - t) / 2.0
+    D1 *= -2.0 / a
+    musq = (2.0 * np.pi * n / ell) ** 2
+    A = D1 @ D1
+    A += np.tanh(xi)[:, None] * D1
+    A[np.diag_indices_from(A)] -= musq / np.cosh(xi) ** 2 + 2.0
+    rhs = np.zeros(ncheb + 1)
+    A[0, :] = 0.0
+    A[0, 0] = 1.0
+    rhs[0] = 1.0
+    if outer_bc == "dirichlet":
+        A[-1, :] = 0.0
+        A[-1, -1] = 1.0
+    else:
+        A[-1, :] = D1[-1, :]
+    b = np.linalg.solve(A, rhs)
+    return float(D1[0] @ b)
+
+
+def _oracle_dtn(n, ell, a, outer_bc):
+    """Collocation DtN, doubling the node count until two successive values
+    agree to 1e-11 relative.  The seam layer of width 1/mu needs 2048 nodes
+    at ell = 0.5, a = 10, n = 256, where 512 and 1024 nodes still differ by
+    1e-4 relative."""
+    prev = _collocation_dtn(n, ell, a, outer_bc, 32)
+    ncheb = 64
+    while ncheb <= 2048:
+        cur = _collocation_dtn(n, ell, a, outer_bc, ncheb)
+        if abs(cur - prev) <= 1e-11 * max(1.0, abs(cur)):
+            return cur
+        prev, ncheb = cur, 2 * ncheb
+    raise AssertionError(f"collocation oracle unresolved at n={n}, ell={ell}, a={a}, {outer_bc}")
+
+
+def test_dtn_matches_collocation_oracle():
+    cases = [
+        (ell, a, n) for ell in (1.0, ELL, 8.0) for a in (0.5, 1.0, 2.0) for n in (0, 1, 4, 16, 32)
+    ]
+    cases += [(1.0, 1.0, 64), (8.0, 10.0, 256), (0.5, 10.0, 256)]
+    for ell, a, n in cases:
+        for outer in ("dirichlet", "neumann"):
+            closed = hypersolve.dtn(n, ell, a, outer)
+            oracle = _oracle_dtn(n, ell, a, outer)
+            assert abs(closed - oracle) <= 1e-10 * max(1.0, abs(closed)), (ell, a, n, outer)
 
 
 def test_interior_integral_orthogonality():
@@ -114,3 +162,8 @@ def test_mode_extend_matches_bvp_solution():
     ext = hypersolve.mode_extend(1, ELL, 1.0, 0.9, sol.bp_fn(0.0))
     xi = np.linspace(0, 1.0, 60)
     assert np.allclose(ext.b_fn(xi), sol.b_fn(xi), atol=1e-9)
+
+
+def test_dtn_accepts_only_the_closed_form():
+    with pytest.raises(ValueError):
+        hypersolve.dtn(1, ELL, 1.0, method="collocation")

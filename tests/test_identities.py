@@ -114,7 +114,7 @@ def test_slice_condition_report():
 # --- master identity --------------------------------------------------------
 
 def _pinned_config(sol, chart, **kw):
-    return identities.solve_configuration(chart, sol, method="collocation", **kw)
+    return identities.solve_configuration(chart, sol, **kw)
 
 
 def test_master_identity_zero_field():

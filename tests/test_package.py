@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import graftlab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert graftlab.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_cli_import_leaves_ode_and_spline_modules_unloaded():
+    src = str(Path(graftlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, graftlab.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
