@@ -130,18 +130,34 @@ def total_area(chart: GraftedCollar) -> float:
     return 2.0 * chart.ell * np.sinh(chart.a) + chart.ell * chart.s
 
 
+def simpson_weights(x) -> np.ndarray:
+    """Composite Simpson weights w on a uniform grid: integral of f ~ w @ f(x).
+
+    w = h/3 * (1, 4, 2, 4, ..., 2, 4, 1).  x must be one-dimensional,
+    uniformly spaced and have an odd number of at least 3 points.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 3 or x.size % 2 == 0:
+        raise ValueError(f"Simpson weights need an odd number >= 3 of points, got shape {x.shape}")
+    h = (x[-1] - x[0]) / (x.size - 1)
+    if np.max(np.abs(np.diff(x) - h)) > 1e-8 * abs(h):
+        raise ValueError("Simpson weights need a uniformly spaced grid")
+    w = np.full(x.size, 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[0] = w[-1] = h / 3.0
+    return w
+
+
 def total_area_quadrature(chart: GraftedCollar, panels: int = 10_000) -> float:
     """Area by composite Simpson quadrature of ell * integral of G.
 
     Integrates each stratum separately so the seam kink does not degrade the
     quadrature order."""
-    from scipy.integrate import simpson
-
     total = chart.ell * chart.s  # flat stratum, G = 1, exactly
     n = max(panels // 2, 8) | 1
     for lo, hi in ((chart.s / 2, chart.x_max), (-chart.x_max, -chart.s / 2)):
         xs = np.linspace(lo, hi, n)
-        total += chart.ell * simpson(chart.G(xs), x=xs)
+        total += chart.ell * (simpson_weights(xs) @ chart.G(xs))
     return float(total)
 
 
@@ -152,13 +168,11 @@ def conformal_modulus(chart: GraftedCollar) -> float:
 
 
 def conformal_modulus_quadrature(chart: GraftedCollar, panels: int = 10_000) -> float:
-    """Modulus by quadrature of (1/ell) integral dx / G(x)."""
-    from scipy.integrate import simpson
-
+    """Modulus by composite Simpson quadrature of (1/ell) integral dx / G(x)."""
     total = chart.s
     n = max(panels // 2, 8) | 1
     xs = np.linspace(chart.s / 2, chart.x_max, n)
-    total += 2.0 * simpson(1.0 / chart.G(xs), x=xs)
+    total += 2.0 * (simpson_weights(xs) @ (1.0 / chart.G(xs)))
     return float(total / chart.ell)
 
 

@@ -21,15 +21,32 @@ quadrature, so the Green identity checks below are not circular.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import gudermannian
+from .geometry import gudermannian, simpson_weights
 
 
 def _mu(n: int, ell: float) -> float:
     return 2.0 * np.pi * abs(n) / ell
+
+
+@lru_cache(maxsize=8)
+def _strip_grid(a: float):
+    """(xi, w cosh xi, w / cosh xi) for the 2001-point Simpson grid on [0, a].
+
+    Built once per strip width and shared by every mode on it; read-only,
+    because every caller gets the same arrays.
+    """
+    xi = np.linspace(0.0, a, 2001)
+    ch = np.cosh(xi)
+    w = simpson_weights(xi)
+    grid = (xi, w * ch, w / ch)
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
 
 
 def _pair(mu: float, xi, shift: float = 0.0):
@@ -96,23 +113,21 @@ class HyperbolicModeSolution:
     b_fn: Callable = field(repr=False)
     bp_fn: Callable = field(repr=False)
 
-    def interior_quadrature(self, npts: int = 2001):
+    @cached_property
+    def interior_quadrature(self) -> tuple[complex, float]:
         """(integral of b cosh, energy integrand integral) on this strip.
 
-        Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi).
+        Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi).  One
+        composite Simpson quadrature per solved mode, cached, on the grid and
+        weights that every mode of the strip width shares (_strip_grid); no
+        scipy.integrate.
         """
-        xi = np.linspace(0.0, self.a, npts)
+        xi, w_cosh, w_sech = _strip_grid(self.a)
         b = self.b_fn(xi)
-        bp = self.bp_fn(xi)
-        ch = np.cosh(xi)
-        musq = _mu(self.n, self.ell) ** 2
-        from scipy.integrate import simpson
-
-        ib = simpson(np.real(b) * ch, x=xi) + 1j * simpson(np.imag(b) * ch, x=xi)
-        energy = simpson(
-            (np.abs(bp) ** 2 + (musq / ch**2 + 2.0) * np.abs(b) ** 2) * ch, x=xi
-        )
-        return ib, float(energy)
+        bsq = np.abs(b) ** 2
+        energy = w_cosh @ (np.abs(self.bp_fn(xi)) ** 2 + 2.0 * bsq)
+        energy += _mu(self.n, self.ell) ** 2 * (w_sech @ bsq)
+        return complex(w_cosh @ b), float(energy)
 
 
 def mode_solve(
@@ -224,7 +239,7 @@ def interior_integral(
     int_h = 0.0
     energy = 0.0
     for sol in solutions:
-        ib, en = sol.interior_quadrature()
+        ib, en = sol.interior_quadrature
         if sol.n == 0:
             int_h += sol.ell * float(np.real(ib))
             energy += sol.ell * en
@@ -272,17 +287,15 @@ def greens_residual(
     per-mode forcing callables f(xi) (the value of the operator applied to
     the manufactured profile) may be supplied for non-solutions.
     """
-    from scipy.integrate import simpson
-
     lhs = 0.0
     if forcings is not None:
         for sol, f in zip(solutions, forcings):
             if f is None:
                 continue
-            xi = np.linspace(0.0, sol.a, 2001)
-            integrand = np.real(sol.b_fn(xi) * np.conj(f(xi))) * np.cosh(xi)
+            xi, w_cosh, _ = _strip_grid(sol.a)
+            integrand = np.real(sol.b_fn(xi) * np.conj(f(xi)))
             factor = 1.0 if sol.n == 0 else 2.0
-            lhs += factor * sol.ell * simpson(integrand, x=xi)
+            lhs += factor * sol.ell * (w_cosh @ integrand)
 
     _, energy = interior_integral(solutions)
     rhs = -energy + seam_boundary_form(solutions) + outer_boundary_form(solutions)

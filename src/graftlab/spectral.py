@@ -27,14 +27,27 @@ def _as_pair(x, y):
     return x, y
 
 
-def _mode_sum(x, y, ell: float, modes: Mapping[int, complex]) -> np.ndarray:
-    """Sum 2*Re(coef_n * exp(2*pi*i*n*y/ell)) of y-only mode data."""
-    x, y = _as_pair(x, y)
-    out = np.zeros(np.broadcast(x, y).shape, dtype=float)
-    k = 2.0 * np.pi / ell
-    for n, coef in modes.items():
-        out = out + 2.0 * np.real(coef * np.exp(1j * k * n * y))
-    return out
+def _mode_sum(y, ell: float, modes: Mapping[int, complex]) -> np.ndarray:
+    """Sum 2*Re(coef_n * z^n), z = exp(2*pi*i*y/ell), of y-only mode data.
+
+    Horner's rule in z over the dense coefficients c_0..c_N (gaps are zero):
+    one complex exponential per point, then one multiply-add per index.
+    """
+    y = np.asarray(y, dtype=float)
+    if not modes:
+        return np.zeros(y.shape)
+    if min(modes) < 0:
+        raise ValueError("mode indices must be >= 0")
+    top = max(modes)
+    coef = np.zeros(top + 1, dtype=complex)
+    for n, c in modes.items():
+        coef[n] = c
+    z = np.exp(2j * np.pi / ell * y)
+    acc = np.full(y.shape, coef[top])
+    for c in coef[:top][::-1]:
+        acc *= z
+        acc += c
+    return 2.0 * acc.real
 
 
 @dataclass(frozen=True)
@@ -60,7 +73,7 @@ class TraceModes:
 
     def reconstruct(self, y) -> np.ndarray:
         """Real values of the trace at circumferential positions y."""
-        return self.mean + _mode_sum(0.0, y, self.ell, self.modes)
+        return self.mean + _mode_sum(y, self.ell, self.modes)
 
     def parseval_norm_sq(self) -> float:
         """ell * (mean^2 + 2 * sum |coef_n|^2) = integral of trace^2 over y."""

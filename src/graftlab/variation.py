@@ -38,7 +38,7 @@ class VariationField:
     amended: bool = False
 
     def reconstruct(self, y) -> np.ndarray:
-        return self.mean + _mode_sum(0.0, y, self.ell, self.modes)
+        return self.mean + _mode_sum(y, self.ell, self.modes)
 
     def rotated(self, y0: float) -> "VariationField":
         k = 2.0 * np.pi / self.ell

@@ -44,6 +44,19 @@ def test_verify_unreachable_tolerance_fails(capsys):
     assert not all(r["pass"] for r in payload["reports"])
 
 
+@pytest.mark.parametrize("s", ["0", "0.01"])
+def test_verify_on_insert_thinner_than_the_stencil(s, capsys):
+    # s/2 < h = ell/256: the five-point stencil would step outside the insert
+    code, out = run(["verify", "--s", s], capsys)
+    assert code == 0
+    reports = {r["identity"]: r for r in json.loads(out)["reports"]}
+    assert all(r["pass"] for r in reports.values())
+    stencil = reports["interior_harmonicity_stencil"]
+    assert stencil["notes"].startswith("not applicable:")
+    assert f"s/2 = {float(s) / 2!r}" in stencil["notes"]
+    assert "h = ell/256" in stencil["notes"]
+
+
 def test_bad_config_path_exits_2(capsys):
     assert cli.main(["verify", "--config", "/nonexistent/path.cfg"]) == 2
 

@@ -18,7 +18,7 @@ from graftlab import (
     total_area,
     total_area_quadrature,
 )
-from graftlab.geometry import family_metric, gaussian_curvature_fd
+from graftlab.geometry import family_metric, gaussian_curvature_fd, simpson_weights
 
 
 CHART = GraftedCollar(ell=2 * np.pi, s=1.0, a=1.0)
@@ -77,6 +77,29 @@ def test_modulus_closed_vs_quadrature_and_gudermannian():
     closed = conformal_modulus(CHART)
     assert closed == pytest.approx((2 * gudermannian(1.0) + 1.0) / (2 * np.pi))
     assert abs(closed - conformal_modulus_quadrature(CHART)) < 1e-10
+
+
+@pytest.mark.parametrize("npts", [3, 5, 2001, 20001])
+def test_simpson_weights_match_scipy(npts):
+    simpson = pytest.importorskip("scipy.integrate").simpson
+    integrands = (
+        (np.exp, 0.0, 2.0),
+        (lambda x: np.exp(-x * x), -3.0, 5.0),
+        (lambda x: 1.5 + np.sin(37 * x) * np.cos(3 * x), 0.3, 4.0),
+        (lambda x: np.cosh(x) * (2.0 + np.cos(50 * x)), 0.0, 3.0),
+    )
+    for f, lo, hi in integrands:
+        x = np.linspace(lo, hi, npts)
+        ref = simpson(f(x), x=x)
+        assert abs(simpson_weights(x) @ f(x) - ref) <= 1e-14 * abs(ref), (f, npts)
+
+
+def test_simpson_weights_reject_bad_grids():
+    for bad in (np.linspace(0, 1, 4), np.linspace(0, 1, 2000), [0.0], [0.0, 1.0], []):
+        with pytest.raises(ValueError):
+            simpson_weights(bad)
+    with pytest.raises(ValueError):
+        simpson_weights(np.array([0.0, 0.5, 1.5]))
 
 
 def test_modulus_monotone():

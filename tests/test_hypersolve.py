@@ -132,6 +132,35 @@ def test_interior_integral_orthogonality():
     assert int_mean_only == pytest.approx(direct, rel=1e-8)
 
 
+def test_interior_quadrature_runs_once_per_mode():
+    # the four identity passes of verify share one quadrature per mode
+    grid_calls = {}
+
+    def counted(n, a):
+        def b(xi):
+            if np.ndim(xi) > 0:
+                grid_calls[n] = grid_calls.get(n, 0) + 1
+            return np.cos(xi) + 0.5j * n * xi**2
+
+        def bp(xi):
+            return -np.sin(xi) + 1j * n * xi
+
+        def bpp(xi):
+            return -np.cos(xi) + 1j * n
+
+        sol, _ = hypersolve.manufactured_mode(n, ELL, a, b, bp, bpp)
+        return sol
+
+    sols = [counted(0, 1.3), counted(2, 1.3), counted(5, 0.7)]
+    first = hypersolve.interior_integral(sols)
+    second = hypersolve.interior_integral(sols)
+    resid = hypersolve.greens_residual(sols)
+    assert grid_calls == {0: 1, 2: 1, 5: 1}
+    assert first == second
+    rhs = -first[1] + hypersolve.seam_boundary_form(sols) + hypersolve.outer_boundary_form(sols)
+    assert resid == abs(rhs)
+
+
 def test_greens_identity_on_solved_modes():
     sols = [hypersolve.mode_solve(n, ELL, 1.0, seam_dirichlet=v) for n, v in ((0, 0.8), (2, 1.0 - 0.5j))]
     assert hypersolve.greens_residual(sols) < 1e-8

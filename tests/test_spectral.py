@@ -152,6 +152,39 @@ def test_parseval():
     assert abs(quad - trace.parseval_norm_sq()) / quad < 1e-10
 
 
+def test_reconstruct_matches_direct_mode_sum():
+    # Horner synthesis against one complex exponential per (mode, point)
+    rng = np.random.default_rng(11)
+    idx = sorted(rng.choice(np.arange(1, 300), size=256, replace=False))
+    modes = {int(n): complex(rng.standard_normal(), rng.standard_normal()) for n in idx}
+    trace = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=0.3, modes=modes)
+    bound = 1e-12 * sum(abs(c) for c in modes.values())
+
+    def direct(y):
+        y = np.asarray(y, dtype=float)
+        total = np.full(y.shape, 0.3)
+        for n, c in modes.items():
+            total = total + 2.0 * np.real(c * np.exp(2j * np.pi * n * y / ELL))
+        return total
+
+    y = np.linspace(-ELL, 2 * ELL, 1536).reshape(3, -1)
+    got = trace.reconstruct(y)
+    assert got.shape == y.shape
+    assert np.max(np.abs(got - direct(y))) <= bound
+    for y0 in (0.0, 1.234, -7.5):
+        assert np.ndim(trace.reconstruct(y0)) == 0
+        assert abs(trace.reconstruct(y0) - direct(y0)) <= bound
+
+
+def test_reconstruct_empty_and_constant_modes():
+    trace = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.0)
+    assert np.array_equal(trace.reconstruct(np.ones((2, 5))), np.zeros((2, 5)))
+    assert trace.reconstruct(0.7) == 0.0
+    # a lone n = 0 coefficient is a constant 2 Re(c_0)
+    const = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.0, modes={0: 0.25 + 1j})
+    assert np.allclose(const.reconstruct(np.linspace(0.0, ELL, 7)), 0.5)
+
+
 def test_json_round_trip():
     sol = _random_sol(5)
     again = FourierSolution.from_json(sol.to_json())
