@@ -34,6 +34,7 @@ from .identities import (
     area_derivative_report,
     boundary_term_closed,
     boundary_term_quadrature,
+    determinant_floor,
     extended_boundary_term,
     extended_master_identity,
     master_identity,
@@ -48,6 +49,7 @@ from .spectral import (
     QuadDiffModes,
     TraceModes,
     from_boundary_data,
+    harmonicity_bound,
     harmonicity_residual,
 )
 from .variation import (

@@ -130,7 +130,9 @@ def _emit(text: str, out: str | None) -> None:
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
+def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], dict]:
+    """The identity reports, and the mode counts: requested, and kept by the
+    samplers for the field and the quadratic differential."""
     rng = np.random.default_rng(cfg.seed)
     chart = cfg.chart()
     tol_alg = cfg.tol
@@ -208,15 +210,33 @@ def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
     h = cfg.ell / 256
     if cfg.s / 2 >= h:
         residual = spectral.harmonicity_residual(small, h=h)
-        notes = "five-point Laplacian on the series partial sum, h = ell/256"
+        truncation, rounding = spectral.harmonicity_bound(small, h=h)
+        notes = (
+            f"five-point Laplacian on the series partial sum, h = ell/256 = {h!r}:"
+            f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
+            f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
+        )
     else:
         # the stencil's x +/- h steps would leave an insert thinner than 2h
-        residual = 0.0
+        residual = truncation = rounding = 0.0
         notes = (
             f"not applicable: s/2 = {cfg.s / 2!r} is below the stencil step"
             f" h = ell/256 = {h!r}"
         )
-    compare("interior_harmonicity_stencil", residual, 0.0, max(tol_alg, 1e-6), notes=notes)
+    bound = truncation + rounding
+    reports.append(
+        identities.IdentityReport(
+            identity="interior_harmonicity_stencil",
+            terms=(("truncation_bound", truncation), ("rounding_allowance", rounding)),
+            lhs=residual,
+            rhs=0.0,
+            abs_err=residual,
+            rel_err=1.0 if residual > 0 else 0.0,
+            tol=bound,
+            passed=identities._finite(residual, bound) and residual <= bound,
+            notes=notes,
+        )
+    )
 
     greens = hypersolve.greens_residual(config.all_strip_modes())
     scale = max(1.0, -master.terms[0][1])
@@ -228,18 +248,7 @@ def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
         notes="energy vs boundary forms on the solved strip modes",
     )
 
-    # the solved strip modes carry their DtN values; a mode the sampler
-    # dropped has none, so per_mode_determinant computes it
-    solved = config.strips["left"]
-    det_min = min(
-        abs(
-            identities.per_mode_determinant(
-                n, cfg.ell, cfg.s, cfg.a, cfg.outer_bc,
-                dtn_value=solved[n].dtn if n in solved else None,
-            )
-        )
-        for n in range(1, cfg.modes + 1)
-    )
+    det_min = identities.determinant_floor(cfg.modes, cfg.ell, cfg.s, cfg.a, cfg.outer_bc)
     reports.append(
         identities.IdentityReport(
             identity="per_mode_determinant_floor",
@@ -253,14 +262,16 @@ def _verify_reports(cfg: RunConfig) -> list[identities.IdentityReport]:
             notes="row-normalized determinant of the per-mode seam system",
         )
     )
-    return reports
+    counts = {"requested": cfg.modes, "field": len(sol.modes), "quadratic_differential": len(q.modes)}
+    return reports, counts
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    reports = _verify_reports(cfg)
+    reports, counts = _verify_reports(cfg)
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config": asdict(cfg),
+        "mode_counts": counts,
         "reports": [r.to_dict() for r in reports],
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
@@ -283,9 +294,8 @@ def _sweep_point(cfg: RunConfig, value: float) -> dict:
         (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
     )
     denom = max(abs(closed), abs(quad_val), 1e-300)
-    det_min = min(
-        abs(identities.per_mode_determinant(n, point.ell, point.s, point.a, point.outer_bc))
-        for n in range(1, min(point.modes, 8) + 1)
+    det_min = identities.determinant_floor(
+        min(point.modes, 8), point.ell, point.s, point.a, point.outer_bc
     )
     return {
         "param": cfg.param,
@@ -410,8 +420,8 @@ def cmd_modes(cfg: RunConfig) -> int:
             "rho_im",
         ]
     )
-    for n in range(0, cfg.modes + 1):
-        t = hypersolve.dtn(n, cfg.ell, cfg.a, cfg.outer_bc)
+    dtns = hypersolve.solve_modes(np.arange(cfg.modes + 1), cfg.ell, cfg.a, cfg.outer_bc).dtn
+    for n, t in enumerate(dtns):
         if n == 0:
             row = [n, t, dl.mean, 0.0, dr.mean, 0.0, vl.mean, 0.0, vr.mean, 0.0]
         else:

@@ -1,4 +1,4 @@
-"""Per-mode boundary-value solutions on the hyperbolic strips.
+"""Strip mode boundary-value solutions on the hyperbolic strips.
 
 Each strip carries the metric d(xi)^2 + cosh(xi)^2 dy^2 with xi in [0, a]
 measured from the seam.  Separating (Laplace-Beltrami - 2) u = 0 with
@@ -15,11 +15,13 @@ Phys. Rep. 251, 1995):
     n = 0:   1 + theta sinh xi             and  sinh xi.
 
 Every profile, Dirichlet-to-Neumann value and Cauchy extension is built from
-this pair in closed form.  The strip energy keeps an independent Simpson
-quadrature, so the Green identity checks below are not circular.  A solved
-mode is its seam Dirichlet value times a real unit profile, so seams that
-share (n, ell, a, outer_bc) share one quadrature and one set of endpoint
-values.
+this pair in closed form, for all modes of a strip at once: one
+(modes x points) array pass.  The strip energy keeps an independent
+quadrature, a 16-point Gauss-Legendre rule on panels graded toward the seam
+layer of width 1/mu, so the Green identity checks below are not circular.
+A solved mode is its seam Dirichlet value times a real unit profile, so
+seams that share (ell, a, outer_bc) share one quadrature and one set of
+endpoint values.
 """
 from __future__ import annotations
 
@@ -29,11 +31,30 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import gudermannian, simpson_weights
+from .geometry import gudermannian
+
+#: The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
+#: weights (the rule is symmetric), rounded to double from 50-digit values.
+_GAUSS16 = (
+    (0.09501250983763744, 0.1894506104550685),
+    (0.2816035507792589, 0.18260341504492358),
+    (0.45801677765722737, 0.16915651939500254),
+    (0.6178762444026438, 0.14959598881657674),
+    (0.755404408355003, 0.12462897125553388),
+    (0.8656312023878318, 0.09515851168249279),
+    (0.9445750230732326, 0.062253523938647894),
+    (0.9894009349916499, 0.027152459411754096),
+)
+_GL_NODES = np.array([-x for x, _ in reversed(_GAUSS16)] + [x for x, _ in _GAUSS16])
+_GL_WEIGHTS = np.array([w for _, w in reversed(_GAUSS16)] + [w for _, w in _GAUSS16])
+
+#: Profiles evaluated together on the quadrature grid: a block of this many
+#: rows keeps each (rows x points) array small, whatever the mode count.
+_BLOCK = 32
 
 
-def _mu(n: int, ell: float) -> float:
-    return 2.0 * np.pi * abs(n) / ell
+def _mu(n, ell: float):
+    return 2.0 * np.pi * np.abs(n) / ell
 
 
 def _trig(xi):
@@ -42,36 +63,56 @@ def _trig(xi):
     return sh, np.cosh(xi), np.arctan(sh)
 
 
-@lru_cache(maxsize=8)
-def _strip_grid(a: float):
-    """(xi, _trig(xi), w cosh xi, w / cosh xi) for the 2001-point Simpson grid
-    on [0, a].
+def _panel_edges(a: float, mu_max: float) -> np.ndarray:
+    """Panel edges on [0, a]: 1/mu_max, 2/mu_max, 4/mu_max, ... below
+    min(a, 1), which resolves the seam layer of width 1/mu of every mode up
+    to mu_max, then unit-width panels up to a."""
+    inner = min(a, 1.0)
+    edges = [0.0]
+    step = 1.0 / mu_max if mu_max > 0.0 else inner
+    while step < inner:
+        edges.append(step)
+        step *= 2.0
+    edges.append(inner)
+    while edges[-1] + 1.0 < a:
+        edges.append(edges[-1] + 1.0)
+    if a > inner:
+        edges.append(a)
+    return np.array(edges)
 
-    Built once per strip width and shared by every mode on it; read-only,
-    because every caller gets the same arrays.
+
+@lru_cache(maxsize=8)
+def _strip_grid(a: float, mu_max: float):
+    """(xi, _trig(xi), w cosh xi, w / cosh xi) for the Gauss-Legendre rule on
+    the panels of _panel_edges(a, mu_max).
+
+    Built once per (a, mu_max) and shared by every mode of a strip;
+    read-only, because every caller gets the same arrays.
     """
-    xi = np.linspace(0.0, a, 2001)
+    edges = _panel_edges(a, mu_max)
+    half = np.diff(edges)[:, None] / 2.0
+    xi = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * _GL_NODES).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
     trig = _trig(xi)
-    w = simpson_weights(xi)
     w_cosh, w_sech = w * trig[1], w / trig[1]
     for arr in (xi, *trig, w_cosh, w_sech):
         arr.setflags(write=False)
     return xi, trig, w_cosh, w_sech
 
 
-def _pair(mu: float, trig, shift: float = 0.0):
-    """Fundamental solutions (u, u', w, w') of the mode ODE at the points
-    whose sinh, cosh and gd are trig (see _trig).
+def _pair(mu, trig, shift: float = 0.0):
+    """Fundamental solutions (u, u', w, w') of the mode ODE for mu > 0 at
+    the points whose sinh, cosh and gd are trig (see _trig).  mu is a
+    scalar, or an array that broadcasts against the points (a column of
+    modes: one row each).
 
-    mu > 0: u = (sinh xi + mu) exp(mu (theta - shift)) and
+    u = (sinh xi + mu) exp(mu (theta - shift)) and
     w = (sinh xi - mu) exp(-mu theta), with u' and w' equal to
     (cosh^2 xi +/- mu sinh xi + mu^2) sech xi times the same exponential.
     A shift of 2 gd(a) keeps every exponent <= 0 on [0, a], so nothing
-    overflows.  mu = 0: u = 1 + theta sinh xi and w = sinh xi.
+    overflows.
     """
     sh, ch, theta = trig
-    if mu == 0.0:
-        return 1.0 + theta * sh, sh / ch + theta * ch, sh, ch
     grow = np.exp(mu * (theta - shift))
     decay = np.exp(-mu * theta)
     return (
@@ -82,8 +123,14 @@ def _pair(mu: float, trig, shift: float = 0.0):
     )
 
 
-def _unit_solution(n: int, ell: float, a: float, outer_bc: str):
-    """(mu, shift, c_u, c_w): the unit seam solve is c_u u + c_w w.
+def _pair0(trig):
+    """The pair of _pair for mu = 0: u = 1 + theta sinh xi and w = sinh xi."""
+    sh, ch, theta = trig
+    return 1.0 + theta * sh, sh / ch + theta * ch, sh, ch
+
+
+def _unit_solution(mu: np.ndarray, a: float, outer_bc: str):
+    """(shift, c_u, c_w): the unit seam solve of each mode is c_u u + c_w w.
 
     n >= 1, with S = sinh a, E = exp(-2 mu gd a), p+-(a) = cosh^2 a +- mu S + mu^2:
     c_u = alpha / (mu (alpha E + beta)), c_w = -beta / (mu (alpha E + beta)),
@@ -95,107 +142,169 @@ def _unit_solution(n: int, ell: float, a: float, outer_bc: str):
         raise ValueError("strip half-width a must be positive")
     if outer_bc not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown outer boundary condition {outer_bc!r}")
-    mu = _mu(n, ell)
     G = gudermannian(a)
     S, C = np.sinh(a), np.cosh(a)
-    if mu == 0.0:
-        k = -(1.0 / S + G) if outer_bc == "dirichlet" else -(G + S / C**2)
-        return mu, 0.0, 1.0, k
     if outer_bc == "dirichlet":
         alpha, beta = S - mu, S + mu
+        k = -(1.0 / S + G)
     else:
         alpha, beta = C**2 - mu * S + mu**2, C**2 + mu * S + mu**2
-    denom = mu * (alpha * np.exp(-2.0 * mu * G) + beta)
-    return mu, 2.0 * G, alpha / denom, -beta / denom
+        k = -(G + S / C**2)
+    zero = mu == 0.0
+    # mu = 0 rows take (1, k); the placeholder 1 keeps their quotient finite
+    denom = np.where(zero, 1.0, mu) * (alpha * np.exp(-2.0 * mu * G) + beta)
+    return 2.0 * G, np.where(zero, 1.0, alpha / denom), np.where(zero, k, -beta / denom)
 
 
 @dataclass(eq=False)
-class StripProfile:
-    """One mode profile b on the strip [0, a], with its slope b'.
+class StripProfiles:
+    """Profiles b_k of the modes ns[k] on the strip [0, a], with slopes b_k'.
 
-    values(xi, trig) returns (b(xi), b'(xi)); trig = _trig(xi) is passed in
-    so that the Simpson grid's sinh, cosh and gd come once per strip width
-    (_strip_grid).  The quadratures and endpoint values are computed once,
-    on first use, and shared by every scaled copy (HyperbolicModeSolution).
+    values(rows, xi, trig) returns (b, b') of the profiles ns[rows] as
+    (rows, points) arrays; trig = _trig(xi) is passed in so that the
+    quadrature grid's sinh, cosh and gd come once per grid (_strip_grid).
+    The quadratures (in blocks of _BLOCK rows) and the endpoint values are
+    computed once, on first use, and shared by every scaled copy
+    (HyperbolicModeSolution).
     """
 
-    n: int
+    ns: np.ndarray
     ell: float
     a: float
     values: Callable = field(repr=False)
 
     def __call__(self, xi):
-        return self.values(xi, _trig(xi))
+        xi = np.asarray(xi, dtype=float)
+        return self.values(slice(None), xi, _trig(xi))
 
     @cached_property
-    def quadrature(self) -> tuple[complex, float]:
-        """(integral of b cosh, energy integrand integral) on the strip.
+    def mu(self) -> np.ndarray:
+        return _mu(self.ns, self.ell)
+
+    def grid(self):
+        """The quadrature grid (_strip_grid) for the strip width and the
+        largest mu of the profiles."""
+        return _strip_grid(self.a, float(self.mu.max(initial=0.0)))
+
+    @cached_property
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """(integral of b cosh, energy integrand integral) of each profile.
 
         Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi).  One
-        composite Simpson quadrature on the grid and weights that every
-        profile of the strip width shares; no scipy.integrate.
+        Gauss-Legendre quadrature on the grid that every profile of the
+        strip shares (_strip_grid); no scipy.integrate.
         """
-        xi, trig, w_cosh, w_sech = _strip_grid(self.a)
-        b, bp = self.values(xi, trig)
-        bsq = np.abs(b) ** 2
-        energy = w_cosh @ (np.abs(bp) ** 2 + 2.0 * bsq)
-        energy += _mu(self.n, self.ell) ** 2 * (w_sech @ bsq)
-        return complex(w_cosh @ b), float(energy)
+        mu = self.mu
+        xi, trig, w_cosh, w_sech = self.grid()
+        ib, energy = [], []
+        for start in range(0, len(self.ns), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            b, bp = self.values(rows, xi, trig)
+            bsq = np.abs(b) ** 2
+            ib.append(b @ w_cosh)
+            energy.append((np.abs(bp) ** 2 + 2.0 * bsq) @ w_cosh + mu[rows] ** 2 * (bsq @ w_sech))
+        return np.concatenate(ib), np.concatenate(energy)
 
     @cached_property
-    def ends(self) -> tuple:
-        """(b(0), b'(0), b(a), b'(a))."""
-        return (*self(0.0), *self(self.a))
+    def ends(self) -> tuple[np.ndarray, ...]:
+        """(b(0), b'(0), b(a), b'(a)), one entry per profile."""
+        b, bp = self([0.0, self.a])
+        return b[:, 0], bp[:, 0], b[:, 1], bp[:, 1]
 
 
-@dataclass
+@dataclass(eq=False)
 class HyperbolicModeSolution:
-    """One strip mode: scale times a profile, and its seam DtN ratio.
+    """Strip modes: scale[k] times the profile of mode ns[k].
 
-    The quadratures and boundary values scale with the profile: b enters
+    The quadratures and boundary values scale with the profiles: b enters
     them as scale * b, so each reports scale or |scale|^2 times the
-    profile's cached value.
+    profiles' cached values.
     """
 
     outer_bc: str
-    dtn: float
-    profile: StripProfile = field(repr=False)
-    scale: complex = 1.0
+    profiles: StripProfiles = field(repr=False)
+    scale: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.profile.n
+    def ns(self) -> np.ndarray:
+        return self.profiles.ns
 
     @property
     def ell(self) -> float:
-        return self.profile.ell
+        return self.profiles.ell
 
     @property
     def a(self) -> float:
-        return self.profile.a
-
-    def b_fn(self, xi):
-        return self.scale * self.profile(xi)[0]
-
-    def bp_fn(self, xi):
-        return self.scale * self.profile(xi)[1]
-
-    def at_seam_value(self, seam_dirichlet: complex) -> "HyperbolicModeSolution":
-        """The same unit solve scaled to another seam Dirichlet value; it
-        shares this mode's profile, so its quadrature and endpoint values."""
-        return replace(self, scale=seam_dirichlet)
+        return self.profiles.a
 
     @property
-    def interior_quadrature(self) -> tuple[complex, float]:
-        """(integral of b cosh, energy integrand integral): the profile's
-        StripProfile.quadrature, scaled."""
-        ib, energy = self.profile.quadrature
-        return self.scale * ib, abs(self.scale) ** 2 * energy
+    def dtn(self) -> np.ndarray:
+        """b'(0) of each profile: the seam Dirichlet-to-Neumann value of a
+        solved mode, whose unit profile has b(0) = 1."""
+        return self.profiles.ends[1]
+
+    @property
+    def pair_weights(self) -> np.ndarray:
+        """ell for n = 0 and 2 ell for n >= 1: a stored mode stands for itself
+        and its conjugate, which doubles its share of every y-integral."""
+        return np.where(self.ns == 0, 1.0, 2.0) * self.ell
+
+    def b_fn(self, xi):
+        """b at the points xi, for a one-mode solution (as from mode_solve)."""
+        return self.scale[0] * self.profiles(xi)[0][0]
+
+    def bp_fn(self, xi):
+        """b' at the points xi, for a one-mode solution."""
+        return self.scale[0] * self.profiles(xi)[1][0]
+
+    def at_seam_values(self, seam_dirichlet) -> "HyperbolicModeSolution":
+        """The same profiles scaled to other seam Dirichlet values (one per
+        mode, or one for all); they share this solution's quadrature and
+        endpoint values."""
+        return replace(self, scale=_scales(seam_dirichlet, self.ns))
+
+    @property
+    def interior_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """(integral of b cosh, energy integrand integral) per mode: the
+        profiles' StripProfiles.quadrature, scaled."""
+        ib, energy = self.profiles.quadrature
+        return self.scale * ib, np.abs(self.scale) ** 2 * energy
 
     @cached_property
-    def ends(self) -> tuple:
-        """(b(0), b'(0), b(a), b'(a)): the profile's cached values, scaled."""
-        return tuple(self.scale * v for v in self.profile.ends)
+    def ends(self) -> tuple[np.ndarray, ...]:
+        """(b(0), b'(0), b(a), b'(a)) per mode: the profiles' cached values,
+        scaled."""
+        return tuple(self.scale * v for v in self.profiles.ends)
+
+
+def _scales(seam_dirichlet, ns: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(seam_dirichlet, dtype=complex), ns.shape)
+
+
+def solve_modes(ns, ell: float, a: float, outer_bc: str = "dirichlet") -> HyperbolicModeSolution:
+    """Unit seam solves of the strip mode BVP for every mode in ns at once.
+
+    Closed form: the unit solve c_u u + c_w w of _unit_solution on the
+    scaled Poschl-Teller pair of _pair, evaluated as one (modes x points)
+    array; seam Dirichlet values come from at_seam_values.
+    """
+    ns = np.asarray(ns, dtype=int).ravel()
+    mu = _mu(ns, ell)
+    shift, cu, cw = _unit_solution(mu, a, outer_bc)
+
+    def values(rows, xi, trig):
+        col = (rows,) + (None,) * np.ndim(xi)
+        u, up, w, wp = _pair(mu[col], trig, shift)
+        b, bp = cu[col] * u + cw[col] * w, cu[col] * up + cw[col] * wp
+        # an n = 0 row: the same combination of the mu = 0 pair
+        for i in np.flatnonzero(mu[rows] == 0.0):
+            u, up, w, wp = _pair0(trig)
+            c_u, c_w = cu[rows][i], cw[rows][i]
+            b[i], bp[i] = c_u * u + c_w * w, c_u * up + c_w * wp
+        return b, bp
+
+    profiles = StripProfiles(ns=ns, ell=ell, a=a, values=values)
+    return HyperbolicModeSolution(outer_bc=outer_bc, profiles=profiles, scale=_scales(1.0, ns))
 
 
 def mode_solve(
@@ -205,22 +314,9 @@ def mode_solve(
     outer_bc: str = "dirichlet",
     seam_dirichlet: complex = 1.0,
 ) -> HyperbolicModeSolution:
-    """Solve the strip mode BVP with the given seam Dirichlet value.
-
-    Closed form: seam_dirichlet times the unit solve c_u u + c_w w of
-    _unit_solution, on the scaled Poschl-Teller pair of _pair.  Other seam
-    values of the same (n, ell, a, outer_bc) come from at_seam_value.
-    """
-    mu, shift, cu, cw = _unit_solution(n, ell, a, outer_bc)
-
-    def values(xi, trig):
-        u, up, w, wp = _pair(mu, trig, shift)
-        return cu * u + cw * w, cu * up + cw * wp
-
-    profile = StripProfile(n=n, ell=ell, a=a, values=values)
-    return HyperbolicModeSolution(
-        outer_bc=outer_bc, dtn=float(profile.ends[1]), profile=profile, scale=seam_dirichlet
-    )
+    """Solve one strip mode BVP with the given seam Dirichlet value: the
+    one-mode case of solve_modes."""
+    return solve_modes([n], ell, a, outer_bc).at_seam_values(seam_dirichlet)
 
 
 def dtn(n: int, ell: float, a: float, outer_bc: str = "dirichlet", method: str = "auto") -> float:
@@ -233,9 +329,7 @@ def dtn(n: int, ell: float, a: float, outer_bc: str = "dirichlet", method: str =
     # method="auto", so the keyword stays until the benchmark drops it.
     if method != "auto":
         raise ValueError(f"unknown dtn method {method!r}")
-    mu, shift, cu, cw = _unit_solution(n, ell, a, outer_bc)
-    _, up, _, wp = _pair(mu, _trig(0.0), shift)
-    return float(cu * up + cw * wp)
+    return float(solve_modes([n], ell, a, outer_bc).dtn[0])
 
 
 @dataclass
@@ -269,16 +363,20 @@ def mode_extend(
     v, p = seam_value, seam_slope
     if mu == 0.0:
         cu, cw = v, p
+        pair = _pair0
     else:
         cu = (v / mu + p / (1.0 + mu * mu)) / 2.0
         cw = (p / (1.0 + mu * mu) - v / mu) / 2.0
 
+        def pair(trig):
+            return _pair(mu, trig)
+
     def b_fn(xi):
-        u, _, w, _ = _pair(mu, _trig(xi))
+        u, _, w, _ = pair(_trig(xi))
         return cu * u + cw * w
 
     def bp_fn(xi):
-        _, up, _, wp = _pair(mu, _trig(xi))
+        _, up, _, wp = pair(_trig(xi))
         return cu * up + cw * wp
 
     return StripModeExtension(
@@ -292,33 +390,28 @@ def interior_integral(
     """(integral of H over the strips, integral of |grad H|^2 + 2 H^2).
 
     Area element is cosh(xi) dxi dy.  Only n = 0 modes contribute to the
-    first integral; every mode contributes 2*ell times its energy integrand
-    (the conjugate-pair doubling), n = 0 contributing ell times.
+    first integral; every mode contributes its pair weight (ell for n = 0,
+    2 ell for the conjugate pair of n >= 1) times its energy integrand.
     """
     int_h = 0.0
     energy = 0.0
     for sol in solutions:
         ib, en = sol.interior_quadrature
-        if sol.n == 0:
-            int_h += sol.ell * float(np.real(ib))
-            energy += sol.ell * en
-        else:
-            energy += 2.0 * sol.ell * en
+        int_h += sol.ell * float(np.real(ib[sol.ns == 0]).sum())
+        energy += float(sol.pair_weights @ en)
     return int_h, energy
 
 
 def seam_boundary_form(solutions: Iterable[HyperbolicModeSolution]) -> float:
     """Sum over modes of the seam Green's boundary term of H d_n H.
 
-    The outward normal of the strip at the seam is -d/dxi, so each n = 0
-    mode contributes -ell * b(0) b'(0) and each n >= 1 mode contributes
-    -2 ell Re(b(0) conj(b'(0))).
+    The outward normal of the strip at the seam is -d/dxi, so each mode
+    contributes minus its pair weight times Re(b(0) conj(b'(0))).
     """
     total = 0.0
     for sol in solutions:
         b0, bp0, _, _ = sol.ends
-        bb = np.real(b0 * np.conj(bp0))
-        total -= (1.0 if sol.n == 0 else 2.0) * sol.ell * float(bb)
+        total -= float(sol.pair_weights @ np.real(b0 * np.conj(bp0)))
     return total
 
 
@@ -332,8 +425,7 @@ def outer_boundary_form(solutions: Iterable[HyperbolicModeSolution]) -> float:
     total = 0.0
     for sol in solutions:
         _, _, ba, bpa = sol.ends
-        bb = np.real(ba * np.conj(bpa)) * np.cosh(sol.a)
-        total += (1.0 if sol.n == 0 else 2.0) * sol.ell * float(bb)
+        total += float(sol.pair_weights @ np.real(ba * np.conj(bpa))) * np.cosh(sol.a)
     return total
 
 
@@ -344,19 +436,19 @@ def greens_residual(
     """Residual of the Green identity on the strips.
 
     integral(H * (Lap_h - 2) H) = -energy + seam + outer boundary terms.
-    The left side vanishes for exact homogeneous mode solutions; a list of
-    per-mode forcing callables f(xi) (the value of the operator applied to
-    the manufactured profile) may be supplied for non-solutions.
+    The left side vanishes for exact homogeneous mode solutions; one forcing
+    callable f(xi) per solution (the value of the operator applied to a
+    manufactured profile, broadcasting over its modes) may be supplied for
+    non-solutions.
     """
     lhs = 0.0
     if forcings is not None:
         for sol, f in zip(solutions, forcings):
             if f is None:
                 continue
-            xi, _, w_cosh, _ = _strip_grid(sol.a)
-            integrand = np.real(sol.b_fn(xi) * np.conj(f(xi)))
-            factor = 1.0 if sol.n == 0 else 2.0
-            lhs += factor * sol.ell * (w_cosh @ integrand)
+            xi, _, w_cosh, _ = sol.profiles.grid()
+            b = sol.scale[:, None] * sol.profiles(xi)[0]
+            lhs += float(sol.pair_weights @ (np.real(b * np.conj(f(xi))) @ w_cosh))
 
     _, energy = interior_integral(solutions)
     rhs = -energy + seam_boundary_form(solutions) + outer_boundary_form(solutions)
@@ -371,8 +463,8 @@ def manufactured_mode(
     bp_fn: Callable,
     bpp_fn: Callable,
 ) -> tuple[HyperbolicModeSolution, Callable]:
-    """Package an arbitrary smooth profile as a mode (unit scale) plus its
-    forcing.
+    """Package an arbitrary smooth profile as a one-mode solution (unit
+    scale) plus its forcing.
 
     Returns the pseudo-solution and f(xi) = b'' + tanh b' - (mu^2/cosh^2+2) b,
     for method-of-manufactured-solutions checks of the Green identity.
@@ -386,11 +478,10 @@ def manufactured_mode(
             - (musq / np.cosh(xi) ** 2 + 2.0) * b_fn(xi)
         )
 
-    profile = StripProfile(n=n, ell=ell, a=a, values=lambda xi, trig: (b_fn(xi), bp_fn(xi)))
-    b0, bp0, _, _ = profile.ends
-    sol = HyperbolicModeSolution(
-        outer_bc="manufactured",
-        dtn=float(np.real(bp0 / b0)) if abs(b0) > 0 else 0.0,
-        profile=profile,
-    )
+    def values(rows, xi, trig):
+        return tuple(np.broadcast_to(fn(xi), xi.shape)[None] for fn in (b_fn, bp_fn))
+
+    ns = np.array([n])
+    profiles = StripProfiles(ns=ns, ell=ell, a=a, values=values)
+    sol = HyperbolicModeSolution(outer_bc="manufactured", profiles=profiles, scale=_scales(1.0, ns))
     return sol, forcing

@@ -88,11 +88,6 @@ def _finite(*values: float) -> bool:
     return bool(np.all(np.isfinite(values)))
 
 
-def _sinh_cosh(n: int, s: float, ell: float) -> tuple[float, float]:
-    arg = np.pi * n * s / ell
-    return float(np.sinh(arg)), float(np.cosh(arg))
-
-
 def boundary_term_closed(
     sol: FourierSolution, v_left: VariationField, v_right: VariationField
 ) -> float:
@@ -129,9 +124,8 @@ def boundary_term_quadrature(
     if npts <= 2 * nmax:
         raise ValueError(f"{npts} quadrature points cannot resolve mode {nmax}")
     ell = ells.pop()
-    y = np.arange(npts) * (ell / npts)
-    left = np.mean(dl.reconstruct(y) * nl.reconstruct(y))
-    right = np.mean(dr.reconstruct(y) * nr.reconstruct(y))
+    left = np.mean(dl.on_grid(npts) * nl.on_grid(npts))
+    right = np.mean(dr.on_grid(npts) * nr.on_grid(npts))
     return float(ell * (left - right))
 
 
@@ -148,12 +142,11 @@ class SolvedConfiguration:
     v_right: VariationField
     s_rate: float = 0.0
     quad: QuadDiffModes | None = None
-    strips: dict[str, dict[int, hypersolve.HyperbolicModeSolution]] = field(
-        default_factory=dict
-    )
+    strips: dict[str, hypersolve.HyperbolicModeSolution] = field(default_factory=dict)
 
-    def all_strip_modes(self):
-        return [m for side in self.strips.values() for m in side.values()]
+    def all_strip_modes(self) -> list[hypersolve.HyperbolicModeSolution]:
+        """The solved modes of both strips, one solution per strip."""
+        return list(self.strips.values())
 
 
 def solve_configuration(
@@ -172,18 +165,17 @@ def solve_configuration(
     ell, a = chart.ell, chart.a
     dl = sol.dirichlet_trace("left")
     dr = sol.dirichlet_trace("right")
-    units = {n: hypersolve.mode_solve(n, ell, a, chart.outer_bc) for n in (0, *sol.modes)}
+    units = hypersolve.solve_modes([0, *sol.modes], ell, a, chart.outer_bc)
     if mean_left is None or mean_right is None:
-        lam0, rho0 = pinned_means(units[0].dtn, dl.mean, dr.mean)
+        lam0, rho0 = pinned_means(units.dtn[0], dl.mean, dr.mean)
         mean_left = lam0 if mean_left is None else mean_left
         mean_right = rho0 if mean_right is None else mean_right
     v_left = solve_flat_variation(sol.neumann_trace_flat("left"), mean_left)
     v_right = solve_flat_variation(sol.neumann_trace_flat("right"), mean_right)
 
-    # one unit solve per mode, scaled to each seam's Dirichlet value
+    # one unit solve per mode, scaled to each seam's Dirichlet values
     strips = {
-        side: {0: units[0].at_seam_value(trace.mean)}
-        | {n: units[n].at_seam_value(value) for n, value in trace.modes.items()}
+        side: units.at_seam_values([trace.mean, *(trace.modes[n] for n in sol.modes)])
         for side, trace in (("left", dl), ("right", dr))
     }
     return SolvedConfiguration(
@@ -235,34 +227,53 @@ def slice_condition(
 
 # --- master identity --------------------------------------------------------
 
+def _series_arrays(sol: FourierSolution):
+    """(n, c_n, d_n, S, C) over the stored modes, with S, C = sinh, cosh(pi n s / ell)."""
+    n = np.fromiter(sol.modes, dtype=int, count=len(sol.modes))
+    cd = np.array(list(sol.modes.values()), dtype=complex).reshape(-1, 2)
+    arg = np.pi * n * sol.s / sol.ell
+    return n, cd[:, 0], cd[:, 1], np.sinh(arg), np.cosh(arg)
+
+
 def _cylinder_series(sol: FourierSolution, total: float = 0.0) -> float:
-    """total - sum_{n>=1} (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C."""
-    for n, (cn, dn) in sol.modes.items():
-        S, C = _sinh_cosh(n, sol.s, sol.ell)
-        total -= (
-            (PAIRING_FACTOR / (np.pi * n))
-            * (4.0 * np.pi**2 * n**2 + sol.ell**2)
-            * (abs(cn) ** 2 + abs(dn) ** 2)
-            * S
-            * C
-        )
-    return total
+    """total - sum_{n>=1} (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C.
+
+    The coefficient product comes first, then S, then C: S C alone overflows
+    where the damped coefficients still keep each term finite.
+    """
+    n, c, d, S, C = _series_arrays(sol)
+    terms = (
+        (PAIRING_FACTOR / (np.pi * n))
+        * (4.0 * np.pi**2 * n**2 + sol.ell**2)
+        * (np.hypot(c.real, c.imag) ** 2 + np.hypot(d.real, d.imag) ** 2)
+        * S
+        * C
+    )
+    return _subtract_in_order(total, terms)
+
+
+def _subtract_in_order(total: float, terms: np.ndarray) -> float:
+    """total minus each term in turn, in mode order: the mixed series can
+    cancel, so its rounding follows one fixed order."""
+    for term in terms.tolist():
+        total -= term
+    return float(total)
 
 
 def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) -> float:
     """total - sum_{n>=1} (4/(pi n)) (4 pi^2 n^2 + ell^2)
-    Im(v_n conj(c_n) + u_n conj(d_n)) S C."""
-    for n, (cn, dn) in sol.modes.items():
-        un, vn = q.modes.get(n, (0.0, 0.0))
-        S, C = _sinh_cosh(n, sol.s, sol.ell)
-        total -= (
-            (CROSS_FACTOR / (np.pi * n))
-            * (4.0 * np.pi**2 * n**2 + sol.ell**2)
-            * float(np.imag(vn * np.conj(cn) + un * np.conj(dn)))
-            * S
-            * C
-        )
-    return total
+    Im(v_n conj(c_n) + u_n conj(d_n)) S C, in the multiply order of
+    _cylinder_series."""
+    n, c, d, S, C = _series_arrays(sol)
+    u, v = np.array([q.modes.get(k, (0.0, 0.0)) for k in n.tolist()], dtype=complex).reshape(-1, 2).T
+    terms = (
+        (CROSS_FACTOR / (np.pi * n))
+        * (4.0 * np.pi**2 * n**2 + sol.ell**2)
+        * ((v.imag * c.real - v.real * c.imag) + (u.imag * d.real - u.real * d.imag))
+        * S
+        * C
+    )
+    return _subtract_in_order(total, terms)
 
 
 def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityReport:
@@ -346,7 +357,7 @@ def area_derivative_report(
     int_h, _ = hypersolve.interior_integral(modes)
     # outer flux of the mean mode: b'(a) (ends[3]) times the line element cosh(a) dy
     outer_flux = sum(
-        m.ell * np.cosh(m.a) * float(np.real(m.ends[3])) for m in modes if m.n == 0
+        m.ell * np.cosh(m.a) * float(np.real(m.ends[3][m.ns == 0]).sum()) for m in modes
     )
     # int of H over a strip = (seam flux + outer flux) / 2, seam normal -d/dxi
     quad_strip = -int_h + 0.5 * outer_flux
@@ -383,9 +394,11 @@ def arc_length_derivative(
     integral of (H variation - 2 Re phi).  Reduces to -d0 ell / 2 without
     quadratic-differential data."""
     x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
-    y = np.arange(npts) * (sol.ell / npts)
-    hdot = sol.dirichlet_trace(side).reconstruct(y)
-    re = q.re_phi(np.full(npts, x_seam), y) if q is not None else 0.0
+    hdot = sol.dirichlet_trace(side).on_grid(npts)
+    if q is not None:
+        re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts))
+    else:
+        re = 0.0
     return float(-0.5 * (sol.ell / npts) * np.sum(hdot - 2.0 * re))
 
 
@@ -503,18 +516,32 @@ def per_mode_determinant(
     if n < 1:
         raise ValueError("mode index must be >= 1")
     t = dtn_value if dtn_value is not None else hypersolve.dtn(n, ell, a, outer_bc)
+    return float(_normalized_determinant(n, ell, s, t))
+
+
+def _normalized_determinant(n, ell: float, s: float, t):
+    """per_mode_determinant for mode indices n >= 1 with DtN values t
+    (scalars or matching arrays)."""
     k = (4.0 * np.pi**2 * n**2 + ell**2) / (2.0 * np.pi * n * ell)
     # sinh and cosh scaled by exp(-arg): the normalized determinant is
     # invariant under the common row factor, and this never overflows
     arg = np.pi * n * s / ell
     S = (1.0 - np.exp(-2.0 * arg)) / 2.0
     C = (1.0 + np.exp(-2.0 * arg)) / 2.0
-    row1 = np.array([-k * S + t * C, k * C - t * S])
-    row2 = np.array([k * S - t * C, k * C - t * S])
-    norm1 = np.hypot(*row1)
-    norm2 = np.hypot(*row2)
+    row1 = (-k * S + t * C, k * C - t * S)
+    row2 = (k * S - t * C, k * C - t * S)
     det = row1[0] * row2[1] - row1[1] * row2[0]
-    return float(det / (norm1 * norm2))
+    return det / (np.hypot(*row1) * np.hypot(*row2))
+
+
+def determinant_floor(
+    nmax: int, ell: float, s: float, a: float, outer_bc: str = "dirichlet"
+) -> float:
+    """min over n = 1..nmax of |per_mode_determinant|, from one unit strip
+    solve of all nmax modes (solve_modes) and one array pass."""
+    ns = np.arange(1, nmax + 1)
+    t = hypersolve.solve_modes(ns, ell, a, outer_bc).dtn
+    return float(np.min(np.abs(_normalized_determinant(ns, ell, s, t))))
 
 
 def n0_balance_coefficient(

@@ -16,26 +16,23 @@ from .spectral import FourierSolution, QuadDiffModes
 MAX_DAMPED_ARG = float(np.log(np.finfo(float).max)) / 2.0
 
 
-def _complex_modes(rng: np.random.Generator, nmax: int, decay: float) -> dict:
-    out = {}
-    for n in range(1, nmax + 1):
-        scale = np.exp(-decay * n)
-        c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        d = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        out[n] = (c, d)
-    return out
+def _complex_modes(rng: np.random.Generator, nmax: int, decay: float):
+    """(n, c_n, d_n) for n = 1..nmax: exp(-decay n) times complex normals,
+    drawn as Re c_n, Im c_n, Re d_n, Im d_n for each n in turn."""
+    n = np.arange(1, nmax + 1)
+    z = rng.standard_normal(4 * nmax).reshape(nmax, 4)
+    scale = np.exp(-decay * n)
+    return n, scale * (z[:, 0] + 1j * z[:, 1]), scale * (z[:, 2] + 1j * z[:, 3])
 
 
 def _damped_modes(rng, ell, s, nmax, decay, amplitude) -> dict:
     """_complex_modes times amplitude / cosh(pi n s / ell), without the modes
     whose pi n s / ell exceeds MAX_DAMPED_ARG."""
-    out = {}
-    for n, (c, d) in _complex_modes(rng, nmax, decay).items():
-        arg = np.pi * n * s / ell
-        if arg <= MAX_DAMPED_ARG:
-            damp = amplitude / np.cosh(arg)
-            out[n] = (damp * c, damp * d)
-    return out
+    n, c, d = _complex_modes(rng, nmax, decay)
+    arg = np.pi * n * s / ell
+    keep = arg <= MAX_DAMPED_ARG
+    damp = amplitude / np.cosh(arg[keep])
+    return dict(zip(n[keep].tolist(), zip(damp * c[keep], damp * d[keep])))
 
 
 def random_solution(

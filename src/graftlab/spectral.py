@@ -75,6 +75,28 @@ class TraceModes:
         """Real values of the trace at circumferential positions y."""
         return self.mean + _mode_sum(y, self.ell, self.modes)
 
+    def on_grid(self, npts: int) -> np.ndarray:
+        """Values of the trace at y_j = j ell / npts, j = 0..npts-1, from one
+        inverse real FFT.
+
+        A mode n contributes 2 Re(c_n w^(n j)), w = exp(2 pi i / npts), which
+        is the bin r = n mod npts or, conjugated, npts - r, whichever is at
+        most npts/2; the bins 0 and npts/2 keep only a real part, so they
+        take 2 Re(c_n).  Modes past npts/2 thus alias onto the grid exactly
+        as their values there do.
+        """
+        n = np.fromiter(self.modes, dtype=int, count=len(self.modes))
+        c = np.fromiter(self.modes.values(), dtype=complex, count=len(self.modes))
+        r = n % npts
+        folded = 2 * r > npts
+        r = np.where(folded, npts - r, r)
+        c = np.where(folded, np.conj(c), c)
+        c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
+        spectrum = np.zeros(npts // 2 + 1, dtype=complex)
+        spectrum[0] = self.mean
+        np.add.at(spectrum, r, c)
+        return np.fft.irfft(spectrum, npts, norm="forward")
+
     def parseval_norm_sq(self) -> float:
         """ell * (mean^2 + 2 * sum |coef_n|^2) = integral of trace^2 over y."""
         return self.ell * (self.mean**2 + 2.0 * sum(abs(c) ** 2 for c in self.modes.values()))
@@ -264,16 +286,53 @@ def harmonicity_residual(
         f = fld
     if h is None:
         h = ell / 256
-    if s / 2 - h <= -(s / 2 - h):
-        xs = np.array([0.0])
-    else:
-        xs = np.linspace(-(s / 2 - h), s / 2 - h, nx)
     ys = np.linspace(0.0, ell, ny, endpoint=False)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(_stencil_xs(s, h, nx), ys, indexing="ij")
     lap = (
         f(X + h, Y) + f(X - h, Y) + f(X, Y + h) + f(X, Y - h) - 4.0 * f(X, Y)
     ) / h**2
     return float(np.max(np.abs(lap)))
+
+
+def _stencil_xs(s: float, h: float, nx: int) -> np.ndarray:
+    """The x positions of harmonicity_residual's grid: nx points on
+    [-(s/2 - h), s/2 - h], or the centre alone when that is empty."""
+    if s / 2 - h <= -(s / 2 - h):
+        return np.array([0.0])
+    return np.linspace(-(s / 2 - h), s / 2 - h, nx)
+
+
+#: Rounding allowance of the stencil, in units of eps max|u| / h^2: its
+#: coefficients (1, 1, 1, 1, -4) sum to 8 in absolute value, and each value
+#: of u carries about 2 eps max|u| of rounding.
+STENCIL_ROUNDING = 16.0
+
+
+def harmonicity_bound(
+    fld: FourierSolution, h: float | None = None, nx: int = 16
+) -> tuple[float, float]:
+    """(truncation bound, rounding allowance) for harmonicity_residual(fld, h=h, nx=nx).
+
+    The five-point Laplacian of a harmonic mode (c cosh kx + d sinh kx)
+    exp(iky), k = 2 pi n / ell, is exactly its value times
+    (2 cosh kh + 2 cos kh - 4) / h^2, and that of the linear mean part is 0;
+    so the residual is at most the maximum over the grid's x of
+    sum_n 2 (|c_n| cosh kx + |d_n| |sinh kx|) (2 cosh kh + 2 cos kh - 4) / h^2,
+    plus STENCIL_ROUNDING eps max|u| / h^2 with max|u| the sup-norm bound
+    |c0| s/2 + |d0| + sum_n 2 (|c_n| cosh(k s/2) + |d_n| sinh(k s/2)).
+    """
+    h = fld.ell / 256 if h is None else h
+    n = np.fromiter(fld.modes, dtype=int, count=len(fld.modes))
+    cd = np.abs(np.array(list(fld.modes.values()), dtype=complex).reshape(-1, 2))
+    k = 2.0 * np.pi * n / fld.ell
+    factor = (2.0 * np.cosh(k * h) + 2.0 * np.cos(k * h) - 4.0) / h**2
+    kx = np.outer(np.abs(_stencil_xs(fld.s, h, nx)), k)
+    amp = 2.0 * (cd[:, 0] * np.cosh(kx) + cd[:, 1] * np.sinh(kx))
+    truncation = float(np.max(amp @ factor, initial=0.0))
+    ks = k * fld.s / 2
+    umax = abs(fld.c0) * fld.s / 2 + abs(fld.d0)
+    umax += float(np.sum(2.0 * (cd[:, 0] * np.cosh(ks) + cd[:, 1] * np.sinh(ks))))
+    return truncation, STENCIL_ROUNDING * np.finfo(float).eps * umax / h**2
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,28 @@ def test_verify_stays_finite_where_cosh_overflows(capsys):
         assert all(math.isfinite(v) for v in values), r["identity"]
 
 
+def test_verify_reports_the_mode_counts_kept(capsys):
+    # pi n s / ell <= 354.9 keeps n <= 45 of the 256 requested modes
+    code, out = run(["verify", "--ell", "8", "--s", "20", "--a", "1", "--modes", "256"], capsys)
+    assert code == 0
+    counts = json.loads(out)["mode_counts"]
+    assert counts == {"requested": 256, "field": 45, "quadratic_differential": 45}
+
+
+def test_verify_resolves_the_seam_layer_and_the_stencil_bound(capsys):
+    # a = 10 at ell = 1 puts a seam layer of width 1/mu into a wide strip;
+    # ell = 2 leaves a stencil residual of 5.6e-6, inside its truncation bound
+    code, out = run(["verify", "--ell", "1", "--a", "10", "--modes", "64"], capsys)
+    assert code == 0
+    reports = {r["identity"]: r for r in json.loads(out)["reports"]}
+    assert reports["strip_greens_identity"]["lhs"] <= 1e-12
+    code, out = run(["verify", "--ell", "2"], capsys)
+    assert code == 0
+    stencil = {r["identity"]: r for r in json.loads(out)["reports"]}["interior_harmonicity_stencil"]
+    assert 0.0 < stencil["lhs"] <= stencil["tol"]
+    assert "h = ell/256" in stencil["notes"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_modes_prints_zero_for_dropped_modes(capsys):
     # 2 pi n passes 355 at n = 57

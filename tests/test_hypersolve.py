@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import simpson
 
 from graftlab import hypersolve, identities, sampling
-from graftlab.geometry import GraftedCollar, simpson_weights
+from graftlab.geometry import GraftedCollar
 
 ELL = 2 * np.pi
 
@@ -133,30 +133,25 @@ def test_interior_integral_orthogonality():
     assert int_mean_only == pytest.approx(direct, rel=1e-8)
 
 
-def _per_mode_quadrature(sol):
-    """The per-mode route: Simpson of b_fn and bp_fn, each evaluated on its
-    own, on the 2001-point grid."""
-    xi = np.linspace(0.0, sol.a, 2001)
-    w = simpson_weights(xi)
-    b, bp = sol.b_fn(xi), sol.bp_fn(xi)
-    bsq = np.abs(b) ** 2
-    musq = (2.0 * np.pi * sol.n / sol.ell) ** 2
-    energy = (w * np.cosh(xi)) @ (np.abs(bp) ** 2 + 2.0 * bsq)
-    energy += musq * ((w / np.cosh(xi)) @ bsq)
-    return complex((w * np.cosh(xi)) @ b), float(energy)
-
-
 @pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
-@pytest.mark.parametrize("a", [0.1, 1.0, 3.0])
-def test_scaled_unit_quadrature_matches_per_mode_route(a, outer):
-    seam = 0.6 - 0.8j
-    for n in range(257):
-        ib, energy = hypersolve.mode_solve(n, ELL, a, outer).at_seam_value(seam).interior_quadrature
-        ref_ib, ref_energy = _per_mode_quadrature(
-            hypersolve.mode_solve(n, ELL, a, outer, seam_dirichlet=seam)
-        )
-        assert abs(ib - ref_ib) <= 1e-13 * abs(ref_ib), (n, a, outer)
-        assert abs(energy - ref_energy) <= 1e-13 * ref_energy, (n, a, outer)
+@pytest.mark.parametrize("a", [0.1, 1.0, 3.0, 10.0])
+def test_unit_energy_matches_dtn_by_greens_identity(a, outer):
+    # a unit profile solves the mode ODE with b(0) = 1 and b(a) b'(a) = 0, so
+    # Green's identity makes its energy integral exactly -b'(0) = -dtn: an
+    # oracle for the quadrature that is independent of it
+    ns = np.arange(257)
+    for ell in (0.25, 1.0, ELL, 16.0):
+        units = hypersolve.solve_modes(ns, ell, a, outer)
+        _, energy = units.profiles.quadrature
+        dtn = np.array([hypersolve.dtn(n, ell, a, outer) for n in ns])
+        assert np.all(np.abs(energy + dtn) <= 1e-13 * np.abs(dtn)), (ell, a, outer)
+        # the one-mode solve is the same path, one row of it
+        seam = 0.6 - 0.8j
+        batch_ib, batch_energy = units.at_seam_values(seam).interior_quadrature
+        for n in (0, 1, 17, 256):
+            ib, en = hypersolve.mode_solve(n, ell, a, outer, seam_dirichlet=seam).interior_quadrature
+            assert abs(ib[0] - batch_ib[n]) <= 1e-15 * abs(batch_ib[n]), (ell, a, outer, n)
+            assert abs(en[0] - batch_energy[n]) <= 1e-15 * batch_energy[n], (ell, a, outer, n)
 
 
 def test_interior_quadrature_runs_once_per_mode(monkeypatch):
@@ -165,7 +160,7 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
 
     def counted(n, a):
         def b(xi):
-            if np.ndim(xi) > 0:
+            if np.size(xi) > 2:  # the quadrature grid, not the two endpoints
                 grid_calls[n] = grid_calls.get(n, 0) + 1
             return np.cos(xi) + 0.5j * n * xi**2
 
@@ -187,13 +182,14 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     rhs = -first[1] + hypersolve.seam_boundary_form(sols) + hypersolve.outer_boundary_form(sols)
     assert resid == abs(rhs)
 
-    # ... and both seams of a configuration share one unit solve per mode
-    pair_grid_calls = {}
+    # ... and one solve_configuration makes one batched grid pass over all
+    # its modes, shared by both seams and by every identity
+    grid_rows = []
     pair = hypersolve._pair
 
     def counted_pair(mu, trig, shift=0.0):
-        if np.ndim(trig[0]) > 0:
-            pair_grid_calls[mu] = pair_grid_calls.get(mu, 0) + 1
+        if np.size(trig[0]) > 2:
+            grid_rows.append(mu.tolist())
         return pair(mu, trig, shift)
 
     monkeypatch.setattr(hypersolve, "_pair", counted_pair)
@@ -205,7 +201,7 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     identities.area_derivative_report(config)
     identities.extended_master_identity(config)
     hypersolve.greens_residual(config.all_strip_modes())
-    assert pair_grid_calls == {hypersolve._mu(n, ELL): 1 for n in range(7)}
+    assert grid_rows == [[hypersolve._mu(n, ELL) for n in range(7)]]
 
 
 def test_greens_identity_on_solved_modes():

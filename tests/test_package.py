@@ -16,9 +16,10 @@ def test_version_matches_pyproject():
         assert graftlab.__version__ == tomllib.load(fh)["project"]["version"]
 
 
-def _run_python(code: str) -> str:
+def _run_python(code: str, **env_vars: str) -> str:
     src = str(Path(graftlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **env_vars)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
@@ -29,6 +30,31 @@ def test_cli_import_leaves_ode_and_spline_modules_unloaded():
         "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules))"
     )
     assert _run_python(code) == "[]"
+
+
+def test_cli_import_leaves_polynomial_and_quadrature_modules_unloaded():
+    # the Gauss-Legendre rule is a literal table: no numpy.polynomial, no LAPACK
+    code = (
+        "import sys, graftlab.cli; "
+        "print(sorted(m for m in ('numpy.polynomial', 'scipy.integrate') if m in sys.modules))"
+    )
+    assert _run_python(code) == "[]"
+
+
+def test_verify_output_does_not_depend_on_blas_threads():
+    code = (
+        "import io, json, contextlib, graftlab.cli; buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    rc = graftlab.cli.main(['verify', '--modes', '256'])\n"
+        "data = json.loads(buf.getvalue()); data.pop('generated_at')\n"
+        "print(rc, json.dumps(data, sort_keys=True))"
+    )
+    outs = {
+        threads: _run_python(code, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        for threads in ("1", "2")
+    }
+    assert outs["1"].startswith("0 ")
+    assert outs["1"] == outs["2"]
 
 
 def test_verify_runs_without_scipy_integrate():

@@ -10,6 +10,7 @@ from graftlab import (
     SingularSystemError,
     TraceModes,
     from_boundary_data,
+    harmonicity_bound,
     harmonicity_residual,
 )
 
@@ -183,6 +184,43 @@ def test_reconstruct_empty_and_constant_modes():
     # a lone n = 0 coefficient is a constant 2 Re(c_0)
     const = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.0, modes={0: 0.25 + 1j})
     assert np.allclose(const.reconstruct(np.linspace(0.0, ELL, 7)), 0.5)
+
+
+def test_on_grid_matches_reconstruct():
+    # one inverse FFT against Horner at y_j = j ell / npts, modes with gaps
+    rng = np.random.default_rng(12)
+    idx = sorted(rng.choice(np.arange(1, 300), size=200, replace=False))
+    modes = {int(n): complex(rng.standard_normal(), rng.standard_normal()) for n in idx}
+    trace = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=-0.4, modes=modes)
+    bound = 1e-12 * sum(abs(c) for c in modes.values())
+    # npts <= 2 nmax folds modes onto the grid (aliasing), as their values do
+    for npts in (4096, 599, 600, 256, 97, 2, 1):
+        y = np.arange(npts) * (ELL / npts)
+        got = trace.on_grid(npts)
+        assert got.shape == (npts,)
+        assert np.max(np.abs(got - trace.reconstruct(y))) <= bound, npts
+    # no modes: the mean alone; a lone n = 0 coefficient adds 2 Re(c_0)
+    empty = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.75)
+    assert np.array_equal(empty.on_grid(16), np.full(16, 0.75))
+    const = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.0, modes={0: 0.25 + 1j})
+    assert np.allclose(const.on_grid(7), 0.5)
+
+
+def test_harmonicity_bound_covers_the_stencil_residual():
+    # the exact truncation factor bounds the residual closely; a field without
+    # modes has no truncation error, so an injected x^2 (residual 2) shows
+    for ell in (0.25, 1.0, 2 * np.pi, 16.0):
+        rng = np.random.default_rng(3)
+        modes = {n: tuple(1e-4 * complex(*rng.standard_normal(2)) for _ in "cd") for n in (1, 2, 3)}
+        sol = FourierSolution(ell=ell, s=ell / 4, d0=0.2, modes=modes)
+        truncation, rounding = harmonicity_bound(sol)
+        residual = harmonicity_residual(sol)
+        assert 0.5 * truncation <= residual <= truncation + rounding, ell
+        assert rounding < 1e-6 * truncation
+    bare = FourierSolution(ell=ELL, s=S, d0=1.0)
+    truncation, rounding = harmonicity_bound(bare)
+    assert truncation == 0.0
+    assert rounding < 1e-10
 
 
 def test_json_round_trip():
