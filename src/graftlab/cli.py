@@ -223,20 +223,7 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
             f"not applicable: s/2 = {cfg.s / 2!r} is below the stencil step"
             f" h = ell/256 = {h!r}"
         )
-    bound = truncation + rounding
-    reports.append(
-        identities.IdentityReport(
-            identity="interior_harmonicity_stencil",
-            terms=(("truncation_bound", truncation), ("rounding_allowance", rounding)),
-            lhs=residual,
-            rhs=0.0,
-            abs_err=residual,
-            rel_err=1.0 if residual > 0 else 0.0,
-            tol=bound,
-            passed=identities._finite(residual, bound) and residual <= bound,
-            notes=notes,
-        )
-    )
+    reports.append(identities.harmonicity_report(residual, truncation, rounding, notes=notes))
 
     greens = hypersolve.greens_residual(config.all_strip_modes())
     scale = max(1.0, -master.terms[0][1])

@@ -26,7 +26,7 @@ endpoint values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -81,52 +81,32 @@ def _panel_edges(a: float, mu_max: float) -> np.ndarray:
     return np.array(edges)
 
 
-@lru_cache(maxsize=8)
-def _strip_grid(a: float, mu_max: float):
-    """(xi, _trig(xi), w cosh xi, w / cosh xi) for the Gauss-Legendre rule on
-    the panels of _panel_edges(a, mu_max).
-
-    Built once per (a, mu_max) and shared by every mode of a strip;
-    read-only, because every caller gets the same arrays.
-    """
-    edges = _panel_edges(a, mu_max)
-    half = np.diff(edges)[:, None] / 2.0
-    xi = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * _GL_NODES).ravel()
-    w = (half * _GL_WEIGHTS).ravel()
-    trig = _trig(xi)
-    w_cosh, w_sech = w * trig[1], w / trig[1]
-    for arr in (xi, *trig, w_cosh, w_sech):
-        arr.setflags(write=False)
-    return xi, trig, w_cosh, w_sech
-
-
 def _pair(mu, trig, shift: float = 0.0):
-    """Fundamental solutions (u, u', w, w') of the mode ODE for mu > 0 at
-    the points whose sinh, cosh and gd are trig (see _trig).  mu is a
-    scalar, or an array that broadcasts against the points (a column of
-    modes: one row each).
+    """Fundamental solutions (u, u', w, w') of the mode ODE at the points
+    whose sinh, cosh and gd are trig (see _trig).  mu is a scalar, or an
+    array that broadcasts against the points (a column of modes: one row
+    each).
 
-    u = (sinh xi + mu) exp(mu (theta - shift)) and
+    mu > 0: u = (sinh xi + mu) exp(mu (theta - shift)) and
     w = (sinh xi - mu) exp(-mu theta), with u' and w' equal to
     (cosh^2 xi +/- mu sinh xi + mu^2) sech xi times the same exponential.
     A shift of 2 gd(a) keeps every exponent <= 0 on [0, a], so nothing
-    overflows.
+    overflows.  mu = 0: u = 1 + theta sinh xi and w = sinh xi.
     """
     sh, ch, theta = trig
     grow = np.exp(mu * (theta - shift))
     decay = np.exp(-mu * theta)
-    return (
+    pair = (
         (sh + mu) * grow,
         (ch + (mu * sh + mu * mu) / ch) * grow,
         (sh - mu) * decay,
         (ch + (mu * mu - mu * sh) / ch) * decay,
     )
-
-
-def _pair0(trig):
-    """The pair of _pair for mu = 0: u = 1 + theta sinh xi and w = sinh xi."""
-    sh, ch, theta = trig
-    return 1.0 + theta * sh, sh / ch + theta * ch, sh, ch
+    zero = mu == 0.0
+    if np.any(zero):
+        pair0 = (1.0 + theta * sh, sh / ch + theta * ch, sh, ch)
+        pair = tuple(np.where(zero, p0, p) for p0, p in zip(pair0, pair))
+    return pair
 
 
 def _unit_solution(mu: np.ndarray, a: float, outer_bc: str):
@@ -162,8 +142,8 @@ class StripProfiles:
 
     values(rows, xi, trig) returns (b, b') of the profiles ns[rows] as
     (rows, points) arrays; trig = _trig(xi) is passed in so that the
-    quadrature grid's sinh, cosh and gd come once per grid (_strip_grid).
-    The quadratures (in blocks of _BLOCK rows) and the endpoint values are
+    quadrature grid's sinh, cosh and gd come once per grid.  The grid, the
+    quadratures (in blocks of _BLOCK rows) and the endpoint values are
     computed once, on first use, and shared by every scaled copy
     (HyperbolicModeSolution).
     """
@@ -181,10 +161,17 @@ class StripProfiles:
     def mu(self) -> np.ndarray:
         return _mu(self.ns, self.ell)
 
-    def grid(self):
-        """The quadrature grid (_strip_grid) for the strip width and the
-        largest mu of the profiles."""
-        return _strip_grid(self.a, float(self.mu.max(initial=0.0)))
+    @cached_property
+    def grid(self) -> tuple:
+        """(xi, _trig(xi), w cosh xi, w / cosh xi): the Gauss-Legendre rule on
+        the panels of _panel_edges for the strip width and the largest mu of
+        the profiles, shared by every profile."""
+        edges = _panel_edges(self.a, float(self.mu.max(initial=0.0)))
+        half = np.diff(edges)[:, None] / 2.0
+        xi = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * _GL_NODES).ravel()
+        w = (half * _GL_WEIGHTS).ravel()
+        trig = _trig(xi)
+        return xi, trig, w * trig[1], w / trig[1]
 
     @cached_property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,10 +179,10 @@ class StripProfiles:
 
         Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi).  One
         Gauss-Legendre quadrature on the grid that every profile of the
-        strip shares (_strip_grid); no scipy.integrate.
+        strip shares (grid); no scipy.integrate.
         """
         mu = self.mu
-        xi, trig, w_cosh, w_sech = self.grid()
+        xi, trig, w_cosh, w_sech = self.grid
         ib, energy = [], []
         for start in range(0, len(self.ns), _BLOCK):
             rows = slice(start, start + _BLOCK)
@@ -239,8 +226,10 @@ class HyperbolicModeSolution:
 
     @property
     def dtn(self) -> np.ndarray:
-        """b'(0) of each profile: the seam Dirichlet-to-Neumann value of a
-        solved mode, whose unit profile has b(0) = 1."""
+        """b'(0) of each profile, unscaled.  For the unit profiles of
+        solve_modes (b(0) = 1) it is the seam Dirichlet-to-Neumann value; for
+        a manufactured_mode profile it is that profile's b'(0), not
+        b'(0)/b(0)."""
         return self.profiles.ends[1]
 
     @property
@@ -251,11 +240,16 @@ class HyperbolicModeSolution:
 
     def b_fn(self, xi):
         """b at the points xi, for a one-mode solution (as from mode_solve)."""
-        return self.scale[0] * self.profiles(xi)[0][0]
+        return self._one_mode(0, xi)
 
     def bp_fn(self, xi):
         """b' at the points xi, for a one-mode solution."""
-        return self.scale[0] * self.profiles(xi)[1][0]
+        return self._one_mode(1, xi)
+
+    def _one_mode(self, which: int, xi):
+        if len(self.ns) != 1:
+            raise ValueError(f"b_fn and bp_fn need a one-mode solution, not {len(self.ns)} modes")
+        return self.scale[0] * self.profiles(xi)[which][0]
 
     def at_seam_values(self, seam_dirichlet) -> "HyperbolicModeSolution":
         """The same profiles scaled to other seam Dirichlet values (one per
@@ -295,13 +289,7 @@ def solve_modes(ns, ell: float, a: float, outer_bc: str = "dirichlet") -> Hyperb
     def values(rows, xi, trig):
         col = (rows,) + (None,) * np.ndim(xi)
         u, up, w, wp = _pair(mu[col], trig, shift)
-        b, bp = cu[col] * u + cw[col] * w, cu[col] * up + cw[col] * wp
-        # an n = 0 row: the same combination of the mu = 0 pair
-        for i in np.flatnonzero(mu[rows] == 0.0):
-            u, up, w, wp = _pair0(trig)
-            c_u, c_w = cu[rows][i], cw[rows][i]
-            b[i], bp[i] = c_u * u + c_w * w, c_u * up + c_w * wp
-        return b, bp
+        return cu[col] * u + cw[col] * w, cu[col] * up + cw[col] * wp
 
     profiles = StripProfiles(ns=ns, ell=ell, a=a, values=values)
     return HyperbolicModeSolution(outer_bc=outer_bc, profiles=profiles, scale=_scales(1.0, ns))
@@ -363,20 +351,16 @@ def mode_extend(
     v, p = seam_value, seam_slope
     if mu == 0.0:
         cu, cw = v, p
-        pair = _pair0
     else:
         cu = (v / mu + p / (1.0 + mu * mu)) / 2.0
         cw = (p / (1.0 + mu * mu) - v / mu) / 2.0
 
-        def pair(trig):
-            return _pair(mu, trig)
-
     def b_fn(xi):
-        u, _, w, _ = pair(_trig(xi))
+        u, _, w, _ = _pair(mu, _trig(xi))
         return cu * u + cw * w
 
     def bp_fn(xi):
-        _, up, _, wp = pair(_trig(xi))
+        _, up, _, wp = _pair(mu, _trig(xi))
         return cu * up + cw * wp
 
     return StripModeExtension(
@@ -446,7 +430,7 @@ def greens_residual(
         for sol, f in zip(solutions, forcings):
             if f is None:
                 continue
-            xi, _, w_cosh, _ = sol.profiles.grid()
+            xi, _, w_cosh, _ = sol.profiles.grid
             b = sol.scale[:, None] * sol.profiles(xi)[0]
             lhs += float(sol.pair_weights @ (np.real(b * np.conj(f(xi))) @ w_cosh))
 

@@ -82,6 +82,27 @@ def _compare(
     )
 
 
+def harmonicity_report(
+    residual: float, truncation: float, rounding: float, notes: str = ""
+) -> IdentityReport:
+    """The five-point stencil check: the residual against its truncation
+    bound plus rounding allowance (spectral.harmonicity_bound).  It passes
+    only if residual <= bound; there is no relative-error branch, since the
+    exact value is 0 and any residual is 100% of its error."""
+    bound = truncation + rounding
+    return IdentityReport(
+        identity="interior_harmonicity_stencil",
+        terms=(("truncation_bound", truncation), ("rounding_allowance", rounding)),
+        lhs=residual,
+        rhs=0.0,
+        abs_err=residual,
+        rel_err=1.0 if residual > 0 else 0.0,
+        tol=bound,
+        passed=_finite(residual, bound) and residual <= bound,
+        notes=notes,
+    )
+
+
 def _finite(*values: float) -> bool:
     """Every value is finite: a NaN or infinite operand fails its check,
     whatever the comparisons with it (all False for NaN) would say."""

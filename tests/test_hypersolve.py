@@ -189,7 +189,7 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
 
     def counted_pair(mu, trig, shift=0.0):
         if np.size(trig[0]) > 2:
-            grid_rows.append(mu.tolist())
+            grid_rows.append(np.ravel(mu).tolist())
         return pair(mu, trig, shift)
 
     monkeypatch.setattr(hypersolve, "_pair", counted_pair)
@@ -201,7 +201,17 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     identities.area_derivative_report(config)
     identities.extended_master_identity(config)
     hypersolve.greens_residual(config.all_strip_modes())
-    assert grid_rows == [[hypersolve._mu(n, ELL) for n in range(7)]]
+    assert grid_rows == [[float(hypersolve._mu(n, ELL)) for n in range(7)]]
+
+
+def test_profile_functions_need_a_one_mode_solution():
+    many = hypersolve.solve_modes([0, 1, 2], ELL, 1.0)
+    with pytest.raises(ValueError):
+        many.b_fn(0.5)
+    with pytest.raises(ValueError):
+        many.bp_fn(0.5)
+    one = hypersolve.mode_solve(1, ELL, 1.0, seam_dirichlet=2.0)
+    assert one.b_fn(0.0) == pytest.approx(2.0)
 
 
 def test_greens_identity_on_solved_modes():

@@ -360,3 +360,13 @@ def test_report_serializes_to_json():
     data = json.loads(text)
     assert data["pass"] is True
     assert data["identity"] == "slice_condition"
+
+
+def test_harmonicity_report_has_no_relative_branch():
+    within = identities.harmonicity_report(0.7e-9, 1e-9, 1e-12)
+    assert within.passed and within.tol == 1e-9 + 1e-12
+    # a residual above its bound fails even when the bound exceeds 1, where
+    # a relative-error test (rel_err = 1 <= tol) would pass it
+    assert not identities.harmonicity_report(3.0, 2.0, 0.0).passed
+    assert not identities.harmonicity_report(float("nan"), 1.0, 0.0).passed
+    assert identities.harmonicity_report(0.0, 0.0, 0.0).passed
