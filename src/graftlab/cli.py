@@ -7,17 +7,17 @@ chart as JSON), modes (per-mode solver data as CSV).
 Config files are flat ``key = value`` text; every key can be overridden by
 the command-line flag of the same name.  A single seed fixes all generated
 fields, so reports are reproducible byte for byte apart from the
-``generated_at`` stamp.  GRAFTLAB_THREADS bounds the worker pool used for
-sweep points (each task is pure; results are merged by index).
+``generated_at`` stamp.  A sweep computes all of its points together, in
+one array pass with a leading points axis, from one draw of the seed.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
@@ -128,6 +128,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_csv(header, columns, out: str | None) -> None:
+    """CSV with one row per entry of the columns; csv writes each float
+    through repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+    _emit(buf.getvalue(), out)
+
+
 # --- verify -----------------------------------------------------------------
 
 def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], dict]:
@@ -144,6 +154,7 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
         chart, sol, mean_left=lam0, mean_right=rho0, quad=q
     )
     vl, vr = config.v_left, config.v_right
+    (dl, dr), (nl, nr) = config.dirichlet, config.neumann
     reports = []
 
     def compare(name, lhs, rhs, tol, notes=""):
@@ -151,8 +162,7 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
 
     closed = identities.boundary_term_closed(sol, vl, vr)
     quad_val = identities.boundary_term_quadrature(
-        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
-        (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
+        (dl, dr), (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
     )
     compare("boundary_term_closed_vs_quadrature", closed, quad_val, tol_alg)
 
@@ -163,17 +173,17 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
 
     compare(
         "arc_length_derivative",
-        identities.arc_length_derivative(sol),
+        identities.arc_length_derivative(sol, dirichlet=dl),
         -0.5 * sol.d0 * sol.ell,
         tol_alg,
         notes="seam quadrature vs -d0 ell / 2",
     )
 
-    wl = variation.solve_amended_variation(sol.neumann_trace_flat("left"), q, lam0)
-    wr = variation.solve_amended_variation(sol.neumann_trace_flat("right"), q, rho0)
+    wl = variation.solve_amended_variation(nl, q, lam0)
+    wr = variation.solve_amended_variation(nr, q, rho0)
     ext_closed = identities.extended_boundary_term(sol, q, wl, wr)
     ext_quad = identities.boundary_term_quadrature(
-        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
+        (dl, dr),
         (
             variation.extended_hyperbolic_neumann(wl),
             variation.extended_hyperbolic_neumann(wr),
@@ -182,8 +192,8 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     compare("extended_boundary_closed_vs_quadrature", ext_closed, ext_quad, tol_alg)
 
     q0 = spectral.QuadDiffModes(ell=cfg.ell, s=cfg.s)
-    wl0 = variation.solve_amended_variation(sol.neumann_trace_flat("left"), q0, lam0)
-    wr0 = variation.solve_amended_variation(sol.neumann_trace_flat("right"), q0, rho0)
+    wl0 = variation.solve_amended_variation(nl, q0, lam0)
+    wr0 = variation.solve_amended_variation(nr, q0, rho0)
     compare(
         "extended_reduction_at_zero_quad",
         identities.extended_boundary_term(sol, q0, wl0, wr0),
@@ -267,34 +277,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 # --- sweep ------------------------------------------------------------------
 
-def _sweep_point(cfg: RunConfig, value: float) -> dict:
-    point = replace(cfg, **{cfg.param: value}).validate()
-    chart = point.chart()
-    rng = np.random.default_rng(point.seed)
-    sol = sampling.random_solution(rng, point.ell, point.s, nmax=min(point.modes, 8))
-    lam0, rho0 = sampling.slice_compatible_means(rng, point.s, sol.d0)
-    vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
-    vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
-    closed = identities.boundary_term_closed(sol, vl, vr)
-    quad_val = identities.boundary_term_quadrature(
-        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
-        (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
-    )
-    denom = max(abs(closed), abs(quad_val), 1e-300)
-    det_min = identities.determinant_floor(
-        min(point.modes, 8), point.ell, point.s, point.a, point.outer_bc
-    )
-    return {
-        "param": cfg.param,
-        "value": value,
-        "ell": point.ell,
-        "s": point.s,
-        "a": point.a,
-        "conformal_modulus": geometry.conformal_modulus(chart),
-        "det_min": det_min,
-        "boundary_rel_err": abs(closed - quad_val) / denom,
-        "slice_residual": identities.slice_residual(sol, vl, vr),
-    }
+_SWEEP_FIELDS = "param value ell s a conformal_modulus det_min boundary_rel_err slice_residual".split()
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -303,31 +286,31 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_from is None or cfg.sweep_to is None:
         raise ConfigError("sweep needs --from and --to")
     values = np.linspace(cfg.sweep_from, cfg.sweep_to, cfg.steps)
-    workers = int(os.environ.get("GRAFTLAB_THREADS", os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(cfg, float(v)), values))
+    # every bound is a lower bound, so the smallest value is the one to check
+    replace(cfg, **{cfg.param: float(values.min())}).validate()
+    ell, s, a = (values if k == cfg.param else np.full(cfg.steps, getattr(cfg, k)) for k in ("ell", "s", "a"))
+    nmax = min(cfg.modes, 8)
 
-    fields = [
-        "param",
-        "value",
-        "ell",
-        "s",
-        "a",
-        "conformal_modulus",
-        "det_min",
-        "boundary_rel_err",
-        "slice_residual",
-    ]
-    import io
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {k: repr(float(v)) if isinstance(v, (float, np.floating)) else v for k, v in row.items()}
-        )
-    _emit(buf.getvalue(), cfg.out)
+    # every point draws from the same seed, so one draw serves them all
+    rng = np.random.default_rng(cfg.seed)
+    sol = sampling.random_solution(rng, ell, s, nmax=nmax)
+    lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
+    vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
+    vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
+    closed = identities.boundary_term_closed(sol, vl, vr)
+    quad_val = identities.boundary_term_quadrature(
+        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
+        (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
+    )
+    denom = np.maximum(np.maximum(np.abs(closed), np.abs(quad_val)), 1e-300)
+    chart = geometry.GraftedCollar(ell=ell, s=s, a=a, outer_bc=cfg.outer_bc)
+    columns = ([cfg.param] * cfg.steps, values, ell, s, a, geometry.conformal_modulus(chart))
+    columns += (
+        identities.determinant_floor(nmax, ell, s, a, cfg.outer_bc),
+        np.abs(closed - quad_val) / denom,
+        identities.slice_residual(sol, vl, vr),
+    )
+    _emit_csv(_SWEEP_FIELDS, columns, cfg.out)
     return 0
 
 
@@ -387,38 +370,18 @@ def cmd_modes(cfg: RunConfig) -> int:
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=cfg.modes)
     vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), 0.0)
     vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), 0.0)
-    dl = sol.dirichlet_trace("left")
-    dr = sol.dirichlet_trace("right")
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "n",
-            "dtn",
-            "dirichlet_left_re",
-            "dirichlet_left_im",
-            "dirichlet_right_re",
-            "dirichlet_right_im",
-            "lambda_re",
-            "lambda_im",
-            "rho_re",
-            "rho_im",
-        ]
-    )
-    dtns = hypersolve.solve_modes(np.arange(cfg.modes + 1), cfg.ell, cfg.a, cfg.outer_bc).dtn
-    for n, t in enumerate(dtns):
-        if n == 0:
-            row = [n, t, dl.mean, 0.0, dr.mean, 0.0, vl.mean, 0.0, vr.mean, 0.0]
-        else:
-            # a mode the sampler dropped (its cosh would overflow) prints as 0.0
-            cells = [trace.modes.get(n, 0.0) for trace in (dl, dr, vl, vr)]
-            row = [n, t, *(part for c in cells for part in (c.real, c.imag))]
-        writer.writerow(
-            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-        )
-    _emit(buf.getvalue(), cfg.out)
+    n = np.arange(cfg.modes + 1)
+    columns = [n, hypersolve.seam_dtn(n, cfg.ell, cfg.a, cfg.outer_bc)]
+    for data in (sol.dirichlet_trace("left"), sol.dirichlet_trace("right"), vl, vr):
+        # row 0 holds the mean; a mode the sampler dropped (its cosh would
+        # overflow) has no coefficient and prints as 0.0
+        c = np.zeros(len(n), dtype=complex)
+        c[1 : len(data.coef)] = data.coef[1:]
+        c[0] = data.mean
+        columns += [c.real, c.imag]
+    names = ("dirichlet_left", "dirichlet_right", "lambda", "rho")
+    header = ["n", "dtn", *(f"{name}_{part}" for name in names for part in ("re", "im"))]
+    _emit_csv(header, columns, cfg.out)
     return 0
 
 
@@ -436,7 +399,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once (argparse set-up costs about a
+    millisecond) and reused by every call of main."""
     parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

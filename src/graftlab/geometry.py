@@ -21,14 +21,15 @@ _SEAM_TOL = 1e-12
 
 
 def gudermannian(a: float) -> float:
-    """gd(a) = integral of sech from 0 to a = arctan(sinh(a))."""
-    return float(np.arctan(np.sinh(a)))
+    """gd(a) = integral of sech from 0 to a = arctan(sinh(a)), elementwise."""
+    return np.arctan(np.sinh(a))
 
 
 @dataclass(frozen=True)
 class GraftedCollar:
     """Model collar: flat cylinder of height s and circumference ell glued to
-    hyperbolic strips of half-width a, with a self-adjoint outer condition."""
+    hyperbolic strips of half-width a, with a self-adjoint outer condition.
+    ell, s and a may hold one value per point of a family of collars."""
 
     ell: float
     s: float
@@ -36,11 +37,11 @@ class GraftedCollar:
     outer_bc: str = "dirichlet"
 
     def __post_init__(self):
-        if self.ell <= 0:
+        if np.any(np.less_equal(self.ell, 0)):
             raise ValueError("ell must be positive")
-        if self.s < 0:
+        if np.any(np.less(self.s, 0)):
             raise ValueError("s must be nonnegative")
-        if self.a <= 0:
+        if np.any(np.less_equal(self.a, 0)):
             raise ValueError("a must be positive")
         if self.outer_bc not in ("dirichlet", "neumann"):
             raise ValueError(f"outer_bc must be 'dirichlet' or 'neumann', got {self.outer_bc!r}")

@@ -109,8 +109,9 @@ def _pair(mu, trig, shift: float = 0.0):
     return pair
 
 
-def _unit_solution(mu: np.ndarray, a: float, outer_bc: str):
+def _unit_solution(mu: np.ndarray, a, outer_bc: str):
     """(shift, c_u, c_w): the unit seam solve of each mode is c_u u + c_w w.
+    a is a scalar or an array that broadcasts against mu (one per point).
 
     n >= 1, with S = sinh a, E = exp(-2 mu gd a), p+-(a) = cosh^2 a +- mu S + mu^2:
     c_u = alpha / (mu (alpha E + beta)), c_w = -beta / (mu (alpha E + beta)),
@@ -118,7 +119,7 @@ def _unit_solution(mu: np.ndarray, a: float, outer_bc: str):
     (p-(a), p+(a)) for an outer Neumann condition.
     n = 0: c_u = 1 and c_w = k, k = -(1/S + gd a) or -(gd a + S / cosh^2 a).
     """
-    if a <= 0:
+    if np.any(np.less_equal(a, 0)):
         raise ValueError("strip half-width a must be positive")
     if outer_bc not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown outer boundary condition {outer_bc!r}")
@@ -307,17 +308,27 @@ def mode_solve(
     return solve_modes([n], ell, a, outer_bc).at_seam_values(seam_dirichlet)
 
 
-def dtn(n: int, ell: float, a: float, outer_bc: str = "dirichlet", method: str = "auto") -> float:
-    """Seam Neumann value per unit seam Dirichlet value, b'(0)/b(0).
+def seam_dtn(ns, ell, a, outer_bc: str = "dirichlet") -> np.ndarray:
+    """Seam Neumann value per unit seam Dirichlet value, b'(0)/b(0), of each
+    mode in ns (_unit_solution on _pair at xi = 0); ell and a may be arrays
+    that broadcast against ns, for a (points x modes) array.
 
     n >= 1: ((1 + mu^2) / mu) (alpha E - beta) / (alpha E + beta), with the
     (alpha, beta, E) of _unit_solution; n = 0: the k of _unit_solution.
     """
+    mu = _mu(np.asarray(ns, dtype=int), ell)
+    shift, cu, cw = _unit_solution(mu, a, outer_bc)
+    _, up, _, wp = _pair(mu, _trig(0.0), shift)
+    return cu * up + cw * wp
+
+
+def dtn(n: int, ell: float, a: float, outer_bc: str = "dirichlet", method: str = "auto") -> float:
+    """seam_dtn of the one mode n."""
     # The only value is "auto": perfbench/run.py's self-test still passes
     # method="auto", so the keyword stays until the benchmark drops it.
     if method != "auto":
         raise ValueError(f"unknown dtn method {method!r}")
-    return float(solve_modes([n], ell, a, outer_bc).dtn[0])
+    return float(seam_dtn([n], ell, a, outer_bc)[0])
 
 
 @dataclass

@@ -22,6 +22,9 @@ from .variation import VariationField, pinned_means, solve_flat_variation
 #: Number of trapezoid points for seam quadratures.
 QUAD_POINTS = 4096
 
+#: Points of a family whose seam traces share one inverse FFT (small grids).
+QUAD_BLOCK = 4
+
 #: Both series below sum over n >= 1 with conjugate modes already paired,
 #: which doubles the per-mode weight relative to a sum over n != 0.  The
 #: factors were frozen against the seam quadrature: 2/(pi n) for the
@@ -109,6 +112,11 @@ def _finite(*values: float) -> bool:
     return bool(np.all(np.isfinite(values)))
 
 
+def _out(x):
+    """A float for one point, the array for a family of points."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def boundary_term_closed(
     sol: FourierSolution, v_left: VariationField, v_right: VariationField
 ) -> float:
@@ -118,11 +126,11 @@ def boundary_term_closed(
         2 ell d0 (lam0 - rho0)
         - sum_{n>=1} (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C
 
-    with S, C = sinh, cosh(pi n s / ell).
+    with S, C = sinh, cosh(pi n s / ell); one value per point of a family.
     """
-    if abs(sol.c0) > MEAN_TOL:
+    if np.any(np.abs(sol.c0) > MEAN_TOL):
         raise SolvabilityError("closed form requires a vanishing linear coefficient")
-    return float(_cylinder_series(sol, 2.0 * sol.ell * sol.d0 * (v_left.mean - v_right.mean)))
+    return _cylinder_series(sol, 2.0 * sol.ell * sol.d0 * (v_left.mean - v_right.mean))
 
 
 def boundary_term_quadrature(
@@ -134,28 +142,33 @@ def boundary_term_quadrature(
 
     The normal points out of the strips: +d/dx on the left seam, -d/dx on
     the right, so the integral is int(D_l N_l) - int(D_r N_r) with N the
-    d/dx trace data.
+    d/dx trace data.  Traces with a points axis give one value per point,
+    from one inverse FFT per trace and block of QUAD_BLOCK points.
     """
     dl, dr = dirichlet
     nl, nr = neumann
-    ells = {t.ell for t in (dl, dr, nl, nr)}
-    if len(ells) != 1:
+    if any(not np.array_equal(t.ell, dl.ell) for t in (dr, nl, nr)):
         raise ValueError("traces come from different circumferences")
     nmax = max(t.max_mode() for t in (dl, dr, nl, nr))
     if npts <= 2 * nmax:
         raise ValueError(f"{npts} quadrature points cannot resolve mode {nmax}")
-    ell = ells.pop()
-    left = np.mean(dl.on_grid(npts) * nl.on_grid(npts))
-    right = np.mean(dr.on_grid(npts) * nr.on_grid(npts))
-    return float(ell * (left - right))
+    lead = dl.coef.shape[:-1]
+    blocks = [slice(i, i + QUAD_BLOCK) for i in range(0, lead[0], QUAD_BLOCK)] if lead else [()]
+
+    def seam(d, n):
+        means = [np.mean(d.on_grid(npts, b) * n.on_grid(npts, b), axis=-1) for b in blocks]
+        return np.concatenate([np.atleast_1d(m) for m in means]).reshape(lead)
+
+    return _out(dl.ell * (seam(dl, nl) - seam(dr, nr)))
 
 
 # --- solved configurations --------------------------------------------------
 
 @dataclass
 class SolvedConfiguration:
-    """A chart, an interior field, its two variation fields, and the strip
-    mode solutions carrying the seam Dirichlet data outward."""
+    """A chart, an interior field, its two variation fields, the strip
+    mode solutions carrying the seam Dirichlet data outward, and the field's
+    (left, right) Dirichlet and flat Neumann seam traces."""
 
     chart: GraftedCollar
     sol: FourierSolution
@@ -164,6 +177,8 @@ class SolvedConfiguration:
     s_rate: float = 0.0
     quad: QuadDiffModes | None = None
     strips: dict[str, hypersolve.HyperbolicModeSolution] = field(default_factory=dict)
+    dirichlet: tuple[TraceModes, ...] = ()
+    neumann: tuple[TraceModes, ...] = ()
 
     def all_strip_modes(self) -> list[hypersolve.HyperbolicModeSolution]:
         """The solved modes of both strips, one solution per strip."""
@@ -183,21 +198,22 @@ def solve_configuration(
     Free constants default to the values pinned by the n = 0 seam balance
     (strip Dirichlet-to-Neumann data applied to the seam means).
     """
-    ell, a = chart.ell, chart.a
-    dl = sol.dirichlet_trace("left")
-    dr = sol.dirichlet_trace("right")
-    units = hypersolve.solve_modes([0, *sol.modes], ell, a, chart.outer_bc)
+    sides = ("left", "right")
+    dirichlet = tuple(sol.dirichlet_trace(side) for side in sides)
+    neumann = tuple(sol.neumann_trace_flat(side) for side in sides)
+    ns = np.flatnonzero((sol.c != 0) | (sol.d != 0))
+    units = hypersolve.solve_modes(np.r_[0, ns], chart.ell, chart.a, chart.outer_bc)
     if mean_left is None or mean_right is None:
-        lam0, rho0 = pinned_means(units.dtn[0], dl.mean, dr.mean)
+        lam0, rho0 = pinned_means(units.dtn[0], dirichlet[0].mean, dirichlet[1].mean)
         mean_left = lam0 if mean_left is None else mean_left
         mean_right = rho0 if mean_right is None else mean_right
-    v_left = solve_flat_variation(sol.neumann_trace_flat("left"), mean_left)
-    v_right = solve_flat_variation(sol.neumann_trace_flat("right"), mean_right)
+    v_left = solve_flat_variation(neumann[0], mean_left)
+    v_right = solve_flat_variation(neumann[1], mean_right)
 
     # one unit solve per mode, scaled to each seam's Dirichlet values
     strips = {
-        side: units.at_seam_values([trace.mean, *(trace.modes[n] for n in sol.modes)])
-        for side, trace in (("left", dl), ("right", dr))
+        side: units.at_seam_values(np.r_[trace.mean, trace.coef[ns]])
+        for side, trace in zip(sides, dirichlet)
     }
     return SolvedConfiguration(
         chart=chart,
@@ -207,6 +223,8 @@ def solve_configuration(
         s_rate=s_rate,
         quad=quad,
         strips=strips,
+        dirichlet=dirichlet,
+        neumann=neumann,
     )
 
 
@@ -219,7 +237,7 @@ def slice_residual(
     s_rate: float = 0.0,
 ) -> float:
     """lam0 - rho0 + s d0 / 2 + ds/dt; zero exactly on the constant-height
-    slice of the family."""
+    slice of the family (one value per point of a family)."""
     return v_left.mean - v_right.mean + sol.s * sol.d0 / 2.0 + s_rate
 
 
@@ -249,11 +267,11 @@ def slice_condition(
 # --- master identity --------------------------------------------------------
 
 def _series_arrays(sol: FourierSolution):
-    """(n, c_n, d_n, S, C) over the stored modes, with S, C = sinh, cosh(pi n s / ell)."""
-    n = np.fromiter(sol.modes, dtype=int, count=len(sol.modes))
-    cd = np.array(list(sol.modes.values()), dtype=complex).reshape(-1, 2)
-    arg = np.pi * n * sol.s / sol.ell
-    return n, cd[:, 0], cd[:, 1], np.sinh(arg), np.cosh(arg)
+    """(n, c_n, d_n, S, C) over the modes n >= 1, with S, C = sinh, cosh(pi n s / ell)
+    (0 and 1 at the zero modes); a points axis of the field leads."""
+    n, arg = sol.seam_arg()
+    arg = arg[..., 1:]
+    return n[1:], sol.c[..., 1:], sol.d[..., 1:], np.sinh(arg), np.cosh(arg)
 
 
 def _cylinder_series(sol: FourierSolution, total: float = 0.0) -> float:
@@ -265,7 +283,7 @@ def _cylinder_series(sol: FourierSolution, total: float = 0.0) -> float:
     n, c, d, S, C = _series_arrays(sol)
     terms = (
         (PAIRING_FACTOR / (np.pi * n))
-        * (4.0 * np.pi**2 * n**2 + sol.ell**2)
+        * (4.0 * np.pi**2 * n**2 + np.expand_dims(sol.ell, -1) ** 2)
         * (np.hypot(c.real, c.imag) ** 2 + np.hypot(d.real, d.imag) ** 2)
         * S
         * C
@@ -274,11 +292,12 @@ def _cylinder_series(sol: FourierSolution, total: float = 0.0) -> float:
 
 
 def _subtract_in_order(total: float, terms: np.ndarray) -> float:
-    """total minus each term in turn, in mode order: the mixed series can
-    cancel, so its rounding follows one fixed order."""
-    for term in terms.tolist():
-        total -= term
-    return float(total)
+    """total minus each term (column) in turn, in mode order: the mixed
+    series can cancel, so its rounding follows one fixed order, at every
+    point of a family alike."""
+    for k in range(terms.shape[-1]):
+        total = total - terms[..., k]
+    return _out(total)
 
 
 def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) -> float:
@@ -410,12 +429,16 @@ def arc_length_derivative(
     q: QuadDiffModes | None = None,
     side: str = "left",
     npts: int = QUAD_POINTS,
+    dirichlet: TraceModes | None = None,
 ) -> float:
     """First variation of the seam circle's length: -1/2 times the seam
     integral of (H variation - 2 Re phi).  Reduces to -d0 ell / 2 without
-    quadratic-differential data."""
+    quadratic-differential data.  dirichlet is the seam's Dirichlet trace
+    of sol, when the caller has it already."""
     x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
-    hdot = sol.dirichlet_trace(side).on_grid(npts)
+    if dirichlet is None:
+        dirichlet = sol.dirichlet_trace(side)
+    hdot = dirichlet.on_grid(npts)
     if q is not None:
         re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts))
     else:
@@ -475,16 +498,10 @@ def extended_master_identity(
     t_outer = hypersolve.outer_boundary_form(modes)
 
     # same numbers with sinh/cosh arguments rewritten through L = ell * s
-    L = sol.ell * sol.s
-    rewrite_diff = 0.0
-    for n in sol.modes:
-        a1 = np.pi * n * sol.s / sol.ell
-        a2 = np.pi * n * L / sol.ell**2
-        rewrite_diff = max(
-            rewrite_diff,
-            abs(np.sinh(a1) - np.sinh(a2)),
-            abs(np.cosh(a1) - np.cosh(a2)),
-        )
+    n = np.array(list(sol.modes), dtype=int)
+    a1, a2 = np.pi * n * sol.s / sol.ell, np.pi * n * (sol.ell * sol.s) / sol.ell**2
+    diffs = (np.abs(np.sinh(a1) - np.sinh(a2)), np.abs(np.cosh(a1) - np.cosh(a2)))
+    rewrite_diff = float(np.max(diffs, initial=0.0))
 
     bound = sol.ell * sol.s * q.norm()
     ratio = abs(t_cross) / bound if bound > 0 else 0.0
@@ -558,11 +575,13 @@ def _normalized_determinant(n, ell: float, s: float, t):
 def determinant_floor(
     nmax: int, ell: float, s: float, a: float, outer_bc: str = "dirichlet"
 ) -> float:
-    """min over n = 1..nmax of |per_mode_determinant|, from one unit strip
-    solve of all nmax modes (solve_modes) and one array pass."""
+    """min over n = 1..nmax of |per_mode_determinant|, from the seam DtN
+    values of all nmax modes (seam_dtn) in one array pass; ell, s and a may
+    carry a points axis, for one floor per point."""
     ns = np.arange(1, nmax + 1)
-    t = hypersolve.solve_modes(ns, ell, a, outer_bc).dtn
-    return float(np.min(np.abs(_normalized_determinant(ns, ell, s, t))))
+    ell, s, a = (np.expand_dims(x, -1) for x in (ell, s, a))
+    t = hypersolve.seam_dtn(ns, ell, a, outer_bc)
+    return _out(np.min(np.abs(_normalized_determinant(ns, ell, s, t)), axis=-1))
 
 
 def n0_balance_coefficient(

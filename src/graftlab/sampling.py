@@ -25,14 +25,17 @@ def _complex_modes(rng: np.random.Generator, nmax: int, decay: float):
     return n, scale * (z[:, 0] + 1j * z[:, 1]), scale * (z[:, 2] + 1j * z[:, 3])
 
 
-def _damped_modes(rng, ell, s, nmax, decay, amplitude) -> dict:
-    """_complex_modes times amplitude / cosh(pi n s / ell), without the modes
-    whose pi n s / ell exceeds MAX_DAMPED_ARG."""
+def _damped_modes(rng, ell, s, nmax, decay, amplitude) -> tuple[np.ndarray, np.ndarray]:
+    """(c, d) indexed by n: _complex_modes times amplitude / cosh(pi n s / ell),
+    and 0 at n = 0 and where pi n s / ell > MAX_DAMPED_ARG, up to the last
+    mode kept.  ell and s may hold one value per point: one draw serves all."""
     n, c, d = _complex_modes(rng, nmax, decay)
-    arg = np.pi * n * s / ell
+    arg = np.pi * n * np.expand_dims(s, -1) / np.expand_dims(ell, -1)
     keep = arg <= MAX_DAMPED_ARG
-    damp = amplitude / np.cosh(arg[keep])
-    return dict(zip(n[keep].tolist(), zip(damp * c[keep], damp * d[keep])))
+    damp = np.where(keep, amplitude / np.cosh(np.where(keep, arg, 0.0)), 0.0)
+    width = 1 + int(np.max(np.sum(keep, axis=-1)))
+    zero = np.zeros(keep.shape[:-1] + (1,))
+    return tuple(np.concatenate([zero, damp * x], axis=-1)[..., :width] for x in (c, d))
 
 
 def random_solution(
@@ -49,15 +52,17 @@ def random_solution(
     c0 defaults to 0 so the periodic variation problem is solvable.
     Amplitudes are additionally damped by cosh(pi n s / ell) so seam traces
     stay O(amplitude) regardless of the aspect ratio; modes with
-    pi n s / ell > MAX_DAMPED_ARG are left out.
+    pi n s / ell > MAX_DAMPED_ARG are left out (zero).  Arrays of ell and s
+    give one field per point, all from the same draws.
     """
-    modes = _damped_modes(rng, ell, s, nmax, decay, amplitude)
+    c, d = _damped_modes(rng, ell, s, nmax, decay, amplitude)
     return FourierSolution(
         ell=ell,
         s=s,
         c0=float(rng.standard_normal()) if with_c0 else 0.0,
         d0=amplitude * float(rng.standard_normal()),
-        modes=modes,
+        c=c,
+        d=d,
     )
 
 
@@ -71,9 +76,13 @@ def random_quad(
 ) -> QuadDiffModes:
     """Random quadratic-differential mode data (u0 = 0 keeps the conjugate
     single-valued), damped and truncated as in random_solution."""
-    modes = _damped_modes(rng, ell, s, nmax, decay, amplitude)
+    u, v = _damped_modes(rng, ell, s, nmax, decay, amplitude)
     return QuadDiffModes(
-        ell=ell, s=s, u0=0.0, v0=amplitude * float(rng.standard_normal()), modes=modes
+        ell=ell,
+        s=s,
+        u0=0.0,
+        v0=amplitude * float(rng.standard_normal()),
+        modes=dict(zip(range(1, len(u)), zip(u[1:], v[1:]))),
     )
 
 

@@ -5,6 +5,10 @@ dx^2 + dy^2.  A real harmonic field splits into a linear-in-x mean part and
 cosh/sinh modes in x times exp(2*pi*i*n*y/ell) in y.  We store only n >= 1;
 the n < 0 coefficients are implied by reality: c_{-n} = conj(c_n),
 d_{-n} = -conj(d_n), so each stored mode contributes twice its real part.
+
+Coefficients are dense arrays indexed by n.  A field or trace may carry a
+leading points axis (ell, s and the means then hold one value per point):
+a family of fields, one per point of a parameter sweep, computed together.
 """
 from __future__ import annotations
 
@@ -27,57 +31,65 @@ def _as_pair(x, y):
     return x, y
 
 
-def _mode_sum(y, ell: float, modes: Mapping[int, complex]) -> np.ndarray:
-    """Sum 2*Re(coef_n * z^n), z = exp(2*pi*i*y/ell), of y-only mode data.
+def _dense(modes: Mapping[int, complex], lowest: int = 0) -> np.ndarray:
+    """The values of a {n: c} mapping as a complex array holding c at index n
+    and 0 at every index without an entry."""
+    if min(modes, default=lowest) < lowest:
+        raise ValueError(f"mode indices must be >= {lowest}")
+    out = np.zeros(max(modes, default=0) + 1, dtype=complex)
+    out[list(modes)] = list(modes.values())
+    return out
 
-    Horner's rule in z over the dense coefficients c_0..c_N (gaps are zero):
-    one complex exponential per point, then one multiply-add per index.
-    """
+
+def _mode_sum(y, ell: float, coef: np.ndarray) -> np.ndarray:
+    """Sum 2*Re(coef_n * z^n), z = exp(2*pi*i*y/ell), of one-point dense
+    coefficients c_0..c_N: Horner's rule in z, one complex exponential per
+    point, then one multiply-add per index."""
     y = np.asarray(y, dtype=float)
-    if not modes:
-        return np.zeros(y.shape)
-    if min(modes) < 0:
-        raise ValueError("mode indices must be >= 0")
-    top = max(modes)
-    coef = np.zeros(top + 1, dtype=complex)
-    for n, c in modes.items():
-        coef[n] = c
     z = np.exp(2j * np.pi / ell * y)
-    acc = np.full(y.shape, coef[top])
-    for c in coef[:top][::-1]:
+    acc = np.full(y.shape, coef[-1])
+    for c in coef[-2::-1]:
         acc *= z
         acc += c
     return 2.0 * acc.real
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, eq=False)
 class TraceModes:
     """Fourier data of a real function of y on one seam circle.
 
     kind is one of "dirichlet", "neumann_flat" (d/dx from the cylinder side)
-    or "neumann_hyperbolic" (d/dx from the strip side).  Mode n >= 1 entries
-    carry the implied conjugate-symmetric extension.
+    or "neumann_hyperbolic" (d/dx from the strip side).  coef[..., n] is the
+    mode-n coefficient, which carries the implied conjugate-symmetric
+    extension; a {n: c} mapping may be passed as modes instead.
     """
 
     side: str
     kind: str
     ell: float
     mean: float
-    modes: dict[int, complex] = field(default_factory=dict)
+    coef: np.ndarray
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        if self.kind not in ("dirichlet", "neumann_flat", "neumann_hyperbolic"):
-            raise ValueError(f"unknown trace kind {self.kind!r}")
+    def __init__(self, side, kind, ell, mean, modes=None, coef=None):
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if kind not in ("dirichlet", "neumann_flat", "neumann_hyperbolic"):
+            raise ValueError(f"unknown trace kind {kind!r}")
+        self.side, self.kind, self.ell, self.mean = side, kind, ell, mean
+        self.coef = _dense(modes or {}) if coef is None else coef
+
+    @property
+    def modes(self) -> dict[int, complex]:
+        """{n: c_n} of the nonzero modes of a one-point trace."""
+        return {n: c for n, c in enumerate(self.coef.tolist()) if c}
 
     def reconstruct(self, y) -> np.ndarray:
-        """Real values of the trace at circumferential positions y."""
-        return self.mean + _mode_sum(y, self.ell, self.modes)
+        """Real values of a one-point trace at circumferential positions y."""
+        return self.mean + _mode_sum(y, self.ell, self.coef)
 
-    def on_grid(self, npts: int) -> np.ndarray:
+    def on_grid(self, npts: int, rows=()) -> np.ndarray:
         """Values of the trace at y_j = j ell / npts, j = 0..npts-1, from one
-        inverse real FFT.
+        inverse real FFT; rows picks points of a trace with a points axis.
 
         A mode n contributes 2 Re(c_n w^(n j)), w = exp(2 pi i / npts), which
         is the bin r = n mod npts or, conjugated, npts - r, whichever is at
@@ -85,53 +97,68 @@ class TraceModes:
         take 2 Re(c_n).  Modes past npts/2 thus alias onto the grid exactly
         as their values there do.
         """
-        n = np.fromiter(self.modes, dtype=int, count=len(self.modes))
-        c = np.fromiter(self.modes.values(), dtype=complex, count=len(self.modes))
-        r = n % npts
+        c = self.coef[rows]
+        r = np.arange(c.shape[-1]) % npts
         folded = 2 * r > npts
         r = np.where(folded, npts - r, r)
         c = np.where(folded, np.conj(c), c)
         c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
-        spectrum = np.zeros(npts // 2 + 1, dtype=complex)
-        spectrum[0] = self.mean
-        np.add.at(spectrum, r, c)
+        spectrum = np.zeros(c.shape[:-1] + (npts // 2 + 1,), dtype=complex)
+        spectrum[..., 0] = np.broadcast_to(self.mean, self.coef.shape[:-1])[rows]
+        np.add.at(spectrum, (..., r), c)
         return np.fft.irfft(spectrum, npts, norm="forward")
 
     def parseval_norm_sq(self) -> float:
         """ell * (mean^2 + 2 * sum |coef_n|^2) = integral of trace^2 over y."""
-        return self.ell * (self.mean**2 + 2.0 * sum(abs(c) ** 2 for c in self.modes.values()))
+        return self.ell * (self.mean**2 + 2.0 * float(np.sum(np.abs(self.coef) ** 2)))
 
     def max_mode(self) -> int:
-        return max(self.modes, default=0)
+        return self.coef.shape[-1] - 1
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, eq=False)
 class FourierSolution:
     """General real solution of Laplace's equation on the flat cylinder.
 
     value(x, y) = c0*x + d0
                 + sum_{n>=1} 2*Re[(c_n cosh(2 pi n x/ell) + d_n sinh(2 pi n x/ell))
                                   * exp(2 pi i n y/ell)]
+
+    c[..., n] and d[..., n] hold c_n and d_n (index 0 holds no mode and is
+    0); a {n: (c_n, d_n)} mapping may be passed as modes instead.
     """
 
     ell: float
     s: float
-    c0: float = 0.0
-    d0: float = 0.0
-    modes: dict[int, tuple[complex, complex]] = field(default_factory=dict)
+    c0: float
+    d0: float
+    c: np.ndarray
+    d: np.ndarray
 
-    def __post_init__(self):
-        if self.ell <= 0:
+    def __init__(self, ell, s, c0=0.0, d0=0.0, modes=None, c=None, d=None):
+        if np.any(np.less_equal(ell, 0)):
             raise ValueError("ell must be positive")
-        if self.s < 0:
+        if np.any(np.less(s, 0)):
             raise ValueError("s must be nonnegative")
-        for n in self.modes:
-            if n < 1:
-                raise ValueError("stored mode indices must be >= 1")
+        if c is None:
+            modes = modes or {}
+            c = _dense({n: cd[0] for n, cd in modes.items()}, lowest=1)
+            d = _dense({n: cd[1] for n, cd in modes.items()}, lowest=1)
+        self.ell, self.s, self.c0, self.d0, self.c, self.d = ell, s, c0, d0, c, d
 
     @property
-    def truncation(self) -> int:
-        return max(self.modes, default=0)
+    def modes(self) -> dict[int, tuple[complex, complex]]:
+        """{n: (c_n, d_n)} of the nonzero modes of a one-point field."""
+        pairs = enumerate(zip(self.c.tolist(), self.d.tolist()))
+        return {n: (c, d) for n, (c, d) in pairs if c or d}
+
+    def seam_arg(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, pi n s / ell) per mode index, with the argument set to 0 at the
+        zero modes: their seam values are then exactly 0, where cosh would
+        overflow and make 0 * inf."""
+        n = np.arange(self.c.shape[-1])
+        arg = np.pi * n * np.expand_dims(self.s, -1) / np.expand_dims(self.ell, -1)
+        return n, np.where((self.c == 0) & (self.d == 0), 0.0, arg)
 
     def _check_x(self, x):
         if np.any(np.abs(x) > self.s / 2 + 1e-12):
@@ -172,30 +199,23 @@ class FourierSolution:
     def dirichlet_trace(self, side: str) -> TraceModes:
         """Boundary values on the seam x = -s/2 (left) or x = +s/2 (right)."""
         sgn = -1.0 if side == "left" else 1.0
-        coeffs = {}
-        for n, (cn, dn) in self.modes.items():
-            arg = np.pi * n * self.s / self.ell
-            coeffs[n] = cn * np.cosh(arg) + sgn * dn * np.sinh(arg)
+        _, arg = self.seam_arg()
         return TraceModes(
             side=side,
             kind="dirichlet",
             ell=self.ell,
             mean=sgn * self.c0 * self.s / 2 + self.d0,
-            modes=coeffs,
+            coef=self.c * np.cosh(arg) + sgn * self.d * np.sinh(arg),
         )
 
     def neumann_trace_flat(self, side: str) -> TraceModes:
         """d/dx values on a seam, taken from the cylinder side."""
         sgn = -1.0 if side == "left" else 1.0
-        coeffs = {}
-        for n, (cn, dn) in self.modes.items():
-            arg = np.pi * n * self.s / self.ell
-            coeffs[n] = (2 * np.pi * n / self.ell) * (
-                sgn * cn * np.sinh(arg) + dn * np.cosh(arg)
-            )
-        return TraceModes(
-            side=side, kind="neumann_flat", ell=self.ell, mean=self.c0, modes=coeffs
+        n, arg = self.seam_arg()
+        coef = (2 * np.pi * n / np.expand_dims(self.ell, -1)) * (
+            sgn * self.c * np.sinh(arg) + self.d * np.cosh(arg)
         )
+        return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=self.c0, coef=coef)
 
     def to_json(self) -> str:
         payload = {
@@ -204,13 +224,7 @@ class FourierSolution:
             "c0": self.c0,
             "d0": self.d0,
             "modes": [
-                {
-                    "n": n,
-                    "c_re": c.real,
-                    "c_im": c.imag,
-                    "d_re": d.real,
-                    "d_im": d.imag,
-                }
+                {"n": n, "c_re": c.real, "c_im": c.imag, "d_re": d.real, "d_im": d.imag}
                 for n, (c, d) in sorted(self.modes.items())
             ],
         }
@@ -239,28 +253,19 @@ def from_boundary_data(
     if left.side != "left" or right.side != "right":
         raise ValueError("traces must be a (left, right) pair")
 
-    all_modes = set(left.modes) | set(right.modes)
+    width = max(left.coef.shape[-1], right.coef.shape[-1])
+    ln, rn = (np.pad(t.coef, (0, width - t.coef.shape[-1]))[1:] for t in (left, right))
+    d0 = (left.mean + right.mean) / 2
     if s == 0:
-        if any(
-            abs(left.modes.get(n, 0.0)) > MEAN_TOL or abs(right.modes.get(n, 0.0)) > MEAN_TOL
-            for n in all_modes
-        ):
+        if np.any(np.abs(ln) > MEAN_TOL) or np.any(np.abs(rn) > MEAN_TOL):
             raise SingularSystemError("s = 0: sinh column vanishes, mode system singular")
         if abs(right.mean - left.mean) > MEAN_TOL * max(1.0, abs(left.mean)):
             raise SingularSystemError("s = 0: mean system singular for unequal means")
-        return FourierSolution(ell=ell, s=s, c0=0.0, d0=(left.mean + right.mean) / 2)
-
-    d0 = (left.mean + right.mean) / 2
-    c0 = (right.mean - left.mean) / s
-    modes = {}
-    for n in sorted(all_modes):
-        arg = np.pi * n * s / ell
-        ln = left.modes.get(n, 0.0)
-        rn = right.modes.get(n, 0.0)
-        cn = (ln + rn) / (2 * np.cosh(arg))
-        dn = (rn - ln) / (2 * np.sinh(arg))
-        modes[n] = (cn, dn)
-    return FourierSolution(ell=ell, s=s, c0=c0, d0=d0, modes=modes)
+        return FourierSolution(ell=ell, s=s, c0=0.0, d0=d0)
+    arg = np.pi * np.arange(1, width) * s / ell
+    c = np.r_[0.0, (ln + rn) / (2 * np.cosh(arg))]
+    d = np.r_[0.0, (rn - ln) / (2 * np.sinh(arg))]
+    return FourierSolution(ell=ell, s=s, c0=(right.mean - left.mean) / s, d0=d0, c=c, d=d)
 
 
 def harmonicity_residual(
@@ -322,16 +327,14 @@ def harmonicity_bound(
     |c0| s/2 + |d0| + sum_n 2 (|c_n| cosh(k s/2) + |d_n| sinh(k s/2)).
     """
     h = fld.ell / 256 if h is None else h
-    n = np.fromiter(fld.modes, dtype=int, count=len(fld.modes))
-    cd = np.abs(np.array(list(fld.modes.values()), dtype=complex).reshape(-1, 2))
-    k = 2.0 * np.pi * n / fld.ell
+    k = 2.0 * np.pi * np.arange(1, fld.c.shape[-1]) / fld.ell
+    c, d = np.abs(fld.c[1:]), np.abs(fld.d[1:])
     factor = (2.0 * np.cosh(k * h) + 2.0 * np.cos(k * h) - 4.0) / h**2
     kx = np.outer(np.abs(_stencil_xs(fld.s, h, nx)), k)
-    amp = 2.0 * (cd[:, 0] * np.cosh(kx) + cd[:, 1] * np.sinh(kx))
-    truncation = float(np.max(amp @ factor, initial=0.0))
+    truncation = float(np.max(2.0 * (c * np.cosh(kx) + d * np.sinh(kx)) @ factor, initial=0.0))
     ks = k * fld.s / 2
     umax = abs(fld.c0) * fld.s / 2 + abs(fld.d0)
-    umax += float(np.sum(2.0 * (cd[:, 0] * np.cosh(ks) + cd[:, 1] * np.sinh(ks))))
+    umax += float(np.sum(2.0 * (c * np.cosh(ks) + d * np.sinh(ks))))
     return truncation, STENCIL_ROUNDING * np.finfo(float).eps * umax / h**2
 
 

@@ -13,7 +13,7 @@ along-normal conformal frame carrying phi is negatively oriented.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,26 +29,28 @@ SOLVABILITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class VariationField:
-    """Fourier data of one seam's normal variation (lambda_n or rho_n)."""
+    """Fourier data of one seam's normal variation (lambda_n or rho_n):
+    coef[..., n] is the mode-n coefficient (index 0 holds no mode); mean and
+    ell may carry a leading points axis, as the traces they come from."""
 
     side: str
     ell: float
     mean: float
-    modes: dict[int, complex] = field(default_factory=dict)
+    coef: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=complex))
     amended: bool = False
 
+    @property
+    def modes(self) -> dict[int, complex]:
+        """{n: lambda_n} of the nonzero modes of a one-point field."""
+        return {n: c for n, c in enumerate(self.coef.tolist()) if c}
+
     def reconstruct(self, y) -> np.ndarray:
-        return self.mean + _mode_sum(y, self.ell, self.modes)
+        return self.mean + _mode_sum(y, self.ell, self.coef)
 
     def rotated(self, y0: float) -> "VariationField":
         k = 2.0 * np.pi / self.ell
-        return VariationField(
-            side=self.side,
-            ell=self.ell,
-            mean=self.mean,
-            modes={n: c * np.exp(-1j * k * n * y0) for n, c in self.modes.items()},
-            amended=self.amended,
-        )
+        n = np.arange(len(self.coef))
+        return replace(self, coef=self.coef * np.exp(-1j * k * n * y0))
 
 
 def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> VariationField:
@@ -60,16 +62,15 @@ def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> Variati
     """
     if flat_neumann.kind != "neumann_flat":
         raise ValueError("expected a flat-side Neumann trace")
-    if abs(flat_neumann.mean) > SOLVABILITY_TOL:
+    if np.any(np.abs(flat_neumann.mean) > SOLVABILITY_TOL):
         raise SolvabilityError(
             f"no periodic solution: mean forcing c0 = {flat_neumann.mean} != 0"
         )
     ell = flat_neumann.ell
-    modes = {
-        n: (ell**2 / (8.0 * np.pi**2 * n**2)) * coef
-        for n, coef in flat_neumann.modes.items()
-    }
-    return VariationField(side=flat_neumann.side, ell=ell, mean=mean_value, modes=modes)
+    n = np.arange(1, flat_neumann.coef.shape[-1])
+    coef = np.zeros_like(flat_neumann.coef)
+    coef[..., 1:] = (np.expand_dims(ell, -1) ** 2 / (8.0 * np.pi**2 * n**2)) * flat_neumann.coef[..., 1:]
+    return VariationField(side=flat_neumann.side, ell=ell, mean=mean_value, coef=coef)
 
 
 def hyperbolic_neumann(v: VariationField) -> TraceModes:
@@ -80,14 +81,14 @@ def hyperbolic_neumann(v: VariationField) -> TraceModes:
     """
     if v.amended:
         raise ValueError("expected an unamended variation field")
-    ell = v.ell
-    coeffs = {
-        n: 2.0 * (4.0 * np.pi**2 * n**2 + ell**2) / ell**2 * lam
-        for n, lam in v.modes.items()
-    }
-    return TraceModes(
-        side=v.side, kind="neumann_hyperbolic", ell=ell, mean=2.0 * v.mean, modes=coeffs
-    )
+    return _hyperbolic_neumann(v)
+
+
+def _hyperbolic_neumann(v: VariationField) -> TraceModes:
+    n = np.arange(v.coef.shape[-1])
+    ell = np.expand_dims(v.ell, -1)
+    coef = 2.0 * (4.0 * np.pi**2 * n**2 + ell**2) / ell**2 * v.coef
+    return TraceModes(side=v.side, kind="neumann_hyperbolic", ell=v.ell, mean=2.0 * v.mean, coef=coef)
 
 
 def solve_amended_variation(
@@ -100,15 +101,12 @@ def solve_amended_variation(
     """
     base = solve_flat_variation(flat_neumann, mean_value)
     ell = flat_neumann.ell
-    shifts = {}
+    coef = np.zeros(max(len(base.coef), max(q.modes, default=0) + 1), dtype=complex)
+    coef[: len(base.coef)] = base.coef
     for n in q.modes:
-        seam = q.seam_value(flat_neumann.side, n)
-        shifts[n] = ell / (2.0 * np.pi * 1j * n) * seam
-    modes = dict(base.modes)
-    for n, sh in shifts.items():
-        modes[n] = modes.get(n, 0.0) + sh
+        coef[n] += ell / (2.0 * np.pi * 1j * n) * q.seam_value(flat_neumann.side, n)
     return VariationField(
-        side=flat_neumann.side, ell=ell, mean=mean_value, modes=modes, amended=True
+        side=flat_neumann.side, ell=ell, mean=mean_value, coef=coef, amended=True
     )
 
 
@@ -121,14 +119,7 @@ def extended_hyperbolic_neumann(w: VariationField) -> TraceModes:
     """
     if not w.amended:
         raise ValueError("expected an amended variation field")
-    ell = w.ell
-    coeffs = {
-        n: 2.0 * (4.0 * np.pi**2 * n**2 + ell**2) / ell**2 * lam
-        for n, lam in w.modes.items()
-    }
-    return TraceModes(
-        side=w.side, kind="neumann_hyperbolic", ell=ell, mean=2.0 * w.mean, modes=coeffs
-    )
+    return _hyperbolic_neumann(w)
 
 
 def pinned_means(dtn0: float, left_mean: float, right_mean: float) -> tuple[float, float]:
@@ -213,8 +204,8 @@ def matched_global_field(
     ext_left = {0: hypersolve.mode_extend(0, ell, a, dl.mean, -nl.mean)}
     ext_right = {0: hypersolve.mode_extend(0, ell, a, dr.mean, nr.mean)}
     for n in sol.modes:
-        ext_left[n] = hypersolve.mode_extend(n, ell, a, dl.modes[n], -nl.modes.get(n, 0.0))
-        ext_right[n] = hypersolve.mode_extend(n, ell, a, dr.modes[n], nr.modes.get(n, 0.0))
+        ext_left[n] = hypersolve.mode_extend(n, ell, a, dl.coef[n], -nl.coef[n])
+        ext_right[n] = hypersolve.mode_extend(n, ell, a, dr.coef[n], nr.coef[n])
 
     k = 2.0 * np.pi / ell
 

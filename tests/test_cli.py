@@ -1,11 +1,13 @@
 import csv
+import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from graftlab import cli
+from graftlab import cli, geometry, identities, sampling, spectral, variation
 
 
 def run(args, capsys):
@@ -189,3 +191,103 @@ def test_modes_csv_shape(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(r["n"]) for r in rows] == [0, 1, 2, 3]
     assert all(float(r["dtn"]) < 0 for r in rows)
+
+
+def _one_point_row(param, value, ell, s, a, outer_bc, modes, seed):
+    """A sweep row from one-point calls of the functions the sweep batches."""
+    rng = np.random.default_rng(seed)
+    sol = sampling.random_solution(rng, ell, s, nmax=min(modes, 8))
+    lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
+    vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
+    vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
+    closed = identities.boundary_term_closed(sol, vl, vr)
+    quad = identities.boundary_term_quadrature(
+        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
+        (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
+    )
+    values = [
+        value,
+        ell,
+        s,
+        a,
+        geometry.conformal_modulus(geometry.GraftedCollar(ell=ell, s=s, a=a, outer_bc=outer_bc)),
+        identities.determinant_floor(min(modes, 8), ell, s, a, outer_bc),
+        abs(closed - quad) / max(abs(closed), abs(quad), 1e-300),
+        identities.slice_residual(sol, vl, vr),
+    ]
+    return [param, *(repr(float(v)) for v in values)]
+
+
+@pytest.mark.parametrize(
+    "point, param, lo, hi, steps",
+    [
+        # s = 0 and, at ell = 0.25, modes dropped where cosh would overflow
+        (dict(ell=0.25, s=1.0, a=1.0, outer_bc="dirichlet", modes=8, seed=0), "s", 0.0, 20.0, 10),
+        (dict(ell=3.0, s=2.0, a=1.0, outer_bc="neumann", modes=4, seed=5), "a", 0.1, 10.0, 7),
+    ],
+)
+def test_sweep_rows_equal_the_one_point_calls(point, param, lo, hi, steps, capsys):
+    argv = ["sweep", "--param", param, "--from", repr(lo), "--to", repr(hi), "--steps", str(steps)]
+    argv += [f"--{k.replace('_', '-')}={v}" for k, v in point.items() if k != param]
+    code, out = run(argv, capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == steps
+    for row, value in zip(rows, np.linspace(lo, hi, steps)):
+        expected = _one_point_row(param, float(value), **{**point, param: float(value)})
+        assert row == expected
+    if param == "s":
+        # the premise: s = 0 is a point, and the last point drops modes
+        assert rows[0][3] == "0.0"
+        assert sampling.random_solution(np.random.default_rng(0), 0.25, 20.0).c.shape[-1] < 9
+
+
+def test_sweep_over_an_invalid_value_exits_2(capsys):
+    code = cli.main(["sweep", "--param", "a", "--from", "-1", "--to", "1", "--steps", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need ell > 0, a > 0, s >= 0\n"
+
+
+#: sha256 of stdout, taken from the thread-pool sweep and the dict-based
+#: modes table that the array passes replaced
+_PINNED_CSV = {
+    "sweep --param s --from 0 --to 20 --ell 0.25 --modes 8 --steps 20":
+        "e6a4ca799be1139cfa040a7f2b0e4f3b648e93d4fedf66f1cbd334274d7f1683",
+    "sweep --param a --from 0.1 --to 10 --outer-bc neumann --modes 4 --steps 7 --seed 5":
+        "695d6b283a580610b4488f0c23f168c9e00f9fef951bdaae98a516af1ef0c47b",
+    "modes --ell 0.5 --a 10 --modes 256":
+        "19c3b3e5fb5542ccbbbda8ca37a2e0d80faa0fe21dc1221b3ad7eae37045c299",
+    "modes --ell 16 --s 0 --a 0.1 --outer-bc neumann --modes 256":
+        "637d6ecd16778948ecc8a224c9114145896e61d014c5a6c75e481889ddd46a17",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED_CSV))
+def test_sweep_and_modes_csv_are_byte_reproducible(argv, capsys):
+    code, out = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_CSV[argv]
+
+
+def test_verify_computes_each_seam_trace_once(monkeypatch, capsys):
+    calls = []
+    for name in ("dirichlet_trace", "neumann_trace_flat"):
+        original = getattr(spectral.FourierSolution, name)
+
+        def counted(self, side, original=original, name=name):
+            calls.append((name, side))
+            return original(self, side)
+
+        monkeypatch.setattr(spectral.FourierSolution, name, counted)
+    code, _ = run(["verify", "--modes", "16"], capsys)
+    assert code == 0
+    # the main field's four traces, plus the stencil field's none
+    assert sorted(calls) == sorted(
+        (name, side) for name in ("dirichlet_trace", "neumann_trace_flat") for side in ("left", "right")
+    )
+
+
+def test_parser_is_built_once():
+    assert cli.make_parser() is cli.make_parser()

@@ -139,16 +139,35 @@ def test_master_identity_single_mode():
 
 
 def test_master_identities_fail_non_finite_terms():
-    # a zeroed mode at pi n s / ell = 750: its cosh overflows, and 0 * inf
-    # makes the seam traces and the cylinder series NaN
+    # a mode of amplitude 1e-300 at pi n s / ell = 750: its cosh overflows
+    # and |c|^2 underflows, so 0 * inf makes the cylinder series NaN (a zero
+    # mode there is exactly 0: see test_zero_mode_past_cosh_overflow_is_zero)
     chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
-    sol = FourierSolution(ell=ELL, s=1.0, modes={1: (0.3, 0.0), 1500: (0.0, 0.0)})
+    sol = FourierSolution(ell=ELL, s=1.0, modes={1: (0.3, 0.0), 1500: (1e-300, 0.0)})
     with np.errstate(over="ignore", invalid="ignore"):
         config = _pinned_config(sol, chart)
         reports = [identities.master_identity(config), identities.extended_master_identity(config)]
     for rep in reports:
         assert np.isnan(dict(rep.terms)["cylinder_series"])
         assert not rep.passed
+
+
+def test_zero_mode_past_cosh_overflow_is_zero():
+    # pi n s / ell = 750 at n = 300, past where cosh overflows; a zero mode
+    # there has exactly zero seam values, where 0 * inf would make NaN
+    sol = FourierSolution(ell=ELL, s=5.0, modes={1: (0.3, 0.1j), 300: (0.0, 0.0)})
+    dirichlet = tuple(sol.dirichlet_trace(side) for side in ("left", "right"))
+    neumann = tuple(sol.neumann_trace_flat(side) for side in ("left", "right"))
+    for trace in dirichlet + neumann:
+        assert np.all(np.isfinite(trace.coef)) and trace.coef[300] == 0.0
+    vl = variation.solve_flat_variation(neumann[0], 0.2)
+    vr = variation.solve_flat_variation(neumann[1], -0.1)
+    closed = identities.boundary_term_closed(sol, vl, vr)
+    quad = identities.boundary_term_quadrature(
+        dirichlet, (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
+    )
+    assert np.isfinite(closed) and closed != 0.0
+    assert identities._compare("boundary_term_closed_vs_quadrature", closed, quad, 1e-10).passed
 
 
 def test_compare_fails_non_finite_operands():
