@@ -401,8 +401,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once (argparse set-up costs about a
-    millisecond) and reused by every call of main."""
+    """The argument parser, built once and reused by every call of main:
+    building its five subparsers is a large share of a small command."""
     parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
