@@ -161,10 +161,10 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
         reports.append(identities._compare(name, lhs, rhs, tol, notes=notes))
 
     closed = identities.boundary_term_closed(sol, vl, vr)
-    quad_val = identities.boundary_term_quadrature(
-        (dl, dr), (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
-    )
-    compare("boundary_term_closed_vs_quadrature", closed, quad_val, tol_alg)
+    neumann = (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
+    quad_val = identities.boundary_term_quadrature((dl, dr), neumann)
+    notes = identities.seam_grid_note(dl, dr, *neumann)
+    compare("boundary_term_closed_vs_quadrature", closed, quad_val, tol_alg, notes=notes)
 
     reports.append(identities.slice_condition(sol, vl, vr, tol=max(tol_alg, 1e-12)))
     master = identities.master_identity(config, tol=tol_bvp)
@@ -176,20 +176,16 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
         identities.arc_length_derivative(sol, dirichlet=dl),
         -0.5 * sol.d0 * sol.ell,
         tol_alg,
-        notes="seam quadrature vs -d0 ell / 2",
+        notes=f"seam quadrature vs -d0 ell / 2; {identities.seam_grid_note(dl)}",
     )
 
     wl = variation.solve_amended_variation(nl, q, lam0)
     wr = variation.solve_amended_variation(nr, q, rho0)
     ext_closed = identities.extended_boundary_term(sol, q, wl, wr)
-    ext_quad = identities.boundary_term_quadrature(
-        (dl, dr),
-        (
-            variation.extended_hyperbolic_neumann(wl),
-            variation.extended_hyperbolic_neumann(wr),
-        ),
-    )
-    compare("extended_boundary_closed_vs_quadrature", ext_closed, ext_quad, tol_alg)
+    ext_neumann = (variation.extended_hyperbolic_neumann(wl), variation.extended_hyperbolic_neumann(wr))
+    ext_quad = identities.boundary_term_quadrature((dl, dr), ext_neumann)
+    notes = identities.seam_grid_note(dl, dr, *ext_neumann)
+    compare("extended_boundary_closed_vs_quadrature", ext_closed, ext_quad, tol_alg, notes=notes)
 
     q0 = spectral.QuadDiffModes(ell=cfg.ell, s=cfg.s)
     wl0 = variation.solve_amended_variation(nl, q0, lam0)

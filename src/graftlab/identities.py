@@ -19,12 +19,6 @@ from .geometry import GraftedCollar
 from .spectral import MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes
 from .variation import VariationField, pinned_means, solve_flat_variation
 
-#: Number of trapezoid points for seam quadratures.
-QUAD_POINTS = 4096
-
-#: Points of a family whose seam traces share one inverse FFT (small grids).
-QUAD_BLOCK = 4
-
 #: Both series below sum over n >= 1 with conjugate modes already paired,
 #: which doubles the per-mode weight relative to a sum over n != 0.  The
 #: factors were frozen against the seam quadrature: 2/(pi n) for the
@@ -133,33 +127,45 @@ def boundary_term_closed(
     return _cylinder_series(sol, 2.0 * sol.ell * sol.d0 * (v_left.mean - v_right.mean))
 
 
+def seam_points(nmax: int) -> int:
+    """The smallest power of two above 2 nmax, and at least 64: the
+    trapezoid rule on N equispaced points is exact for trigonometric
+    polynomials of degree < N (Trefethen & Weideman, SIAM Review 56, 2014),
+    and a product of two seam traces of degree <= nmax has degree <= 2 nmax.
+    A family's traces are as wide as its widest point; with the floor every
+    field of up to 31 modes, and so every point of a sweep, gets the grid
+    of its one-point call."""
+    return max(64, 1 << (2 * nmax).bit_length())
+
+
+def seam_grid_note(*traces: TraceModes) -> str:
+    """The seam_points grid of the traces, and the bound that makes it exact."""
+    nmax = max(t.max_mode() for t in traces)
+    return f"trapezoid on {seam_points(nmax)} seam points, exact above 2*nmax = {2 * nmax}"
+
+
 def boundary_term_quadrature(
     dirichlet: tuple[TraceModes, TraceModes],
     neumann: tuple[TraceModes, TraceModes],
-    npts: int = QUAD_POINTS,
+    npts: int | None = None,
 ) -> float:
     """Trapezoid quadrature of the seam integral of (value) * (d/dn value).
 
     The normal points out of the strips: +d/dx on the left seam, -d/dx on
     the right, so the integral is int(D_l N_l) - int(D_r N_r) with N the
-    d/dx trace data.  Traces with a points axis give one value per point,
-    from one inverse FFT per trace and block of QUAD_BLOCK points.
+    d/dx trace data, summed on seam_points(nmax) points unless npts is given.
+    Traces with a points axis give one value per point, from one inverse
+    FFT per trace.
     """
-    dl, dr = dirichlet
-    nl, nr = neumann
-    if any(not np.array_equal(t.ell, dl.ell) for t in (dr, nl, nr)):
+    traces = (*dirichlet, *neumann)
+    if any(not np.array_equal(t.ell, traces[0].ell) for t in traces):
         raise ValueError("traces come from different circumferences")
-    nmax = max(t.max_mode() for t in (dl, dr, nl, nr))
+    nmax = max(t.max_mode() for t in traces)
+    npts = seam_points(nmax) if npts is None else npts
     if npts <= 2 * nmax:
         raise ValueError(f"{npts} quadrature points cannot resolve mode {nmax}")
-    lead = dl.coef.shape[:-1]
-    blocks = [slice(i, i + QUAD_BLOCK) for i in range(0, lead[0], QUAD_BLOCK)] if lead else [()]
-
-    def seam(d, n):
-        means = [np.mean(d.on_grid(npts, b) * n.on_grid(npts, b), axis=-1) for b in blocks]
-        return np.concatenate([np.atleast_1d(m) for m in means]).reshape(lead)
-
-    return _out(dl.ell * (seam(dl, nl) - seam(dr, nr)))
+    left, right = (np.mean(d.on_grid(npts) * n.on_grid(npts), axis=-1) for d, n in zip(dirichlet, neumann))
+    return _out(traces[0].ell * (left - right))
 
 
 # --- solved configurations --------------------------------------------------
@@ -295,9 +301,8 @@ def _subtract_in_order(total: float, terms: np.ndarray) -> float:
     """total minus each term (column) in turn, in mode order: the mixed
     series can cancel, so its rounding follows one fixed order, at every
     point of a family alike."""
-    for k in range(terms.shape[-1]):
-        total = total - terms[..., k]
-    return _out(total)
+    first = np.broadcast_to(total, terms.shape[:-1])[..., None]
+    return _out(np.subtract.accumulate(np.concatenate((first, terms), axis=-1), axis=-1)[..., -1])
 
 
 def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) -> float:
@@ -428,21 +433,20 @@ def arc_length_derivative(
     sol: FourierSolution,
     q: QuadDiffModes | None = None,
     side: str = "left",
-    npts: int = QUAD_POINTS,
+    npts: int | None = None,
     dirichlet: TraceModes | None = None,
 ) -> float:
     """First variation of the seam circle's length: -1/2 times the seam
-    integral of (H variation - 2 Re phi).  Reduces to -d0 ell / 2 without
+    integral of (H variation - 2 Re phi), summed on seam_points(nmax) points
+    (nmax over the trace and q) unless npts is given.  Reduces to -d0 ell / 2 without
     quadratic-differential data.  dirichlet is the seam's Dirichlet trace
     of sol, when the caller has it already."""
     x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
-    if dirichlet is None:
-        dirichlet = sol.dirichlet_trace(side)
+    dirichlet = sol.dirichlet_trace(side) if dirichlet is None else dirichlet
+    qmax = max(q.modes, default=0) if q is not None else 0
+    npts = seam_points(max(dirichlet.max_mode(), qmax)) if npts is None else npts
     hdot = dirichlet.on_grid(npts)
-    if q is not None:
-        re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts))
-    else:
-        re = 0.0
+    re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts)) if q is not None else 0.0
     return float(-0.5 * (sol.ell / npts) * np.sum(hdot - 2.0 * re))
 
 

@@ -87,9 +87,9 @@ class TraceModes:
         """Real values of a one-point trace at circumferential positions y."""
         return self.mean + _mode_sum(y, self.ell, self.coef)
 
-    def on_grid(self, npts: int, rows=()) -> np.ndarray:
+    def on_grid(self, npts: int) -> np.ndarray:
         """Values of the trace at y_j = j ell / npts, j = 0..npts-1, from one
-        inverse real FFT; rows picks points of a trace with a points axis.
+        inverse real FFT over every point of a trace with a points axis.
 
         A mode n contributes 2 Re(c_n w^(n j)), w = exp(2 pi i / npts), which
         is the bin r = n mod npts or, conjugated, npts - r, whichever is at
@@ -97,20 +97,20 @@ class TraceModes:
         take 2 Re(c_n).  Modes past npts/2 thus alias onto the grid exactly
         as their values there do.
         """
-        c = self.coef[rows]
-        r = np.arange(c.shape[-1]) % npts
+        r = np.arange(self.coef.shape[-1]) % npts
         folded = 2 * r > npts
         r = np.where(folded, npts - r, r)
-        c = np.where(folded, np.conj(c), c)
+        c = np.where(folded, np.conj(self.coef), self.coef)
         c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
         spectrum = np.zeros(c.shape[:-1] + (npts // 2 + 1,), dtype=complex)
-        spectrum[..., 0] = np.broadcast_to(self.mean, self.coef.shape[:-1])[rows]
+        spectrum[..., 0] = self.mean
         np.add.at(spectrum, (..., r), c)
         return np.fft.irfft(spectrum, npts, norm="forward")
 
     def parseval_norm_sq(self) -> float:
-        """ell * (mean^2 + 2 * sum |coef_n|^2) = integral of trace^2 over y."""
-        return self.ell * (self.mean**2 + 2.0 * float(np.sum(np.abs(self.coef) ** 2)))
+        """ell * (mean^2 + 2 * sum |coef_n|^2) = integral of trace^2 over y,
+        one value per point of a trace with a points axis."""
+        return self.ell * (self.mean**2 + 2.0 * np.sum(np.abs(self.coef) ** 2, axis=-1))
 
     def max_mode(self) -> int:
         return self.coef.shape[-1] - 1

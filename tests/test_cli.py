@@ -251,10 +251,12 @@ def test_sweep_over_an_invalid_value_exits_2(capsys):
 
 
 #: sha256 of stdout, taken from the thread-pool sweep and the dict-based
-#: modes table that the array passes replaced
+#: modes table that the array passes replaced; the first sweep's hash was
+#: taken again when the seam grid went from 4096 points to 64, which moved
+#: five of its boundary_rel_err cells by at most 6e-16
 _PINNED_CSV = {
     "sweep --param s --from 0 --to 20 --ell 0.25 --modes 8 --steps 20":
-        "e6a4ca799be1139cfa040a7f2b0e4f3b648e93d4fedf66f1cbd334274d7f1683",
+        "1d9322400479b009949792ef8f84136de8872e8409c0fd3378f42cdcc6672bef",
     "sweep --param a --from 0.1 --to 10 --outer-bc neumann --modes 4 --steps 7 --seed 5":
         "695d6b283a580610b4488f0c23f168c9e00f9fef951bdaae98a516af1ef0c47b",
     "modes --ell 0.5 --a 10 --modes 256":
@@ -287,6 +289,22 @@ def test_verify_computes_each_seam_trace_once(monkeypatch, capsys):
     assert sorted(calls) == sorted(
         (name, side) for name in ("dirichlet_trace", "neumann_trace_flat") for side in ("left", "right")
     )
+
+
+def test_sweep_synthesizes_each_seam_trace_once_on_64_points(monkeypatch, capsys):
+    grids = []
+    original = spectral.TraceModes.on_grid
+
+    def counted(self, npts):
+        grids.append(npts)
+        return original(self, npts)
+
+    monkeypatch.setattr(spectral.TraceModes, "on_grid", counted)
+    argv = "sweep --param s --from 0.5 --to 20 --ell 8 --modes 8 --steps 20"
+    code, _ = run(argv.split(), capsys)
+    assert code == 0
+    # two Dirichlet and two Neumann traces, each over all 20 points at once
+    assert grids == [64] * 4
 
 
 def test_parser_is_built_once():

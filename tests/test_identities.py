@@ -90,6 +90,36 @@ def test_closed_matches_quadrature_random():
     assert closed == pytest.approx(quad, rel=1e-10)
 
 
+def test_seam_points_is_the_smallest_power_of_two_above_2_nmax():
+    assert [identities.seam_points(n) for n in (0, 1, 8, 31, 32, 63, 64, 256)] == [
+        64, 64, 64, 64, 128, 128, 256, 1024,
+    ]
+    d = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=0.0, modes={40: 1.0})
+    n = TraceModes(side="left", kind="neumann_hyperbolic", ell=ELL, mean=0.0, modes={3: 1.0})
+    assert identities.seam_grid_note(d, n) == "trapezoid on 128 seam points, exact above 2*nmax = 80"
+
+
+def _random_trace(rng, side, kind, ell, nmax):
+    coef = np.r_[0.0, rng.standard_normal(nmax) + 1j * rng.standard_normal(nmax)]
+    return TraceModes(side=side, kind=kind, ell=ell, mean=rng.standard_normal(), coef=coef)
+
+
+@pytest.mark.parametrize("nmax", [1, 8, 31, 32, 256])
+def test_derived_seam_grid_matches_4096_points(nmax):
+    # the trapezoid sum is exact on both grids, so they differ by rounding:
+    # at most 64 eps times the trapezoid sum of |D N| on the 4096 points
+    rng = np.random.default_rng(nmax)
+    ell = 3.0
+    dirichlet = tuple(_random_trace(rng, side, "dirichlet", ell, nmax) for side in ("left", "right"))
+    neumann = tuple(
+        _random_trace(rng, side, "neumann_hyperbolic", ell, nmax) for side in ("left", "right")
+    )
+    got = identities.boundary_term_quadrature(dirichlet, neumann)
+    ref = identities.boundary_term_quadrature(dirichlet, neumann, npts=4096)
+    terms = sum(np.abs(d.on_grid(4096) * n.on_grid(4096)) for d, n in zip(dirichlet, neumann))
+    assert abs(got - ref) <= 64 * np.finfo(float).eps * ell * np.mean(terms)
+
+
 # --- slice condition --------------------------------------------------------
 
 def test_slice_residual_examples():
@@ -189,6 +219,25 @@ def test_master_identity_random_nonpositive():
                 assert v <= 1e-12
 
 
+def _subtract_in_a_loop(total, terms):
+    for k in range(terms.shape[-1]):
+        total = total - terms[..., k]
+    return total
+
+
+@pytest.mark.parametrize("shape", [(257,), (20, 9), (3, 129), (4, 0)])
+def test_subtract_in_order_matches_the_loop(shape):
+    # same operations in the same order: bit-identical, at one point and
+    # along a points axis alike; with no modes a scalar total is given back
+    # once per point
+    rng = np.random.default_rng(sum(shape))
+    terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    for total in (0.0, 1.5, rng.standard_normal(shape[:-1])):
+        got = identities._subtract_in_order(total, terms)
+        assert np.shape(got) == shape[:-1]
+        assert np.array_equal(got, np.broadcast_to(_subtract_in_a_loop(total, terms), shape[:-1]))
+
+
 # --- area derivatives -------------------------------------------------------
 
 def test_area_geometric_examples():
@@ -244,6 +293,19 @@ def test_arc_length_with_quad_data():
     # Re phi oscillates in y at the seam, so the correction averages out
     val = identities.arc_length_derivative(sol, q=q, side="left")
     assert val == pytest.approx(-np.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("nmax_q", [0, 8, 40])
+def test_arc_length_default_grid_matches_4096_points(nmax_q):
+    rng = np.random.default_rng(nmax_q)
+    sol = sampling.random_solution(rng, ELL, 1.5, nmax=8, decay=0.05)
+    q = sampling.random_quad(rng, ELL, 1.5, nmax=nmax_q, decay=0.05) if nmax_q else None
+    got = identities.arc_length_derivative(sol, q)
+    ref = identities.arc_length_derivative(sol, q, npts=4096)
+    y = np.arange(4096) * (ELL / 4096)
+    re = q.re_phi(np.full(4096, -0.75), y) if q is not None else 0.0
+    terms = np.abs(sol.dirichlet_trace("left").on_grid(4096) - 2.0 * re)
+    assert abs(got - ref) <= 64 * np.finfo(float).eps * ELL * np.mean(terms)
 
 
 # --- quadratic-differential extensions --------------------------------------

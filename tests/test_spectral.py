@@ -12,6 +12,7 @@ from graftlab import (
     from_boundary_data,
     harmonicity_bound,
     harmonicity_residual,
+    sampling,
 )
 
 ELL, S = 2 * np.pi, 2.0
@@ -151,6 +152,16 @@ def test_parseval():
     y = np.arange(8192) * (ELL / 8192)
     quad = ELL * np.mean(trace.reconstruct(y) ** 2)
     assert abs(quad - trace.parseval_norm_sq()) / quad < 1e-10
+
+
+def test_parseval_gives_one_value_per_point():
+    ell = np.array([1.0, 2.0, 3.0])
+    family = sampling.random_solution(np.random.default_rng(4), ell, S).dirichlet_trace("left")
+    got = family.parseval_norm_sq()
+    assert got.shape == (3,)
+    for i, e in enumerate(ell):
+        one = sampling.random_solution(np.random.default_rng(4), float(e), S).dirichlet_trace("left")
+        assert got[i] == pytest.approx(one.parseval_norm_sq(), rel=1e-14)
 
 
 def test_reconstruct_matches_direct_mode_sum():
