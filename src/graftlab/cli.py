@@ -40,7 +40,6 @@ _CONFIG_KEYS = {
     "to": float,
     "steps": int,
     "t": float,
-    "fd_step": float,
 }
 
 
@@ -59,9 +58,13 @@ class RunConfig:
     sweep_to: float | None = None
     steps: int = 10
     t: float = 1e-3
-    fd_step: float | None = None
 
     def validate(self) -> "RunConfig":
+        # NaN fails every comparison below, so non-finite values go first
+        for key in ("ell", "s", "a", "tol", "t", "from", "to"):
+            value = getattr(self, _FIELD_FOR_KEY.get(key, key))
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.ell <= 0 or self.a <= 0 or self.s < 0:
             raise ConfigError("need ell > 0, a > 0, s >= 0")
         if self.outer_bc not in ("dirichlet", "neumann"):
@@ -414,7 +417,6 @@ def make_parser() -> argparse.ArgumentParser:
     geo = sub.add_parser("geodesic", help="numeric geodesic vs closed-form variation")
     _add_common(geo)
     geo.add_argument("--t", type=float)
-    geo.add_argument("--fd-step", dest="fd_step", type=float)
 
     _add_common(sub.add_parser("chart", help="dump the chart as JSON"))
     _add_common(sub.add_parser("modes", help="dump per-mode solver data as CSV"))

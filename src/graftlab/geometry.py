@@ -19,6 +19,29 @@ from .spectral import QuadDiffModes
 
 _SEAM_TOL = 1e-12
 
+#: The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
+#: weights (the rule is symmetric), rounded to double from 50-digit values.
+_GAUSS16 = (
+    (0.09501250983763744, 0.1894506104550685),
+    (0.2816035507792589, 0.18260341504492358),
+    (0.45801677765722737, 0.16915651939500254),
+    (0.6178762444026438, 0.14959598881657674),
+    (0.755404408355003, 0.12462897125553388),
+    (0.8656312023878318, 0.09515851168249279),
+    (0.9445750230732326, 0.062253523938647894),
+    (0.9894009349916499, 0.027152459411754096),
+)
+_GL_NODES = np.array([-x for x, _ in reversed(_GAUSS16)] + [x for x, _ in _GAUSS16])
+_GL_WEIGHTS = np.array([w for _, w in reversed(_GAUSS16)] + [w for _, w in _GAUSS16])
+
+
+def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the 16-point Gauss-Legendre rule on each panel
+    between consecutive edges, flattened panel by panel."""
+    half = np.diff(edges)[:, None] / 2.0
+    x = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * _GL_NODES).ravel()
+    return x, (half * _GL_WEIGHTS).ravel()
+
 
 def gudermannian(a: float) -> float:
     """gd(a) = integral of sech from 0 to a = arctan(sinh(a)), elementwise."""
@@ -131,35 +154,18 @@ def total_area(chart: GraftedCollar) -> float:
     return 2.0 * chart.ell * np.sinh(chart.a) + chart.ell * chart.s
 
 
-def simpson_weights(x) -> np.ndarray:
-    """Composite Simpson weights w on a uniform grid: integral of f ~ w @ f(x).
-
-    w = h/3 * (1, 4, 2, 4, ..., 2, 4, 1).  x must be one-dimensional,
-    uniformly spaced and have an odd number of at least 3 points.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 3 or x.size % 2 == 0:
-        raise ValueError(f"Simpson weights need an odd number >= 3 of points, got shape {x.shape}")
-    h = (x[-1] - x[0]) / (x.size - 1)
-    if np.max(np.abs(np.diff(x) - h)) > 1e-8 * abs(h):
-        raise ValueError("Simpson weights need a uniformly spaced grid")
-    w = np.full(x.size, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-    return w
+def _strip_integral(f, a: float) -> float:
+    """Integral of f over [0, a] by the 16-point Gauss-Legendre rule on
+    unit-width panels, which reaches rounding for cosh and sech."""
+    x, w = _gauss_legendre(np.r_[np.arange(0.0, a, 1.0), a])
+    return float(w @ f(x))
 
 
-def total_area_quadrature(chart: GraftedCollar, panels: int = 10_000) -> float:
-    """Area by composite Simpson quadrature of ell * integral of G.
-
-    Integrates each stratum separately so the seam kink does not degrade the
-    quadrature order."""
-    total = chart.ell * chart.s  # flat stratum, G = 1, exactly
-    n = max(panels // 2, 8) | 1
-    for lo, hi in ((chart.s / 2, chart.x_max), (-chart.x_max, -chart.s / 2)):
-        xs = np.linspace(lo, hi, n)
-        total += chart.ell * (simpson_weights(xs) @ chart.G(xs))
-    return float(total)
+def total_area_quadrature(chart: GraftedCollar) -> float:
+    """Area by quadrature: ell s on the flat stratum plus ell times the
+    integral of G = cosh(xi) over each strip (_strip_integral), so the seam
+    kink does not degrade the quadrature order."""
+    return chart.ell * chart.s + 2.0 * chart.ell * _strip_integral(np.cosh, chart.a)
 
 
 def conformal_modulus(chart: GraftedCollar) -> float:
@@ -168,13 +174,10 @@ def conformal_modulus(chart: GraftedCollar) -> float:
     return (2.0 * gudermannian(chart.a) + chart.s) / chart.ell
 
 
-def conformal_modulus_quadrature(chart: GraftedCollar, panels: int = 10_000) -> float:
-    """Modulus by composite Simpson quadrature of (1/ell) integral dx / G(x)."""
-    total = chart.s
-    n = max(panels // 2, 8) | 1
-    xs = np.linspace(chart.s / 2, chart.x_max, n)
-    total += 2.0 * (simpson_weights(xs) @ (1.0 / chart.G(xs)))
-    return float(total / chart.ell)
+def conformal_modulus_quadrature(chart: GraftedCollar) -> float:
+    """Modulus by quadrature of (1/ell) integral dx / G(x): the flat
+    stratum gives s, each strip the integral of sech (_strip_integral)."""
+    return (chart.s + 2.0 * _strip_integral(lambda x: 1.0 / np.cosh(x), chart.a)) / chart.ell
 
 
 def grafted_length(ell: float, s: float) -> float:

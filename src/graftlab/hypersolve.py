@@ -31,22 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .geometry import gudermannian
-
-#: The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
-#: weights (the rule is symmetric), rounded to double from 50-digit values.
-_GAUSS16 = (
-    (0.09501250983763744, 0.1894506104550685),
-    (0.2816035507792589, 0.18260341504492358),
-    (0.45801677765722737, 0.16915651939500254),
-    (0.6178762444026438, 0.14959598881657674),
-    (0.755404408355003, 0.12462897125553388),
-    (0.8656312023878318, 0.09515851168249279),
-    (0.9445750230732326, 0.062253523938647894),
-    (0.9894009349916499, 0.027152459411754096),
-)
-_GL_NODES = np.array([-x for x, _ in reversed(_GAUSS16)] + [x for x, _ in _GAUSS16])
-_GL_WEIGHTS = np.array([w for _, w in reversed(_GAUSS16)] + [w for _, w in _GAUSS16])
+from .geometry import _gauss_legendre, gudermannian
 
 #: Profiles evaluated together on the quadrature grid: a block of this many
 #: rows keeps each (rows x points) array small, whatever the mode count.
@@ -167,10 +152,7 @@ class StripProfiles:
         """(xi, _trig(xi), w cosh xi, w / cosh xi): the Gauss-Legendre rule on
         the panels of _panel_edges for the strip width and the largest mu of
         the profiles, shared by every profile."""
-        edges = _panel_edges(self.a, float(self.mu.max(initial=0.0)))
-        half = np.diff(edges)[:, None] / 2.0
-        xi = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * _GL_NODES).ravel()
-        w = (half * _GL_WEIGHTS).ravel()
+        xi, w = _gauss_legendre(_panel_edges(self.a, float(self.mu.max(initial=0.0))))
         trig = _trig(xi)
         return xi, trig, w * trig[1], w / trig[1]
 

@@ -275,9 +275,8 @@ def slice_condition(
 def _series_arrays(sol: FourierSolution):
     """(n, c_n, d_n, S, C) over the modes n >= 1, with S, C = sinh, cosh(pi n s / ell)
     (0 and 1 at the zero modes); a points axis of the field leads."""
-    n, arg = sol.seam_arg()
-    arg = arg[..., 1:]
-    return n[1:], sol.c[..., 1:], sol.d[..., 1:], np.sinh(arg), np.cosh(arg)
+    n, S, C = sol.seam
+    return n[1:], sol.c[..., 1:], sol.d[..., 1:], S[..., 1:], C[..., 1:]
 
 
 def _cylinder_series(sol: FourierSolution, total: float = 0.0) -> float:
@@ -310,7 +309,10 @@ def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) ->
     Im(v_n conj(c_n) + u_n conj(d_n)) S C, in the multiply order of
     _cylinder_series."""
     n, c, d, S, C = _series_arrays(sol)
-    u, v = np.array([q.modes.get(k, (0.0, 0.0)) for k in n.tolist()], dtype=complex).reshape(-1, 2).T
+    # q's modes n >= 1, cut or zero-padded to those of sol
+    u, v = np.zeros((2, len(n)), dtype=complex)
+    m = min(len(n), len(q.u) - 1)
+    u[:m], v[:m] = q.u[1 : m + 1], q.v[1 : m + 1]
     terms = (
         (CROSS_FACTOR / (np.pi * n))
         * (4.0 * np.pi**2 * n**2 + sol.ell**2)
@@ -441,12 +443,11 @@ def arc_length_derivative(
     (nmax over the trace and q) unless npts is given.  Reduces to -d0 ell / 2 without
     quadratic-differential data.  dirichlet is the seam's Dirichlet trace
     of sol, when the caller has it already."""
-    x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
     dirichlet = sol.dirichlet_trace(side) if dirichlet is None else dirichlet
-    qmax = max(q.modes, default=0) if q is not None else 0
+    qmax = len(q.u) - 1 if q is not None else 0
     npts = seam_points(max(dirichlet.max_mode(), qmax)) if npts is None else npts
     hdot = dirichlet.on_grid(npts)
-    re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts)) if q is not None else 0.0
+    re = q.re_phi_on_seam(side, npts) if q is not None else 0.0
     return float(-0.5 * (sol.ell / npts) * np.sum(hdot - 2.0 * re))
 
 

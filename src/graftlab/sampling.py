@@ -82,7 +82,8 @@ def random_quad(
         s=s,
         u0=0.0,
         v0=amplitude * float(rng.standard_normal()),
-        modes=dict(zip(range(1, len(u)), zip(u[1:], v[1:]))),
+        u=u,
+        v=v,
     )
 
 

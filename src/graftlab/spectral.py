@@ -13,7 +13,8 @@ a family of fields, one per point of a parameter sweep, computed together.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,9 +27,7 @@ MEAN_TOL = 1e-13
 
 
 def _as_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return x, y
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
 def _dense(modes: Mapping[int, complex], lowest: int = 0) -> np.ndarray:
@@ -54,6 +53,41 @@ def _mode_sum(y, ell: float, coef: np.ndarray) -> np.ndarray:
     return 2.0 * acc.real
 
 
+def _synthesize(mean, coef: np.ndarray, npts: int) -> np.ndarray:
+    """mean + sum_n 2 Re(coef_n w^(n j)), w = exp(2 pi i / npts), at
+    j = 0..npts-1, from one inverse real FFT over every point of a leading
+    points axis.
+
+    A mode n falls in the bin r = n mod npts or, conjugated, npts - r,
+    whichever is at most npts/2; the bins 0 and npts/2 keep only a real
+    part, so they take 2 Re(coef_n).  Modes past npts/2 thus alias onto the
+    grid exactly as their values there do.
+    """
+    r = np.arange(coef.shape[-1]) % npts
+    folded = 2 * r > npts
+    r = np.where(folded, npts - r, r)
+    c = np.where(folded, np.conj(coef), coef)
+    c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
+    spectrum = np.zeros(c.shape[:-1] + (npts // 2 + 1,), dtype=complex)
+    spectrum[..., 0] = mean
+    np.add.at(spectrum, (..., r), c)
+    return np.fft.irfft(spectrum, npts, norm="forward")
+
+
+def _series(x, y, ell: float, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_n 2 Re[(c_n cosh(k n x) + d_n sinh(k n x)) exp(i k n y)],
+    k = 2 pi / ell, at each point of the broadcast (x, y) of a one-point
+    series, over a trailing axis of its nonzero modes (so a zero mode never
+    multiplies 0 by an overflowing cosh).  Each mode's x profile is computed
+    on the shape of x and its exponential on the shape of y, so on a tensor
+    grid (xs[:, None], ys) each is computed once per line."""
+    n = np.flatnonzero((c != 0) | (d != 0))
+    kn = 2.0 * np.pi / ell * n
+    x, y = (np.expand_dims(v, -1) for v in _as_pair(x, y))
+    profile = c[n] * np.cosh(kn * x) + d[n] * np.sinh(kn * x)
+    return 2.0 * np.einsum("...n,...n->...", profile, np.exp(1j * kn * y)).real
+
+
 @dataclass(init=False, eq=False)
 class TraceModes:
     """Fourier data of a real function of y on one seam circle.
@@ -61,7 +95,8 @@ class TraceModes:
     kind is one of "dirichlet", "neumann_flat" (d/dx from the cylinder side)
     or "neumann_hyperbolic" (d/dx from the strip side).  coef[..., n] is the
     mode-n coefficient, which carries the implied conjugate-symmetric
-    extension; a {n: c} mapping may be passed as modes instead.
+    extension; a {n: c} mapping may be passed as modes instead.  No field
+    is assigned after construction, so the seam grids are kept.
     """
 
     side: str
@@ -77,6 +112,7 @@ class TraceModes:
             raise ValueError(f"unknown trace kind {kind!r}")
         self.side, self.kind, self.ell, self.mean = side, kind, ell, mean
         self.coef = _dense(modes or {}) if coef is None else coef
+        self._grids: dict[int, np.ndarray] = {}
 
     @property
     def modes(self) -> dict[int, complex]:
@@ -89,23 +125,14 @@ class TraceModes:
 
     def on_grid(self, npts: int) -> np.ndarray:
         """Values of the trace at y_j = j ell / npts, j = 0..npts-1, from one
-        inverse real FFT over every point of a trace with a points axis.
-
-        A mode n contributes 2 Re(c_n w^(n j)), w = exp(2 pi i / npts), which
-        is the bin r = n mod npts or, conjugated, npts - r, whichever is at
-        most npts/2; the bins 0 and npts/2 keep only a real part, so they
-        take 2 Re(c_n).  Modes past npts/2 thus alias onto the grid exactly
-        as their values there do.
-        """
-        r = np.arange(self.coef.shape[-1]) % npts
-        folded = 2 * r > npts
-        r = np.where(folded, npts - r, r)
-        c = np.where(folded, np.conj(self.coef), self.coef)
-        c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
-        spectrum = np.zeros(c.shape[:-1] + (npts // 2 + 1,), dtype=complex)
-        spectrum[..., 0] = self.mean
-        np.add.at(spectrum, (..., r), c)
-        return np.fft.irfft(spectrum, npts, norm="forward")
+        inverse real FFT over every point of a trace with a points axis
+        (_synthesize).  The grid is synthesized once per npts and kept; the
+        array returned is read-only."""
+        grid = self._grids.get(npts)
+        if grid is None:
+            grid = self._grids[npts] = _synthesize(self.mean, self.coef, npts)
+            grid.flags.writeable = False
+        return grid
 
     def parseval_norm_sq(self) -> float:
         """ell * (mean^2 + 2 * sum |coef_n|^2) = integral of trace^2 over y,
@@ -152,69 +179,54 @@ class FourierSolution:
         pairs = enumerate(zip(self.c.tolist(), self.d.tolist()))
         return {n: (c, d) for n, (c, d) in pairs if c or d}
 
-    def seam_arg(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, pi n s / ell) per mode index, with the argument set to 0 at the
-        zero modes: their seam values are then exactly 0, where cosh would
-        overflow and make 0 * inf."""
+    @cached_property
+    def seam(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, sinh arg, cosh arg) per mode index, arg = pi n s / ell,
+        computed once per field (no field is assigned after construction).
+        The argument is set to 0 at the zero modes: their seam values are
+        then exactly 0, where cosh would overflow and make 0 * inf."""
         n = np.arange(self.c.shape[-1])
         arg = np.pi * n * np.expand_dims(self.s, -1) / np.expand_dims(self.ell, -1)
-        return n, np.where((self.c == 0) & (self.d == 0), 0.0, arg)
+        arg = np.where((self.c == 0) & (self.d == 0), 0.0, arg)
+        return n, np.sinh(arg), np.cosh(arg)
 
     def _check_x(self, x):
         if np.any(np.abs(x) > self.s / 2 + 1e-12):
             raise DomainError(f"|x| exceeds s/2 = {self.s / 2}")
 
     def evaluate(self, x, y):
-        """Partial sum of the series; real by the conjugate-pair convention.
-
-        y is treated periodically with period ell.
-        """
+        """Partial sum of the series at each point of the broadcast (x, y);
+        y is treated periodically with period ell."""
         x, y = _as_pair(x, y)
         self._check_x(x)
-        k = 2.0 * np.pi / self.ell
-        total = np.asarray(self.c0 * x + self.d0, dtype=complex) + np.zeros(
-            np.broadcast(x, y).shape, dtype=complex
-        )
-        for n, (cn, dn) in self.modes.items():
-            an = cn * np.cosh(k * n * x) + dn * np.sinh(k * n * x)
-            term = an * np.exp(1j * k * n * y)
-            total = total + term + np.conj(term)
-        imag = float(np.max(np.abs(total.imag), initial=0.0))
-        if imag > 1e-12 * max(1.0, float(np.max(np.abs(total.real), initial=0.0))):
-            raise ValueError(f"evaluation produced imaginary part {imag}")
-        out = total.real
+        out = self.c0 * x + self.d0 + _series(x, y, self.ell, self.c, self.d)
         return float(out) if out.ndim == 0 else out
 
     def evaluate_dx(self, x, y):
         """x-derivative of the series (from the cylinder side)."""
         x, y = _as_pair(x, y)
         self._check_x(x)
-        k = 2.0 * np.pi / self.ell
-        total = np.full(np.broadcast(x, y).shape, float(self.c0))
-        for n, (cn, dn) in self.modes.items():
-            an = k * n * (cn * np.sinh(k * n * x) + dn * np.cosh(k * n * x))
-            total = total + 2.0 * np.real(an * np.exp(1j * k * n * y))
-        return float(total) if total.ndim == 0 else total
+        kn = 2.0 * np.pi / self.ell * np.arange(self.c.shape[-1])
+        out = self.c0 + _series(x, y, self.ell, kn * self.d, kn * self.c)
+        return float(out) if out.ndim == 0 else out
 
     def dirichlet_trace(self, side: str) -> TraceModes:
         """Boundary values on the seam x = -s/2 (left) or x = +s/2 (right)."""
         sgn = -1.0 if side == "left" else 1.0
-        _, arg = self.seam_arg()
+        _, S, C = self.seam
         return TraceModes(
             side=side,
             kind="dirichlet",
             ell=self.ell,
             mean=sgn * self.c0 * self.s / 2 + self.d0,
-            coef=self.c * np.cosh(arg) + sgn * self.d * np.sinh(arg),
+            coef=self.c * C + sgn * self.d * S,
         )
 
     def neumann_trace_flat(self, side: str) -> TraceModes:
         """d/dx values on a seam, taken from the cylinder side."""
         sgn = -1.0 if side == "left" else 1.0
-        n, arg = self.seam_arg()
-        coef = (2 * np.pi * n / np.expand_dims(self.ell, -1)) * (
-            sgn * self.c * np.sinh(arg) + self.d * np.cosh(arg)
-        )
+        n, S, C = self.seam
+        coef = (2 * np.pi * n / np.expand_dims(self.ell, -1)) * (sgn * self.c * S + self.d * C)
         return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=self.c0, coef=coef)
 
     def to_json(self) -> str:
@@ -279,23 +291,27 @@ def harmonicity_residual(
     """Max 5-point-stencil Laplacian over an interior grid.
 
     O(h^2) for resolved harmonic fields; a callable may be passed in place of
-    a FourierSolution (used to inject non-harmonic terms in tests).
+    a FourierSolution (used to inject non-harmonic terms in tests).  The
+    field is evaluated once, on the tensor grid (xs - h, xs, xs + h) x
+    (ys - h, ys, ys + h), and the five stencil values are blocks of it: a
+    FourierSolution on the open grid, which its series sums separably, a
+    callable on the meshgrid.
     """
     if isinstance(fld, FourierSolution):
         ell = fld.ell if ell is None else ell
         s = fld.s if s is None else s
-        f = fld.evaluate
-    else:
-        if ell is None or s is None:
-            raise ValueError("ell and s required for a bare callable")
-        f = fld
-    if h is None:
-        h = ell / 256
+    elif ell is None or s is None:
+        raise ValueError("ell and s required for a bare callable")
+    h = ell / 256 if h is None else h
+    xs = _stencil_xs(s, h, nx)
     ys = np.linspace(0.0, ell, ny, endpoint=False)
-    X, Y = np.meshgrid(_stencil_xs(s, h, nx), ys, indexing="ij")
-    lap = (
-        f(X + h, Y) + f(X - h, Y) + f(X, Y + h) + f(X, Y - h) - 4.0 * f(X, Y)
-    ) / h**2
+    x3, y3 = np.r_[xs - h, xs, xs + h], np.r_[ys - h, ys, ys + h]
+    if isinstance(fld, FourierSolution):
+        u = fld.evaluate(x3[:, None], y3)
+    else:
+        u = fld(*np.meshgrid(x3, y3, indexing="ij"))
+    u = u.reshape(3, len(xs), 3, ny)
+    lap = (u[2, :, 1] + u[0, :, 1] + u[1, :, 2] + u[1, :, 0] - 4.0 * u[1, :, 1]) / h**2
     return float(np.max(np.abs(lap)))
 
 
@@ -338,39 +354,43 @@ def harmonicity_bound(
     return truncation, STENCIL_ROUNDING * np.finfo(float).eps * umax / h**2
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, eq=False)
 class QuadDiffModes:
     """Fourier data (u_n, v_n) of the harmonic function Im(phi) on the cylinder.
 
-    Im(phi) has the same series shape as a FourierSolution, with mean part
-    u0*x + v0.  Re(phi) is the harmonic conjugate with respect to the
+    Im(phi) is the series of a FourierSolution with mean part u0*x + v0 and
+    modes (u_n, v_n) in place of (c_n, d_n): u[n] and v[n] hold them (index
+    0 holds no mode and is 0), and a {n: (u_n, v_n)} mapping may be passed
+    as modes instead.  Re(phi) is the harmonic conjugate with respect to the
     negatively-oriented conformal frame (y + i*x), with its free additive
     constant fixed to 0.
     """
 
     ell: float
     s: float
-    u0: float = 0.0
-    v0: float = 0.0
-    modes: dict[int, tuple[complex, complex]] = field(default_factory=dict)
+    u0: float
+    v0: float
+    u: np.ndarray
+    v: np.ndarray
 
-    def _as_solution(self) -> FourierSolution:
-        return FourierSolution(
-            ell=self.ell, s=self.s, c0=self.u0, d0=self.v0, modes=dict(self.modes)
-        )
+    def __init__(self, ell, s, u0=0.0, v0=0.0, modes=None, u=None, v=None):
+        self._im = FourierSolution(ell=ell, s=s, c0=u0, d0=v0, modes=modes, c=u, d=v)
+        self.ell, self.s, self.u0, self.v0 = ell, s, u0, v0
+        self.u, self.v = self._im.c, self._im.d
+
+    @property
+    def modes(self) -> dict[int, tuple[complex, complex]]:
+        """{n: (u_n, v_n)} of the nonzero modes."""
+        return self._im.modes
 
     def im_phi(self, x, y):
-        return self._as_solution().evaluate(x, y)
+        return self._im.evaluate(x, y)
 
     def im_phi_dy(self, x, y):
         """y-derivative of Im(phi)."""
-        x, y = _as_pair(x, y)
-        k = 2.0 * np.pi / self.ell
-        total = np.zeros(np.broadcast(x, y).shape, dtype=float)
-        for n, (un, vn) in self.modes.items():
-            an = un * np.cosh(k * n * x) + vn * np.sinh(k * n * x)
-            total = total + 2.0 * np.real(1j * k * n * an * np.exp(1j * k * n * y))
-        return float(total) if total.ndim == 0 else total
+        ikn = 2j * np.pi / self.ell * np.arange(len(self.u))
+        out = _series(x, y, self.ell, ikn * self.u, ikn * self.v)
+        return float(out) if out.ndim == 0 else out
 
     def re_phi(self, x, y):
         """Harmonic conjugate of Im(phi) in the frame w = y + i x.
@@ -380,42 +400,32 @@ class QuadDiffModes:
         The u0*y branch is single-valued only for u0 = 0.
         """
         x, y = _as_pair(x, y)
-        k = 2.0 * np.pi / self.ell
-        total = np.asarray(self.u0 * y, dtype=float) + np.zeros(
-            np.broadcast(x, y).shape
-        )
-        for n, (un, vn) in self.modes.items():
-            an = -1j * (un * np.sinh(k * n * x) + vn * np.cosh(k * n * x))
-            total = total + 2.0 * np.real(an * np.exp(1j * k * n * y))
-        return float(total) if total.ndim == 0 else total
+        out = self.u0 * y + _series(x, y, self.ell, -1j * self.v, -1j * self.u)
+        return float(out) if out.ndim == 0 else out
 
-    def seam_value(self, side: str, n: int) -> complex:
-        """Mode-n value of Im(phi) on a seam: u_n cosh -/+ v_n sinh."""
+    def re_phi_on_seam(self, side: str, npts: int) -> np.ndarray:
+        """re_phi on a seam at y_j = j ell / npts, j = 0..npts-1: u0 y_j plus
+        the seam modes -i (v_n cosh -/+ u_n sinh), from one inverse real FFT."""
         sgn = -1.0 if side == "left" else 1.0
-        un, vn = self.modes.get(n, (0.0, 0.0))
-        arg = np.pi * n * self.s / self.ell
-        return un * np.cosh(arg) + sgn * vn * np.sinh(arg)
+        _, S, C = self._im.seam
+        y = np.arange(npts) * (self.ell / npts)
+        return self.u0 * y + _synthesize(0.0, -1j * (self.v * C + sgn * self.u * S), npts)
+
+    def seam_values(self, side: str) -> np.ndarray:
+        """Mode values u_n cosh -/+ v_n sinh of Im(phi) on a seam, indexed by
+        n, exactly 0 at the zero modes."""
+        sgn = -1.0 if side == "left" else 1.0
+        _, S, C = self._im.seam
+        return self.u * C + sgn * self.v * S
 
     def norm(self) -> float:
         """Sup-norm estimate of Im(phi) over the closed cylinder."""
+        _, S, C = self._im.seam
         total = abs(self.u0) * self.s / 2 + abs(self.v0)
-        for n, (un, vn) in self.modes.items():
-            arg = np.pi * n * self.s / self.ell
-            total += 2.0 * (abs(un) * np.cosh(arg) + abs(vn) * np.sinh(arg))
-        return float(total)
+        return float(total + np.sum(2.0 * (np.abs(self.u) * C + np.abs(self.v) * S)))
 
     def scaled(self, eps: float) -> "QuadDiffModes":
-        return QuadDiffModes(
-            ell=self.ell,
-            s=self.s,
-            u0=eps * self.u0,
-            v0=eps * self.v0,
-            modes={n: (eps * u, eps * v) for n, (u, v) in self.modes.items()},
-        )
+        return QuadDiffModes(self.ell, self.s, eps * self.u0, eps * self.v0, u=eps * self.u, v=eps * self.v)
 
     def is_zero(self) -> bool:
-        return (
-            self.u0 == 0.0
-            and self.v0 == 0.0
-            and all(u == 0.0 and v == 0.0 for u, v in self.modes.values())
-        )
+        return self.u0 == 0.0 and self.v0 == 0.0 and not np.any(self.u) and not np.any(self.v)

@@ -101,10 +101,11 @@ def solve_amended_variation(
     """
     base = solve_flat_variation(flat_neumann, mean_value)
     ell = flat_neumann.ell
-    coef = np.zeros(max(len(base.coef), max(q.modes, default=0) + 1), dtype=complex)
+    width = len(q.u)
+    coef = np.zeros(max(len(base.coef), width), dtype=complex)
     coef[: len(base.coef)] = base.coef
-    for n in q.modes:
-        coef[n] += ell / (2.0 * np.pi * 1j * n) * q.seam_value(flat_neumann.side, n)
+    n = np.arange(1, width)
+    coef[1:width] += -1j * (ell / (2.0 * np.pi * n)) * q.seam_values(flat_neumann.side)[1:]
     return VariationField(
         side=flat_neumann.side, ell=ell, mean=mean_value, coef=coef, amended=True
     )
@@ -291,7 +292,6 @@ def geodesic_oracle(
     fam,
     side: str,
     t: float,
-    fd_step: float | None = None,
     m: int = 256,
     scheme: str = "richardson",
     initial_rate: np.ndarray | None = None,
@@ -299,9 +299,9 @@ def geodesic_oracle(
     """Normal displacement rate of the perturbed closed seam geodesic.
 
     Solves the discretized periodic geodesic equation for the family metric
-    at parameters +/- tau and differences in t.  Schemes: "forward"
-    (first order, two solves), "centered", or "richardson" (centered at tau
-    and tau/2).  Returns (y grid, displacement / t samples).
+    at parameters +/- t and differences in t.  Schemes: "forward"
+    (first order, two solves), "centered", or "richardson" (centered at t
+    and t/2).  Returns (y grid, displacement / t samples).
 
     Pass initial_rate (samples of the anticipated normal variation on the
     uniform y grid) to select the perturbed geodesic continuously connected
@@ -310,7 +310,6 @@ def geodesic_oracle(
     the solution either way.
     """
     chart = fam.base
-    tau = t if fd_step is None else fd_step
     base = -chart.s / 2 if side == "left" else chart.s / 2
 
     def solve(tt):
@@ -323,12 +322,12 @@ def geodesic_oracle(
     if t == 0:
         return y, np.zeros(m)
     if scheme == "forward":
-        rate = (solve(tau) - base) / tau
+        rate = (solve(t) - base) / t
     elif scheme == "centered":
-        rate = (solve(tau) - solve(-tau)) / (2 * tau)
+        rate = (solve(t) - solve(-t)) / (2 * t)
     elif scheme == "richardson":
-        d1 = (solve(tau) - solve(-tau)) / (2 * tau)
-        d2 = (solve(tau / 2) - solve(-tau / 2)) / tau
+        d1 = (solve(t) - solve(-t)) / (2 * t)
+        d2 = (solve(t / 2) - solve(-t / 2)) / t
         rate = (4.0 * d2 - d1) / 3.0
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

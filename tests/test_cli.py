@@ -250,6 +250,43 @@ def test_sweep_over_an_invalid_value_exits_2(capsys):
     assert captured.err == "error: need ell > 0, a > 0, s >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        ("modes --a nan", "a"),
+        ("verify --ell nan", "ell"),
+        ("verify --tol inf", "tol"),
+        ("sweep --param s --from 0 --to nan", "to"),
+        ("sweep --param a --from=-inf --to 1", "from"),
+        ("chart --ell inf", "ell"),
+        ("chart --s nan", "s"),
+        ("geodesic --t nan", "t"),
+    ],
+)
+def test_non_finite_values_exit_2(argv, key, capsys):
+    # NaN fails every comparison, so the sign checks alone would let it through
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must be finite, got ")
+
+
+def test_non_finite_config_file_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("s = -inf\n")
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: s must be finite, got -inf\n"
+
+
+def test_fd_step_is_not_an_option(tmp_path, capsys):
+    assert cli.main(["geodesic", "--fd-step", "1e-6"]) == 2
+    path = tmp_path / "run.cfg"
+    path.write_text("fd_step = 1e-6\n")
+    assert cli.main(["geodesic", "--config", str(path)]) == 2
+    assert "unknown key 'fd_step'" in capsys.readouterr().err
+
+
 #: sha256 of stdout, taken from the thread-pool sweep and the dict-based
 #: modes table that the array passes replaced; the first sweep's hash was
 #: taken again when the seam grid went from 4096 points to 64, which moved
@@ -309,3 +346,44 @@ def test_sweep_synthesizes_each_seam_trace_once_on_64_points(monkeypatch, capsys
 
 def test_parser_is_built_once():
     assert cli.make_parser() is cli.make_parser()
+
+
+def _canonical(out: str) -> str:
+    return "".join(ln for ln in out.splitlines(True) if not ln.lstrip().startswith('"generated_at"'))
+
+
+def test_verify_output_is_unchanged_by_commands_run_in_between(capsys):
+    # kept seam grids and seam arrays belong to one field: a second run in
+    # the same process, after other commands, prints the same report
+    code, first = run(["verify", "--modes", "64"], capsys)
+    assert code == 0
+    assert run(["verify", "--modes", "64", "--seed", "9", "--s", "3"], capsys)[0] == 0
+    assert run("sweep --param s --from 0.5 --to 20 --ell 8 --modes 8 --steps 20".split(), capsys)[0] == 0
+    code, again = run(["verify", "--modes", "64"], capsys)
+    assert code == 0
+    assert _canonical(again) == _canonical(first)
+
+
+def test_verify_synthesizes_six_seam_grids_and_evaluates_the_stencil_field_once(monkeypatch, capsys):
+    synthesized, evaluated = [], []
+    synthesize = spectral._synthesize
+    evaluate = spectral.FourierSolution.evaluate
+
+    def counted_synthesize(mean, coef, npts):
+        synthesized.append(npts)
+        return synthesize(mean, coef, npts)
+
+    def counted_evaluate(self, x, y):
+        evaluated.append((np.shape(x), np.shape(y)))
+        return evaluate(self, x, y)
+
+    monkeypatch.setattr(spectral, "_synthesize", counted_synthesize)
+    monkeypatch.setattr(spectral.FourierSolution, "evaluate", counted_evaluate)
+    code, _ = run(["verify", "--modes", "64"], capsys)
+    assert code == 0
+    # two Dirichlet traces, two hyperbolic Neumann traces and two amended
+    # ones, each on the one 256-point grid; the arc length reuses the left
+    # Dirichlet grid and the extended quadrature both Dirichlet grids
+    assert synthesized == [256] * 6
+    # the stencil field, once, on the open tensor grid of 3 x 16 by 3 x 32 points
+    assert evaluated == [((48, 1), (96,))]

@@ -263,3 +263,78 @@ def test_quad_conjugate_satisfies_cauchy_riemann():
     assert np.max(np.abs(re_y - im_x)) < 1e-6
     re_x = (q.re_phi(x + h, y) - q.re_phi(x - h, y)) / (2 * h)
     assert np.max(np.abs(re_x + q.im_phi_dy(x, y))) < 1e-6
+
+
+@pytest.mark.parametrize("nmax", [1, 3, 16])
+def test_tensor_grid_series_matches_pointwise_evaluate(nmax):
+    # the open grid (xs[:, None], ys), on which each x profile and each y
+    # exponential is computed once per line, against the meshgrid and the
+    # mode loop, within 8 eps times the sum of |term| at each point
+    sol = _random_sol(20 + nmax, nmax=nmax, amplitude=0.1)
+    xs = np.linspace(-S / 2, S / 2, 7)
+    ys = np.linspace(-0.5, ELL + 0.5, 11)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    k = 2 * np.pi / ELL
+    loop = sol.c0 * X + sol.d0
+    scale = np.abs(loop)
+    for n, (cn, dn) in sol.modes.items():
+        term = (cn * np.cosh(k * n * X) + dn * np.sinh(k * n * X)) * np.exp(1j * k * n * Y)
+        loop = loop + 2 * term.real
+        scale = scale + 2 * np.abs(term)
+    got = sol.evaluate(xs[:, None], ys)
+    assert got.shape == (7, 11)
+    bound = 8 * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - sol.evaluate(X, Y)) <= bound)
+    assert np.all(np.abs(got - loop) <= bound)
+
+
+def test_harmonicity_residual_evaluates_a_callable_once_on_one_grid():
+    grids = []
+
+    def quadratic(x, y):
+        grids.append(x.shape)
+        return x**2 + 0.0 * y
+
+    assert harmonicity_residual(quadratic, ell=ELL, s=S) == pytest.approx(2.0, rel=1e-6)
+    # (xs - h, xs, xs + h) x (ys - h, ys, ys + h) with nx = 16, ny = 32
+    assert grids == [(48, 96)]
+
+
+def test_on_grid_is_kept_and_read_only():
+    trace = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=0.1, modes={1: 0.5j, 3: 0.2})
+    grid = trace.on_grid(64)
+    assert trace.on_grid(64) is grid
+    assert trace.on_grid(32) is not grid
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+
+
+def test_quad_modes_from_mapping_equal_those_from_arrays():
+    modes = {1: (0.4 - 0.2j, 0.1 + 0.5j), 3: (0.0, -0.3j), 4: (0.2, 0.0)}
+    mapped = QuadDiffModes(ell=ELL, s=S, u0=0.2, v0=0.3, modes=modes)
+    u = np.array([0, 0.4 - 0.2j, 0, 0, 0.2])
+    v = np.array([0, 0.1 + 0.5j, 0, -0.3j, 0])
+    dense = QuadDiffModes(ell=ELL, s=S, u0=0.2, v0=0.3, u=u, v=v)
+    assert mapped.modes == dense.modes == modes
+    x = np.array([0.0, 0.4, -1.0, 1.0])
+    y = np.array([0.3, 2.0, 5.0, 6.0])
+    for side in ("left", "right"):
+        assert np.array_equal(mapped.seam_values(side), dense.seam_values(side))
+    assert mapped.norm() == dense.norm()
+    assert np.array_equal(mapped.re_phi(x, y), dense.re_phi(x, y))
+    assert np.array_equal(mapped.im_phi_dy(x, y), dense.im_phi_dy(x, y))
+    # the seam grid route of Re(phi) against the pointwise one, u0 y branch included
+    grid = np.arange(16) * (ELL / 16)
+    for side, x_seam in (("left", -S / 2), ("right", S / 2)):
+        pointwise = mapped.re_phi(np.full(16, x_seam), grid)
+        assert np.allclose(mapped.re_phi_on_seam(side, 16), pointwise, rtol=0, atol=1e-13)
+    # the loop-free forms against one mode written out
+    k = 2 * np.pi / ELL
+    un, vn = modes[1]
+    a1 = un * np.cosh(k * x) + vn * np.sinh(k * x)
+    expected_dy = 2 * np.real(1j * k * a1 * np.exp(1j * k * y))
+    single = QuadDiffModes(ell=ELL, s=S, modes={1: modes[1]})
+    assert np.allclose(single.im_phi_dy(x, y), expected_dy, rtol=0, atol=1e-14)
+    assert single.seam_values("left")[1] == un * np.cosh(1.0) - vn * np.sinh(1.0)
+    assert single.scaled(2.0).modes == {1: (2 * un, 2 * vn)}
+    assert QuadDiffModes(ell=ELL, s=S).is_zero() and not single.is_zero()
