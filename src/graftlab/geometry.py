@@ -154,18 +154,20 @@ def total_area(chart: GraftedCollar) -> float:
     return 2.0 * chart.ell * np.sinh(chart.a) + chart.ell * chart.s
 
 
-def _strip_integral(f, a: float) -> float:
-    """Integral of f over [0, a] by the 16-point Gauss-Legendre rule on
-    unit-width panels, which reaches rounding for cosh and sech."""
-    x, w = _gauss_legendre(np.r_[np.arange(0.0, a, 1.0), a])
-    return float(w @ f(x))
+def _strip_integral(chart: GraftedCollar, f) -> float:
+    """Integral of f(G(x)) over both hyperbolic strips, s/2 <= |x| <= x_max,
+    by the 16-point Gauss-Legendre rule on unit-width panels of |x| - s/2,
+    which reaches rounding for G = cosh(|x| - s/2) and 1 / G."""
+    xi, w = _gauss_legendre(np.r_[np.arange(0.0, chart.a, 1.0), chart.a])
+    x = chart.s / 2 + xi
+    return float(w @ (f(chart.G(x)) + f(chart.G(-x))))
 
 
 def total_area_quadrature(chart: GraftedCollar) -> float:
-    """Area by quadrature: ell s on the flat stratum plus ell times the
-    integral of G = cosh(xi) over each strip (_strip_integral), so the seam
-    kink does not degrade the quadrature order."""
-    return chart.ell * chart.s + 2.0 * chart.ell * _strip_integral(np.cosh, chart.a)
+    """Area by quadrature of ell * integral of G: ell s on the flat stratum
+    plus each strip separately (_strip_integral), so the seam kink does not
+    degrade the quadrature order."""
+    return chart.ell * chart.s + chart.ell * _strip_integral(chart, np.positive)
 
 
 def conformal_modulus(chart: GraftedCollar) -> float:
@@ -176,8 +178,8 @@ def conformal_modulus(chart: GraftedCollar) -> float:
 
 def conformal_modulus_quadrature(chart: GraftedCollar) -> float:
     """Modulus by quadrature of (1/ell) integral dx / G(x): the flat
-    stratum gives s, each strip the integral of sech (_strip_integral)."""
-    return (chart.s + 2.0 * _strip_integral(lambda x: 1.0 / np.cosh(x), chart.a)) / chart.ell
+    stratum gives s, the strips their integral of 1 / G (_strip_integral)."""
+    return (chart.s + _strip_integral(chart, np.reciprocal)) / chart.ell
 
 
 def grafted_length(ell: float, s: float) -> float:

@@ -443,11 +443,12 @@ def arc_length_derivative(
     (nmax over the trace and q) unless npts is given.  Reduces to -d0 ell / 2 without
     quadratic-differential data.  dirichlet is the seam's Dirichlet trace
     of sol, when the caller has it already."""
+    x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
     dirichlet = sol.dirichlet_trace(side) if dirichlet is None else dirichlet
-    qmax = len(q.u) - 1 if q is not None else 0
+    qmax = max(q.modes, default=0) if q is not None else 0
     npts = seam_points(max(dirichlet.max_mode(), qmax)) if npts is None else npts
     hdot = dirichlet.on_grid(npts)
-    re = q.re_phi_on_seam(side, npts) if q is not None else 0.0
+    re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts)) if q is not None else 0.0
     return float(-0.5 * (sol.ell / npts) * np.sum(hdot - 2.0 * re))
 
 

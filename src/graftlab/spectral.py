@@ -171,6 +171,9 @@ class FourierSolution:
             modes = modes or {}
             c = _dense({n: cd[0] for n, cd in modes.items()}, lowest=1)
             d = _dense({n: cd[1] for n, cd in modes.items()}, lowest=1)
+        if np.any(np.imag(c0)) or np.any(np.imag(d0)):
+            raise ValueError(f"c0 and d0 must be real, got {c0!r} and {d0!r}")
+        c0, d0 = np.real(c0), np.real(d0)
         self.ell, self.s, self.c0, self.d0, self.c, self.d = ell, s, c0, d0, c, d
 
     @property
@@ -402,14 +405,6 @@ class QuadDiffModes:
         x, y = _as_pair(x, y)
         out = self.u0 * y + _series(x, y, self.ell, -1j * self.v, -1j * self.u)
         return float(out) if out.ndim == 0 else out
-
-    def re_phi_on_seam(self, side: str, npts: int) -> np.ndarray:
-        """re_phi on a seam at y_j = j ell / npts, j = 0..npts-1: u0 y_j plus
-        the seam modes -i (v_n cosh -/+ u_n sinh), from one inverse real FFT."""
-        sgn = -1.0 if side == "left" else 1.0
-        _, S, C = self._im.seam
-        y = np.arange(npts) * (self.ell / npts)
-        return self.u0 * y + _synthesize(0.0, -1j * (self.v * C + sgn * self.u * S), npts)
 
     def seam_values(self, side: str) -> np.ndarray:
         """Mode values u_n cosh -/+ v_n sinh of Im(phi) on a seam, indexed by

@@ -92,6 +92,16 @@ def test_chart_oracles_reach_rounding(a):
         assert abs(conformal_modulus_quadrature(chart) - modulus) <= 8 * eps * modulus
 
 
+def test_chart_oracles_evaluate_the_chart_on_both_strips(monkeypatch):
+    # a defect of the metric on one strip alone must move both oracles off
+    # their closed forms
+    chart = GraftedCollar(ell=3.0, s=1.5, a=2.0)
+    G = GraftedCollar.G
+    monkeypatch.setattr(GraftedCollar, "G", lambda self, x: G(self, x) * (1 + 1e-6 * (np.asarray(x) < 0)))
+    assert abs(total_area_quadrature(chart) / total_area(chart) - 1) > 1e-8
+    assert abs(conformal_modulus_quadrature(chart) / conformal_modulus(chart) - 1) > 1e-8
+
+
 def test_modulus_monotone():
     ells = np.linspace(1.0, 8.0, 25)
     mods = [conformal_modulus(GraftedCollar(ell=l, s=1.0, a=1.0)) for l in ells]

@@ -309,6 +309,18 @@ def test_on_grid_is_kept_and_read_only():
         grid[0] = 1.0
 
 
+def test_complex_mean_part_is_rejected():
+    with pytest.raises(ValueError, match="must be real"):
+        FourierSolution(ell=ELL, s=S, c0=0.3 + 1e-3j)
+    with pytest.raises(ValueError, match="must be real"):
+        FourierSolution(ell=ELL, s=S, d0=np.array([0.1, 0.2 - 1j]))
+    # a complex type with no imaginary part is kept as its real part
+    sol = FourierSolution(ell=ELL, s=S, c0=0.3 + 0j, d0=-0.7 + 0j, modes={1: (0.5, 0.2j)})
+    value = sol.evaluate(0.4, 1.0)
+    assert isinstance(value, float)
+    assert value == FourierSolution(ell=ELL, s=S, c0=0.3, d0=-0.7, modes={1: (0.5, 0.2j)}).evaluate(0.4, 1.0)
+
+
 def test_quad_modes_from_mapping_equal_those_from_arrays():
     modes = {1: (0.4 - 0.2j, 0.1 + 0.5j), 3: (0.0, -0.3j), 4: (0.2, 0.0)}
     mapped = QuadDiffModes(ell=ELL, s=S, u0=0.2, v0=0.3, modes=modes)
@@ -323,11 +335,6 @@ def test_quad_modes_from_mapping_equal_those_from_arrays():
     assert mapped.norm() == dense.norm()
     assert np.array_equal(mapped.re_phi(x, y), dense.re_phi(x, y))
     assert np.array_equal(mapped.im_phi_dy(x, y), dense.im_phi_dy(x, y))
-    # the seam grid route of Re(phi) against the pointwise one, u0 y branch included
-    grid = np.arange(16) * (ELL / 16)
-    for side, x_seam in (("left", -S / 2), ("right", S / 2)):
-        pointwise = mapped.re_phi(np.full(16, x_seam), grid)
-        assert np.allclose(mapped.re_phi_on_seam(side, 16), pointwise, rtol=0, atol=1e-13)
     # the loop-free forms against one mode written out
     k = 2 * np.pi / ELL
     un, vn = modes[1]
