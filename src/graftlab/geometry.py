@@ -94,13 +94,6 @@ class GraftedCollar:
         )
         return float(out) if out.ndim == 0 else out
 
-    def Gpp(self, x):
-        """G'' away from the seams (flat side value exactly on a seam)."""
-        x = np.asarray(x, dtype=float)
-        self._check_domain(x)
-        out = np.where(np.abs(x) <= self.s / 2, 0.0, np.cosh(np.abs(x) - self.s / 2))
-        return float(out) if out.ndim == 0 else out
-
     def to_json(self) -> str:
         return json.dumps(
             {"ell": self.ell, "s": self.s, "a": self.a, "outer_bc": self.outer_bc},

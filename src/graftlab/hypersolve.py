@@ -258,23 +258,28 @@ def _scales(seam_dirichlet, ns: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(seam_dirichlet, dtype=complex), ns.shape)
 
 
-def solve_modes(ns, ell: float, a: float, outer_bc: str = "dirichlet") -> HyperbolicModeSolution:
-    """Unit seam solves of the strip mode BVP for every mode in ns at once.
-
-    Closed form: the unit solve c_u u + c_w w of _unit_solution on the
-    scaled Poschl-Teller pair of _pair, evaluated as one (modes x points)
-    array; seam Dirichlet values come from at_seam_values.
-    """
-    ns = np.asarray(ns, dtype=int).ravel()
+def _profiles(ns: np.ndarray, ell: float, a: float, shift: float, cu, cw) -> StripProfiles:
+    """The profiles c_u u + c_w w of the modes ns, one row each, on the pair
+    of _pair with the given shift, evaluated as one (rows x points) array."""
     mu = _mu(ns, ell)
-    shift, cu, cw = _unit_solution(mu, a, outer_bc)
 
     def values(rows, xi, trig):
         col = (rows,) + (None,) * np.ndim(xi)
         u, up, w, wp = _pair(mu[col], trig, shift)
         return cu[col] * u + cw[col] * w, cu[col] * up + cw[col] * wp
 
-    profiles = StripProfiles(ns=ns, ell=ell, a=a, values=values)
+    return StripProfiles(ns=ns, ell=ell, a=a, values=values)
+
+
+def solve_modes(ns, ell: float, a: float, outer_bc: str = "dirichlet") -> HyperbolicModeSolution:
+    """Unit seam solves of the strip mode BVP for every mode in ns at once.
+
+    Closed form: the unit solve c_u u + c_w w of _unit_solution on the
+    scaled Poschl-Teller pair of _pair (_profiles); seam Dirichlet values
+    come from at_seam_values.
+    """
+    ns = np.asarray(ns, dtype=int).ravel()
+    profiles = _profiles(ns, ell, a, *_unit_solution(_mu(ns, ell), a, outer_bc))
     return HyperbolicModeSolution(outer_bc=outer_bc, profiles=profiles, scale=_scales(1.0, ns))
 
 
@@ -313,23 +318,9 @@ def dtn(n: int, ell: float, a: float, outer_bc: str = "dirichlet", method: str =
     return float(seam_dtn([n], ell, a, outer_bc)[0])
 
 
-@dataclass
-class StripModeExtension:
-    """Cauchy extension of one mode into a strip from seam data (value, slope)."""
-
-    n: int
-    ell: float
-    a: float
-    seam_value: complex
-    seam_slope: complex
-    b_fn: Callable = field(repr=False)
-    bp_fn: Callable = field(repr=False)
-
-
-def mode_extend(
-    n: int, ell: float, a: float, seam_value: complex, seam_slope: complex
-) -> StripModeExtension:
-    """Extend the mode from the seam with prescribed Cauchy data (v, p).
+def mode_extend(ns, ell: float, a: float, seam_values, seam_slopes) -> StripProfiles:
+    """Extend each mode ns[k] from the seam with prescribed Cauchy data
+    (v, p) = (seam_values[k], seam_slopes[k]), as one row of profiles.
 
     Closed form on the unscaled pair of _pair: for n >= 1,
     b = A u + B w with A = (v/mu + p/(1+mu^2))/2 and B = (p/(1+mu^2) - v/mu)/2;
@@ -340,25 +331,15 @@ def mode_extend(
     continuous with the cylinder trace and carries a prescribed strip-side
     normal derivative.
     """
-    mu = _mu(n, ell)
-    v, p = seam_value, seam_slope
-    if mu == 0.0:
-        cu, cw = v, p
-    else:
-        cu = (v / mu + p / (1.0 + mu * mu)) / 2.0
-        cw = (p / (1.0 + mu * mu) - v / mu) / 2.0
-
-    def b_fn(xi):
-        u, _, w, _ = _pair(mu, _trig(xi))
-        return cu * u + cw * w
-
-    def bp_fn(xi):
-        _, up, _, wp = _pair(mu, _trig(xi))
-        return cu * up + cw * wp
-
-    return StripModeExtension(
-        n=n, ell=ell, a=a, seam_value=seam_value, seam_slope=seam_slope, b_fn=b_fn, bp_fn=bp_fn
-    )
+    ns = np.asarray(ns, dtype=int).ravel()
+    mu = _mu(ns, ell)
+    v, p = _scales(seam_values, ns), _scales(seam_slopes, ns)
+    zero = mu == 0.0
+    # mu = 0 rows take (v, p); the placeholder 1 keeps their quotient finite
+    v_mu, p_mu = v / np.where(zero, 1.0, mu), p / (1.0 + mu * mu)
+    cu = np.where(zero, v, (v_mu + p_mu) / 2.0)
+    cw = np.where(zero, p, (p_mu - v_mu) / 2.0)
+    return _profiles(ns, ell, a, 0.0, cu, cw)
 
 
 def interior_integral(

@@ -323,6 +323,28 @@ def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) ->
     return _subtract_in_order(total, terms)
 
 
+def _nonpositive_report(
+    identity: str, terms: tuple[tuple[str, float], ...], nonpositive: tuple, tol: float, notes: str
+) -> IdentityReport:
+    """Verdict on a decomposition whose total is the sum of terms: it passes
+    when every nonpositive-by-construction term is within tol (relative to
+    max(1, their sizes)) of being nonpositive, and every term is finite."""
+    total = sum(v for _, v in terms)
+    violation = max(0.0, *nonpositive)
+    scale = max(1.0, *(abs(v) for v in nonpositive))
+    return IdentityReport(
+        identity=identity,
+        terms=terms,
+        lhs=total,
+        rhs=0.0,
+        abs_err=violation,
+        rel_err=violation / scale,
+        tol=tol,
+        passed=_finite(total, *(v for _, v in terms)) and violation / scale <= tol,
+        notes=notes,
+    )
+
+
 def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityReport:
     """Nonpositive decomposition of the seam boundary term.
 
@@ -347,27 +369,15 @@ def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityR
         ("mean_term", t_mean),
         ("outer_greens", t_outer),
     )
-    total = t_energy + t_series + t_mean + t_outer
     closed = boundary_term_closed(sol, config.v_left, config.v_right)
     seam_form = hypersolve.seam_boundary_form(modes)
-    violation = max(0.0, t_energy, t_series, t_mean)
-    scale = max(1.0, abs(t_energy), abs(t_series), abs(t_mean))
     sres = slice_residual(sol, config.v_left, config.v_right, config.s_rate)
-    return IdentityReport(
-        identity="master_identity",
-        terms=terms,
-        lhs=total,
-        rhs=0.0,
-        abs_err=violation,
-        rel_err=violation / scale,
-        tol=tol,
-        passed=_finite(total, *(v for _, v in terms)) and violation / scale <= tol,
-        notes=(
-            "total is the seam data mismatch on this bounded model: "
-            f"closed boundary term {closed:.6e} vs strip Green form {seam_form:.6e}; "
-            f"slice residual {sres:.3e}"
-        ),
+    notes = (
+        "total is the seam data mismatch on this bounded model: "
+        f"closed boundary term {closed:.6e} vs strip Green form {seam_form:.6e}; "
+        f"slice residual {sres:.3e}"
     )
+    return _nonpositive_report("master_identity", terms, (t_energy, t_series, t_mean), tol, notes)
 
 
 # --- area derivatives -------------------------------------------------------
@@ -519,24 +529,12 @@ def extended_master_identity(
         ("height_rate_term", t_rate),
         ("outer_greens", t_outer),
     )
-    total = sum(v for _, v in terms)
-    violation = max(0.0, t_energy, t_series, t_mean)
-    scale = max(1.0, abs(t_energy), abs(t_series), abs(t_mean))
-    return IdentityReport(
-        identity="extended_master_identity",
-        terms=terms,
-        lhs=total,
-        rhs=0.0,
-        abs_err=violation,
-        rel_err=violation / scale,
-        tol=tol,
-        passed=_finite(total, *(v for _, v in terms)) and violation / scale <= tol,
-        notes=(
-            f"mixed series {t_cross:.6e}, linear bound ell*s*|Im phi|_sup = "
-            f"{bound:.6e}, measured ratio {ratio:.3e} (constant unquantified); "
-            f"lamination-length rewrite max difference {rewrite_diff:.3e}"
-        ),
+    notes = (
+        f"mixed series {t_cross:.6e}, linear bound ell*s*|Im phi|_sup = "
+        f"{bound:.6e}, measured ratio {ratio:.3e} (constant unquantified); "
+        f"lamination-length rewrite max difference {rewrite_diff:.3e}"
     )
+    return _nonpositive_report("extended_master_identity", terms, (t_energy, t_series, t_mean), tol, notes)
 
 
 # --- per-mode injectivity system --------------------------------------------

@@ -40,19 +40,6 @@ def _dense(modes: Mapping[int, complex], lowest: int = 0) -> np.ndarray:
     return out
 
 
-def _mode_sum(y, ell: float, coef: np.ndarray) -> np.ndarray:
-    """Sum 2*Re(coef_n * z^n), z = exp(2*pi*i*y/ell), of one-point dense
-    coefficients c_0..c_N: Horner's rule in z, one complex exponential per
-    point, then one multiply-add per index."""
-    y = np.asarray(y, dtype=float)
-    z = np.exp(2j * np.pi / ell * y)
-    acc = np.full(y.shape, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= z
-        acc += c
-    return 2.0 * acc.real
-
-
 def _synthesize(mean, coef: np.ndarray, npts: int) -> np.ndarray:
     """mean + sum_n 2 Re(coef_n w^(n j)), w = exp(2 pi i / npts), at
     j = 0..npts-1, from one inverse real FFT over every point of a leading
@@ -120,8 +107,9 @@ class TraceModes:
         return {n: c for n, c in enumerate(self.coef.tolist()) if c}
 
     def reconstruct(self, y) -> np.ndarray:
-        """Real values of a one-point trace at circumferential positions y."""
-        return self.mean + _mode_sum(y, self.ell, self.coef)
+        """Real values of a one-point trace at circumferential positions y:
+        the series of _series at x = 0, where cosh is 1 and sinh is 0."""
+        return self.mean + _series(0.0, y, self.ell, self.coef, np.zeros_like(self.coef))
 
     def on_grid(self, npts: int) -> np.ndarray:
         """Values of the trace at y_j = j ell / npts, j = 0..npts-1, from one

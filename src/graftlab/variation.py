@@ -20,7 +20,7 @@ import numpy as np
 from . import hypersolve
 from .errors import ConvergenceError, SolvabilityError
 from .geometry import GlobalField, GraftedCollar
-from .spectral import FourierSolution, QuadDiffModes, TraceModes, _mode_sum
+from .spectral import FourierSolution, QuadDiffModes, TraceModes, _series
 
 #: traces with |mean| above this are rejected as unsolvable (the periodic
 #: solvability constraint forcing the linear-in-x coefficient to vanish)
@@ -45,7 +45,7 @@ class VariationField:
         return {n: c for n, c in enumerate(self.coef.tolist()) if c}
 
     def reconstruct(self, y) -> np.ndarray:
-        return self.mean + _mode_sum(y, self.ell, self.coef)
+        return self.mean + _series(0.0, y, self.ell, self.coef, np.zeros_like(self.coef))
 
     def rotated(self, y0: float) -> "VariationField":
         k = 2.0 * np.pi / self.ell
@@ -201,23 +201,21 @@ def matched_global_field(
     nl = hyperbolic_neumann(v_left)
     nr = hyperbolic_neumann(v_right)
 
-    # strip-side slope d/dxi: left strip has xi = -x - s/2 so slope = -d/dx
-    ext_left = {0: hypersolve.mode_extend(0, ell, a, dl.mean, -nl.mean)}
-    ext_right = {0: hypersolve.mode_extend(0, ell, a, dr.mean, nr.mean)}
-    for n in sol.modes:
-        ext_left[n] = hypersolve.mode_extend(n, ell, a, dl.coef[n], -nl.coef[n])
-        ext_right[n] = hypersolve.mode_extend(n, ell, a, dr.coef[n], nr.coef[n])
-
-    k = 2.0 * np.pi / ell
+    # one row per mode, n = 0 first; strip-side slope d/dxi: the left strip
+    # has xi = -x - s/2, so its slope is -d/dx
+    ns = np.flatnonzero((sol.c != 0) | (sol.d != 0))
+    rows = np.r_[0, ns]
+    ext_left, ext_right = (
+        hypersolve.mode_extend(rows, ell, a, np.r_[dt.mean, dt.coef[ns]], sgn * np.r_[nt.mean, nt.coef[ns]])
+        for dt, nt, sgn in ((dl, nl, -1.0), (dr, nr, 1.0))
+    )
+    # pair weight 1 for n = 0, 2 for a mode and its conjugate
+    weights = np.where(rows == 0, 1.0, 2.0)[:, None]
+    kn = 2.0 * np.pi / ell * rows[:, None]
 
     def _strip_sum(ext, xi, y, deriv: bool) -> np.ndarray:
-        fns = {n: (e.bp_fn if deriv else e.b_fn) for n, e in ext.items()}
-        out = np.real(fns[0](xi)) + np.zeros(np.broadcast(xi, y).shape)
-        for n, fn in fns.items():
-            if n == 0:
-                continue
-            out = out + 2.0 * np.real(fn(xi) * np.exp(1j * k * n * y))
-        return out
+        b = ext(xi)[int(deriv)]
+        return (weights * np.real(b * np.exp(1j * kn * y))).sum(axis=0)
 
     def _eval(x, y, deriv: bool) -> np.ndarray:
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))

@@ -239,11 +239,19 @@ def test_greens_identity_manufactured_solution():
 
 
 def test_mode_extend_matches_bvp_solution():
-    # extending with the BVP's own Cauchy data reproduces the BVP solution
-    sol = hypersolve.mode_solve(1, ELL, 1.0, seam_dirichlet=0.9)
-    ext = hypersolve.mode_extend(1, ELL, 1.0, 0.9, sol.bp_fn(0.0))
+    # extending with each BVP's own Cauchy data reproduces that BVP solution,
+    # row by row, for modes with gaps and the n = 0 branch
+    ns = [0, 1, 5, 17]
+    values = [0.9, 0.4 - 0.3j, -1.1, 0.2j]
     xi = np.linspace(0, 1.0, 60)
-    assert np.allclose(ext.b_fn(xi), sol.b_fn(xi), atol=1e-9)
+    for outer_bc in ("dirichlet", "neumann"):
+        sols = [hypersolve.mode_solve(n, ELL, 1.0, outer_bc, v) for n, v in zip(ns, values)]
+        ext = hypersolve.mode_extend(ns, ELL, 1.0, values, [sol.bp_fn(0.0) for sol in sols])
+        b, bp = ext(xi)
+        assert list(ext.ns) == ns and b.shape == bp.shape == (4, 60)
+        for k, sol in enumerate(sols):
+            assert np.allclose(b[k], sol.b_fn(xi), atol=1e-9), (outer_bc, ns[k])
+            assert np.allclose(bp[k], sol.bp_fn(xi), atol=1e-9), (outer_bc, ns[k])
 
 
 def test_dtn_accepts_only_the_closed_form():

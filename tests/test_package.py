@@ -41,6 +41,17 @@ def test_cli_import_leaves_polynomial_and_quadrature_modules_unloaded():
     assert _run_python(code) == "[]"
 
 
+def test_cli_import_leaves_scipy_and_numpy_polynomial_unloaded():
+    # no ODE, spline or quadrature module: the Gauss-Legendre rule is a
+    # literal table, so no numpy.polynomial and no LAPACK either
+    code = (
+        "import sys, graftlab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
+    )
+    assert _run_python(code) == "[]"
+
+
 def test_verify_output_does_not_depend_on_blas_threads():
     code = (
         "import io, json, contextlib, graftlab.cli; buf = io.StringIO()\n"

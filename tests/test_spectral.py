@@ -165,7 +165,8 @@ def test_parseval_gives_one_value_per_point():
 
 
 def test_reconstruct_matches_direct_mode_sum():
-    # Horner synthesis against one complex exponential per (mode, point)
+    # the one-expression series sum against a loop over modes, one complex
+    # exponential per (mode, point)
     rng = np.random.default_rng(11)
     idx = sorted(rng.choice(np.arange(1, 300), size=256, replace=False))
     modes = {int(n): complex(rng.standard_normal(), rng.standard_normal()) for n in idx}
@@ -198,7 +199,8 @@ def test_reconstruct_empty_and_constant_modes():
 
 
 def test_on_grid_matches_reconstruct():
-    # one inverse FFT against Horner at y_j = j ell / npts, modes with gaps
+    # one inverse FFT against the scattered-y series at y_j = j ell / npts,
+    # modes with gaps
     rng = np.random.default_rng(12)
     idx = sorted(rng.choice(np.arange(1, 300), size=200, replace=False))
     modes = {int(n): complex(rng.standard_normal(), rng.standard_normal()) for n in idx}

@@ -187,20 +187,26 @@ def test_vanishing_mechanism_for_pure_means():
 def test_matched_field_continuity():
     rng = np.random.default_rng(3)
     chart = GraftedCollar(ell=ELL, s=S, a=1.0)
-    sol = _sol(d0=0.3, modes={1: (0.2 + 0.1j, -0.05j), 2: (0.1, 0.07)})
-    vl = solve_flat_variation(sol.neumann_trace_flat("left"), 0.21)
-    vr = solve_flat_variation(sol.neumann_trace_flat("right"), -0.13)
-    fld = matched_global_field(chart, sol, vl, vr)
     y = rng.uniform(0, ELL, 16)
-    for x0, sgn in ((-S / 2, -1.0), (S / 2, 1.0)):
-        inner = fld.value(np.full(16, x0), y)
-        outer = fld.value(np.full(16, x0 + sgn * 1e-9), y)
-        assert np.max(np.abs(inner - outer)) < 1e-7
-    # strip-side slope carries the variation-mediated Neumann data
-    h = 1e-6
-    nl = hyperbolic_neumann(vl)
-    fd = (fld.value(-S / 2 - 0.0, y) - fld.value(-S / 2 - h, y)) / h
-    assert np.max(np.abs(fd - nl.reconstruct(y))) < 1e-4
+    fields = (
+        ({1: (0.2 + 0.1j, -0.05j), 2: (0.1, 0.07)}, (0.21, -0.13)),
+        # gaps: row k of the strip extensions is not mode k
+        ({1: (0.15, 0.02j), 4: (-0.01 + 0.005j, 0.008), 9: (2e-4j, -1e-4)}, (-0.08, 0.17)),
+    )
+    for modes, (mean_left, mean_right) in fields:
+        sol = _sol(d0=0.3, modes=modes)
+        vl = solve_flat_variation(sol.neumann_trace_flat("left"), mean_left)
+        vr = solve_flat_variation(sol.neumann_trace_flat("right"), mean_right)
+        fld = matched_global_field(chart, sol, vl, vr)
+        for x0, sgn in ((-S / 2, -1.0), (S / 2, 1.0)):
+            inner = fld.value(np.full(16, x0), y)
+            outer = fld.value(np.full(16, x0 + sgn * 1e-9), y)
+            assert np.max(np.abs(inner - outer)) < 1e-7, list(modes)
+        # strip-side slope carries the variation-mediated Neumann data
+        h = 1e-6
+        nl = hyperbolic_neumann(vl)
+        fd = (fld.value(-S / 2 - 0.0, y) - fld.value(-S / 2 - h, y)) / h
+        assert np.max(np.abs(fd - nl.reconstruct(y))) < 1e-4, list(modes)
 
 
 def test_geodesic_zero_parameter_and_conformal_scaling():
