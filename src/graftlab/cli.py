@@ -13,6 +13,7 @@ one array pass with a leading points axis, from one draw of the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -145,7 +146,10 @@ def _emit_csv(header, columns, out: str | None) -> None:
 
 def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], dict]:
     """The identity reports, and the mode counts: requested, and kept by the
-    samplers for the field and the quadratic differential."""
+    samplers for the field and the quadratic differential.  A GraftLabError
+    raised by one identity becomes its failing report and the others still
+    run; one raised before any report exists (samplers, solve_configuration)
+    propagates."""
     rng = np.random.default_rng(cfg.seed)
     chart = cfg.chart()
     tol_alg = cfg.tol
@@ -153,113 +157,109 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=cfg.modes)
     q = sampling.random_quad(rng, cfg.ell, cfg.s, nmax=cfg.modes, amplitude=0.5)
     lam0, rho0 = sampling.slice_compatible_means(rng, cfg.s, sol.d0)
-    config = identities.solve_configuration(
-        chart, sol, mean_left=lam0, mean_right=rho0, quad=q
-    )
+    small = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=3, amplitude=1e-4)
+    config = identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, quad=q)
     vl, vr = config.v_left, config.v_right
-    (dl, dr), (nl, nr) = config.dirichlet, config.neumann
+    dl, dr = config.dirichlet
     reports = []
 
-    def compare(name, lhs, rhs, tol, notes=""):
-        reports.append(identities._compare(name, lhs, rhs, tol, notes=notes))
+    @contextlib.contextmanager
+    def identity(name):
+        """One identity's block, which yields its compare(lhs, rhs, tol, notes);
+        a GraftLabError raised in it becomes the identity's failing report."""
+        try:
+            yield lambda *args, **kw: reports.append(identities._compare(name, *args, **kw))
+        except GraftLabError as exc:
+            reports.append(identities.error_report(name, exc))
 
-    closed = identities.boundary_term_closed(sol, vl, vr)
-    neumann = (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
-    quad_val = identities.boundary_term_quadrature((dl, dr), neumann)
-    notes = identities.seam_grid_note(dl, dr, *neumann)
-    compare("boundary_term_closed_vs_quadrature", closed, quad_val, tol_alg, notes=notes)
+    with identity("boundary_term_closed_vs_quadrature") as compare:
+        closed = identities.boundary_term_closed(sol, vl, vr)
+        neumann = (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
+        quad_val = identities.boundary_term_quadrature((dl, dr), neumann)
+        compare(closed, quad_val, tol_alg, notes=identities.seam_grid_note(dl, dr, *neumann))
 
-    reports.append(identities.slice_condition(sol, vl, vr, tol=max(tol_alg, 1e-12)))
-    master = identities.master_identity(config, tol=tol_bvp)
-    reports.append(master)
-    reports.append(identities.area_derivative_report(config, tol=tol_alg))
+    with identity("slice_condition"):
+        reports.append(identities.slice_condition(sol, vl, vr, tol=max(tol_alg, 1e-12)))
+    with identity("master_identity"):
+        reports.append(identities.master_identity(config, tol=tol_bvp))
+    master = reports[-1]
+    with identity("area_derivative"):
+        reports.append(identities.area_derivative_report(config, tol=tol_alg))
 
-    compare(
-        "arc_length_derivative",
-        identities.arc_length_derivative(sol, dirichlet=dl),
-        -0.5 * sol.d0 * sol.ell,
-        tol_alg,
-        notes=f"seam quadrature vs -d0 ell / 2; {identities.seam_grid_note(dl)}",
-    )
-
-    wl = variation.solve_amended_variation(nl, q, lam0)
-    wr = variation.solve_amended_variation(nr, q, rho0)
-    ext_closed = identities.extended_boundary_term(sol, q, wl, wr)
-    ext_neumann = (variation.extended_hyperbolic_neumann(wl), variation.extended_hyperbolic_neumann(wr))
-    ext_quad = identities.boundary_term_quadrature((dl, dr), ext_neumann)
-    notes = identities.seam_grid_note(dl, dr, *ext_neumann)
-    compare("extended_boundary_closed_vs_quadrature", ext_closed, ext_quad, tol_alg, notes=notes)
-
-    q0 = spectral.QuadDiffModes(ell=cfg.ell, s=cfg.s)
-    wl0 = variation.solve_amended_variation(nl, q0, lam0)
-    wr0 = variation.solve_amended_variation(nr, q0, rho0)
-    compare(
-        "extended_reduction_at_zero_quad",
-        identities.extended_boundary_term(sol, q0, wl0, wr0),
-        closed,
-        tol_alg,
-    )
-
-    reports.append(identities.extended_master_identity(config, tol=tol_bvp))
-
-    compare(
-        "conformal_modulus_closed_vs_quadrature",
-        geometry.conformal_modulus(chart),
-        geometry.conformal_modulus_quadrature(chart),
-        tol_alg,
-    )
-    compare(
-        "total_area_closed_vs_quadrature",
-        geometry.total_area(chart),
-        geometry.total_area_quadrature(chart),
-        tol_alg,
-    )
-
-    small = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=3, amplitude=1e-4)
-    h = cfg.ell / 256
-    if cfg.s / 2 >= h:
-        residual = spectral.harmonicity_residual(small, h=h)
-        truncation, rounding = spectral.harmonicity_bound(small, h=h)
-        notes = (
-            f"five-point Laplacian on the series partial sum, h = ell/256 = {h!r}:"
-            f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
-            f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
+    with identity("arc_length_derivative") as compare:
+        compare(
+            identities.arc_length_derivative(sol, dirichlet=dl),
+            -0.5 * sol.d0 * sol.ell,
+            tol_alg,
+            notes=f"seam quadrature vs -d0 ell / 2; {identities.seam_grid_note(dl)}",
         )
-    else:
-        # the stencil's x +/- h steps would leave an insert thinner than 2h
-        residual = truncation = rounding = 0.0
-        notes = (
-            f"not applicable: s/2 = {cfg.s / 2!r} is below the stencil step"
-            f" h = ell/256 = {h!r}"
-        )
-    reports.append(identities.harmonicity_report(residual, truncation, rounding, notes=notes))
 
-    greens = hypersolve.greens_residual(config.all_strip_modes())
-    scale = max(1.0, -master.terms[0][1])
-    compare(
-        "strip_greens_identity",
-        greens / scale,
-        0.0,
-        tol_bvp,
-        notes="energy vs boundary forms on the solved strip modes",
-    )
+    # the amended fields, for q and for the zero q, built on the solved flat variations
+    with identity("extended_boundary_closed_vs_quadrature") as compare:
+        wl, wr = vl.amend(q), vr.amend(q)
+        ext_closed = identities.extended_boundary_term(sol, q, wl, wr)
+        ext_neumann = (variation.extended_hyperbolic_neumann(wl), variation.extended_hyperbolic_neumann(wr))
+        ext_quad = identities.boundary_term_quadrature((dl, dr), ext_neumann)
+        compare(ext_closed, ext_quad, tol_alg, notes=identities.seam_grid_note(dl, dr, *ext_neumann))
 
-    det_min = identities.determinant_floor(cfg.modes, cfg.ell, cfg.s, cfg.a, cfg.outer_bc)
-    reports.append(
-        identities.IdentityReport(
-            identity="per_mode_determinant_floor",
-            terms=(("min_abs_normalized_det", det_min),),
-            lhs=det_min,
-            rhs=1e-6,
-            abs_err=max(0.0, 1e-6 - det_min),
-            rel_err=max(0.0, 1e-6 - det_min) / 1e-6,
-            tol=0.0,
-            passed=det_min > 1e-6,
-            notes="row-normalized determinant of the per-mode seam system",
+    with identity("extended_reduction_at_zero_quad") as compare:
+        q0 = spectral.QuadDiffModes(ell=cfg.ell, s=cfg.s)
+        compare(
+            identities.extended_boundary_term(sol, q0, vl.amend(q0), vr.amend(q0)),
+            identities.boundary_term_closed(sol, vl, vr),
+            tol_alg,
         )
-    )
-    counts = {"requested": cfg.modes, "field": len(sol.modes), "quadratic_differential": len(q.modes)}
-    return reports, counts
+
+    with identity("extended_master_identity"):
+        reports.append(identities.extended_master_identity(config, tol=tol_bvp))
+
+    with identity("conformal_modulus_closed_vs_quadrature") as compare:
+        compare(geometry.conformal_modulus(chart), geometry.conformal_modulus_quadrature(chart), tol_alg)
+    with identity("total_area_closed_vs_quadrature") as compare:
+        compare(geometry.total_area(chart), geometry.total_area_quadrature(chart), tol_alg)
+
+    with identity("interior_harmonicity_stencil"):
+        h = cfg.ell / 256
+        if cfg.s / 2 >= h:
+            residual = spectral.harmonicity_residual(small, h=h)
+            truncation, rounding = spectral.harmonicity_bound(small, h=h)
+            notes = (
+                f"five-point Laplacian on the series partial sum, h = ell/256 = {h!r}:"
+                f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
+                f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
+            )
+        else:
+            # the stencil's x +/- h steps would leave an insert thinner than 2h
+            residual = truncation = rounding = 0.0
+            notes = f"not applicable: s/2 = {cfg.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
+        reports.append(identities.harmonicity_report(residual, truncation, rounding, notes=notes))
+
+    with identity("strip_greens_identity") as compare:
+        # the Green identity on the strips: -energy + seam + outer forms = 0
+        _, energy, seam, outer = config.strip_sums
+        failed = master.notes.startswith("error: ")
+        scale = 1.0 if failed else max(1.0, -master.terms[0][1])
+        notes = "energy vs boundary forms on the solved strip modes"
+        notes += "; scale 1, as master_identity failed" if failed else ""
+        compare(abs(-energy + seam + outer) / scale, 0.0, tol_bvp, notes=notes)
+
+    with identity("per_mode_determinant_floor"):
+        det_min = identities.determinant_floor(cfg.modes, cfg.ell, cfg.s, cfg.a, cfg.outer_bc)
+        reports.append(
+            identities.IdentityReport(
+                identity="per_mode_determinant_floor",
+                terms=(("min_abs_normalized_det", det_min),),
+                lhs=det_min,
+                rhs=1e-6,
+                abs_err=max(0.0, 1e-6 - det_min),
+                rel_err=max(0.0, 1e-6 - det_min) / 1e-6,
+                tol=0.0,
+                passed=det_min > 1e-6,
+                notes="row-normalized determinant of the per-mode seam system",
+            )
+        )
+    kept = (len(sol.nonzero_modes()), len(q.nonzero_modes()))
+    return reports, {"requested": cfg.modes, "field": kept[0], "quadratic_differential": kept[1]}
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -251,22 +251,3 @@ def family_metric(fam: ConformalFamily, t: float, x, y):
         gxy = gxy + 2.0 * t * im
     return gxx, gyy, gxy
 
-
-def gaussian_curvature_fd(E_fn: Callable, G_fn: Callable, x, y, h: float = 1e-3):
-    """Finite-difference Gaussian curvature of a diagonal metric
-    E dx^2 + Gm dy^2 (Brioschi form), second-order accurate in h."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def root(xx, yy):
-        return np.sqrt(E_fn(xx, yy) * G_fn(xx, yy))
-
-    def gm_x_over_root(xx, yy):
-        return (G_fn(xx + h, yy) - G_fn(xx - h, yy)) / (2 * h) / root(xx, yy)
-
-    def e_y_over_root(xx, yy):
-        return (E_fn(xx, yy + h) - E_fn(xx, yy - h)) / (2 * h) / root(xx, yy)
-
-    term_x = (gm_x_over_root(x + h, y) - gm_x_over_root(x - h, y)) / (2 * h)
-    term_y = (e_y_over_root(x, y + h) - e_y_over_root(x, y - h)) / (2 * h)
-    return -(term_x + term_y) / (2.0 * root(x, y))

@@ -10,6 +10,7 @@ Boundary orientation: the seam normal points out of the hyperbolic strips,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,11 +20,9 @@ from .geometry import GraftedCollar
 from .spectral import MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes
 from .variation import VariationField, pinned_means, solve_flat_variation
 
-#: Both series below sum over n >= 1 with conjugate modes already paired,
-#: which doubles the per-mode weight relative to a sum over n != 0.  The
-#: factors were frozen against the seam quadrature: 2/(pi n) for the
-#: quadratic series and 4/(pi n) for the mixed-term series.
-PAIRING_FACTOR = 2.0
+#: The mixed-term series sums over n >= 1 with conjugate modes already
+#: paired, like the cylinder series (spectral.PAIRING_FACTOR); its factor
+#: 4/(pi n) was frozen against the seam quadrature.
 CROSS_FACTOR = 4.0
 
 
@@ -79,6 +78,12 @@ def _compare(
     )
 
 
+def error_report(identity: str, exc: Exception) -> IdentityReport:
+    """The failing report of an identity that raised exc: NaN values, the error in its notes."""
+    nan = float("nan")
+    return IdentityReport(identity, (), nan, nan, nan, nan, nan, False, f"error: {type(exc).__name__}: {exc}")
+
+
 def harmonicity_report(
     residual: float, truncation: float, rounding: float, notes: str = ""
 ) -> IdentityReport:
@@ -103,7 +108,7 @@ def harmonicity_report(
 def _finite(*values: float) -> bool:
     """Every value is finite: a NaN or infinite operand fails its check,
     whatever the comparisons with it (all False for NaN) would say."""
-    return bool(np.all(np.isfinite(values)))
+    return bool(np.isfinite(values).all())
 
 
 def _out(x):
@@ -174,7 +179,8 @@ def boundary_term_quadrature(
 class SolvedConfiguration:
     """A chart, an interior field, its two variation fields, the strip
     mode solutions carrying the seam Dirichlet data outward, and the field's
-    (left, right) Dirichlet and flat Neumann seam traces."""
+    (left, right) Dirichlet and flat Neumann seam traces.  No field is
+    assigned after construction, so the strip sums are kept."""
 
     chart: GraftedCollar
     sol: FourierSolution
@@ -189,6 +195,15 @@ class SolvedConfiguration:
     def all_strip_modes(self) -> list[hypersolve.HyperbolicModeSolution]:
         """The solved modes of both strips, one solution per strip."""
         return list(self.strips.values())
+
+    @cached_property
+    def strip_sums(self) -> tuple[float, float, float, float]:
+        """(integral of H, energy, seam Green form, outer Green form) of the
+        solved modes of both strips (hypersolve.interior_integral and the two
+        boundary forms), computed once, on first use, for every identity."""
+        modes = self.all_strip_modes()
+        int_h, energy = hypersolve.interior_integral(modes)
+        return int_h, energy, hypersolve.seam_boundary_form(modes), hypersolve.outer_boundary_form(modes)
 
 
 def solve_configuration(
@@ -207,7 +222,7 @@ def solve_configuration(
     sides = ("left", "right")
     dirichlet = tuple(sol.dirichlet_trace(side) for side in sides)
     neumann = tuple(sol.neumann_trace_flat(side) for side in sides)
-    ns = np.flatnonzero((sol.c != 0) | (sol.d != 0))
+    ns = sol.nonzero_modes()
     units = hypersolve.solve_modes(np.r_[0, ns], chart.ell, chart.a, chart.outer_bc)
     if mean_left is None or mean_right is None:
         lam0, rho0 = pinned_means(units.dtn[0], dirichlet[0].mean, dirichlet[1].mean)
@@ -272,28 +287,11 @@ def slice_condition(
 
 # --- master identity --------------------------------------------------------
 
-def _series_arrays(sol: FourierSolution):
-    """(n, c_n, d_n, S, C) over the modes n >= 1, with S, C = sinh, cosh(pi n s / ell)
-    (0 and 1 at the zero modes); a points axis of the field leads."""
-    n, S, C = sol.seam
-    return n[1:], sol.c[..., 1:], sol.d[..., 1:], S[..., 1:], C[..., 1:]
-
-
 def _cylinder_series(sol: FourierSolution, total: float = 0.0) -> float:
-    """total - sum_{n>=1} (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C.
-
-    The coefficient product comes first, then S, then C: S C alone overflows
-    where the damped coefficients still keep each term finite.
-    """
-    n, c, d, S, C = _series_arrays(sol)
-    terms = (
-        (PAIRING_FACTOR / (np.pi * n))
-        * (4.0 * np.pi**2 * n**2 + np.expand_dims(sol.ell, -1) ** 2)
-        * (np.hypot(c.real, c.imag) ** 2 + np.hypot(d.real, d.imag) ** 2)
-        * S
-        * C
-    )
-    return _subtract_in_order(total, terms)
+    """total - sum_{n>=1} (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C,
+    from the field's terms (FourierSolution.cylinder_terms), computed once
+    per field."""
+    return _subtract_in_order(total, sol.cylinder_terms)
 
 
 def _subtract_in_order(total: float, terms: np.ndarray) -> float:
@@ -307,8 +305,9 @@ def _subtract_in_order(total: float, terms: np.ndarray) -> float:
 def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) -> float:
     """total - sum_{n>=1} (4/(pi n)) (4 pi^2 n^2 + ell^2)
     Im(v_n conj(c_n) + u_n conj(d_n)) S C, in the multiply order of
-    _cylinder_series."""
-    n, c, d, S, C = _series_arrays(sol)
+    _cylinder_series (FourierSolution.cylinder_terms)."""
+    n, S, C = (v[..., 1:] for v in sol.seam)
+    c, d = sol.c[..., 1:], sol.d[..., 1:]
     # q's modes n >= 1, cut or zero-padded to those of sol
     u, v = np.zeros((2, len(n)), dtype=complex)
     m = min(len(n), len(q.u) - 1)
@@ -357,12 +356,10 @@ def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityR
     vanishes only for the zero field.
     """
     sol = config.sol
-    modes = config.all_strip_modes()
-    _, energy = hypersolve.interior_integral(modes)
+    _, energy, seam_form, t_outer = config.strip_sums
     t_energy = -energy
     t_series = _cylinder_series(sol)
     t_mean = -sol.ell * sol.s * sol.d0**2
-    t_outer = hypersolve.outer_boundary_form(modes)
     terms = (
         ("hyperbolic_energy", t_energy),
         ("cylinder_series", t_series),
@@ -370,7 +367,6 @@ def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityR
         ("outer_greens", t_outer),
     )
     closed = boundary_term_closed(sol, config.v_left, config.v_right)
-    seam_form = hypersolve.seam_boundary_form(modes)
     sres = slice_residual(sol, config.v_left, config.v_right, config.s_rate)
     notes = (
         "total is the seam data mismatch on this bounded model: "
@@ -411,7 +407,7 @@ def area_derivative_report(
     geo = area_derivative_geometric(sol, sol.s, config.s_rate)
     ana = area_derivative_analytic(sol, config.v_left, config.v_right)
     modes = config.all_strip_modes()
-    int_h, _ = hypersolve.interior_integral(modes)
+    int_h = config.strip_sums[0]
     # outer flux of the mean mode: b'(a) (ends[3]) times the line element cosh(a) dy
     outer_flux = sum(
         m.ell * np.cosh(m.a) * float(np.real(m.ends[3][m.ns == 0]).sum()) for m in modes
@@ -455,7 +451,7 @@ def arc_length_derivative(
     of sol, when the caller has it already."""
     x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
     dirichlet = sol.dirichlet_trace(side) if dirichlet is None else dirichlet
-    qmax = max(q.modes, default=0) if q is not None else 0
+    qmax = int(q.nonzero_modes().max(initial=0)) if q is not None else 0
     npts = seam_points(max(dirichlet.max_mode(), qmax)) if npts is None else npts
     hdot = dirichlet.on_grid(npts)
     re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts)) if q is not None else 0.0
@@ -501,8 +497,7 @@ def extended_master_identity(
     if sol.s == 0.0 and config.s_rate != 0.0:
         raise DomainError("s = 0: the height-rate term divides by s")
 
-    modes = config.all_strip_modes()
-    _, energy = hypersolve.interior_integral(modes)
+    _, energy, _, t_outer = config.strip_sums
     t_energy = -energy
     t_series = _cylinder_series(sol)
     t_cross = _mixed_series(sol, q)
@@ -511,10 +506,9 @@ def extended_master_identity(
         t_rate = 0.0
     else:
         t_rate = -2.0 * sol.ell * sol.s * sol.d0 * (config.s_rate / sol.s)
-    t_outer = hypersolve.outer_boundary_form(modes)
 
     # same numbers with sinh/cosh arguments rewritten through L = ell * s
-    n = np.array(list(sol.modes), dtype=int)
+    n = sol.nonzero_modes()
     a1, a2 = np.pi * n * sol.s / sol.ell, np.pi * n * (sol.ell * sol.s) / sol.ell**2
     diffs = (np.abs(np.sinh(a1) - np.sinh(a2)), np.abs(np.cosh(a1) - np.cosh(a2)))
     rewrite_diff = float(np.max(diffs, initial=0.0))
@@ -583,7 +577,7 @@ def determinant_floor(
     values of all nmax modes (seam_dtn) in one array pass; ell, s and a may
     carry a points axis, for one floor per point."""
     ns = np.arange(1, nmax + 1)
-    ell, s, a = (np.expand_dims(x, -1) for x in (ell, s, a))
+    ell, s, a = (np.asarray(x)[..., None] for x in (ell, s, a))
     t = hypersolve.seam_dtn(ns, ell, a, outer_bc)
     return _out(np.min(np.abs(_normalized_determinant(ns, ell, s, t)), axis=-1))
 

@@ -30,7 +30,7 @@ def _damped_modes(rng, ell, s, nmax, decay, amplitude) -> tuple[np.ndarray, np.n
     and 0 at n = 0 and where pi n s / ell > MAX_DAMPED_ARG, up to the last
     mode kept.  ell and s may hold one value per point: one draw serves all."""
     n, c, d = _complex_modes(rng, nmax, decay)
-    arg = np.pi * n * np.expand_dims(s, -1) / np.expand_dims(ell, -1)
+    arg = np.pi * n * np.asarray(s)[..., None] / np.asarray(ell)[..., None]
     keep = arg <= MAX_DAMPED_ARG
     damp = np.where(keep, amplitude / np.cosh(np.where(keep, arg, 0.0)), 0.0)
     width = 1 + int(np.max(np.sum(keep, axis=-1)))

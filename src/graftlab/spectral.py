@@ -25,6 +25,10 @@ from .errors import DomainError, SingularSystemError
 # deciding solvability / singularity questions.
 MEAN_TOL = 1e-13
 
+#: The cylinder mode series sums over n >= 1 with conjugate modes paired,
+#: doubling each weight; its factor 2/(pi n) was frozen against the seam quadrature.
+PAIRING_FACTOR = 2.0
+
 
 def _as_pair(x, y):
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -45,19 +49,26 @@ def _synthesize(mean, coef: np.ndarray, npts: int) -> np.ndarray:
     j = 0..npts-1, from one inverse real FFT over every point of a leading
     points axis.
 
-    A mode n falls in the bin r = n mod npts or, conjugated, npts - r,
-    whichever is at most npts/2; the bins 0 and npts/2 keep only a real
-    part, so they take 2 Re(coef_n).  Modes past npts/2 thus alias onto the
-    grid exactly as their values there do.
+    On a grid of npts > 2 nmax points, as every seam_points grid is, mode n
+    is bin n, and bin 0 holds mean + 2 Re(coef_0).  Otherwise a mode n falls
+    in the bin r = n mod npts or, conjugated, npts - r, whichever is at most
+    npts/2; the bins 0 and npts/2 keep only a real part, so they take
+    2 Re(coef_n).  Modes past npts/2 thus alias onto the grid exactly as
+    their values there do.
     """
-    r = np.arange(coef.shape[-1]) % npts
-    folded = 2 * r > npts
-    r = np.where(folded, npts - r, r)
-    c = np.where(folded, np.conj(coef), coef)
-    c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
-    spectrum = np.zeros(c.shape[:-1] + (npts // 2 + 1,), dtype=complex)
-    spectrum[..., 0] = mean
-    np.add.at(spectrum, (..., r), c)
+    width = coef.shape[-1]
+    spectrum = np.zeros(coef.shape[:-1] + (npts // 2 + 1,), dtype=complex)
+    if npts > 2 * (width - 1):
+        spectrum[..., 0] = mean + 2.0 * coef[..., 0].real
+        spectrum[..., 1:width] += coef[..., 1:]  # added to 0, as np.add.at does: -0.0 becomes 0.0
+    else:
+        r = np.arange(width) % npts
+        folded = 2 * r > npts
+        r = np.where(folded, npts - r, r)
+        c = np.where(folded, np.conj(coef), coef)
+        c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
+        spectrum[..., 0] = mean
+        np.add.at(spectrum, (..., r), c)
     return np.fft.irfft(spectrum, npts, norm="forward")
 
 
@@ -66,12 +77,16 @@ def _series(x, y, ell: float, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     k = 2 pi / ell, at each point of the broadcast (x, y) of a one-point
     series, over a trailing axis of its nonzero modes (so a zero mode never
     multiplies 0 by an overflowing cosh).  Each mode's x profile is computed
-    on the shape of x and its exponential on the shape of y, so on a tensor
-    grid (xs[:, None], ys) each is computed once per line."""
+    on the shape of x and its exponential on the shape of y; on an open
+    tensor grid (xs[:, None], ys) the sum is one matrix product."""
     n = np.flatnonzero((c != 0) | (d != 0))
     kn = 2.0 * np.pi / ell * n
-    x, y = (np.expand_dims(v, -1) for v in _as_pair(x, y))
+    x, y = _as_pair(x, y)
+    grid = x.ndim == 2 and x.shape[1] == 1 and y.ndim == 1
+    x, y = (x if grid else x[..., None]), y[..., None]
     profile = c[n] * np.cosh(kn * x) + d[n] * np.sinh(kn * x)
+    if grid:
+        return 2.0 * (profile @ np.exp(1j * kn * y).T).real
     return 2.0 * np.einsum("...n,...n->...", profile, np.exp(1j * kn * y)).real
 
 
@@ -151,15 +166,15 @@ class FourierSolution:
     d: np.ndarray
 
     def __init__(self, ell, s, c0=0.0, d0=0.0, modes=None, c=None, d=None):
-        if np.any(np.less_equal(ell, 0)):
+        if np.less_equal(ell, 0).any():
             raise ValueError("ell must be positive")
-        if np.any(np.less(s, 0)):
+        if np.less(s, 0).any():
             raise ValueError("s must be nonnegative")
         if c is None:
             modes = modes or {}
             c = _dense({n: cd[0] for n, cd in modes.items()}, lowest=1)
             d = _dense({n: cd[1] for n, cd in modes.items()}, lowest=1)
-        if np.any(np.imag(c0)) or np.any(np.imag(d0)):
+        if np.count_nonzero(np.imag(c0)) or np.count_nonzero(np.imag(d0)):
             raise ValueError(f"c0 and d0 must be real, got {c0!r} and {d0!r}")
         c0, d0 = np.real(c0), np.real(d0)
         self.ell, self.s, self.c0, self.d0, self.c, self.d = ell, s, c0, d0, c, d
@@ -170,6 +185,10 @@ class FourierSolution:
         pairs = enumerate(zip(self.c.tolist(), self.d.tolist()))
         return {n: (c, d) for n, (c, d) in pairs if c or d}
 
+    def nonzero_modes(self) -> np.ndarray:
+        """The indices n of the nonzero modes of a one-point field, ascending."""
+        return np.flatnonzero((self.c != 0) | (self.d != 0))
+
     @cached_property
     def seam(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, sinh arg, cosh arg) per mode index, arg = pi n s / ell,
@@ -177,9 +196,25 @@ class FourierSolution:
         The argument is set to 0 at the zero modes: their seam values are
         then exactly 0, where cosh would overflow and make 0 * inf."""
         n = np.arange(self.c.shape[-1])
-        arg = np.pi * n * np.expand_dims(self.s, -1) / np.expand_dims(self.ell, -1)
+        arg = np.pi * n * np.asarray(self.s)[..., None] / np.asarray(self.ell)[..., None]
         arg = np.where((self.c == 0) & (self.d == 0), 0.0, arg)
         return n, np.sinh(arg), np.cosh(arg)
+
+    @cached_property
+    def cylinder_terms(self) -> np.ndarray:
+        """The terms (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C of
+        the cylinder mode series, n >= 1, computed once per field.  The
+        coefficient product comes first, then S, then C: S C alone overflows
+        where the damped coefficients still keep each term finite."""
+        n, S, C = (v[..., 1:] for v in self.seam)
+        c, d = self.c[..., 1:], self.d[..., 1:]
+        return (
+            (PAIRING_FACTOR / (np.pi * n))
+            * (4.0 * np.pi**2 * n**2 + np.asarray(self.ell)[..., None] ** 2)
+            * (np.hypot(c.real, c.imag) ** 2 + np.hypot(d.real, d.imag) ** 2)
+            * S
+            * C
+        )
 
     def _check_x(self, x):
         if np.any(np.abs(x) > self.s / 2 + 1e-12):
@@ -217,7 +252,7 @@ class FourierSolution:
         """d/dx values on a seam, taken from the cylinder side."""
         sgn = -1.0 if side == "left" else 1.0
         n, S, C = self.seam
-        coef = (2 * np.pi * n / np.expand_dims(self.ell, -1)) * (sgn * self.c * S + self.d * C)
+        coef = (2 * np.pi * n / np.asarray(self.ell)[..., None]) * (sgn * self.c * S + self.d * C)
         return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=self.c0, coef=coef)
 
     def to_json(self) -> str:
@@ -373,6 +408,10 @@ class QuadDiffModes:
     def modes(self) -> dict[int, tuple[complex, complex]]:
         """{n: (u_n, v_n)} of the nonzero modes."""
         return self._im.modes
+
+    def nonzero_modes(self) -> np.ndarray:
+        """The indices n of the nonzero modes, ascending."""
+        return self._im.nonzero_modes()
 
     def im_phi(self, x, y):
         return self._im.evaluate(x, y)

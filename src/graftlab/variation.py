@@ -47,6 +47,19 @@ class VariationField:
     def reconstruct(self, y) -> np.ndarray:
         return self.mean + _series(0.0, y, self.ell, self.coef, np.zeros_like(self.coef))
 
+    def amend(self, q: QuadDiffModes) -> "VariationField":
+        """The amended field W of this solved flat variation: W_yy gains the
+        forcing d/dy Im(phi), so per mode lambda_n shifts by
+        (ell / (2 pi i n)) (u_n cosh -/+ v_n sinh); the mean is kept."""
+        if self.amended:
+            raise ValueError("expected an unamended variation field")
+        width = len(q.u)
+        coef = np.zeros(max(len(self.coef), width), dtype=complex)
+        coef[: len(self.coef)] = self.coef
+        n = np.arange(1, width)
+        coef[1:width] += -1j * (self.ell / (2.0 * np.pi * n)) * q.seam_values(self.side)[1:]
+        return replace(self, coef=coef, amended=True)
+
     def rotated(self, y0: float) -> "VariationField":
         k = 2.0 * np.pi / self.ell
         n = np.arange(len(self.coef))
@@ -69,7 +82,7 @@ def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> Variati
     ell = flat_neumann.ell
     n = np.arange(1, flat_neumann.coef.shape[-1])
     coef = np.zeros_like(flat_neumann.coef)
-    coef[..., 1:] = (np.expand_dims(ell, -1) ** 2 / (8.0 * np.pi**2 * n**2)) * flat_neumann.coef[..., 1:]
+    coef[..., 1:] = (np.asarray(ell)[..., None] ** 2 / (8.0 * np.pi**2 * n**2)) * flat_neumann.coef[..., 1:]
     return VariationField(side=flat_neumann.side, ell=ell, mean=mean_value, coef=coef)
 
 
@@ -86,29 +99,16 @@ def hyperbolic_neumann(v: VariationField) -> TraceModes:
 
 def _hyperbolic_neumann(v: VariationField) -> TraceModes:
     n = np.arange(v.coef.shape[-1])
-    ell = np.expand_dims(v.ell, -1)
+    ell = np.asarray(v.ell)[..., None]
     coef = 2.0 * (4.0 * np.pi**2 * n**2 + ell**2) / ell**2 * v.coef
     return TraceModes(side=v.side, kind="neumann_hyperbolic", ell=v.ell, mean=2.0 * v.mean, coef=coef)
 
 
-def solve_amended_variation(
-    flat_neumann: TraceModes, q: QuadDiffModes, mean_value: float
-) -> VariationField:
-    """Solve W_yy = -1/2 * (flat Neumann data) + d/dy Im(phi) on the seam.
-
-    Reduces to solve_flat_variation at q = 0.  Per mode the extra forcing
-    shifts lambda_n by (ell / (2 pi i n)) (u_n cosh -/+ v_n sinh).
-    """
-    base = solve_flat_variation(flat_neumann, mean_value)
-    ell = flat_neumann.ell
-    width = len(q.u)
-    coef = np.zeros(max(len(base.coef), width), dtype=complex)
-    coef[: len(base.coef)] = base.coef
-    n = np.arange(1, width)
-    coef[1:width] += -1j * (ell / (2.0 * np.pi * n)) * q.seam_values(flat_neumann.side)[1:]
-    return VariationField(
-        side=flat_neumann.side, ell=ell, mean=mean_value, coef=coef, amended=True
-    )
+def solve_amended_variation(flat_neumann: TraceModes, q: QuadDiffModes, mean_value: float) -> VariationField:
+    """Solve W_yy = -1/2 * (flat Neumann data) + d/dy Im(phi) on the seam:
+    solve_flat_variation, amended by q (VariationField.amend).  Reduces to
+    solve_flat_variation at q = 0."""
+    return solve_flat_variation(flat_neumann, mean_value).amend(q)
 
 
 def extended_hyperbolic_neumann(w: VariationField) -> TraceModes:
@@ -203,7 +203,7 @@ def matched_global_field(
 
     # one row per mode, n = 0 first; strip-side slope d/dxi: the left strip
     # has xi = -x - s/2, so its slope is -d/dx
-    ns = np.flatnonzero((sol.c != 0) | (sol.d != 0))
+    ns = sol.nonzero_modes()
     rows = np.r_[0, ns]
     ext_left, ext_right = (
         hypersolve.mode_extend(rows, ell, a, np.r_[dt.mean, dt.coef[ns]], sgn * np.r_[nt.mean, nt.coef[ns]])

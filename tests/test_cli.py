@@ -1,4 +1,6 @@
+import collections
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -7,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from graftlab import cli, geometry, identities, sampling, spectral, variation
+from graftlab import DomainError, cli, geometry, hypersolve, identities, sampling, spectral, variation
 
 
 def run(args, capsys):
@@ -387,3 +389,85 @@ def test_verify_synthesizes_six_seam_grids_and_evaluates_the_stencil_field_once(
     assert synthesized == [256] * 6
     # the stencil field, once, on the open tensor grid of 3 x 16 by 3 x 32 points
     assert evaluated == [((48, 1), (96,))]
+
+
+def test_verify_computes_each_shared_quantity_once(monkeypatch, capsys):
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("interior_integral", "seam_boundary_form", "outer_boundary_form", "greens_residual"):
+        spy(hypersolve, name)
+    # identities binds solve_flat_variation by name
+    for owner in (variation, identities):
+        spy(owner, "solve_flat_variation")
+    terms = spectral.FourierSolution.__dict__["cylinder_terms"].func
+
+    def counted_terms(self):
+        calls.append("cylinder_terms")
+        return terms(self)
+
+    prop = functools.cached_property(counted_terms)
+    prop.__set_name__(spectral.FourierSolution, "cylinder_terms")
+    monkeypatch.setattr(spectral.FourierSolution, "cylinder_terms", prop)
+    code, _ = run(["verify", "--modes", "64"], capsys)
+    assert code == 0
+    # the strip sums once per configuration, the series terms once per
+    # field, and one flat variation per seam, amended for q and the zero q
+    assert collections.Counter(calls) == {
+        "interior_integral": 1,
+        "seam_boundary_form": 1,
+        "outer_boundary_form": 1,
+        "solve_flat_variation": 2,
+        "cylinder_terms": 1,
+    }
+
+
+def _raise_domain_error(*args, **kwargs):
+    raise DomainError("injected failure")
+
+
+def test_verify_keeps_every_report_when_one_identity_raises(monkeypatch, capsys):
+    code, out = run(["verify", "--modes", "16"], capsys)
+    assert code == 0
+    names = [r["identity"] for r in json.loads(out)["reports"]]
+    monkeypatch.setattr(identities, "extended_master_identity", _raise_domain_error)
+    code, out = run(["verify", "--modes", "16"], capsys)
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert len(names) == 13
+    assert [r["identity"] for r in reports] == names
+    failing = [r for r in reports if not r["pass"]]
+    assert [r["identity"] for r in failing] == ["extended_master_identity"]
+    assert failing[0]["notes"] == "error: DomainError: injected failure"
+
+
+def test_green_check_takes_scale_1_when_the_master_identity_raises(monkeypatch, capsys):
+    code, out = run(["verify"], capsys)
+    assert code == 0
+    before = {r["identity"]: r for r in json.loads(out)["reports"]}
+    monkeypatch.setattr(identities, "master_identity", _raise_domain_error)
+    code, out = run(["verify"], capsys)
+    assert code == 1
+    after = {r["identity"]: r for r in json.loads(out)["reports"]}
+    assert [name for name, r in after.items() if not r["pass"]] == ["master_identity"]
+    greens = after["strip_greens_identity"]
+    assert greens["notes"].endswith("; scale 1, as master_identity failed")
+    scale = max(1.0, -before["master_identity"]["terms"][0]["value"])
+    assert greens["lhs"] == pytest.approx(before["strip_greens_identity"]["lhs"] * scale, rel=1e-12)
+
+
+def test_verify_error_before_any_report_exits_1_with_no_report(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "solve_configuration", _raise_domain_error)
+    code = cli.main(["verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "check failed: injected failure\n"

@@ -18,10 +18,30 @@ from graftlab import (
     total_area,
     total_area_quadrature,
 )
-from graftlab.geometry import family_metric, gaussian_curvature_fd
+from graftlab.geometry import family_metric
 
 
 CHART = GraftedCollar(ell=2 * np.pi, s=1.0, a=1.0)
+
+
+def gaussian_curvature_fd(E_fn, G_fn, x, y, h: float = 1e-3):
+    """Finite-difference Gaussian curvature of a diagonal metric
+    E dx^2 + Gm dy^2 (Brioschi form), second-order accurate in h."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def root(xx, yy):
+        return np.sqrt(E_fn(xx, yy) * G_fn(xx, yy))
+
+    def gm_x_over_root(xx, yy):
+        return (G_fn(xx + h, yy) - G_fn(xx - h, yy)) / (2 * h) / root(xx, yy)
+
+    def e_y_over_root(xx, yy):
+        return (E_fn(xx, yy + h) - E_fn(xx, yy - h)) / (2 * h) / root(xx, yy)
+
+    term_x = (gm_x_over_root(x + h, y) - gm_x_over_root(x - h, y)) / (2 * h)
+    term_y = (e_y_over_root(x, y + h) - e_y_over_root(x, y - h)) / (2 * h)
+    return -(term_x + term_y) / (2.0 * root(x, y))
 
 
 def test_metric_is_c11_across_seams():

@@ -14,6 +14,8 @@ from graftlab import (
     harmonicity_residual,
     sampling,
 )
+from graftlab import spectral
+from graftlab.identities import seam_points
 
 ELL, S = 2 * np.pi, 2.0
 
@@ -347,3 +349,36 @@ def test_quad_modes_from_mapping_equal_those_from_arrays():
     assert single.seam_values("left")[1] == un * np.cosh(1.0) - vn * np.sinh(1.0)
     assert single.scaled(2.0).modes == {1: (2 * un, 2 * vn)}
     assert QuadDiffModes(ell=ELL, s=S).is_zero() and not single.is_zero()
+
+
+def _folded_synthesis(mean, coef, npts):
+    """The folding path of spectral._synthesize, written out with np.add.at."""
+    r = np.arange(coef.shape[-1]) % npts
+    folded = 2 * r > npts
+    r = np.where(folded, npts - r, r)
+    c = np.where(folded, np.conj(coef), coef)
+    c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
+    spectrum = np.zeros(c.shape[:-1] + (npts // 2 + 1,), dtype=complex)
+    spectrum[..., 0] = mean
+    np.add.at(spectrum, (..., r), c)
+    return np.fft.irfft(spectrum, npts, norm="forward")
+
+
+@pytest.mark.parametrize("width", [1, 9, 65, 257])
+def test_scatter_free_synthesis_equals_the_folding_path_bit_for_bit(width):
+    # every seam_points grid resolves its modes (npts > 2 nmax): there the
+    # coefficients go into the spectrum by slice, with no scatter; a zero
+    # field whose zeros are all negative pins the signs of the zeros too
+    rng = np.random.default_rng(width)
+    grids = [npts for npts in (64, 128, 256, 512, 1024) if npts > 2 * (width - 1)]
+    assert seam_points(width - 1) in grids
+    for shape in ((), (5,)):
+        coef = rng.standard_normal(shape + (width,)) + 1j * rng.standard_normal(shape + (width,))
+        coef[..., 3::7] = 0.0  # dropped modes
+        coef[..., 5::11] = complex(-0.0, -0.0)
+        assert np.all(coef[..., 0] != 0)
+        negative_zero = np.full(shape + (width,), complex(-0.0, -0.0))
+        for c, mean in ((coef, rng.standard_normal(shape)), (negative_zero, np.full(shape, -0.0))):
+            for npts in grids:
+                got = spectral._synthesize(mean, c, npts)
+                assert got.tobytes() == _folded_synthesis(mean, c, npts).tobytes(), (shape, npts)

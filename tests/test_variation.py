@@ -96,6 +96,21 @@ def test_amended_reduces_at_zero_quad():
     assert w.mean == v.mean and w.modes == v.modes
 
 
+def test_amend_builds_on_the_solved_flat_variation():
+    sol = _sol(modes={1: (0.3 + 1j, -0.2j), 2: (0.1, 0.4)})
+    q = QuadDiffModes(ell=ELL, s=S, modes={1: (0.5, -0.25j), 3: (0.2j, 1.0)})
+    base = solve_flat_variation(sol.neumann_trace_flat("right"), -0.4)
+    w = base.amend(q)
+    assert w.amended and w.side == "right" and w.mean == -0.4 and len(w.coef) == 4
+    # lambda_n shifts by (ell / (2 pi i n)) (u_n cosh + v_n sinh) on the right seam
+    n = np.arange(1, 4)
+    arg = np.pi * n * S / ELL
+    shift = -1j * ELL / (2 * np.pi * n) * (q.u[1:] * np.cosh(arg) + q.v[1:] * np.sinh(arg))
+    assert np.allclose(w.coef[1:], np.r_[base.coef[1:], 0.0] + shift, rtol=1e-14, atol=0)
+    with pytest.raises(ValueError, match="unamended"):
+        w.amend(q)
+
+
 def test_amended_shift_examples():
     zero = _sol()
     q = QuadDiffModes(ell=ELL, s=S, modes={1: (1.0, 0.0)})
