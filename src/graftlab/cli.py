@@ -13,14 +13,12 @@ one array pass with a leading points axis, from one draw of the seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import functools
-import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -74,6 +72,8 @@ class RunConfig:
             raise ConfigError("modes and steps must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def chart(self) -> geometry.GraftedCollar:
@@ -81,6 +81,8 @@ class RunConfig:
 
 
 _FIELD_FOR_KEY = {"from": "sweep_from", "to": "sweep_to"}
+#: RunConfig's fields, one per config key, in the order that sort_keys gives them
+_CONFIG_FIELDS = sorted(f.name for f in fields(RunConfig))
 
 
 def load_config(path: str) -> dict:
@@ -107,21 +109,10 @@ def load_config(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        updates = {
-            _FIELD_FOR_KEY.get(k, k): v for k, v in load_config(args.config).items()
-        }
-        cfg = replace(cfg, **updates)
-    overrides = {}
-    for key in _CONFIG_KEYS:
-        attr = _FIELD_FOR_KEY.get(key, key)
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[attr] = val
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    """The config file's values, each overridden by its flag when given."""
+    values = load_config(args.config) if getattr(args, "config", None) else {}
+    flags = {attr: val for attr in _CONFIG_FIELDS if (val := getattr(args, attr, None)) is not None}
+    return RunConfig(**({_FIELD_FOR_KEY.get(k, k): v for k, v in values.items()} | flags)).validate()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -133,16 +124,29 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_csv(header, columns, out: str | None) -> None:
-    """CSV with one row per entry of the columns; csv writes each float
-    through repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
-    _emit(buf.getvalue(), out)
+    """CSV with one row per entry of the columns, as csv.writer writes it:
+    no field needs quoting, and each float goes through repr."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    _emit("".join([",".join(header) + "\r\n", *(",".join(map(str, row)) + "\r\n" for row in rows)]), out)
 
 
 # --- verify -----------------------------------------------------------------
+
+class _IdentityBlock:
+    """One identity's block, which yields its compare(lhs, rhs, tol, notes);
+    a GraftLabError raised in it becomes the identity's failing report."""
+
+    def __init__(self, reports: list, name: str):
+        self.reports, self.name = reports, name
+
+    def __enter__(self):
+        return lambda *args, **kw: self.reports.append(identities._compare(self.name, *args, **kw))
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if isinstance(exc, GraftLabError):
+            self.reports.append(identities.error_report(self.name, exc))
+        return isinstance(exc, GraftLabError)
+
 
 def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], dict]:
     """The identity reports, and the mode counts: requested, and kept by the
@@ -162,15 +166,7 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     vl, vr = config.v_left, config.v_right
     dl, dr = config.dirichlet
     reports = []
-
-    @contextlib.contextmanager
-    def identity(name):
-        """One identity's block, which yields its compare(lhs, rhs, tol, notes);
-        a GraftLabError raised in it becomes the identity's failing report."""
-        try:
-            yield lambda *args, **kw: reports.append(identities._compare(name, *args, **kw))
-        except GraftLabError as exc:
-            reports.append(identities.error_report(name, exc))
+    identity = functools.partial(_IdentityBlock, reports)
 
     with identity("boundary_term_closed_vs_quadrature") as compare:
         closed = identities.boundary_term_closed(sol, vl, vr)
@@ -262,15 +258,61 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     return reports, {"requested": cfg.modes, "field": kept[0], "quadratic_differential": kept[1]}
 
 
+#: json's token for each non-finite float, by its repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity or -Infinity."""
+    text = repr(float(value))
+    return _NON_FINITE.get(text, text)
+
+
+def _json_scalar(value) -> str:
+    """A config value (str, None, int or float) as json writes it."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    return "null" if value is None else repr(value)
+
+
+def _report_block(r: identities.IdentityReport) -> str:
+    """r.to_dict() as one item of the report list, in json's indent=2 layout."""
+    terms = ",\n".join(
+        f'        {{\n          "label": {_json_str(label)},\n'
+        f'          "value": {_json_float(value)}\n        }}'
+        for label, value in r.terms
+    )
+    terms = f"[\n{terms}\n      ]" if r.terms else "[]"
+    passed = "true" if r.passed else "false"
+    return (
+        f'    {{\n      "abs_err": {_json_float(r.abs_err)},\n      "identity": {_json_str(r.identity)},\n'
+        f'      "lhs": {_json_float(r.lhs)},\n      "notes": {_json_str(r.notes)},\n'
+        f'      "pass": {passed},\n      "rel_err": {_json_float(r.rel_err)},\n'
+        f'      "rhs": {_json_float(r.rhs)},\n      "terms": {terms},\n'
+        f'      "tol": {_json_float(r.tol)}\n    }}'
+    )
+
+
+def _report_json(cfg: RunConfig, generated_at: str, counts: dict, reports: list) -> str:
+    """The verify report by its schema, byte for byte as json.dumps(indent=2,
+    sort_keys=True) writes {generated_at, config: asdict(cfg), mode_counts:
+    counts, reports: [r.to_dict() for r in reports]}."""
+    config = ",\n".join(f'    "{name}": {_json_scalar(getattr(cfg, name))}' for name in _CONFIG_FIELDS)
+    mode_counts = ",\n".join(f'    "{key}": {_json_scalar(counts[key])}' for key in sorted(counts))
+    blocks = ",\n".join(map(_report_block, reports))
+    blocks = f"[\n{blocks}\n  ]" if reports else "[]"
+    return (
+        f'{{\n  "config": {{\n{config}\n  }},\n  "generated_at": {_json_str(generated_at)},\n'
+        f'  "mode_counts": {{\n{mode_counts}\n  }},\n  "reports": {blocks}\n}}'
+    )
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     reports, counts = _verify_reports(cfg)
-    payload = {
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": asdict(cfg),
-        "mode_counts": counts,
-        "reports": [r.to_dict() for r in reports],
-    }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+    generated_at = datetime.now(timezone.utc).isoformat()
+    _emit(_report_json(cfg, generated_at, counts, reports) + "\n", cfg.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -399,9 +441,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once and reused by every call of main:
-    building its five subparsers is a large share of a small command."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's subparser, built once for every call
+    of main: building the five subparsers is a large share of a small command."""
     parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -420,7 +462,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     _add_common(sub.add_parser("chart", help="dump the chart as JSON"))
     _add_common(sub.add_parser("modes", help="dump per-mode solver data as CSV"))
-    return parser
+    return parser, sub.choices
+
+
+def make_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 _COMMANDS = {
@@ -433,9 +479,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
     try:
-        args = parser.parse_args(argv)
+        # one pass through the command's own subparser; leftovers get the main
+        # parser's error, as parse_args gives them
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

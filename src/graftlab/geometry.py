@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -60,11 +61,11 @@ class GraftedCollar:
     outer_bc: str = "dirichlet"
 
     def __post_init__(self):
-        if np.any(np.less_equal(self.ell, 0)):
+        if np.less_equal(self.ell, 0).any():
             raise ValueError("ell must be positive")
-        if np.any(np.less(self.s, 0)):
+        if np.less(self.s, 0).any():
             raise ValueError("s must be nonnegative")
-        if np.any(np.less_equal(self.a, 0)):
+        if np.less_equal(self.a, 0).any():
             raise ValueError("a must be positive")
         if self.outer_bc not in ("dirichlet", "neumann"):
             raise ValueError(f"outer_bc must be 'dirichlet' or 'neumann', got {self.outer_bc!r}")
@@ -74,7 +75,7 @@ class GraftedCollar:
         return self.s / 2 + self.a
 
     def _check_domain(self, x):
-        if np.any(np.abs(x) > self.x_max + _SEAM_TOL):
+        if (np.abs(x) > self.x_max + _SEAM_TOL).any():
             raise DomainError(f"|x| exceeds s/2 + a = {self.x_max}")
 
     # vectorized metric data -------------------------------------------------
@@ -93,6 +94,13 @@ class GraftedCollar:
             np.sign(x) * np.sinh(np.abs(x) - self.s / 2),
         )
         return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def strip_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, G(x), G(-x)) at the nodes x = s/2 + xi of _strip_integral, once per chart."""
+        xi, w = _gauss_legendre(np.append(np.arange(0.0, self.a, 1.0), self.a))
+        x = self.s / 2 + xi
+        return w, self.G(x), self.G(-x)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -150,10 +158,9 @@ def total_area(chart: GraftedCollar) -> float:
 def _strip_integral(chart: GraftedCollar, f) -> float:
     """Integral of f(G(x)) over both hyperbolic strips, s/2 <= |x| <= x_max,
     by the 16-point Gauss-Legendre rule on unit-width panels of |x| - s/2,
-    which reaches rounding for G = cosh(|x| - s/2) and 1 / G."""
-    xi, w = _gauss_legendre(np.r_[np.arange(0.0, chart.a, 1.0), chart.a])
-    x = chart.s / 2 + xi
-    return float(w @ (f(chart.G(x)) + f(chart.G(-x))))
+    which reaches rounding for G = cosh(|x| - s/2) and 1 / G (strip_nodes)."""
+    w, g_right, g_left = chart.strip_nodes
+    return float(w @ (f(g_right) + f(g_left)))
 
 
 def total_area_quadrature(chart: GraftedCollar) -> float:

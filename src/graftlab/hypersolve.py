@@ -81,14 +81,15 @@ def _pair(mu, trig, shift: float = 0.0):
     sh, ch, theta = trig
     grow = np.exp(mu * (theta - shift))
     decay = np.exp(-mu * theta)
+    mu_sh, mu_sq = mu * sh, mu * mu
     pair = (
         (sh + mu) * grow,
-        (ch + (mu * sh + mu * mu) / ch) * grow,
+        (ch + (mu_sh + mu_sq) / ch) * grow,
         (sh - mu) * decay,
-        (ch + (mu * mu - mu * sh) / ch) * decay,
+        (ch + (mu_sq - mu_sh) / ch) * decay,
     )
-    zero = mu == 0.0
-    if np.any(zero):
+    zero = np.equal(mu, 0.0)
+    if zero.any():
         pair0 = (1.0 + theta * sh, sh / ch + theta * ch, sh, ch)
         pair = tuple(np.where(zero, p0, p) for p0, p in zip(pair0, pair))
     return pair
@@ -104,7 +105,7 @@ def _unit_solution(mu: np.ndarray, a, outer_bc: str):
     (p-(a), p+(a)) for an outer Neumann condition.
     n = 0: c_u = 1 and c_w = k, k = -(1/S + gd a) or -(gd a + S / cosh^2 a).
     """
-    if np.any(np.less_equal(a, 0)):
+    if np.less_equal(a, 0).any():
         raise ValueError("strip half-width a must be positive")
     if outer_bc not in ("dirichlet", "neumann"):
         raise ValueError(f"unknown outer boundary condition {outer_bc!r}")
@@ -170,9 +171,10 @@ class StripProfiles:
         for start in range(0, len(self.ns), _BLOCK):
             rows = slice(start, start + _BLOCK)
             b, bp = self.values(rows, xi, trig)
-            bsq = np.abs(b) ** 2
+            # b * b is np.abs(b) ** 2 bit for bit for real profiles
+            bsq, bpsq = (np.abs(b) ** 2, np.abs(bp) ** 2) if np.iscomplexobj(b) else (b * b, bp * bp)
             ib.append(b @ w_cosh)
-            energy.append((np.abs(bp) ** 2 + 2.0 * bsq) @ w_cosh + mu[rows] ** 2 * (bsq @ w_sech))
+            energy.append((bpsq + 2.0 * bsq) @ w_cosh + mu[rows] ** 2 * (bsq @ w_sech))
         return np.concatenate(ib), np.concatenate(energy)
 
     @cached_property
@@ -255,7 +257,7 @@ class HyperbolicModeSolution:
 
 
 def _scales(seam_dirichlet, ns: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(seam_dirichlet, dtype=complex), ns.shape)
+    return np.full(ns.shape, seam_dirichlet, dtype=complex)
 
 
 def _profiles(ns: np.ndarray, ell: float, a: float, shift: float, cu, cw) -> StripProfiles:

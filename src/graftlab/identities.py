@@ -9,6 +9,7 @@ Boundary orientation: the seam normal points out of the hyperbolic strips,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -106,9 +107,9 @@ def harmonicity_report(
 
 
 def _finite(*values: float) -> bool:
-    """Every value is finite: a NaN or infinite operand fails its check,
-    whatever the comparisons with it (all False for NaN) would say."""
-    return bool(np.isfinite(values).all())
+    """Every value (a scalar) is finite: a NaN or infinite operand fails its
+    check, whatever the comparisons with it (all False for NaN) would say."""
+    return all(map(math.isfinite, values))
 
 
 def _out(x):
@@ -127,7 +128,7 @@ def boundary_term_closed(
 
     with S, C = sinh, cosh(pi n s / ell); one value per point of a family.
     """
-    if np.any(np.abs(sol.c0) > MEAN_TOL):
+    if (np.abs(sol.c0) > MEAN_TOL).any():
         raise SolvabilityError("closed form requires a vanishing linear coefficient")
     return _cylinder_series(sol, 2.0 * sol.ell * sol.d0 * (v_left.mean - v_right.mean))
 
@@ -223,7 +224,7 @@ def solve_configuration(
     dirichlet = tuple(sol.dirichlet_trace(side) for side in sides)
     neumann = tuple(sol.neumann_trace_flat(side) for side in sides)
     ns = sol.nonzero_modes()
-    units = hypersolve.solve_modes(np.r_[0, ns], chart.ell, chart.a, chart.outer_bc)
+    units = hypersolve.solve_modes(np.concatenate(([0], ns)), chart.ell, chart.a, chart.outer_bc)
     if mean_left is None or mean_right is None:
         lam0, rho0 = pinned_means(units.dtn[0], dirichlet[0].mean, dirichlet[1].mean)
         mean_left = lam0 if mean_left is None else mean_left
@@ -233,7 +234,7 @@ def solve_configuration(
 
     # one unit solve per mode, scaled to each seam's Dirichlet values
     strips = {
-        side: units.at_seam_values(np.r_[trace.mean, trace.coef[ns]])
+        side: units.at_seam_values(np.concatenate(([trace.mean], trace.coef[ns])))
         for side, trace in zip(sides, dirichlet)
     }
     return SolvedConfiguration(
@@ -298,8 +299,9 @@ def _subtract_in_order(total: float, terms: np.ndarray) -> float:
     """total minus each term (column) in turn, in mode order: the mixed
     series can cancel, so its rounding follows one fixed order, at every
     point of a family alike."""
-    first = np.broadcast_to(total, terms.shape[:-1])[..., None]
-    return _out(np.subtract.accumulate(np.concatenate((first, terms), axis=-1), axis=-1)[..., -1])
+    stacked = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=np.result_type(total, terms))
+    stacked[..., 0], stacked[..., 1:] = total, terms
+    return _out(np.subtract.accumulate(stacked, axis=-1)[..., -1])
 
 
 def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) -> float:

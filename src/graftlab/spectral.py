@@ -217,7 +217,7 @@ class FourierSolution:
         )
 
     def _check_x(self, x):
-        if np.any(np.abs(x) > self.s / 2 + 1e-12):
+        if (np.abs(x) > self.s / 2 + 1e-12).any():
             raise DomainError(f"|x| exceeds s/2 = {self.s / 2}")
 
     def evaluate(self, x, y):
@@ -331,7 +331,7 @@ def harmonicity_residual(
     h = ell / 256 if h is None else h
     xs = _stencil_xs(s, h, nx)
     ys = np.linspace(0.0, ell, ny, endpoint=False)
-    x3, y3 = np.r_[xs - h, xs, xs + h], np.r_[ys - h, ys, ys + h]
+    x3, y3 = np.concatenate((xs - h, xs, xs + h)), np.concatenate((ys - h, ys, ys + h))
     if isinstance(fld, FourierSolution):
         u = fld.evaluate(x3[:, None], y3)
     else:

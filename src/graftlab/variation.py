@@ -75,7 +75,7 @@ def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> Variati
     """
     if flat_neumann.kind != "neumann_flat":
         raise ValueError("expected a flat-side Neumann trace")
-    if np.any(np.abs(flat_neumann.mean) > SOLVABILITY_TOL):
+    if (np.abs(flat_neumann.mean) > SOLVABILITY_TOL).any():
         raise SolvabilityError(
             f"no periodic solution: mean forcing c0 = {flat_neumann.mean} != 0"
         )

@@ -1,0 +1,220 @@
+"""The command-line plumbing around the numbers: the report writer, the CSV
+writer, the parser dispatch and the config checks."""
+import contextlib
+import csv
+import io
+import json
+import math
+import sys
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graftlab import DomainError, cli, geometry, hypersolve, identities
+
+
+def run(args, capsys):
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _round_trips(out: str) -> bool:
+    return out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# --- the report writer ------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [[], ["--modes", "256", "--ell", "8", "--s", "20"], ["--s", "0", "--modes", "1"]])
+def test_verify_report_is_json_dumps_layout(argv, capsys):
+    code, out, _ = run(["verify", *argv], capsys)
+    assert code == 0
+    assert _round_trips(out)
+
+
+def test_verify_report_written_to_a_non_ascii_path_is_json_dumps_layout(tmp_path, capsys):
+    path = tmp_path / "bericht-ö-λ.json"
+    assert cli.main(["verify", "--modes", "16", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    out = path.read_text()
+    assert _round_trips(out)
+    assert json.loads(out)["config"]["out"] == str(path)
+    assert "\\u00f6" in out and "\\u03bb" in out
+
+
+def _raise_domain_error(*args, **kwargs):
+    raise DomainError("injected failure: ö")
+
+
+def test_verify_error_report_is_json_dumps_layout_with_nan_tokens(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "master_identity", _raise_domain_error)
+    code, out, _ = run(["verify"], capsys)
+    assert code == 1
+    assert _round_trips(out)
+    report = next(r for r in json.loads(out)["reports"] if r["identity"] == "master_identity")
+    assert report["terms"] == [] and math.isnan(report["lhs"])
+    assert '"lhs": NaN,' in out and '"terms": [],' in out
+
+
+def _payload_json(cfg, generated_at, counts, reports) -> str:
+    payload = {
+        "generated_at": generated_at,
+        "config": asdict(cfg),
+        "mode_counts": counts,
+        "reports": [r.to_dict() for r in reports],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_report_writer_equals_json_dumps_of_the_payload():
+    # the values as well as the layout: every field of every report, the
+    # config fields (None, int, float, str) and the mode counts
+    cfg = cli.RunConfig(ell=3.0, modes=32, seed=4, out="ü.json", param="s", sweep_from=-0.0).validate()
+    reports, counts = cli._verify_reports(cfg)
+    stamp = "2026-01-01T00:00:00+00:00"
+    assert cli._report_json(cfg, stamp, counts, reports) == _payload_json(cfg, stamp, counts, reports)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e-300, -1.5e300, 0.1, math.nan, math.inf, -math.inf, np.float64(2.5), 3])
+def test_report_writer_writes_each_value_as_json_does(value):
+    report = identities.IdentityReport(
+        identity="x\ty\"z", terms=(("é", value), ("b", 1.0)), lhs=value, rhs=value, abs_err=value,
+        rel_err=value, tol=value, passed=np.bool_(True), notes="snow ☃ \x00",
+    )
+    cfg = cli.RunConfig()
+    counts = {"requested": 1, "field": 0, "quadratic_differential": 1}
+    for reports in ([report], [], [identities.error_report("e", DomainError("x"))]):
+        assert cli._report_json(cfg, "t", counts, reports) == _payload_json(cfg, "t", counts, reports)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    ell=st.floats(0.25, 16.0),
+    s=st.floats(0.0, 20.0),
+    a=st.floats(0.1, 10.0),
+    outer_bc=st.sampled_from(["dirichlet", "neumann"]),
+    modes=st.integers(1, 256),
+)
+def test_verify_report_is_json_dumps_layout_across_the_box(ell, s, a, outer_bc, modes):
+    argv = ["verify", "--ell", repr(ell), "--s", repr(s), "--a", repr(a), "--outer-bc", outer_bc,
+            "--modes", str(modes)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)  # an escaping exception fails the test
+    assert code == 0
+    assert _round_trips(out.getvalue())
+
+
+# --- the CSV writer ---------------------------------------------------------
+
+def test_csv_writer_matches_csv_module(capsys):
+    header = ["param", "n", "x", "y"]
+    columns = (["s"] * 5, np.arange(5), np.array([0.0, -0.0, 1e-300, math.nan, 0.1]),
+               np.array([math.inf, -math.inf, 2.5, -1e22, 7.0]))
+    cli._emit_csv(header, columns, None)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+    assert capsys.readouterr().out == expected.getvalue()
+
+
+# --- parser dispatch --------------------------------------------------------
+
+_USAGE = "usage: graftlab [-h] {verify,sweep,geodesic,chart,modes} ...\n"
+
+
+@pytest.mark.parametrize("argv, leftover", [
+    (["verify", "--modes", "2", "--bogus", "1"], "--bogus 1"),
+    (["verify", "extra"], "extra"),
+    (["chart", "--", "x"], "-- x"),
+])
+def test_leftover_arguments_exit_2_in_the_main_parsers_words(argv, leftover, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"{_USAGE}graftlab: error: unrecognized arguments: {leftover}\n"
+
+
+def test_missing_and_unknown_commands_exit_2(capsys):
+    code, _, err = run([], capsys)
+    assert code == 2
+    assert err == f"{_USAGE}graftlab: error: the following arguments are required: command\n"
+    code, _, err = run(["frobnicate", "--modes", "3"], capsys)
+    assert code == 2
+    assert "argument command: invalid choice: 'frobnicate'" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(["-h"], capsys)
+    assert code == 0 and out.startswith(_USAGE)
+    code, out, _ = run(["verify", "-h"], capsys)
+    assert code == 0 and out.startswith("usage: graftlab verify [-h]")
+
+
+def test_bad_option_value_exits_2_in_the_subparsers_words(capsys):
+    code, _, err = run(["verify", "--modes", "x"], capsys)
+    assert code == 2
+    assert err.endswith("graftlab verify: error: argument --modes: invalid int value: 'x'\n")
+
+
+def test_option_abbreviations_still_parse(capsys):
+    code, out, _ = run(["verify", "--mod", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["modes"] == 3
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["graftlab", "chart", "--ell", "3"])
+    code, out, _ = run(None, capsys)
+    assert code == 0
+    assert json.loads(out)["ell"] == 3.0
+
+
+# --- config checks ----------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["verify", "sweep", "geodesic", "chart", "modes"])
+def test_negative_seed_exits_2(command, tmp_path, capsys):
+    extra = ["--param", "s", "--from", "0", "--to", "1"] if command == "sweep" else []
+    code, out, err = run([command, *extra, "--seed", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = -3\n")
+    code, out, err = run([command, *extra, "--config", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -3\n")
+
+
+# --- the chart oracles ------------------------------------------------------
+
+def test_chart_oracles_share_one_evaluation_of_the_chart(monkeypatch):
+    chart = geometry.GraftedCollar(ell=3.0, s=1.5, a=2.5)
+    xi, w = geometry._gauss_legendre(np.array([0.0, 1.0, 2.0, 2.5]))
+    x = chart.s / 2 + xi
+    expected = (
+        chart.ell * chart.s + chart.ell * float(w @ (chart.G(x) + chart.G(-x))),
+        (chart.s + float(w @ (1.0 / chart.G(x) + 1.0 / chart.G(-x)))) / chart.ell,
+    )
+    calls = []
+    G = geometry.GraftedCollar.G
+    monkeypatch.setattr(geometry.GraftedCollar, "G", lambda self, x: calls.append(1) or G(self, x))
+    got = (geometry.total_area_quadrature(chart), geometry.conformal_modulus_quadrature(chart))
+    assert got == expected
+    assert len(calls) == 2  # one evaluation per strip, for both oracles
+
+
+def test_real_profiles_square_as_their_absolute_values():
+    # b * b for real profiles is np.abs(b) ** 2 bit for bit
+    units = hypersolve.solve_modes(np.arange(40), 2.0, 1.7, "neumann")
+    xi, trig, w_cosh, w_sech = units.profiles.grid
+    b, bp = units.profiles.values(slice(None), xi, trig)
+    ib, energy = units.profiles.quadrature
+    mu = units.profiles.mu
+    by_blocks = [
+        (np.abs(bp[k:k + 32]) ** 2 + 2.0 * np.abs(b[k:k + 32]) ** 2) @ w_cosh
+        + mu[k:k + 32] ** 2 * (np.abs(b[k:k + 32]) ** 2 @ w_sech)
+        for k in (0, 32)
+    ]
+    assert np.array_equal(energy, np.concatenate(by_blocks))
+    assert np.array_equal(ib, np.concatenate([b[:32] @ w_cosh, b[32:] @ w_cosh]))
