@@ -48,7 +48,6 @@ from .spectral import (
     FourierSolution,
     QuadDiffModes,
     TraceModes,
-    from_boundary_data,
     harmonicity_bound,
     harmonicity_residual,
 )

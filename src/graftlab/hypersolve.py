@@ -20,12 +20,13 @@ this pair in closed form, for all modes of a strip at once: one
 quadrature, a 16-point Gauss-Legendre rule on panels graded toward the seam
 layer of width 1/mu, so the Green identity check on strip_sums, the one
 pass that sums every strip quantity, is not circular.  A solved mode is its
-seam Dirichlet value times a real unit profile, so seams that share
-(ell, a, outer_bc) share one quadrature and one set of endpoint values.
+seam Dirichlet value times a real unit profile (solve_modes), so strip_sums
+scales one quadrature and one set of endpoint values to every seam that
+shares (ell, a, outer_bc).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -135,8 +136,8 @@ class StripProfiles:
     (rows, points) arrays; trig = _trig(xi) is passed in so that the
     quadrature grid's sinh, cosh and gd come once per grid.  The grid, the
     quadratures (in blocks of _BLOCK rows) and the endpoint values are
-    computed once, on first use, and shared by every scaled copy
-    (HyperbolicModeSolution).
+    computed once, on first use, and strip_sums scales them to each seam's
+    Dirichlet values.
     """
 
     ns: np.ndarray
@@ -188,62 +189,6 @@ class StripProfiles:
         return b[:, 0], bp[:, 0], b[:, 1], bp[:, 1]
 
 
-@dataclass(eq=False)
-class HyperbolicModeSolution:
-    """Strip modes: scale[k] times the profile of mode ns[k].
-
-    The quadratures and boundary values scale with the profiles: b enters
-    them as scale * b, so each reports scale or |scale|^2 times the
-    profiles' cached values.
-    """
-
-    outer_bc: str
-    profiles: StripProfiles = field(repr=False)
-    scale: np.ndarray
-
-    @property
-    def ns(self) -> np.ndarray:
-        return self.profiles.ns
-
-    @property
-    def ell(self) -> float:
-        return self.profiles.ell
-
-    @property
-    def a(self) -> float:
-        return self.profiles.a
-
-    @property
-    def dtn(self) -> np.ndarray:
-        """b'(0) of each profile, unscaled.  For the unit profiles of
-        solve_modes (b(0) = 1) it is the seam Dirichlet-to-Neumann value; for
-        other profiles it is their b'(0), not b'(0)/b(0)."""
-        return self.profiles.ends[1]
-
-    @property
-    def pair_weights(self) -> np.ndarray:
-        """ell for n = 0 and 2 ell for n >= 1: a stored mode stands for itself
-        and its conjugate, which doubles its share of every y-integral."""
-        return np.where(self.ns == 0, 1.0, 2.0) * self.ell
-
-    def at_seam_values(self, seam_dirichlet) -> "HyperbolicModeSolution":
-        """The same profiles scaled to other seam Dirichlet values (one per
-        mode, or one for all); they share this solution's quadrature and
-        endpoint values."""
-        return replace(self, scale=_scales(seam_dirichlet, self.ns))
-
-    @property
-    def interior_quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """(integral of b cosh, energy integrand integral) per mode: the
-        profiles' StripProfiles.quadrature, scaled."""
-        ib, energy = self.profiles.quadrature
-        return self.scale * ib, np.abs(self.scale) ** 2 * energy
-
-
-def _scales(seam_dirichlet, ns: np.ndarray) -> np.ndarray:
-    return np.full(ns.shape, seam_dirichlet, dtype=complex)
-
-
 def _profiles(ns: np.ndarray, ell: float, a: float, shift: float, cu, cw) -> StripProfiles:
     """The profiles c_u u + c_w w of the modes ns, one row each, on the pair
     of _pair with the given shift, evaluated as one (rows x points) array."""
@@ -257,28 +202,16 @@ def _profiles(ns: np.ndarray, ell: float, a: float, shift: float, cu, cw) -> Str
     return StripProfiles(ns=ns, ell=ell, a=a, values=values)
 
 
-def solve_modes(ns, ell: float, a: float, outer_bc: str = "dirichlet") -> HyperbolicModeSolution:
-    """Unit seam solves of the strip mode BVP for every mode in ns at once.
+def solve_modes(ns, ell: float, a: float, outer_bc: str = "dirichlet") -> StripProfiles:
+    """Unit seam solves (b(0) = 1) of the strip mode BVP for every mode in ns
+    at once, so ends[1] is each mode's seam Dirichlet-to-Neumann value.
 
     Closed form: the unit solve c_u u + c_w w of _unit_solution on the
-    scaled Poschl-Teller pair of _pair (_profiles); seam Dirichlet values
-    come from at_seam_values.
+    scaled Poschl-Teller pair of _pair (_profiles); strip_sums scales them
+    to seam Dirichlet values.
     """
     ns = np.asarray(ns, dtype=int).ravel()
-    profiles = _profiles(ns, ell, a, *_unit_solution(_mu(ns, ell), a, outer_bc))
-    return HyperbolicModeSolution(outer_bc=outer_bc, profiles=profiles, scale=_scales(1.0, ns))
-
-
-def mode_solve(
-    n: int,
-    ell: float,
-    a: float,
-    outer_bc: str = "dirichlet",
-    seam_dirichlet: complex = 1.0,
-) -> HyperbolicModeSolution:
-    """Solve one strip mode BVP with the given seam Dirichlet value: the
-    one-mode case of solve_modes."""
-    return solve_modes([n], ell, a, outer_bc).at_seam_values(seam_dirichlet)
+    return _profiles(ns, ell, a, *_unit_solution(_mu(ns, ell), a, outer_bc))
 
 
 def seam_dtn(ns, ell, a, outer_bc: str = "dirichlet") -> np.ndarray:
@@ -334,7 +267,7 @@ def mode_extend(ns, ell: float, a: float, seam_values, seam_slopes) -> StripProf
     """
     ns = np.asarray(ns, dtype=int).ravel()
     mu = _mu(ns, ell)
-    v, p = _scales(seam_values, ns), _scales(seam_slopes, ns)
+    v, p = (np.full(ns.shape, x, dtype=complex) for x in (seam_values, seam_slopes))
     zero = mu == 0.0
     # mu = 0 rows take (v, p); the placeholder 1 keeps their quotient finite
     v_mu, p_mu = v / np.where(zero, 1.0, mu), p / (1.0 + mu * mu)
@@ -343,20 +276,28 @@ def mode_extend(ns, ell: float, a: float, seam_values, seam_slopes) -> StripProf
     return _profiles(ns, ell, a, 0.0, cu, cw)
 
 
-def strip_sums(solutions: Iterable[HyperbolicModeSolution]) -> tuple[float, ...]:
+def strip_sums(units: StripProfiles, seams: Iterable) -> tuple[float, ...]:
     """(integral of H, energy |grad H|^2 + 2 H^2, seam Green form, outer
     Green form, outer flux of the n = 0 modes) over the strips, in one pass:
     area element cosh(xi) dxi dy, pair weights, seam normal -d/dxi, outer
-    line element cosh(a) dy.  The outer form vanishes for either homogeneous
-    outer condition; it is kept so the gap from a closed surface shows."""
+    line element cosh(a) dy.  Each strip is the unit profiles times one
+    array of seam Dirichlet values, one per mode of units; b enters every
+    sum as scale * b, so each takes scale or |scale|^2 times the profiles'
+    cached quadrature and endpoint values.  The outer form vanishes for
+    either homogeneous outer condition; it is kept so the gap from a closed
+    surface shows."""
+    ib, en = units.quadrature
+    mean, cosh_a = units.ns == 0, np.cosh(units.a)
+    # a stored mode n >= 1 stands for itself and its conjugate, which
+    # doubles its share of every y-integral
+    weights = np.where(mean, 1.0, 2.0) * units.ell
     int_h = energy = seam = outer = flux = 0.0
-    for sol in solutions:
-        ib, en = sol.interior_quadrature
-        b0, bp0, ba, bpa = (sol.scale * v for v in sol.profiles.ends)
-        weights, mean, cosh_a = sol.pair_weights, sol.ns == 0, np.cosh(sol.a)
-        int_h += sol.ell * float(np.real(ib[mean]).sum())
-        energy += float(weights @ en)
+    for values in seams:
+        scale = np.asarray(values, dtype=complex)
+        b0, bp0, ba, bpa = (scale * v for v in units.ends)
+        int_h += units.ell * float(np.real(scale * ib)[mean].sum())
+        energy += float(weights @ (np.abs(scale) ** 2 * en))
         seam -= float(weights @ np.real(b0 * np.conj(bp0)))
         outer += float(weights @ np.real(ba * np.conj(bpa))) * cosh_a
-        flux += sol.ell * cosh_a * float(np.real(bpa[mean]).sum())
+        flux += units.ell * cosh_a * float(np.real(bpa[mean]).sum())
     return int_h, energy, seam, outer, flux

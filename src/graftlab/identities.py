@@ -10,7 +10,7 @@ Boundary orientation: the seam normal points out of the hyperbolic strips,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -178,10 +178,10 @@ def boundary_term_quadrature(
 
 @dataclass
 class SolvedConfiguration:
-    """A chart, an interior field, its two variation fields, the strip
-    mode solutions carrying the seam Dirichlet data outward, and the field's
-    (left, right) Dirichlet and flat Neumann seam traces.  No field is
-    assigned after construction, so the strip sums are kept."""
+    """A chart, an interior field, its two variation fields and the field's
+    (left, right) Dirichlet and flat Neumann seam traces.  The strip modes
+    carry the seam Dirichlet data outward; they are solved on first use.
+    No field is assigned after construction, so the strip sums are kept."""
 
     chart: GraftedCollar
     sol: FourierSolution
@@ -189,16 +189,25 @@ class SolvedConfiguration:
     v_right: VariationField
     s_rate: float = 0.0
     quad: QuadDiffModes | None = None
-    strips: dict[str, hypersolve.HyperbolicModeSolution] = field(default_factory=dict)
     dirichlet: tuple[TraceModes, ...] = ()
     neumann: tuple[TraceModes, ...] = ()
 
     @cached_property
+    def units(self) -> hypersolve.StripProfiles:
+        """The unit profiles of the strip modes: n = 0 and the field's
+        nonzero modes, solved once for both strips."""
+        ns = np.concatenate(([0], self.sol.nonzero_modes()))
+        return hypersolve.solve_modes(ns, self.chart.ell, self.chart.a, self.chart.outer_bc)
+
+    @cached_property
     def strip_sums(self) -> tuple[float, ...]:
-        """hypersolve.strip_sums of the solved modes of both strips: (integral
-        of H, energy, seam Green form, outer Green form, mean-mode outer
-        flux), computed once, on first use, for every identity."""
-        return hypersolve.strip_sums(self.strips.values())
+        """hypersolve.strip_sums of the unit profiles scaled to each seam's
+        Dirichlet values: (integral of H, energy, seam Green form, outer
+        Green form, mean-mode outer flux), computed once, on first use, for
+        every identity."""
+        ns = self.units.ns[1:]
+        seams = (np.concatenate(([trace.mean], trace.coef[ns])) for trace in self.dirichlet)
+        return hypersolve.strip_sums(self.units, seams)
 
 
 def solve_configuration(
@@ -212,25 +221,20 @@ def solve_configuration(
     """Solve everything a configuration needs for the identity suite.
 
     Free constants default to the values pinned by the n = 0 seam balance
-    (strip Dirichlet-to-Neumann data applied to the seam means).
+    (the closed-form strip Dirichlet-to-Neumann value of the mean mode,
+    seam_dtn, applied to the seam means).  The strip modes are solved only
+    when the strip sums are read.
     """
     sides = ("left", "right")
     dirichlet = tuple(sol.dirichlet_trace(side) for side in sides)
     neumann = tuple(sol.neumann_trace_flat(side) for side in sides)
-    ns = sol.nonzero_modes()
-    units = hypersolve.solve_modes(np.concatenate(([0], ns)), chart.ell, chart.a, chart.outer_bc)
     if mean_left is None or mean_right is None:
-        lam0, rho0 = pinned_means(units.dtn[0], dirichlet[0].mean, dirichlet[1].mean)
+        dtn0 = hypersolve.seam_dtn([0], chart.ell, chart.a, chart.outer_bc)[0]
+        lam0, rho0 = pinned_means(dtn0, dirichlet[0].mean, dirichlet[1].mean)
         mean_left = lam0 if mean_left is None else mean_left
         mean_right = rho0 if mean_right is None else mean_right
     v_left = solve_flat_variation(neumann[0], mean_left)
     v_right = solve_flat_variation(neumann[1], mean_right)
-
-    # one unit solve per mode, scaled to each seam's Dirichlet values
-    strips = {
-        side: units.at_seam_values(np.concatenate(([trace.mean], trace.coef[ns])))
-        for side, trace in zip(sides, dirichlet)
-    }
     return SolvedConfiguration(
         chart=chart,
         sol=sol,
@@ -238,7 +242,6 @@ def solve_configuration(
         v_right=v_right,
         s_rate=s_rate,
         quad=quad,
-        strips=strips,
         dirichlet=dirichlet,
         neumann=neumann,
     )

@@ -44,12 +44,11 @@ def random_solution(
     s: float,
     nmax: int = 8,
     decay: float = 0.7,
-    with_c0: bool = False,
     amplitude: float = 1.0,
 ) -> FourierSolution:
     """Random interior field with decaying mode amplitudes.
 
-    c0 defaults to 0 so the periodic variation problem is solvable.
+    c0 is 0 so the periodic variation problem is solvable.
     Amplitudes are additionally damped by cosh(pi n s / ell) so seam traces
     stay O(amplitude) regardless of the aspect ratio; modes with
     pi n s / ell > MAX_DAMPED_ARG are left out (zero).  Arrays of ell and s
@@ -59,7 +58,7 @@ def random_solution(
     return FourierSolution(
         ell=ell,
         s=s,
-        c0=float(rng.standard_normal()) if with_c0 else 0.0,
+        c0=0.0,
         d0=amplitude * float(rng.standard_normal()),
         c=c,
         d=d,

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError
+from .errors import DomainError
 
 # Threshold below which a mean (constant) coefficient counts as zero when
 # deciding solvability / singularity questions.
@@ -279,43 +279,13 @@ class FourierSolution:
         return cls(data["ell"], data["s"], data["c0"], data["d0"], modes=modes)
 
 
-def from_boundary_data(
-    left: TraceModes, right: TraceModes, ell: float, s: float
-) -> FourierSolution:
-    """Reconstruct the interior solution from a pair of Dirichlet traces.
-
-    Inverts the per-mode 2x2 system of seam values.  For s = 0 the sinh
-    column vanishes and the system is singular whenever mode data is present.
-    """
-    if left.kind != "dirichlet" or right.kind != "dirichlet":
-        raise ValueError("both traces must be Dirichlet kind")
-    if left.side != "left" or right.side != "right":
-        raise ValueError("traces must be a (left, right) pair")
-
-    width = max(left.coef.shape[-1], right.coef.shape[-1])
-    ln, rn = (np.pad(t.coef, (0, width - t.coef.shape[-1]))[1:] for t in (left, right))
-    d0 = (left.mean + right.mean) / 2
-    if s == 0:
-        if np.any(np.abs(ln) > MEAN_TOL) or np.any(np.abs(rn) > MEAN_TOL):
-            raise SingularSystemError("s = 0: sinh column vanishes, mode system singular")
-        if abs(right.mean - left.mean) > MEAN_TOL * max(1.0, abs(left.mean)):
-            raise SingularSystemError("s = 0: mean system singular for unequal means")
-        return FourierSolution(ell=ell, s=s, c0=0.0, d0=d0)
-    arg = np.pi * np.arange(1, width) * s / ell
-    c = np.r_[0.0, (ln + rn) / (2 * np.cosh(arg))]
-    d = np.r_[0.0, (rn - ln) / (2 * np.sinh(arg))]
-    return FourierSolution(ell=ell, s=s, c0=(right.mean - left.mean) / s, d0=d0, c=c, d=d)
-
-
 def harmonicity_residual(
     fld: FourierSolution | Callable,
     ell: float | None = None,
     s: float | None = None,
     h: float | None = None,
-    nx: int = 16,
-    ny: int = 32,
 ) -> float:
-    """Max 5-point-stencil Laplacian over an interior grid.
+    """Max 5-point-stencil Laplacian over an interior grid of 16 x 32 points.
 
     O(h^2) for resolved harmonic fields; a callable may be passed in place of
     a FourierSolution (used to inject non-harmonic terms in tests).  The
@@ -330,24 +300,24 @@ def harmonicity_residual(
     elif ell is None or s is None:
         raise ValueError("ell and s required for a bare callable")
     h = ell / 256 if h is None else h
-    xs = _stencil_xs(s, h, nx)
-    ys = np.linspace(0.0, ell, ny, endpoint=False)
+    xs = _stencil_xs(s, h)
+    ys = np.linspace(0.0, ell, 32, endpoint=False)
     x3, y3 = np.concatenate((xs - h, xs, xs + h)), np.concatenate((ys - h, ys, ys + h))
     if isinstance(fld, FourierSolution):
         u = fld.evaluate(x3[:, None], y3)
     else:
         u = fld(*np.meshgrid(x3, y3, indexing="ij"))
-    u = u.reshape(3, len(xs), 3, ny)
+    u = u.reshape(3, len(xs), 3, len(ys))
     lap = (u[2, :, 1] + u[0, :, 1] + u[1, :, 2] + u[1, :, 0] - 4.0 * u[1, :, 1]) / h**2
     return float(np.max(np.abs(lap)))
 
 
-def _stencil_xs(s: float, h: float, nx: int) -> np.ndarray:
-    """The x positions of harmonicity_residual's grid: nx points on
+def _stencil_xs(s: float, h: float) -> np.ndarray:
+    """The x positions of harmonicity_residual's grid: 16 points on
     [-(s/2 - h), s/2 - h], or the centre alone when that is empty."""
     if s / 2 - h <= -(s / 2 - h):
         return np.array([0.0])
-    return np.linspace(-(s / 2 - h), s / 2 - h, nx)
+    return np.linspace(-(s / 2 - h), s / 2 - h, 16)
 
 
 #: Rounding allowance of the stencil, in units of eps max|u| / h^2: its
@@ -357,9 +327,9 @@ STENCIL_ROUNDING = 16.0
 
 
 def harmonicity_bound(
-    fld: FourierSolution, h: float | None = None, nx: int = 16
+    fld: FourierSolution, h: float | None = None
 ) -> tuple[float, float]:
-    """(truncation bound, rounding allowance) for harmonicity_residual(fld, h=h, nx=nx).
+    """(truncation bound, rounding allowance) for harmonicity_residual(fld, h=h).
 
     The five-point Laplacian of a harmonic mode (c cosh kx + d sinh kx)
     exp(iky), k = 2 pi n / ell, is exactly its value times
@@ -373,7 +343,7 @@ def harmonicity_bound(
     k = 2.0 * np.pi * np.arange(1, fld.c.shape[-1]) / fld.ell
     c, d = np.abs(fld.c[1:]), np.abs(fld.d[1:])
     factor = (2.0 * np.cosh(k * h) + 2.0 * np.cos(k * h) - 4.0) / h**2
-    kx = np.outer(np.abs(_stencil_xs(fld.s, h, nx)), k)
+    kx = np.outer(np.abs(_stencil_xs(fld.s, h)), k)
     truncation = float(np.max(2.0 * (c * np.cosh(kx) + d * np.sinh(kx)) @ factor, initial=0.0))
     ks = k * fld.s / 2
     umax = abs(fld.c0) * fld.s / 2 + abs(fld.d0)

@@ -189,7 +189,6 @@ def _solve_perturbed_geodesic(
     side: str,
     m: int,
     x_init: np.ndarray | None = None,
-    tol: float = 1e-12,
 ):
     """Closed curve x = X(y) solving the geodesic equation of the metric
     (dx^2 + G^2 dy^2) / (1 + t * hfield), by Newton (Powell hybrid) on the
@@ -221,7 +220,7 @@ def _solve_perturbed_geodesic(
         return dP - Q
 
     x0 = np.full(m, base) if x_init is None else np.asarray(x_init, float)
-    result = root(residual, x0, method="hybr", tol=tol)
+    result = root(residual, x0, method="hybr", tol=1e-12)
     # hybr can report "not making good progress" after full convergence when
     # the flat-region directions are nearly degenerate; judge by the residual
     res_norm = float(np.max(np.abs(residual(result.x))))

@@ -2,20 +2,21 @@
 
 Each quantity has one production route in graftlab; the routes here are
 separate computations of the same numbers (periodic collocation, Parseval,
-manufactured strip profiles, the strip Green identity) or helpers that only
-the tests use.
+manufactured strip profiles, the strip Green identity, the interior field
+rebuilt from its seam traces) or helpers that only the tests use.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 from graftlab import hypersolve
-from graftlab.hypersolve import HyperbolicModeSolution, StripProfiles
-from graftlab.spectral import TraceModes
+from graftlab.errors import SingularSystemError
+from graftlab.hypersolve import StripProfiles
+from graftlab.spectral import MEAN_TOL, FourierSolution, TraceModes
 from graftlab.variation import VariationField
 
 
@@ -51,25 +52,26 @@ def rotated(v: VariationField, y0: float) -> VariationField:
     return replace(v, coef=v.coef * np.exp(-1j * k * n * y0))
 
 
-def b_fn(sol: HyperbolicModeSolution, xi):
-    """b at the points xi, for a one-mode solution (as from mode_solve)."""
-    return _one_mode(sol, 0, xi)
+def b_fn(units: StripProfiles, xi, seam_dirichlet: complex = 1.0):
+    """b at the points xi of a one-mode profile scaled to a seam Dirichlet
+    value (as from solve_modes([n], ...))."""
+    return _one_mode(units, 0, xi, seam_dirichlet)
 
 
-def bp_fn(sol: HyperbolicModeSolution, xi):
-    """b' at the points xi, for a one-mode solution."""
-    return _one_mode(sol, 1, xi)
+def bp_fn(units: StripProfiles, xi, seam_dirichlet: complex = 1.0):
+    """b' at the points xi of a one-mode profile scaled to a seam Dirichlet value."""
+    return _one_mode(units, 1, xi, seam_dirichlet)
 
 
-def _one_mode(sol: HyperbolicModeSolution, which: int, xi):
-    if len(sol.ns) != 1:
-        raise ValueError(f"b_fn and bp_fn need a one-mode solution, not {len(sol.ns)} modes")
-    return sol.scale[0] * sol.profiles(xi)[which][0]
+def _one_mode(units: StripProfiles, which: int, xi, seam_dirichlet: complex):
+    if len(units.ns) != 1:
+        raise ValueError(f"b_fn and bp_fn need one-mode profiles, not {len(units.ns)} modes")
+    return seam_dirichlet * units(xi)[which][0]
 
 
 def manufactured_mode(n: int, ell: float, a: float, b_fn: Callable, bp_fn: Callable, bpp_fn: Callable):
-    """Package an arbitrary smooth profile as a one-mode solution (unit
-    scale) plus its forcing f(xi) = b'' + tanh b' - (mu^2/cosh^2+2) b, for
+    """Package an arbitrary smooth profile as one-mode profiles plus its
+    forcing f(xi) = b'' + tanh b' - (mu^2/cosh^2+2) b, for
     method-of-manufactured-solutions checks of the Green identity."""
     musq = (2.0 * np.pi * n / ell) ** 2
 
@@ -79,22 +81,52 @@ def manufactured_mode(n: int, ell: float, a: float, b_fn: Callable, bp_fn: Calla
     def values(rows, xi, trig):
         return tuple(np.broadcast_to(fn(xi), xi.shape)[None] for fn in (b_fn, bp_fn))
 
-    profiles = StripProfiles(ns=np.array([n]), ell=ell, a=a, values=values)
-    sol = HyperbolicModeSolution(outer_bc="manufactured", profiles=profiles, scale=np.ones(1, dtype=complex))
-    return sol, forcing
+    return StripProfiles(ns=np.array([n]), ell=ell, a=a, values=values), forcing
 
 
-def greens_residual(solutions: Sequence[HyperbolicModeSolution], forcings: Sequence[Callable] = ()) -> float:
-    """Residual of the Green identity on the strips:
+def greens_residual(units: StripProfiles, seams: Iterable, forcing: Callable | None = None) -> float:
+    """Residual of the Green identity on the strips, each strip the profiles
+    units scaled to one array of seam Dirichlet values:
     integral(H * (Lap_h - 2) H) = -energy + seam + outer boundary terms, the
     right side from hypersolve.strip_sums.  The left side vanishes for exact
-    homogeneous mode solutions; for manufactured profiles it takes one
-    forcing callable f(xi) per solution (manufactured_mode).
+    homogeneous mode solutions; for manufactured profiles it takes their
+    forcing f(xi), one row per mode (manufactured_mode).
     """
+    seams = [np.asarray(v, dtype=complex) for v in seams]
     lhs = 0.0
-    for sol, f in zip(solutions, forcings):
-        xi, _, w_cosh, _ = sol.profiles.grid
-        b = sol.scale[:, None] * sol.profiles(xi)[0]
-        lhs += float(sol.pair_weights @ (np.real(b * np.conj(f(xi))) @ w_cosh))
-    _, energy, seam, outer, _ = hypersolve.strip_sums(solutions)
+    if forcing is not None:
+        xi, _, w_cosh, _ = units.grid
+        b, f = units(xi)[0], forcing(xi)
+        weights = np.where(units.ns == 0, 1.0, 2.0) * units.ell
+        for scale in seams:
+            lhs += float(weights @ (np.real(scale[:, None] * b * np.conj(scale[:, None] * f)) @ w_cosh))
+    _, energy, seam, outer, _ = hypersolve.strip_sums(units, seams)
     return float(abs(lhs - (-energy + seam + outer)))
+
+
+def from_boundary_data(
+    left: TraceModes, right: TraceModes, ell: float, s: float
+) -> FourierSolution:
+    """Reconstruct the interior solution from a pair of Dirichlet traces.
+
+    Inverts the per-mode 2x2 system of seam values.  For s = 0 the sinh
+    column vanishes and the system is singular whenever mode data is present.
+    """
+    if left.kind != "dirichlet" or right.kind != "dirichlet":
+        raise ValueError("both traces must be Dirichlet kind")
+    if left.side != "left" or right.side != "right":
+        raise ValueError("traces must be a (left, right) pair")
+
+    width = max(left.coef.shape[-1], right.coef.shape[-1])
+    ln, rn = (np.pad(t.coef, (0, width - t.coef.shape[-1]))[1:] for t in (left, right))
+    d0 = (left.mean + right.mean) / 2
+    if s == 0:
+        if np.any(np.abs(ln) > MEAN_TOL) or np.any(np.abs(rn) > MEAN_TOL):
+            raise SingularSystemError("s = 0: sinh column vanishes, mode system singular")
+        if abs(right.mean - left.mean) > MEAN_TOL * max(1.0, abs(left.mean)):
+            raise SingularSystemError("s = 0: mean system singular for unequal means")
+        return FourierSolution(ell=ell, s=s, c0=0.0, d0=d0)
+    arg = np.pi * np.arange(1, width) * s / ell
+    c = np.r_[0.0, (ln + rn) / (2 * np.cosh(arg))]
+    d = np.r_[0.0, (rn - ln) / (2 * np.sinh(arg))]
+    return FourierSolution(ell=ell, s=s, c0=(right.mean - left.mean) / s, d0=d0, c=c, d=d)

@@ -445,6 +445,7 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch, capsys):
         monkeypatch.setattr(owner, name, counted)
 
     spy(hypersolve, "strip_sums")
+    spy(hypersolve, "solve_modes")
     # identities binds solve_flat_variation by name
     for owner in (variation, identities):
         spy(owner, "solve_flat_variation")
@@ -459,10 +460,12 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch, capsys):
     monkeypatch.setattr(spectral.FourierSolution, "cylinder_terms", prop)
     code, _ = run(["verify", "--modes", "64"], capsys)
     assert code == 0
-    # the strip sums once per configuration, the series terms once per
-    # field, and one flat variation per seam, amended for q and the zero q
+    # the strip modes and sums once per configuration, the series terms
+    # once per field, and one flat variation per seam, amended for q and the
+    # zero q
     assert collections.Counter(calls) == {
         "strip_sums": 1,
+        "solve_modes": 1,
         "solve_flat_variation": 2,
         "cylinder_terms": 1,
     }

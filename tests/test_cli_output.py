@@ -207,10 +207,10 @@ def test_chart_oracles_share_one_evaluation_of_the_chart(monkeypatch):
 def test_real_profiles_square_as_their_absolute_values():
     # b * b for real profiles is np.abs(b) ** 2 bit for bit
     units = hypersolve.solve_modes(np.arange(40), 2.0, 1.7, "neumann")
-    xi, trig, w_cosh, w_sech = units.profiles.grid
-    b, bp = units.profiles.values(slice(None), xi, trig)
-    ib, energy = units.profiles.quadrature
-    mu = units.profiles.mu
+    xi, trig, w_cosh, w_sech = units.grid
+    b, bp = units.values(slice(None), xi, trig)
+    ib, energy = units.quadrature
+    mu = units.mu
     by_blocks = [
         (np.abs(bp[k:k + 32]) ** 2 + 2.0 * np.abs(b[k:k + 32]) ** 2) @ w_cosh
         + mu[k:k + 32] ** 2 * (np.abs(b[k:k + 32]) ** 2 @ w_sech)

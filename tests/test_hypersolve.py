@@ -10,30 +10,34 @@ ELL = 2 * np.pi
 
 
 def test_zero_seam_data_gives_zero_solution():
-    sol = hypersolve.mode_solve(1, ELL, 1.0, seam_dirichlet=0.0)
+    units = hypersolve.solve_modes([1], ELL, 1.0)
     xi = np.linspace(0, 1.0, 50)
-    assert np.max(np.abs(b_fn(sol, xi))) < 1e-12
+    assert np.max(np.abs(b_fn(units, xi, 0.0))) < 1e-12
+    assert hypersolve.strip_sums(units, [[0.0]]) == (0.0,) * 5
 
 
 def test_mean_mode_profile_decreasing():
-    sol = hypersolve.mode_solve(0, ELL, 1.0, seam_dirichlet=1.0)
+    units = hypersolve.solve_modes([0], ELL, 1.0)
     xi = np.linspace(0, 1.0, 200)
-    b = np.real(b_fn(sol, xi))
+    b = np.real(b_fn(units, xi))
     assert b[0] == pytest.approx(1.0)
     assert abs(b[-1]) < 1e-10
     assert np.all(np.diff(b) < 0)
-    assert sol.dtn < 0
+    assert units.ends[1][0] < 0
 
 
 def test_linearity_in_seam_value():
-    a = hypersolve.mode_solve(2, ELL, 1.0, seam_dirichlet=0.7)
-    b = hypersolve.mode_solve(2, ELL, 1.0, seam_dirichlet=1.4)
-    xi = np.linspace(0, 1.0, 30)
-    assert np.allclose(2.0 * b_fn(a, xi), b_fn(b, xi), atol=1e-12)
+    # doubling the seam values doubles the plain integral and the outer
+    # flux, and quadruples the energy and the Green forms
+    units = hypersolve.solve_modes([0, 2], ELL, 1.0)
+    once = hypersolve.strip_sums(units, [[0.7, 0.7 - 0.2j]])
+    twice = hypersolve.strip_sums(units, [[1.4, 1.4 - 0.4j]])
+    factors = (2.0, 4.0, 4.0, 4.0, 2.0)
+    assert twice == pytest.approx([f * v for f, v in zip(factors, once)], rel=1e-14, abs=1e-14)
 
 
 def test_ode_residual_of_solution():
-    sol = hypersolve.mode_solve(3, ELL, 1.0)
+    sol = hypersolve.solve_modes([3], ELL, 1.0)
     h = 1e-4
     xi = np.linspace(0.1, 0.9, 40)
     bpp = (b_fn(sol, xi + h) - 2 * b_fn(sol, xi) + b_fn(sol, xi - h)) / h**2
@@ -138,16 +142,16 @@ def test_dtn_matches_collocation_oracle():
 
 
 def test_interior_integral_orthogonality():
-    mean = hypersolve.mode_solve(0, ELL, 1.0, seam_dirichlet=0.5)
-    osc = hypersolve.mode_solve(1, ELL, 1.0, seam_dirichlet=1.0 + 1j)
-    int_h, energy, *_ = hypersolve.strip_sums([mean, osc])
+    both = hypersolve.solve_modes([0, 1], ELL, 1.0)
+    int_h, energy, *_ = hypersolve.strip_sums(both, [[0.5, 1.0 + 1j]])
     # only the n = 0 mode contributes to the plain integral
-    int_mean_only, *_ = hypersolve.strip_sums([mean])
+    mean = hypersolve.solve_modes([0], ELL, 1.0)
+    int_mean_only, *_ = hypersolve.strip_sums(mean, [[0.5]])
     assert int_h == pytest.approx(int_mean_only)
     assert energy > 0
     # direct quadrature of the mean profile, one strip
     xi = np.linspace(0, 1.0, 4001)
-    direct = simpson(np.real(b_fn(mean, xi)) * np.cosh(xi), x=xi) * ELL
+    direct = simpson(np.real(b_fn(mean, xi, 0.5)) * np.cosh(xi), x=xi) * ELL
     assert int_mean_only == pytest.approx(direct, rel=1e-8)
 
 
@@ -160,14 +164,12 @@ def test_unit_energy_matches_dtn_by_greens_identity(a, outer):
     ns = np.arange(257)
     for ell in (0.25, 1.0, ELL, 16.0):
         units = hypersolve.solve_modes(ns, ell, a, outer)
-        _, energy = units.profiles.quadrature
+        batch_ib, batch_energy = units.quadrature
         dtn = np.array([hypersolve.dtn(n, ell, a, outer) for n in ns])
-        assert np.all(np.abs(energy + dtn) <= 1e-13 * np.abs(dtn)), (ell, a, outer)
+        assert np.all(np.abs(batch_energy + dtn) <= 1e-13 * np.abs(dtn)), (ell, a, outer)
         # the one-mode solve is the same path, one row of it
-        seam = 0.6 - 0.8j
-        batch_ib, batch_energy = units.at_seam_values(seam).interior_quadrature
         for n in (0, 1, 17, 256):
-            ib, en = hypersolve.mode_solve(n, ell, a, outer, seam_dirichlet=seam).interior_quadrature
+            ib, en = hypersolve.solve_modes([n], ell, a, outer).quadrature
             assert abs(ib[0] - batch_ib[n]) <= 1e-15 * abs(batch_ib[n]), (ell, a, outer, n)
             assert abs(en[0] - batch_energy[n]) <= 1e-15 * batch_energy[n], (ell, a, outer, n)
 
@@ -188,17 +190,17 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
         def bpp(xi):
             return -np.cos(xi) + 1j * n
 
-        sol, _ = manufactured_mode(n, ELL, a, b, bp, bpp)
-        return sol
+        units, _ = manufactured_mode(n, ELL, a, b, bp, bpp)
+        return units
 
     sols = [counted(0, 1.3), counted(2, 1.3), counted(5, 0.7)]
-    first = hypersolve.strip_sums(sols)
-    second = hypersolve.strip_sums(sols)
-    resid = greens_residual(sols)
+    seams = [[1.0], [0.5 - 0.5j]]
+    first = [hypersolve.strip_sums(units, seams) for units in sols]
+    second = [hypersolve.strip_sums(units, seams) for units in sols]
+    resid = [greens_residual(units, seams) for units in sols]
     assert grid_calls == {0: 1, 2: 1, 5: 1}
     assert first == second
-    rhs = -first[1] + first[2] + first[3]
-    assert resid == abs(rhs)
+    assert resid == [abs(-f[1] + f[2] + f[3]) for f in first]
 
     # ... and one solve_configuration makes one batched grid pass over all
     # its modes, shared by both seams and by every identity
@@ -218,7 +220,8 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     identities.master_identity(config)
     identities.area_derivative_report(config)
     identities.extended_master_identity(config)
-    greens_residual(list(config.strips.values()))
+    ns = sol.nonzero_modes()
+    greens_residual(config.units, [np.concatenate(([t.mean], t.coef[ns])) for t in config.dirichlet])
     assert grid_rows == [[float(hypersolve._mu(n, ELL)) for n in range(7)]]
 
 
@@ -228,19 +231,19 @@ def test_profile_functions_need_a_one_mode_solution():
         b_fn(many, 0.5)
     with pytest.raises(ValueError):
         bp_fn(many, 0.5)
-    one = hypersolve.mode_solve(1, ELL, 1.0, seam_dirichlet=2.0)
-    assert b_fn(one, 0.0) == pytest.approx(2.0)
+    one = hypersolve.solve_modes([1], ELL, 1.0)
+    assert b_fn(one, 0.0, 2.0) == pytest.approx(2.0)
 
 
 def test_greens_identity_on_solved_modes():
-    sols = [hypersolve.mode_solve(n, ELL, 1.0, seam_dirichlet=v) for n, v in ((0, 0.8), (2, 1.0 - 0.5j))]
-    assert greens_residual(sols) < 1e-8
+    units = hypersolve.solve_modes([0, 2], ELL, 1.0)
+    assert greens_residual(units, [[0.8, 1.0 - 0.5j]]) < 1e-8
 
 
 def test_outer_boundary_form_vanishes_for_homogeneous_conditions():
     for outer in ("dirichlet", "neumann"):
-        sols = [hypersolve.mode_solve(1, ELL, 1.0, outer_bc=outer)]
-        assert abs(hypersolve.strip_sums(sols)[3]) < 1e-12
+        units = hypersolve.solve_modes([1], ELL, 1.0, outer_bc=outer)
+        assert abs(hypersolve.strip_sums(units, [[1.0]])[3]) < 1e-12
 
 
 def test_greens_identity_manufactured_solution():
@@ -252,8 +255,8 @@ def test_greens_identity_manufactured_solution():
     b = sympy.lambdify(xi, expr)
     bp = sympy.lambdify(xi, sympy.diff(expr, xi))
     bpp = sympy.lambdify(xi, sympy.diff(expr, xi, 2))
-    sol, forcing = manufactured_mode(n, ELL, a, b, bp, bpp)
-    assert greens_residual([sol], forcings=[forcing]) < 1e-8
+    units, forcing = manufactured_mode(n, ELL, a, b, bp, bpp)
+    assert greens_residual(units, [[1.0]], forcing) < 1e-8
 
 
 def test_mode_extend_matches_bvp_solution():
@@ -263,13 +266,13 @@ def test_mode_extend_matches_bvp_solution():
     values = [0.9, 0.4 - 0.3j, -1.1, 0.2j]
     xi = np.linspace(0, 1.0, 60)
     for outer_bc in ("dirichlet", "neumann"):
-        sols = [hypersolve.mode_solve(n, ELL, 1.0, outer_bc, v) for n, v in zip(ns, values)]
-        ext = hypersolve.mode_extend(ns, ELL, 1.0, values, [bp_fn(sol, 0.0) for sol in sols])
+        sols = [hypersolve.solve_modes([n], ELL, 1.0, outer_bc) for n in ns]
+        ext = hypersolve.mode_extend(ns, ELL, 1.0, values, [bp_fn(sol, 0.0, v) for sol, v in zip(sols, values)])
         b, bp = ext(xi)
         assert list(ext.ns) == ns and b.shape == bp.shape == (4, 60)
-        for k, sol in enumerate(sols):
-            assert np.allclose(b[k], b_fn(sol, xi), atol=1e-9), (outer_bc, ns[k])
-            assert np.allclose(bp[k], bp_fn(sol, xi), atol=1e-9), (outer_bc, ns[k])
+        for k, (sol, v) in enumerate(zip(sols, values)):
+            assert np.allclose(b[k], b_fn(sol, xi, v), atol=1e-9), (outer_bc, ns[k])
+            assert np.allclose(bp[k], bp_fn(sol, xi, v), atol=1e-9), (outer_bc, ns[k])
 
 
 def test_dtn_accepts_only_the_closed_form():

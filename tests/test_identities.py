@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from graftlab import identities, sampling, variation
+from graftlab import hypersolve, identities, sampling, variation
 from graftlab.errors import DomainError, SolvabilityError
 from graftlab.geometry import GraftedCollar
 from graftlab.spectral import FourierSolution, QuadDiffModes, TraceModes
@@ -145,6 +146,30 @@ def test_slice_condition_report():
 
 def _pinned_config(sol, chart, **kw):
     return identities.solve_configuration(chart, sol, **kw)
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [GraftedCollar(ell=ELL, s=1.0, a=400.0, outer_bc="neumann"), GraftedCollar(ell=ELL, s=1.0, a=720.0)],
+)
+def test_free_means_solve_no_strip_mode_at_large_a(chart, monkeypatch):
+    # geodesic pins the free means and never reads the strip sums: at a = 400
+    # (Neumann) and a = 720 the unit profiles overflow, so solving them
+    # there printed numpy warnings for strips nothing used
+    solves = []
+    solve_modes = hypersolve.solve_modes
+    monkeypatch.setattr(hypersolve, "solve_modes", lambda *args: solves.append(args) or solve_modes(*args))
+    sol = sampling.random_solution(np.random.default_rng(0), chart.ell, chart.s, nmax=4, amplitude=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        config = identities.solve_configuration(chart, sol)
+    assert solves == []
+    dtn0 = hypersolve.seam_dtn([0], chart.ell, chart.a, chart.outer_bc)[0]
+    lam0, rho0 = variation.pinned_means(dtn0, sol.dirichlet_trace("left").mean, sol.dirichlet_trace("right").mean)
+    assert (config.v_left.mean, config.v_right.mean) == (lam0, rho0)
+    with np.errstate(all="ignore"):
+        config.strip_sums
+    assert len(solves) == 1
 
 
 def test_master_identity_zero_field():

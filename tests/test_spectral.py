@@ -9,14 +9,13 @@ from graftlab import (
     QuadDiffModes,
     SingularSystemError,
     TraceModes,
-    from_boundary_data,
     harmonicity_bound,
     harmonicity_residual,
     sampling,
 )
 from graftlab import spectral
 from graftlab.identities import seam_points
-from oracles import parseval_norm_sq
+from oracles import from_boundary_data, parseval_norm_sq
 
 ELL, S = 2 * np.pi, 2.0
 
