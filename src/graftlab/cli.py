@@ -12,18 +12,22 @@ one array pass with a leading points axis, from one draw of the seed.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import geometry, hypersolve, identities, sampling, spectral, variation
 from .errors import ConfigError, GraftLabError
+
+if TYPE_CHECKING:
+    import argparse
 
 _CONFIG_KEYS = {
     "ell": float,
@@ -62,7 +66,7 @@ class RunConfig:
         # NaN fails every comparison below, so non-finite values go first
         for key in ("ell", "s", "a", "tol", "t", "from", "to"):
             value = getattr(self, _FIELD_FOR_KEY.get(key, key))
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.ell <= 0 or self.a <= 0 or self.s < 0:
             raise ConfigError("need ell > 0, a > 0, s >= 0")
@@ -108,10 +112,11 @@ def load_config(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values, each overridden by its flag when given."""
-    values = load_config(args.config) if getattr(args, "config", None) else {}
-    flags = {attr: val for attr in _CONFIG_FIELDS if (val := getattr(args, attr, None)) is not None}
+def build_config(args: dict) -> RunConfig:
+    """The config file's values, each overridden by its flag when given;
+    args maps each flag's dest to its value, None when it is not given."""
+    values = load_config(args["config"]) if args.get("config") else {}
+    flags = {attr: val for attr in _CONFIG_FIELDS if (val := args.get(attr)) is not None}
     return RunConfig(**({_FIELD_FOR_KEY.get(k, k): v for k, v in values.items()} | flags)).validate()
 
 
@@ -395,9 +400,17 @@ def cmd_geodesic(cfg: RunConfig) -> int:
 
 def cmd_chart(cfg: RunConfig) -> int:
     chart = cfg.chart()
+    # sinh a overflows a double from a = 710.5 on, and no JSON number is infinite
+    with np.errstate(over="ignore"):
+        area = geometry.total_area(chart)
+    if not math.isfinite(area):
+        raise ConfigError(
+            f"the total area 2 ell sinh a + ell s overflows a double at a = {cfg.a!r}"
+            f" (ell = {cfg.ell!r}, s = {cfg.s!r})"
+        )
     payload = json.loads(chart.to_json())
     payload["conformal_modulus"] = geometry.conformal_modulus(chart)
-    payload["total_area"] = geometry.total_area(chart)
+    payload["total_area"] = area
     payload["grafted_length"] = geometry.grafted_length(cfg.ell, cfg.s)
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
     return 0
@@ -425,45 +438,99 @@ def cmd_modes(cfg: RunConfig) -> int:
 
 # --- entry point ------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--ell", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--outer-bc", dest="outer_bc", choices=("dirichlet", "neumann"))
-    p.add_argument("--modes", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output path (default: stdout)")
+#: The flags every command takes: option string -> (dest, type, choices, help)
+_COMMON_FLAGS = {
+    "--config": ("config", str, None, "flat key = value config file"),
+    "--ell": ("ell", float, None, None),
+    "--s": ("s", float, None, None),
+    "--a": ("a", float, None, None),
+    "--outer-bc": ("outer_bc", str, ("dirichlet", "neumann"), None),
+    "--modes": ("modes", int, None, None),
+    "--tol": ("tol", float, None, None),
+    "--seed": ("seed", int, None, None),
+    "--out": ("out", str, None, "output path (default: stdout)"),
+}
+
+#: Each command's help line and flag table, in the order of the help text:
+#: the one declaration of the command line.  main reads it directly, and the
+#: argparse parsers for help and error text are built from it (_parsers).
+_FLAGS = {
+    "verify": ("run the identity suite, emit JSON", _COMMON_FLAGS),
+    "sweep": ("parameter sweep, emit CSV", _COMMON_FLAGS | {
+        "--param": ("param", str, ("ell", "s", "a"), None),
+        "--from": ("sweep_from", float, None, None),
+        "--to": ("sweep_to", float, None, None),
+        "--steps": ("steps", int, None, None),
+    }),
+    "geodesic": ("numeric geodesic vs closed-form variation", _COMMON_FLAGS | {"--t": ("t", float, None, None)}),
+    "chart": ("dump the chart as JSON", _COMMON_FLAGS),
+    "modes": ("dump per-mode solver data as CSV", _COMMON_FLAGS),
+}
+
+#: Each command's dests, all None: the values of the flags not given
+_UNSET = {command: dict.fromkeys(dest for dest, *_ in flags.values()) for command, (_, flags) in _FLAGS.items()}
 
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and each command's subparser, built once for every call
-    of main: building the five subparsers is a large share of a small command."""
+    """The argument parser and each command's subparser, built from _FLAGS
+    on first use and kept: only help, usage and error text need them."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("verify", help="run the identity suite, emit JSON"))
-
-    sweep = sub.add_parser("sweep", help="parameter sweep, emit CSV")
-    _add_common(sweep)
-    sweep.add_argument("--param", choices=("ell", "s", "a"))
-    sweep.add_argument("--from", dest="sweep_from", type=float)
-    sweep.add_argument("--to", dest="sweep_to", type=float)
-    sweep.add_argument("--steps", type=int)
-
-    geo = sub.add_parser("geodesic", help="numeric geodesic vs closed-form variation")
-    _add_common(geo)
-    geo.add_argument("--t", type=float)
-
-    _add_common(sub.add_parser("chart", help="dump the chart as JSON"))
-    _add_common(sub.add_parser("modes", help="dump per-mode solver data as CSV"))
+    for command, (help_line, flags) in _FLAGS.items():
+        p = sub.add_parser(command, help=help_line)
+        for option, (dest, kind, choices, help_text) in flags.items():
+            p.add_argument(option, dest=dest, type=kind, choices=choices, help=help_text)
     return parser, sub.choices
 
 
 def make_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
+
+
+def _table_args(argv: list[str]) -> dict | None:
+    """The dest -> value map that argparse gives a command line made only of
+    exact `--flag value` pairs of one command's table, each value of its
+    flag's type and within its choices; None for any other command line.
+    The value of a flag not given is None, and a repeated flag keeps its
+    last value, as in argparse."""
+    if len(argv) % 2 == 0 or argv[0] not in _FLAGS:
+        return None
+    flags = _FLAGS[argv[0]][1]
+    args = {"command": argv[0], **_UNSET[argv[0]]}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        flag = flags.get(option)
+        # a value that starts with "-" may be a flag or a negative number to argparse
+        if flag is None or text.startswith("-"):
+            return None
+        dest, kind, choices, _ = flag
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    return args
+
+
+def _argparse_args(argv: list[str]) -> dict:
+    """The dest -> value map of argv from the argparse parsers, which print
+    help or an error and raise SystemExit where argv asks or calls for it."""
+    import argparse
+
+    parser, commands = _parsers()
+    # one pass through the command's own subparser; leftovers get the main
+    # parser's error, as parse_args gives them
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
+    return vars(args)
 
 
 _COMMANDS = {
@@ -477,21 +544,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
     try:
-        # one pass through the command's own subparser; leftovers get the main
-        # parser's error, as parse_args gives them
-        if argv and argv[0] in commands:
-            args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        else:
-            args = parser.parse_args(argv)
+        args = _table_args(argv) or _argparse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args["command"]](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

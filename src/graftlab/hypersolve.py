@@ -26,6 +26,7 @@ shares (ell, a, outer_bc).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
@@ -34,8 +35,10 @@ import numpy as np
 
 from .geometry import _gauss_legendre, gudermannian
 
-#: Profiles evaluated together on the quadrature grid: a block of this many
-#: rows keeps each (rows x points) array small, whatever the mode count.
+#: Profiles evaluated together on the quadrature grid: blocks of _BLOCK to
+#: 2 _BLOCK - 1 rows keep each (rows x points) array small, whatever the
+#: mode count, and no block is a short remainder that costs a full block's
+#: numpy calls.
 _BLOCK = 32
 
 
@@ -67,19 +70,35 @@ def _panel_edges(a: float, mu_max: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _pair(mu, trig, shift: float = 0.0):
+def _gd_offset(sh, edge: tuple):
+    """gd xi - gd a at the points whose sinh is sh, edge = (sinh a, gd a),
+    as atan((sinh xi - sinh a) / (1 + sinh xi sinh a)): no cancellation of
+    gd xi against gd a near xi = a, where b' multiplies it by cosh xi.  Both
+    terms of the quotient are scaled by the power of two that brings a
+    sinh a above 1 into [1/2, 1): an exact scaling that keeps sinh xi sinh a
+    finite up to a = 710.  At xi = 0 the quotient is -sinh a, so the offset
+    is -gd a bit for bit."""
+    scale = math.ldexp(1.0, -max(math.frexp(edge[0])[1], 0))
+    s_a = edge[0] * scale
+    return np.arctan((sh * scale - s_a) / (scale + sh * s_a))
+
+
+def _pair(mu, trig, edge: tuple | None = None):
     """Fundamental solutions (u, u', w, w') of the mode ODE at the points
     whose sinh, cosh and gd are trig (see _trig).  mu is a scalar, or an
     array that broadcasts against the points (a column of modes: one row
     each).
 
-    mu > 0: u = (sinh xi + mu) exp(mu (theta - shift)) and
-    w = (sinh xi - mu) exp(-mu theta), with u' and w' equal to
-    (cosh^2 xi +/- mu sinh xi + mu^2) sech xi times the same exponential.
-    A shift of 2 gd(a) keeps every exponent <= 0 on [0, a], so nothing
-    overflows.  mu = 0: u = 1 + theta sinh xi and w = sinh xi.
+    mu > 0: u = (sinh xi + mu) exp(mu theta) and w = (sinh xi - mu)
+    exp(-mu theta), with u' and w' equal to (cosh^2 xi +/- mu sinh xi +
+    mu^2) sech xi times the same exponential.  mu = 0: u = 1 + theta sinh xi
+    and w = sinh xi.  An outer edge = (sinh a, gd a) shifts u to the same
+    solution times exp(-2 mu gd a), which keeps every exponent <= 0 on
+    [0, a] so that nothing overflows, and at mu = 0 to u - (gd a) w =
+    1 + (theta - gd a) sinh xi, with theta - gd a from _gd_offset.
     """
     sh, ch, theta = trig
+    shift = 0.0 if edge is None else 2.0 * edge[1]
     grow = np.exp(mu * (theta - shift))
     decay = np.exp(-mu * theta)
     mu_sh, mu_sq = mu * sh, mu * mu
@@ -91,7 +110,8 @@ def _pair(mu, trig, shift: float = 0.0):
     )
     zero = np.equal(mu, 0.0)
     if zero.any():
-        pair0 = (1.0 + theta * sh, sh / ch + theta * ch, sh, ch)
+        offset = theta if edge is None else _gd_offset(sh, edge)
+        pair0 = (1.0 + offset * sh, sh / ch + offset * ch, sh, ch)
         pair = tuple(np.where(zero, p0, p) for p0, p in zip(pair0, pair))
     return pair
 
@@ -104,13 +124,14 @@ def _check_strip(a, outer_bc: str) -> None:
 
 
 def _strip_constants(mu, a, outer_bc: str):
-    """(m, gd a, d, E - 1, k) of the modes mu on strips of half-width a (a
+    """(m, gd a, d, E - 1, c) of the modes mu on strips of half-width a (a
     scalar, or an array that broadcasts against mu); m is mu with 1 at n = 0.
 
     n >= 1: d = 1 - alpha / beta and E - 1 = expm1(-2 mu gd a), with
     (alpha, beta) = (S - mu, S + mu) for an outer Dirichlet condition and
     (C^2 - mu S + mu^2, C^2 + mu S + mu^2) for an outer Neumann one, S and C
-    the sinh and cosh of a.  n = 0: k = -(1/S + gd a) or -(gd a + S / C^2).
+    the sinh and cosh of a.  n = 0: the unit solve is 1 + (gd xi + k) sinh xi
+    with gd a + k = c = -1/S or -S / C^2, so its DtN value is k = c - gd a.
     Nothing overflows at any a > 0 or mu: sech and csch come from exp(-a).
     """
     _check_strip(a, outer_bc)
@@ -120,22 +141,25 @@ def _strip_constants(mu, a, outer_bc: str):
     m = np.where(mu == 0.0, 1.0, mu)
     if outer_bc == "dirichlet":
         p = m * csch
-        d, k = 2.0 * p / (1.0 + p), -(csch + G)
+        d, c = 2.0 * p / (1.0 + p), -csch
     else:
         t, q = th * sech, 1.0 / m + m * sech * sech
-        d, k = 2.0 * t / (q + t), -(G + t)
-    return m, G, d, np.expm1(-2.0 * m * G), k
+        d, c = 2.0 * t / (q + t), -t
+    return m, G, d, np.expm1(-2.0 * m * G), c
 
 
 def _unit_solution(mu: np.ndarray, a, outer_bc: str):
-    """(shift, c_u, c_w): the unit seam solve of each mode is c_u u + c_w w,
-    on the pair of _pair shifted by 2 gd a.  n >= 1: c_u = (1 - d) / (mu den)
-    and c_w = -1 / (mu den), den = 2 - d + (1 - d)(E - 1) = (alpha E + beta)
-    / beta; n = 0: c_u = 1 and c_w = k (_strip_constants)."""
-    m, G, d, em, k = _strip_constants(mu, a, outer_bc)
+    """(edge, c_u, c_w): the unit seam solve of each mode is c_u u + c_w w,
+    on the pair of _pair shifted to the outer edge = (sinh a, gd a).
+    n >= 1: c_u = (1 - d) / (mu den) and c_w = -1 / (mu den),
+    den = 2 - d + (1 - d)(E - 1) = (alpha E + beta) / beta; n = 0: c_u = 1
+    and c_w = c (_strip_constants), so b = 1 + ((gd xi - gd a) + c) sinh xi
+    and b'(a) = tanh a + c cosh a keep their rounding off the cancellation
+    of gd xi + k at xi = a."""
+    m, G, d, em, c = _strip_constants(mu, a, outer_bc)
     mden = m * (2.0 - d + (1.0 - d) * em)
     zero = mu == 0.0
-    return 2.0 * G, np.where(zero, 1.0, (1.0 - d) / mden), np.where(zero, k, -1.0 / mden)
+    return (np.sinh(a), G), np.where(zero, 1.0, (1.0 - d) / mden), np.where(zero, c, -1.0 / mden)
 
 
 @dataclass(eq=False)
@@ -145,9 +169,9 @@ class StripProfiles:
     values(rows, xi, trig) returns (b, b') of the profiles ns[rows] as
     (rows, points) arrays; trig = _trig(xi) is passed in so that the
     quadrature grid's sinh, cosh and gd come once per grid.  The grid, the
-    quadratures (in blocks of _BLOCK rows) and the endpoint values are
-    computed once, on first use, and strip_sums scales them to each seam's
-    Dirichlet values.
+    quadratures (in blocks of _BLOCK to 2 _BLOCK - 1 rows) and the endpoint
+    values are computed once, on first use, and strip_sums scales them to
+    each seam's Dirichlet values.
     """
 
     ns: np.ndarray
@@ -183,8 +207,10 @@ class StripProfiles:
         mu = self.mu
         xi, trig, w_cosh, w_sech = self.grid
         ib, energy = [], []
-        for start in range(0, len(self.ns), _BLOCK):
-            rows = slice(start, start + _BLOCK)
+        count = len(self.ns)
+        blocks = max(1, count // _BLOCK)
+        for k in range(blocks):
+            rows = slice(count * k // blocks, count * (k + 1) // blocks)
             b, bp = self.values(rows, xi, trig)
             # b * b is np.abs(b) ** 2 bit for bit for real profiles
             bsq, bpsq = (np.abs(b) ** 2, np.abs(bp) ** 2) if np.iscomplexobj(b) else (b * b, bp * bp)
@@ -199,14 +225,14 @@ class StripProfiles:
         return b[:, 0], bp[:, 0], b[:, 1], bp[:, 1]
 
 
-def _profiles(ns: np.ndarray, ell: float, a: float, shift: float, cu, cw) -> StripProfiles:
+def _profiles(ns: np.ndarray, ell: float, a: float, edge: tuple | None, cu, cw) -> StripProfiles:
     """The profiles c_u u + c_w w of the modes ns, one row each, on the pair
-    of _pair with the given shift, evaluated as one (rows x points) array."""
+    of _pair for the given outer edge, evaluated as one (rows x points) array."""
     mu = _mu(ns, ell)
 
     def values(rows, xi, trig):
-        col = (rows,) + (None,) * np.ndim(xi)
-        u, up, w, wp = _pair(mu[col], trig, shift)
+        col = (rows,) + (None,) * xi.ndim
+        u, up, w, wp = _pair(mu[col], trig, edge)
         return cu[col] * u + cw[col] * w, cu[col] * up + cw[col] * wp
 
     return StripProfiles(ns=ns, ell=ell, a=a, values=values)
@@ -229,10 +255,10 @@ def seam_dtn(ns, ell, a, outer_bc: str = "dirichlet") -> np.ndarray:
     mode in ns; ell and a may be arrays that broadcast against ns, for a
     (points x modes) array.  n >= 1: (mu + 1/mu) (r E - 1) / (r E + 1),
     r = alpha / beta = 1 - d, formed from d and E - 1 without cancellation;
-    n = 0: k (_strip_constants)."""
+    n = 0: k = c - gd a (_strip_constants)."""
     mu = _mu(np.asarray(ns, dtype=int), ell)
-    m, _, d, em, k = _strip_constants(mu, a, outer_bc)
-    return np.where(mu == 0.0, k, (m + 1.0 / m) * ((1.0 - d) * em - d) / (2.0 - d + (1.0 - d) * em))
+    m, G, d, em, c = _strip_constants(mu, a, outer_bc)
+    return np.where(mu == 0.0, c - G, (m + 1.0 / m) * ((1.0 - d) * em - d) / (2.0 - d + (1.0 - d) * em))
 
 
 def dtn(n: int, ell: float, a: float, outer_bc: str = "dirichlet", method: str = "auto") -> float:
@@ -265,7 +291,7 @@ def mode_extend(ns, ell: float, a: float, seam_values, seam_slopes) -> StripProf
     v_mu, p_mu = v / np.where(zero, 1.0, mu), p / (1.0 + mu * mu)
     cu = np.where(zero, v, (v_mu + p_mu) / 2.0)
     cw = np.where(zero, p, (p_mu - v_mu) / 2.0)
-    return _profiles(ns, ell, a, 0.0, cu, cw)
+    return _profiles(ns, ell, a, None, cu, cw)
 
 
 def strip_sums(units: StripProfiles, seams: Iterable) -> tuple[float, ...]:
@@ -287,9 +313,9 @@ def strip_sums(units: StripProfiles, seams: Iterable) -> tuple[float, ...]:
     for values in seams:
         scale = np.asarray(values, dtype=complex)
         b0, bp0, ba, bpa = (scale * v for v in units.ends)
-        int_h += units.ell * float(np.real(scale * ib)[mean].sum())
+        int_h += units.ell * float((scale * ib).real[mean].sum())
         energy += float(weights @ (np.abs(scale) ** 2 * en))
-        seam -= float(weights @ np.real(b0 * np.conj(bp0)))
-        outer += float(weights @ np.real(ba * np.conj(bpa))) * cosh_a
-        flux += units.ell * cosh_a * float(np.real(bpa[mean]).sum())
+        seam -= float(weights @ (b0 * np.conj(bp0)).real)
+        outer += float(weights @ (ba * np.conj(bpa)).real) * cosh_a
+        flux += units.ell * cosh_a * float(bpa[mean].real.sum())
     return int_h, energy, seam, outer, flux

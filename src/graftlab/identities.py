@@ -114,7 +114,7 @@ def _finite(*values: float) -> bool:
 
 def _out(x):
     """A float for one point, the array for a family of points."""
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if getattr(x, "ndim", 0) == 0 else x
 
 
 def boundary_term_closed(
@@ -164,14 +164,16 @@ def boundary_term_quadrature(
     FFT per trace.
     """
     traces = (*dirichlet, *neumann)
-    if any(not np.array_equal(t.ell, traces[0].ell) for t in traces):
+    ell = traces[0].ell
+    if any(t.ell is not ell and not np.array_equal(t.ell, ell) for t in traces):
         raise ValueError("traces come from different circumferences")
     nmax = max(t.max_mode() for t in traces)
     npts = seam_points(nmax) if npts is None else npts
     if npts <= 2 * nmax:
         raise ValueError(f"{npts} quadrature points cannot resolve mode {nmax}")
-    left, right = (np.mean(d.on_grid(npts) * n.on_grid(npts), axis=-1) for d, n in zip(dirichlet, neumann))
-    return _out(traces[0].ell * (left - right))
+    # the sum over the grid divided by npts is np.mean's value bit for bit
+    left, right = ((d.on_grid(npts) * n.on_grid(npts)).sum(axis=-1) / npts for d, n in zip(dirichlet, neumann))
+    return _out(ell * (left - right))
 
 
 # --- solved configurations --------------------------------------------------
@@ -304,7 +306,7 @@ def _subtract_in_order(total: float, terms: np.ndarray) -> float:
     """total minus each term (column) in turn, in mode order: the mixed
     series can cancel, so its rounding follows one fixed order, at every
     point of a family alike."""
-    stacked = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=np.result_type(total, terms))
+    stacked = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=terms.dtype)
     stacked[..., 0], stacked[..., 1:] = total, terms
     return _out(np.subtract.accumulate(stacked, axis=-1)[..., -1])
 
@@ -549,14 +551,15 @@ def _normalized_determinant(n, ell: float, s: float, t):
     # sinh and cosh scaled by exp(-arg): the normalized determinant is
     # invariant under the common row factor, and this never overflows
     arg = np.pi * n * s / ell
-    S = (1.0 - np.exp(-2.0 * arg)) / 2.0
-    C = (1.0 + np.exp(-2.0 * arg)) / 2.0
+    damp = np.exp(-2.0 * arg)
+    S = (1.0 - damp) / 2.0
+    C = (1.0 + damp) / 2.0
     # the rows (a, b) and (-a, b) have determinant 2ab and norms h each;
     # |2ab| <= h^2, and the clip keeps the rounding of a quotient near 1
     # (s = 0, where |t| nears k) inside [-1, 1]
     a, b = -k * S + t * C, k * C - t * S
     h = np.hypot(a, b)
-    return np.clip(2.0 * a * b / (h * h), -1.0, 1.0)
+    return np.minimum(np.maximum(2.0 * a * b / (h * h), -1.0), 1.0)
 
 
 def determinant_floor(

@@ -33,7 +33,7 @@ def _damped_modes(rng, ell, s, nmax, decay, amplitude) -> tuple[np.ndarray, np.n
     arg = np.pi * n * np.asarray(s)[..., None] / np.asarray(ell)[..., None]
     keep = arg <= MAX_DAMPED_ARG
     damp = np.where(keep, amplitude / np.cosh(np.where(keep, arg, 0.0)), 0.0)
-    width = 1 + int(np.max(np.sum(keep, axis=-1)))
+    width = 1 + int(keep.sum(axis=-1).max())
     zero = np.zeros(keep.shape[:-1] + (1,))
     return tuple(np.concatenate([zero, damp * x], axis=-1)[..., :width] for x in (c, d))
 

@@ -169,9 +169,9 @@ class FourierSolution:
             modes = modes or {}
             c = _dense({n: cd[0] for n, cd in modes.items()}, lowest=1)
             d = _dense({n: cd[1] for n, cd in modes.items()}, lowest=1)
-        if np.count_nonzero(np.imag(c0)) or np.count_nonzero(np.imag(d0)):
+        if np.count_nonzero(c0.imag) or np.count_nonzero(d0.imag):
             raise ValueError(f"c0 and d0 must be real, got {c0!r} and {d0!r}")
-        c0, d0 = np.real(c0), np.real(d0)
+        c0, d0 = c0.real, d0.real
         self.ell, self.s, self.c0, self.d0, self.c, self.d = ell, s, c0, d0, c, d
 
     @property
@@ -309,7 +309,7 @@ def harmonicity_residual(
         raise ValueError("ell and s required for a bare callable")
     h = ell / 256 if h is None else h
     xs = _stencil_xs(s, h)
-    ys = np.linspace(0.0, ell, 32, endpoint=False)
+    ys = np.arange(32) * (ell / 32)
     x3, y3 = np.concatenate((xs - h, xs, xs + h)), np.concatenate((ys - h, ys, ys + h))
     if isinstance(fld, FourierSolution):
         u = fld.evaluate(x3[:, None], y3)

@@ -71,7 +71,7 @@ def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> Variati
         )
     ell = flat_neumann.ell
     n = np.arange(1, flat_neumann.coef.shape[-1])
-    coef = np.zeros_like(flat_neumann.coef)
+    coef = np.zeros(flat_neumann.coef.shape, dtype=flat_neumann.coef.dtype)
     coef[..., 1:] = (np.asarray(ell)[..., None] ** 2 / (8.0 * np.pi**2 * n**2)) * flat_neumann.coef[..., 1:]
     return VariationField(side=flat_neumann.side, ell=ell, mean=mean_value, coef=coef)
 

@@ -7,13 +7,14 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graftlab import DomainError, cli, geometry, hypersolve, identities
+from graftlab import ConfigError, DomainError, cli, geometry, hypersolve, identities
 
 
 def run(args, capsys):
@@ -173,6 +174,124 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     assert json.loads(out)["ell"] == 3.0
 
 
+# --- the flag table ---------------------------------------------------------
+
+def _value(kind, choices):
+    """Literal values of a flag's type (and within its choices) that do not
+    start with "-"."""
+    if choices is not None:
+        return st.sampled_from(choices)
+    if kind is int:
+        return st.integers(0, 10**6).map(str) | st.sampled_from([" 3", "1_000", "0007"])
+    if kind is float:
+        floats = st.floats(min_value=0.0, allow_nan=False).map(repr)
+        return floats | st.sampled_from(["nan", "inf", "1e400", "1_0.5", ".5", "2.", " 1e-3 "])
+    return st.text(max_size=8).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def _pair_lines(draw):
+    """A command and any number of exact --flag value pairs of its table, in
+    any order, repeats allowed."""
+    command = draw(st.sampled_from(sorted(cli._FLAGS)))
+    flags = cli._FLAGS[command][1]
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(sorted(flags)), max_size=10)):
+        _, kind, choices, _ = flags[option]
+        argv += [option, draw(_value(kind, choices))]
+    return argv
+
+
+def _typed(args: dict) -> dict:
+    # repr tells nan, -0.0 and the types apart, where == would not
+    return {dest: (type(value), repr(value)) for dest, value in args.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_pair_lines())
+def test_the_flag_table_gives_argparse_namespace_on_flag_value_pairs(argv):
+    import argparse
+
+    parser, commands = cli._parsers()
+    expected = vars(commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0])))
+    assert _typed(cli._table_args(argv)) == _typed(expected)
+    assert _typed(vars(parser.parse_args(argv))) == _typed(expected)
+
+
+def _echo(cfg) -> int:
+    print(repr(cfg))
+    return 0
+
+
+def _argparse_main(argv: list[str]) -> int:
+    """cli.main with argparse for every command line: the reference for the
+    lines the flag table leaves to argparse."""
+    try:
+        args = cli.make_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        cfg = cli.build_config(vars(args))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return _echo(cfg)
+
+
+def _outcome(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _argparse_lines(draw):
+    """A line of flag-value pairs changed into one that the table leaves to
+    argparse: a help flag, an abbreviated or unknown flag, --flag=value, a
+    value that starts with "-", an odd token count, an unknown command, or a
+    value that fails its flag's type or choices."""
+    argv = draw(_pair_lines())
+    command, flags = argv[0], cli._FLAGS[argv[0]][1]
+    pairs = [argv[k:k + 2] for k in range(1, len(argv), 2)]
+    at = draw(st.integers(0, len(pairs)))
+    option = draw(st.sampled_from(sorted(flags)))
+    dest, kind, choices, _ = flags[option]
+    kind_of_change = draw(st.sampled_from(
+        ["help", "abbreviation", "equals", "dash", "odd", "command", "flag", "type"]
+    ))
+    if kind_of_change == "help":
+        new = [draw(st.sampled_from(["-h", "--help"]))]
+    elif kind_of_change == "abbreviation":
+        prefix = option[:draw(st.integers(3, len(option)))]
+        prefix = prefix if prefix not in flags else option[:2] + "x"
+        new = [prefix, draw(_value(kind, choices))]
+    elif kind_of_change == "equals":
+        new = [f"{option}={draw(_value(kind, choices))}"]
+    elif kind_of_change == "dash":
+        new = [option, draw(st.sampled_from(["-1", "-0.5", "-inf", "-", "--", "-h", "--ell", "-x"]))]
+    elif kind_of_change == "odd":
+        new = [option]
+    elif kind_of_change == "command":
+        command, new = draw(st.sampled_from(["frobnicate", "Verify", "", "--ell", "-h"])), []
+    elif kind_of_change == "flag":
+        new = [draw(st.sampled_from(["--bogus", "--outer_bc", "ell", "--"])), "1"]
+    else:
+        new = [option, "x" if choices is None else "robin"]
+        if kind is str and choices is None:  # every text is a str
+            new = ["--modes", "1.5"]
+    pairs.insert(at, new)
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argparse_lines())
+def test_lines_the_flag_table_leaves_to_argparse_print_as_argparse_does(argv):
+    assert cli._table_args(argv) is None
+    with mock.patch.dict(cli._COMMANDS, dict.fromkeys(cli._COMMANDS, _echo)):
+        assert _outcome(cli.main, argv) == _outcome(_argparse_main, argv)
+
+
 # --- config checks ----------------------------------------------------------
 
 @pytest.mark.parametrize("command", ["verify", "sweep", "geodesic", "chart", "modes"])
@@ -205,16 +324,18 @@ def test_chart_oracles_share_one_evaluation_of_the_chart(monkeypatch):
 
 
 def test_real_profiles_square_as_their_absolute_values():
-    # b * b for real profiles is np.abs(b) ** 2 bit for bit
-    units = hypersolve.solve_modes(np.arange(40), 2.0, 1.7, "neumann")
-    xi, trig, w_cosh, w_sech = units.grid
-    b, bp = units.values(slice(None), xi, trig)
-    ib, energy = units.quadrature
-    mu = units.mu
-    by_blocks = [
-        (np.abs(bp[k:k + 32]) ** 2 + 2.0 * np.abs(b[k:k + 32]) ** 2) @ w_cosh
-        + mu[k:k + 32] ** 2 * (np.abs(b[k:k + 32]) ** 2 @ w_sech)
-        for k in (0, 32)
-    ]
-    assert np.array_equal(energy, np.concatenate(by_blocks))
-    assert np.array_equal(ib, np.concatenate([b[:32] @ w_cosh, b[32:] @ w_cosh]))
+    # b * b for real profiles is np.abs(b) ** 2 bit for bit; the rows go in
+    # count // 32 blocks of 32 to 63 rows each
+    for count, edges in ((40, (0, 40)), (97, (0, 32, 64, 97))):
+        units = hypersolve.solve_modes(np.arange(count), 2.0, 1.7, "neumann")
+        xi, trig, w_cosh, w_sech = units.grid
+        b, bp = units.values(slice(None), xi, trig)
+        ib, energy = units.quadrature
+        mu = units.mu
+        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        by_blocks = [
+            (np.abs(bp[k]) ** 2 + 2.0 * np.abs(b[k]) ** 2) @ w_cosh + mu[k] ** 2 * (np.abs(b[k]) ** 2 @ w_sech)
+            for k in blocks
+        ]
+        assert np.array_equal(energy, np.concatenate(by_blocks)), count
+        assert np.array_equal(ib, np.concatenate([b[k] @ w_cosh for k in blocks])), count

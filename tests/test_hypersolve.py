@@ -166,6 +166,20 @@ def test_unit_profiles_match_50_digit_references(a):
                 assert abs(got - want) <= 16 * eps * (abs(want) + np.exp(a)), (outer, n)
 
 
+@pytest.mark.parametrize("a", [1.0, 3.0, 10.0])
+def test_mean_unit_profile_outer_slope_is_within_rounding_at_every_a(a):
+    # b'(a) = tanh a + (gd a + k) cosh a of the n = 0 unit solve: gd xi + k
+    # is formed as (gd xi - gd a) + c, with c = gd a + k in closed form, so
+    # at xi = a nothing cancels before the factor cosh a, which multiplies
+    # any rounding of the sum
+    pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for outer in ("dirichlet", "neumann"):
+        want = unit_profile_reference(0, ELL, a, outer)[3]
+        got = hypersolve.solve_modes([0], ELL, a, outer).ends[3][0]
+        assert abs(got - want) <= 16 * eps, (outer, got, want)
+
+
 def test_dtn_matches_collocation_oracle():
     cases = [
         (ell, a, n) for ell in (1.0, ELL, 8.0) for a in (0.5, 1.0, 2.0) for n in (0, 1, 4, 16, 32)

@@ -52,6 +52,18 @@ def test_cli_import_leaves_scipy_and_numpy_polynomial_unloaded():
     assert _run_python(code) == "[]"
 
 
+def test_cli_import_and_a_well_formed_command_leave_argparse_unloaded():
+    # a line of exact --flag value pairs is read from the flag table; only
+    # help, usage and error text need the argparse parsers
+    code = (
+        "import contextlib, io, sys, graftlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = graftlab.cli.main(['sweep', '--param', 'a', '--from', '0.5', '--to', '2', '--steps', '3'])\n"
+        "print(rc, 'argparse' in sys.modules)"
+    )
+    assert _run_python(code) == "0 False"
+
+
 def test_verify_output_does_not_depend_on_blas_threads():
     code = (
         "import io, json, contextlib, graftlab.cli; buf = io.StringIO()\n"
