@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import geometry, hypersolve, identities, sampling, spectral, variation
+from . import geometry, hypersolve, identities, sampling, variation
 from .errors import ConfigError, GraftLabError
 
 if TYPE_CHECKING:
@@ -137,125 +137,18 @@ def _emit_csv(header, columns, out: str | None) -> None:
 
 # --- verify -----------------------------------------------------------------
 
-class _IdentityBlock:
-    """One identity's block, which yields its compare(lhs, rhs, tol, notes);
-    a GraftLabError raised in it becomes the identity's failing report."""
-
-    def __init__(self, reports: list, name: str):
-        self.reports, self.name = reports, name
-
-    def __enter__(self):
-        return lambda *args, **kw: self.reports.append(identities._compare(self.name, *args, **kw))
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        if isinstance(exc, GraftLabError):
-            self.reports.append(identities.error_report(self.name, exc))
-        return isinstance(exc, GraftLabError)
-
-
 def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], dict]:
-    """The identity reports, and the mode counts: requested, and kept by the
-    samplers for the field and the quadratic differential.  A GraftLabError
-    raised by one identity becomes its failing report and the others still
-    run; one raised before any report exists (samplers, solve_configuration)
-    propagates."""
+    """The identity reports (identities.suite) of the seeded draws, and the
+    mode counts: requested, and kept by the samplers for the field and the
+    quadratic differential.  A GraftLabError raised before any report exists
+    (samplers, solve_configuration) propagates."""
     rng = np.random.default_rng(cfg.seed)
-    chart = cfg.chart()
-    tol_alg = cfg.tol
-    tol_bvp = cfg.tol * 1e3
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=cfg.modes)
     q = sampling.random_quad(rng, cfg.ell, cfg.s, nmax=cfg.modes, amplitude=0.5)
     lam0, rho0 = sampling.slice_compatible_means(rng, cfg.s, sol.d0)
     small = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=3, amplitude=1e-4)
-    config = identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, quad=q)
-    vl, vr = config.v_left, config.v_right
-    dl, dr = config.dirichlet
-    reports = []
-    identity = functools.partial(_IdentityBlock, reports)
-
-    with identity("boundary_term_closed_vs_quadrature") as compare:
-        neumann = (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
-        quad_val = identities.boundary_term_quadrature((dl, dr), neumann)
-        compare(config.closed, quad_val, tol_alg, notes=identities.seam_grid_note(dl, dr, *neumann))
-
-    with identity("slice_condition"):
-        reports.append(identities.slice_condition(sol, vl, vr, tol=max(tol_alg, 1e-12)))
-    with identity("master_identity"):
-        reports.append(identities.master_identity(config, tol=tol_bvp))
-    master = reports[-1]
-    with identity("area_derivative"):
-        reports.append(identities.area_derivative_report(config, tol=tol_alg))
-
-    with identity("arc_length_derivative") as compare:
-        compare(
-            identities.arc_length_derivative(sol, dirichlet=dl),
-            -0.5 * sol.d0 * sol.ell,
-            tol_alg,
-            notes=f"seam quadrature vs -d0 ell / 2; {identities.seam_grid_note(dl)}",
-        )
-
-    # the amended fields, for q and for the zero q, built on the solved flat variations
-    with identity("extended_boundary_closed_vs_quadrature") as compare:
-        ext_neumann = tuple(map(variation.extended_hyperbolic_neumann, config.amended))
-        ext_quad = identities.boundary_term_quadrature((dl, dr), ext_neumann)
-        compare(config.extended_closed, ext_quad, tol_alg, notes=identities.seam_grid_note(dl, dr, *ext_neumann))
-
-    with identity("extended_reduction_at_zero_quad") as compare:
-        q0 = spectral.QuadDiffModes(ell=cfg.ell, s=cfg.s)
-        compare(
-            identities.extended_boundary_term(sol, q0, vl.amend(q0), vr.amend(q0)),
-            config.closed,
-            tol_alg,
-        )
-
-    with identity("extended_master_identity"):
-        reports.append(identities.extended_master_identity(config, tol=tol_bvp))
-
-    with identity("conformal_modulus_closed_vs_quadrature") as compare:
-        compare(geometry.conformal_modulus(chart), geometry.conformal_modulus_quadrature(chart), tol_alg)
-    with identity("total_area_closed_vs_quadrature") as compare:
-        compare(geometry.total_area(chart), geometry.total_area_quadrature(chart), tol_alg)
-
-    with identity("interior_harmonicity_stencil"):
-        h = cfg.ell / 256
-        if cfg.s / 2 >= h:
-            residual = spectral.harmonicity_residual(small, h=h)
-            truncation, rounding = spectral.harmonicity_bound(small, h=h)
-            notes = (
-                f"five-point Laplacian on the series partial sum, h = ell/256 = {h!r}:"
-                f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
-                f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
-            )
-        else:
-            # the stencil's x +/- h steps would leave an insert thinner than 2h
-            residual = truncation = rounding = 0.0
-            notes = f"not applicable: s/2 = {cfg.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
-        reports.append(identities.harmonicity_report(residual, truncation, rounding, notes=notes))
-
-    with identity("strip_greens_identity") as compare:
-        # the Green identity on the strips: -energy + seam + outer forms = 0
-        _, energy, seam, outer, _ = config.strip_sums
-        failed = master.notes.startswith("error: ")
-        scale = 1.0 if failed else max(1.0, -master.terms[0][1])
-        notes = "energy vs boundary forms on the solved strip modes"
-        notes += "; scale 1, as master_identity failed" if failed else ""
-        compare(abs(-energy + seam + outer) / scale, 0.0, tol_bvp, notes=notes)
-
-    with identity("per_mode_determinant_floor"):
-        det_min = identities.determinant_floor(cfg.modes, cfg.ell, cfg.s, cfg.a, cfg.outer_bc)
-        reports.append(
-            identities.IdentityReport(
-                identity="per_mode_determinant_floor",
-                terms=(("min_abs_normalized_det", det_min),),
-                lhs=det_min,
-                rhs=1e-6,
-                abs_err=max(0.0, 1e-6 - det_min),
-                rel_err=max(0.0, 1e-6 - det_min) / 1e-6,
-                tol=0.0,
-                passed=det_min > 1e-6,
-                notes="row-normalized determinant of the per-mode seam system",
-            )
-        )
+    config = identities.solve_configuration(cfg.chart(), sol, mean_left=lam0, mean_right=rho0, quad=q)
+    reports = identities.suite(config, small, cfg.modes, cfg.tol)
     kept = (len(sol.nonzero_modes()), len(q.nonzero_modes()))
     return reports, {"requested": cfg.modes, "field": kept[0], "quadratic_differential": kept[1]}
 
@@ -312,6 +205,7 @@ def _report_json(cfg: RunConfig, generated_at: str, counts: dict, reports: list)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    _total_area(cfg.chart())
     reports, counts = _verify_reports(cfg)
     generated_at = datetime.now(timezone.utc).isoformat()
     _emit(_report_json(cfg, generated_at, counts, reports) + "\n", cfg.out)
@@ -338,20 +232,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     sol = sampling.random_solution(rng, ell, s, nmax=nmax)
     lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
-    vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
-    vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
-    closed = identities.boundary_term_closed(sol, vl, vr)
-    quad_val = identities.boundary_term_quadrature(
-        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
-        (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
-    )
-    denom = np.maximum(np.maximum(np.abs(closed), np.abs(quad_val)), 1e-300)
     chart = geometry.GraftedCollar(ell=ell, s=s, a=a, outer_bc=cfg.outer_bc)
+    config = identities.solve_configuration(chart, sol, lam0, rho0)
+    denom = np.maximum(np.maximum(np.abs(config.closed), np.abs(config.quadrature)), 1e-300)
     columns = ([cfg.param] * cfg.steps, values, ell, s, a, geometry.conformal_modulus(chart))
     columns += (
         identities.determinant_floor(nmax, ell, s, a, cfg.outer_bc),
-        np.abs(closed - quad_val) / denom,
-        identities.slice_residual(sol, vl, vr),
+        np.abs(config.closed - config.quadrature) / denom,
+        identities.slice_residual(sol, config.v_left, config.v_right),
     )
     _emit_csv(_SWEEP_FIELDS, columns, cfg.out)
     return 0
@@ -369,9 +257,7 @@ def _geodesic_errors(cfg: RunConfig, t: float) -> float:
     errs = []
     y0 = np.arange(256) * (cfg.ell / 256)
     for side, v in (("left", config.v_left), ("right", config.v_right)):
-        y, rate = variation.geodesic_oracle(
-            fam, side, t, m=256, scheme="forward", initial_rate=v.reconstruct(y0)
-        )
+        y, rate = variation.geodesic_oracle(fam, side, t, m=256, initial_rate=v.reconstruct(y0))
         expected = v.reconstruct(y)
         scale = max(float(np.max(np.abs(expected))), 1e-300)
         errs.append(float(np.max(np.abs(rate - expected))) / scale)
@@ -398,16 +284,22 @@ def cmd_geodesic(cfg: RunConfig) -> int:
 
 # --- chart / modes ----------------------------------------------------------
 
-def cmd_chart(cfg: RunConfig) -> int:
-    chart = cfg.chart()
-    # sinh a overflows a double from a = 710.5 on, and no JSON number is infinite
+def _total_area(chart: geometry.GraftedCollar) -> float:
+    """The chart's total area, or a ConfigError where it overflows a double (from
+    a = 710.5 on): no JSON number is infinite, and verify's strip sums overflow there."""
     with np.errstate(over="ignore"):
         area = geometry.total_area(chart)
     if not math.isfinite(area):
         raise ConfigError(
-            f"the total area 2 ell sinh a + ell s overflows a double at a = {cfg.a!r}"
-            f" (ell = {cfg.ell!r}, s = {cfg.s!r})"
+            f"the total area 2 ell sinh a + ell s overflows a double at a = {chart.a!r}"
+            f" (ell = {chart.ell!r}, s = {chart.s!r})"
         )
+    return area
+
+
+def cmd_chart(cfg: RunConfig) -> int:
+    chart = cfg.chart()
+    area = _total_area(chart)
     payload = json.loads(chart.to_json())
     payload["conformal_modulus"] = geometry.conformal_modulus(chart)
     payload["total_area"] = area

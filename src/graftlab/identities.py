@@ -2,7 +2,7 @@
 
 Boundary-term closed form vs seam quadrature, the master nonpositivity
 identity, the slice condition, both area-derivative routes, the arc-length
-derivative, and the quadratic-differential extensions of all of these.
+derivative, their quadratic-differential extensions, and the suite of verify.
 
 Boundary orientation: the seam normal points out of the hyperbolic strips,
 +d/dx at the left seam x = -s/2 and -d/dx at the right seam x = +s/2.
@@ -16,10 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from . import hypersolve
-from .errors import DomainError, SolvabilityError
-from .geometry import GraftedCollar
-from .spectral import MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes
-from .variation import VariationField, pinned_means, solve_flat_variation
+from .errors import DomainError, GraftLabError, SolvabilityError
+from .geometry import GraftedCollar, conformal_modulus, conformal_modulus_quadrature, total_area, total_area_quadrature
+from .spectral import MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes, harmonicity_bound, harmonicity_residual
+from .variation import VariationField, extended_hyperbolic_neumann, hyperbolic_neumann, pinned_means
+from .variation import solve_flat_variation
 
 #: The mixed-term series sums over n >= 1 with conjugate modes already
 #: paired, like the cylinder series (spectral.PAIRING_FACTOR); its factor
@@ -182,9 +183,9 @@ def boundary_term_quadrature(
 class SolvedConfiguration:
     """A chart, an interior field, its two variation fields, its quadratic
     differential and the field's (left, right) Dirichlet seam traces.  The
-    strip modes carry the seam Dirichlet data outward.  They and the closed
-    boundary terms are computed on first use and kept: no field is assigned
-    after construction."""
+    strip modes carry the seam Dirichlet data outward.  They, the closed
+    boundary terms and the seam quadrature are computed on first use and
+    kept: no field is assigned after construction."""
 
     chart: GraftedCollar
     sol: FourierSolution
@@ -215,6 +216,16 @@ class SolvedConfiguration:
     def closed(self) -> float:
         """boundary_term_closed of the field and its variations."""
         return boundary_term_closed(self.sol, self.v_left, self.v_right)
+
+    @cached_property
+    def neumann(self) -> tuple[TraceModes, TraceModes]:
+        """The hyperbolic-side Neumann data of the (left, right) variations."""
+        return hyperbolic_neumann(self.v_left), hyperbolic_neumann(self.v_right)
+
+    @cached_property
+    def quadrature(self) -> float:
+        """The seam route to the closed term: boundary_term_quadrature of dirichlet and neumann."""
+        return boundary_term_quadrature(self.dirichlet, self.neumann)
 
     @cached_property
     def amended(self) -> tuple[VariationField, VariationField]:
@@ -581,3 +592,114 @@ def n0_balance_coefficient(
     slice condition: 2 * dtn(0) - s.  Strictly negative (the seam ratio is
     negative and s >= 0), so the balance forces d0 = 0."""
     return 2.0 * hypersolve.dtn(0, ell, a, outer_bc) - s
+
+
+# --- the verify suite -------------------------------------------------------
+
+def boundary_term_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+    """The closed boundary term against its seam quadrature."""
+    notes = seam_grid_note(*config.dirichlet, *config.neumann)
+    return _compare("boundary_term_closed_vs_quadrature", config.closed, config.quadrature, tol, notes=notes)
+
+
+def arc_length_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+    """The left seam's arc-length derivative by quadrature against -d0 ell / 2."""
+    sol, dirichlet = config.sol, config.dirichlet[0]
+    notes = f"seam quadrature vs -d0 ell / 2; {seam_grid_note(dirichlet)}"
+    value = arc_length_derivative(sol, dirichlet=dirichlet)
+    return _compare("arc_length_derivative", value, -0.5 * sol.d0 * sol.ell, tol, notes=notes)
+
+
+def extended_boundary_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+    """The amended boundary term against its seam quadrature."""
+    neumann = tuple(map(extended_hyperbolic_neumann, config.amended))
+    quad = boundary_term_quadrature(config.dirichlet, neumann)
+    notes = seam_grid_note(*config.dirichlet, *neumann)
+    return _compare("extended_boundary_closed_vs_quadrature", config.extended_closed, quad, tol, notes=notes)
+
+
+def extended_reduction_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+    """The amended boundary term at the zero quadratic differential against the unamended one."""
+    sol = config.sol
+    q0 = QuadDiffModes(ell=sol.ell, s=sol.s)
+    zero_q = extended_boundary_term(sol, q0, config.v_left.amend(q0), config.v_right.amend(q0))
+    return _compare("extended_reduction_at_zero_quad", zero_q, config.closed, tol)
+
+
+def modulus_report(chart: GraftedCollar, tol: float) -> IdentityReport:
+    """The conformal modulus against its quadrature."""
+    closed, quad = conformal_modulus(chart), conformal_modulus_quadrature(chart)
+    return _compare("conformal_modulus_closed_vs_quadrature", closed, quad, tol)
+
+
+def area_report(chart: GraftedCollar, tol: float) -> IdentityReport:
+    """The total area against its quadrature."""
+    return _compare("total_area_closed_vs_quadrature", total_area(chart), total_area_quadrature(chart), tol)
+
+
+def stencil_report(fld: FourierSolution) -> IdentityReport:
+    """harmonicity_report of the five-point stencil on fld at h = ell/256;
+    not applicable, and passing on zeros, where the insert is thinner than
+    2h, since the stencil's x +/- h steps would leave it."""
+    h = fld.ell / 256
+    if fld.s / 2 >= h:
+        residual = harmonicity_residual(fld, h=h)
+        truncation, rounding = harmonicity_bound(fld, h=h)
+        notes = (
+            f"five-point Laplacian on the series partial sum, h = ell/256 = {h!r}:"
+            f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
+            f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
+        )
+    else:
+        residual = truncation = rounding = 0.0
+        notes = f"not applicable: s/2 = {fld.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
+    return harmonicity_report(residual, truncation, rounding, notes=notes)
+
+
+def strip_greens_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+    """The Green identity on the strips, -energy + seam + outer forms = 0,
+    relative to max(1, energy)."""
+    _, energy, seam, outer, _ = config.strip_sums
+    notes = "energy vs boundary forms on the solved strip modes"
+    return _compare("strip_greens_identity", abs(-energy + seam + outer) / max(1.0, energy), 0.0, tol, notes=notes)
+
+
+def determinant_floor_report(chart: GraftedCollar, nmax: int) -> IdentityReport:
+    """determinant_floor over the modes 1..nmax, which passes above 1e-6."""
+    floor = determinant_floor(nmax, chart.ell, chart.s, chart.a, chart.outer_bc)
+    gap, terms = max(0.0, 1e-6 - floor), (("min_abs_normalized_det", floor),)
+    notes = "row-normalized determinant of the per-mode seam system"
+    return IdentityReport("per_mode_determinant_floor", terms, floor, 1e-6, gap, gap / 1e-6, 0.0, floor > 1e-6, notes)
+
+
+def suite(config: SolvedConfiguration, stencil_field: FourierSolution, modes: int, tol: float) -> list[IdentityReport]:
+    """The verify report: every identity of the configuration, in a fixed
+    order, with the stencil check of stencil_field and the determinant floor
+    over modes 1..modes.  The algebraic and quadrature checks take tol, the
+    checks on the strip sums 1e3 tol.  A GraftLabError raised by one check
+    becomes its failing report (error_report), and the others still run."""
+    tol_bvp = tol * 1e3
+    sol, chart = config.sol, config.chart
+    # each check is looked up when it runs, so a replaced one is the one run
+    checks = (
+        ("boundary_term_closed_vs_quadrature", lambda: boundary_term_report(config, tol)),
+        ("slice_condition", lambda: slice_condition(sol, config.v_left, config.v_right, tol=max(tol, 1e-12))),
+        ("master_identity", lambda: master_identity(config, tol=tol_bvp)),
+        ("area_derivative", lambda: area_derivative_report(config, tol=tol)),
+        ("arc_length_derivative", lambda: arc_length_report(config, tol)),
+        ("extended_boundary_closed_vs_quadrature", lambda: extended_boundary_report(config, tol)),
+        ("extended_reduction_at_zero_quad", lambda: extended_reduction_report(config, tol)),
+        ("extended_master_identity", lambda: extended_master_identity(config, tol=tol_bvp)),
+        ("conformal_modulus_closed_vs_quadrature", lambda: modulus_report(chart, tol)),
+        ("total_area_closed_vs_quadrature", lambda: area_report(chart, tol)),
+        ("interior_harmonicity_stencil", lambda: stencil_report(stencil_field)),
+        ("strip_greens_identity", lambda: strip_greens_report(config, tol_bvp)),
+        ("per_mode_determinant_floor", lambda: determinant_floor_report(chart, modes)),
+    )
+    reports = []
+    for name, check in checks:
+        try:
+            reports.append(check())
+        except GraftLabError as exc:
+            reports.append(error_report(name, exc))
+    return reports

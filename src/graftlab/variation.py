@@ -236,15 +236,14 @@ def geodesic_oracle(
     side: str,
     t: float,
     m: int = 256,
-    scheme: str = "richardson",
     initial_rate: np.ndarray | None = None,
 ):
     """Normal displacement rate of the perturbed closed seam geodesic.
 
     Solves the discretized periodic geodesic equation for the family metric
-    at parameters +/- t and differences in t.  Schemes: "forward"
-    (first order, two solves), "centered", or "richardson" (centered at t
-    and t/2).  Returns (y grid, displacement / t samples).
+    at parameter t and takes the forward difference (X_t - X_0) / t, which
+    is first order in t.  Returns (y grid, displacement / t samples); at
+    t = 0 the rate is zero and nothing is solved.
 
     Pass initial_rate (samples of the anticipated normal variation on the
     uniform y grid) to select the perturbed geodesic continuously connected
@@ -254,24 +253,9 @@ def geodesic_oracle(
     """
     chart = fam.base
     base = -chart.s / 2 if side == "left" else chart.s / 2
-
-    def solve(tt):
-        guess = None
-        if initial_rate is not None:
-            guess = base + tt * np.asarray(initial_rate, float)
-        return _solve_perturbed_geodesic(chart, fam.hdot, tt, side, m, x_init=guess)[1]
-
     y = np.arange(m) * (chart.ell / m)
     if t == 0:
         return y, np.zeros(m)
-    if scheme == "forward":
-        rate = (solve(t) - base) / t
-    elif scheme == "centered":
-        rate = (solve(t) - solve(-t)) / (2 * t)
-    elif scheme == "richardson":
-        d1 = (solve(t) - solve(-t)) / (2 * t)
-        d2 = (solve(t / 2) - solve(-t / 2)) / t
-        rate = (4.0 * d2 - d1) / 3.0
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return y, rate
+    guess = None if initial_rate is None else base + t * np.asarray(initial_rate, float)
+    x = _solve_perturbed_geodesic(chart, fam.hdot, t, side, m, x_init=guess)[1]
+    return y, (x - base) / t

@@ -224,9 +224,7 @@ def test_09_geodesic_oracle():
     for side, v in (("left", cfg.v_left), ("right", cfg.v_right)):
         errs = []
         for t in (1e-3, 5e-4):
-            y, rate = variation.geodesic_oracle(
-                fam, side, t, m=256, scheme="forward", initial_rate=v.reconstruct(y0)
-            )
+            y, rate = variation.geodesic_oracle(fam, side, t, m=256, initial_rate=v.reconstruct(y0))
             expected = v.reconstruct(y)
             scale = float(np.max(np.abs(expected)))
             errs.append(float(np.max(np.abs(rate - expected))) / scale)

@@ -230,5 +230,5 @@ def test_geodesic_zero_parameter_and_conformal_scaling():
     y, rate = geodesic_oracle(fam, "left", 0.0, m=64)
     assert np.all(rate == 0.0)
     # constant conformal scaling moves no geodesic
-    y, rate = geodesic_oracle(fam, "left", 1e-3, m=64, scheme="forward")
+    y, rate = geodesic_oracle(fam, "left", 1e-3, m=64)
     assert np.max(np.abs(rate)) < 1e-6
