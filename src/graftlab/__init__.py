@@ -13,7 +13,6 @@ from .errors import (
 )
 from .geometry import (
     ConformalFamily,
-    GlobalField,
     GraftedCollar,
     conformal_modulus,
     conformal_modulus_quadrature,

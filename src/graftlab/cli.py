@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import TYPE_CHECKING
@@ -29,21 +29,29 @@ from .errors import ConfigError, GraftLabError
 if TYPE_CHECKING:
     import argparse
 
-_CONFIG_KEYS = {
-    "ell": float,
-    "s": float,
-    "a": float,
-    "outer_bc": str,
-    "modes": int,
-    "tol": float,
-    "seed": int,
-    "out": str,
-    "param": str,
-    "from": float,
-    "to": float,
-    "steps": int,
-    "t": float,
+#: Every setting, keyed by its config key: (RunConfig field, type, choices,
+#: help, the one command that takes it or None for all).  Its flag is --key
+#: with "-" for "_"; the flags of a command keep this order in its help, and
+#: RunConfig.validate checks the float settings for finiteness in it.
+_SETTINGS = {
+    "ell": ("ell", float, None, None, None),
+    "s": ("s", float, None, None, None),
+    "a": ("a", float, None, None, None),
+    "outer_bc": ("outer_bc", str, ("dirichlet", "neumann"), None, None),
+    "modes": ("modes", int, None, None, None),
+    "tol": ("tol", float, None, None, None),
+    "seed": ("seed", int, None, None, None),
+    "out": ("out", str, None, "output path (default: stdout)", None),
+    "t": ("t", float, None, None, "geodesic"),
+    "param": ("param", str, ("ell", "s", "a"), None, "sweep"),
+    "from": ("sweep_from", float, None, None, "sweep"),
+    "to": ("sweep_to", float, None, None, "sweep"),
+    "steps": ("steps", int, None, None, "sweep"),
 }
+#: (config key, RunConfig field) of each float setting
+_FLOAT_SETTINGS = tuple((key, attr) for key, (attr, kind, *_) in _SETTINGS.items() if kind is float)
+#: RunConfig's fields, one per setting, in the order that sort_keys gives them
+_CONFIG_FIELDS = sorted(attr for attr, *_ in _SETTINGS.values())
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         # NaN fails every comparison below, so non-finite values go first
-        for key in ("ell", "s", "a", "tol", "t", "from", "to"):
-            value = getattr(self, _FIELD_FOR_KEY.get(key, key))
+        for key, attr in _FLOAT_SETTINGS:
+            value = getattr(self, attr)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.ell <= 0 or self.a <= 0 or self.s < 0:
@@ -84,12 +92,8 @@ class RunConfig:
         return geometry.GraftedCollar(ell=self.ell, s=self.s, a=self.a, outer_bc=self.outer_bc)
 
 
-_FIELD_FOR_KEY = {"from": "sweep_from", "to": "sweep_to"}
-#: RunConfig's fields, one per config key, in the order that sort_keys gives them
-_CONFIG_FIELDS = sorted(f.name for f in fields(RunConfig))
-
-
 def load_config(path: str) -> dict:
+    """The settings of a flat key = value config file, keyed by RunConfig field."""
     values = {}
     try:
         with open(path) as fh:
@@ -101,10 +105,11 @@ def load_config(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _SETTINGS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                attr, kind, *_ = _SETTINGS[key]
                 try:
-                    values[key] = _CONFIG_KEYS[key](val.strip())
+                    values[attr] = kind(val.strip())
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
@@ -117,7 +122,7 @@ def build_config(args: dict) -> RunConfig:
     args maps each flag's dest to its value, None when it is not given."""
     values = load_config(args["config"]) if args.get("config") else {}
     flags = {attr: val for attr in _CONFIG_FIELDS if (val := args.get(attr)) is not None}
-    return RunConfig(**({_FIELD_FOR_KEY.get(k, k): v for k, v in values.items()} | flags)).validate()
+    return RunConfig(**(values | flags)).validate()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -247,28 +252,27 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 # --- geodesic ---------------------------------------------------------------
 
-def _geodesic_errors(cfg: RunConfig, t: float) -> float:
+def cmd_geodesic(cfg: RunConfig) -> int:
+    if cfg.t <= 0:
+        raise ConfigError("--t must be positive")
     rng = np.random.default_rng(cfg.seed)
     chart = cfg.chart()
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=min(cfg.modes, 4), amplitude=0.3)
     config = identities.solve_configuration(chart, sol)
-    fld = variation.matched_global_field(chart, sol, config.v_left, config.v_right)
-    fam = geometry.ConformalFamily(base=chart, hdot=fld)
-    errs = []
-    y0 = np.arange(256) * (cfg.ell / 256)
-    for side, v in (("left", config.v_left), ("right", config.v_right)):
-        y, rate = variation.geodesic_oracle(fam, side, t, m=256, initial_rate=v.reconstruct(y0))
-        expected = v.reconstruct(y)
-        scale = max(float(np.max(np.abs(expected))), 1e-300)
-        errs.append(float(np.max(np.abs(rate - expected))) / scale)
-    return max(errs)
+    field = variation.matched_global_field(config)
+    # each variation on the oracle's y grid: its initial rate and its target
+    y = np.arange(256) * (cfg.ell / 256)
+    targets = [("left", config.v_left.reconstruct(y)), ("right", config.v_right.reconstruct(y))]
 
+    def max_rel_err(t: float) -> float:
+        errs = []
+        for side, expected in targets:
+            rate = variation.geodesic_oracle(chart, field, side, t, initial_rate=expected)[1]
+            scale = max(float(np.max(np.abs(expected))), 1e-300)
+            errs.append(float(np.max(np.abs(rate - expected))) / scale)
+        return max(errs)
 
-def cmd_geodesic(cfg: RunConfig) -> int:
-    if cfg.t <= 0:
-        raise ConfigError("--t must be positive")
-    err = _geodesic_errors(cfg, cfg.t)
-    err_half = _geodesic_errors(cfg, cfg.t / 2)
+    err, err_half = max_rel_err(cfg.t), max_rel_err(cfg.t / 2)
     ok = err < 1e-2 and err_half < err
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -330,33 +334,23 @@ def cmd_modes(cfg: RunConfig) -> int:
 
 # --- entry point ------------------------------------------------------------
 
-#: The flags every command takes: option string -> (dest, type, choices, help)
-_COMMON_FLAGS = {
-    "--config": ("config", str, None, "flat key = value config file"),
-    "--ell": ("ell", float, None, None),
-    "--s": ("s", float, None, None),
-    "--a": ("a", float, None, None),
-    "--outer-bc": ("outer_bc", str, ("dirichlet", "neumann"), None),
-    "--modes": ("modes", int, None, None),
-    "--tol": ("tol", float, None, None),
-    "--seed": ("seed", int, None, None),
-    "--out": ("out", str, None, "output path (default: stdout)"),
-}
-
-#: Each command's help line and flag table, in the order of the help text:
-#: the one declaration of the command line.  main reads it directly, and the
-#: argparse parsers for help and error text are built from it (_parsers).
+#: Each command's help line and flag table, option string -> (dest, type,
+#: choices, help), in the order of the help text: --config, then the
+#: command's settings.  main reads it directly, and the argparse parsers for
+#: help and error text are built from it (_parsers).
 _FLAGS = {
-    "verify": ("run the identity suite, emit JSON", _COMMON_FLAGS),
-    "sweep": ("parameter sweep, emit CSV", _COMMON_FLAGS | {
-        "--param": ("param", str, ("ell", "s", "a"), None),
-        "--from": ("sweep_from", float, None, None),
-        "--to": ("sweep_to", float, None, None),
-        "--steps": ("steps", int, None, None),
-    }),
-    "geodesic": ("numeric geodesic vs closed-form variation", _COMMON_FLAGS | {"--t": ("t", float, None, None)}),
-    "chart": ("dump the chart as JSON", _COMMON_FLAGS),
-    "modes": ("dump per-mode solver data as CSV", _COMMON_FLAGS),
+    command: (help_line, {"--config": ("config", str, None, "flat key = value config file")} | {
+        "--" + key.replace("_", "-"): (attr, kind, choices, help_text)
+        for key, (attr, kind, choices, help_text, only) in _SETTINGS.items()
+        if only in (None, command)
+    })
+    for command, help_line in (
+        ("verify", "run the identity suite, emit JSON"),
+        ("sweep", "parameter sweep, emit CSV"),
+        ("geodesic", "numeric geodesic vs closed-form variation"),
+        ("chart", "dump the chart as JSON"),
+        ("modes", "dump per-mode solver data as CSV"),
+    )
 }
 
 #: Each command's dests, all None: the values of the flags not given

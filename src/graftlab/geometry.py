@@ -98,11 +98,14 @@ class GraftedCollar:
         return float(out) if out.ndim == 0 else out
 
     @cached_property
-    def strip_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, G(x), G(-x)) at the nodes x = s/2 + xi of _strip_integral, once per chart."""
+    def strip_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, g) at the nodes x = s/2 + xi of _strip_integral, once per chart:
+        g is the mean of G(x) and G(-x), the two strips' G at a node.  G is
+        even, so g is either of them bit for bit, and a defect of G on one
+        strip alone still moves it."""
         xi, w = _gauss_legendre(np.append(np.arange(0.0, self.a, 1.0), self.a))
         x = self.s / 2 + xi
-        return w, self.G(x), self.G(-x)
+        return w, 0.5 * self.G(x) + 0.5 * self.G(-x)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -160,9 +163,11 @@ def total_area(chart: GraftedCollar) -> float:
 def _strip_integral(chart: GraftedCollar, f) -> float:
     """Integral of f(G(x)) over both hyperbolic strips, s/2 <= |x| <= x_max,
     by the 16-point Gauss-Legendre rule on unit-width panels of |x| - s/2,
-    which reaches rounding for G = cosh(|x| - s/2) and 1 / G (strip_nodes)."""
-    w, g_right, g_left = chart.strip_nodes
-    return float(w @ (f(g_right) + f(g_left)))
+    which reaches rounding for G = cosh(|x| - s/2) and 1 / G.  The strips
+    are mirror images, so it is twice the integral of f over the G that
+    strip_nodes keeps for both."""
+    w, g = chart.strip_nodes
+    return 2.0 * float(w @ f(g))
 
 
 def total_area_quadrature(chart: GraftedCollar) -> float:
@@ -193,42 +198,17 @@ def grafted_length(ell: float, s: float) -> float:
     return ell * s
 
 
-class GlobalField:
-    """A scalar field on the whole collar with a (possibly one-sided)
-    x-derivative.  Built either from a constant, explicit callables, or the
-    matched construction in the variation module."""
-
-    def __init__(self, value_fn: Callable, dx_fn: Callable):
-        self._value = value_fn
-        self._dx = dx_fn
-
-    def value(self, x, y):
-        return self._value(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    def dx(self, x, y):
-        return self._dx(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-    @classmethod
-    def constant(cls, v: float) -> "GlobalField":
-        def val(x, y):
-            return np.broadcast_to(float(v), np.broadcast(x, y).shape).copy()
-
-        def der(x, y):
-            return np.zeros(np.broadcast(x, y).shape)
-
-        return cls(val, der)
-
-
 @dataclass(frozen=True)
 class ConformalFamily:
-    """Family of metrics gr/H_t with H_t = 1 + t * hdot to first order.
+    """Family of metrics gr/H_t with H_t = 1 + t * hdot to first order;
+    hdot(x, y) -> (value, d/dx), as variation.matched_global_field returns it.
 
     When quad is absent the family is conformal; otherwise the first-order
     off-conformal tensor built from the quadratic-differential modes is added
     on the flat stratum."""
 
     base: GraftedCollar
-    hdot: GlobalField
+    hdot: Callable
     quad: QuadDiffModes | None = None
 
 
@@ -242,7 +222,7 @@ def family_metric(fam: ConformalFamily, t: float, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    H = 1.0 + t * fam.hdot.value(x, y)
+    H = 1.0 + t * fam.hdot(x, y)[0]
     if np.any(H <= 0):
         raise DomainError("1 + t * hdot is not positive on the evaluation points")
     G = fam.base.G(x)

@@ -383,14 +383,12 @@ def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityR
 
 # --- area derivatives -------------------------------------------------------
 
-def area_derivative_geometric(
-    sol: FourierSolution, s: float, s_rate: float = 0.0
-) -> float:
+def area_derivative_geometric(sol: FourierSolution, s_rate: float = 0.0) -> float:
     """Derivative of ell(t) s(t): -d0 ell s / 2 + ell ds/dt, using the
     length derivative -d0 ell / 2 of the core circle."""
     if abs(sol.c0) > MEAN_TOL:
         raise SolvabilityError("geometric route requires a vanishing linear coefficient")
-    return -0.5 * sol.d0 * sol.ell * s + sol.ell * s_rate
+    return -0.5 * sol.d0 * sol.ell * sol.s + sol.ell * s_rate
 
 
 def area_derivative_analytic(
@@ -409,7 +407,7 @@ def area_derivative_report(
     """Compare the two area-derivative routes; the strip contribution of the
     analytic route is additionally cross-checked by quadrature."""
     sol = config.sol
-    geo = area_derivative_geometric(sol, sol.s, config.s_rate)
+    geo = area_derivative_geometric(sol, config.s_rate)
     ana = area_derivative_analytic(sol, config.v_left, config.v_right)
     int_h, *_, outer_flux = config.strip_sums
     # int of H over a strip = (seam flux + outer flux) / 2, seam normal -d/dxi

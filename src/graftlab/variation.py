@@ -14,13 +14,17 @@ along-normal conformal frame carrying phi is negatively oriented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import hypersolve
 from .errors import ConvergenceError, SolvabilityError
-from .geometry import GlobalField, GraftedCollar
-from .spectral import FourierSolution, QuadDiffModes, TraceModes
+from .geometry import GraftedCollar
+from .spectral import QuadDiffModes, TraceModes
+
+if TYPE_CHECKING:
+    from .identities import SolvedConfiguration
 
 #: traces with |mean| above this are rejected as unsolvable (the periodic
 #: solvability constraint forcing the linear-in-x coefficient to vanish)
@@ -125,27 +129,20 @@ def pinned_means(dtn0: float, left_mean: float, right_mean: float) -> tuple[floa
 
 # --- globally matched fields and the geodesic oracle ------------------------
 
-def matched_global_field(
-    chart: GraftedCollar,
-    sol: FourierSolution,
-    v_left: VariationField,
-    v_right: VariationField,
-) -> GlobalField:
-    """Field on the whole collar: the cylinder series extended into both
-    strips by Cauchy integration of the mode ODE.
+def matched_global_field(config: SolvedConfiguration) -> Callable:
+    """Field on the whole collar, field(x, y) -> (H, dH/dx): the cylinder
+    series extended into both strips by Cauchy integration of the mode ODE.
 
-    The strip extensions are continuous with the cylinder traces and carry
-    the hyperbolic-side normal derivative implied by the variation fields,
-    so the geodesic variation of the (1 + t * field)-conformal family solves
-    both regimes of the variation equation simultaneously.
+    The strip extensions are continuous with the configuration's Dirichlet
+    traces and carry its hyperbolic-side Neumann traces as their normal
+    derivative, so the geodesic variation of the (1 + t * H)-conformal
+    family solves both regimes of the variation equation simultaneously.
+    On the strips dH/dx is the strip-side (one-sided) derivative.
     """
+    chart, sol = config.chart, config.sol
     if abs(sol.c0) > SOLVABILITY_TOL:
         raise SolvabilityError("matched fields require a vanishing linear coefficient")
     ell, s, a = chart.ell, chart.s, chart.a
-    dl = sol.dirichlet_trace("left")
-    dr = sol.dirichlet_trace("right")
-    nl = hyperbolic_neumann(v_left)
-    nr = hyperbolic_neumann(v_right)
 
     # one row per mode, n = 0 first; strip-side slope d/dxi: the left strip
     # has xi = -x - s/2, so its slope is -d/dx
@@ -153,73 +150,83 @@ def matched_global_field(
     rows = np.r_[0, ns]
     ext_left, ext_right = (
         hypersolve.mode_extend(rows, ell, a, np.r_[dt.mean, dt.coef[ns]], sgn * np.r_[nt.mean, nt.coef[ns]])
-        for dt, nt, sgn in ((dl, nl, -1.0), (dr, nr, 1.0))
+        for dt, nt, sgn in zip(config.dirichlet, config.neumann, (-1.0, 1.0))
     )
     # pair weight 1 for n = 0, 2 for a mode and its conjugate
     weights = np.where(rows == 0, 1.0, 2.0)[:, None]
     kn = 2.0 * np.pi / ell * rows[:, None]
 
-    def _strip_sum(ext, xi, y, deriv: bool) -> np.ndarray:
-        b = ext(xi)[int(deriv)]
-        return (weights * np.real(b * np.exp(1j * kn * y))).sum(axis=0)
-
-    def _eval(x, y, deriv: bool) -> np.ndarray:
+    def field(x, y) -> tuple[np.ndarray, np.ndarray]:
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        out = np.empty(x.shape)
+        value, dx = np.empty(x.shape), np.empty(x.shape)
         flat = np.abs(x) <= s / 2
-        left = x < -s / 2
-        right = x > s / 2
         if np.any(flat):
-            fn = sol.evaluate_dx if deriv else sol.evaluate
-            out[flat] = fn(x[flat], y[flat])
-        if np.any(left):
-            vals = _strip_sum(ext_left, -x[left] - s / 2, y[left], deriv)
-            out[left] = -vals if deriv else vals
-        if np.any(right):
-            out[right] = _strip_sum(ext_right, x[right] - s / 2, y[right], deriv)
-        return out
+            value[flat] = sol.evaluate(x[flat], y[flat])
+            dx[flat] = sol.evaluate_dx(x[flat], y[flat])
+        for side, ext, sgn in ((x < -s / 2, ext_left, -1.0), (x > s / 2, ext_right, 1.0)):
+            if np.any(side):
+                b, bp = ext(sgn * x[side] - s / 2)
+                phase = np.exp(1j * kn * y[side])
+                value[side] = (weights * np.real(b * phase)).sum(axis=0)
+                dx[side] = sgn * (weights * np.real(bp * phase)).sum(axis=0)
+        return value, dx
 
-    return GlobalField(lambda x, y: _eval(x, y, False), lambda x, y: _eval(x, y, True))
+    return field
 
 
-def _solve_perturbed_geodesic(
+def geodesic_oracle(
     chart: GraftedCollar,
-    hfield: GlobalField,
-    t: float,
+    field: Callable,
     side: str,
-    m: int,
-    x_init: np.ndarray | None = None,
+    t: float,
+    m: int = 256,
+    initial_rate: np.ndarray | None = None,
 ):
-    """Closed curve x = X(y) solving the geodesic equation of the metric
-    (dx^2 + G^2 dy^2) / (1 + t * hfield), by Newton (Powell hybrid) on the
-    collocated Euler-Lagrange equations."""
-    from scipy.optimize import root
+    """Normal displacement rate of the perturbed closed seam geodesic.
 
+    Solves for the closed curve x = X(y) that is a geodesic of the metric
+    (dx^2 + G^2 dy^2) / (1 + t * H), with field(x, y) -> (H, dH/dx) as
+    matched_global_field returns it, by Newton (Powell hybrid) on the
+    Euler-Lagrange equations collocated on m uniform y points, and takes the
+    forward difference (X_t - X_0) / t, which is first order in t.  Each
+    residual evaluates the field once, on the grid points and the midpoints
+    together.  Returns (y grid, displacement / t samples); at t = 0 the rate
+    is zero and nothing is solved.
+
+    Pass initial_rate (samples of the anticipated normal variation on the
+    uniform y grid) to select the perturbed geodesic continuously connected
+    to the seam circle; from a cold start the solver can land on a distant
+    geodesic of the same metric.  The Euler-Lagrange residual is checked at
+    the solution either way.
+    """
     ell, s = chart.ell, chart.s
     base = -s / 2 if side == "left" else s / 2
     h = ell / m
     y = np.arange(m) * h
-    ymid = y + h / 2
+    if t == 0:
+        return y, np.zeros(m)
+    from scipy.optimize import root
 
-    def sqrtH(x, yy):
-        return np.sqrt(1.0 + t * hfield.value(x, yy))
+    # the y of the grid points, then of the midpoints (xm, y + h / 2)
+    points_y = np.concatenate((y, y + h / 2))
 
     def residual(X):
         Xr = np.roll(X, -1)
         xm = 0.5 * (X + Xr)
+        value, dx = field(np.concatenate((X, xm)), points_y)
         xp = (Xr - X) / h
         speed_m = np.sqrt(xp**2 + chart.G(xm) ** 2)
-        P = xp / (speed_m * sqrtH(xm, ymid))
+        P = xp / (speed_m * np.sqrt(1.0 + t * value[m:]))
         dP = (P - np.roll(P, 1)) / h
         xc = (Xr - np.roll(X, 1)) / (2 * h)
         G = chart.G(X)
         speed = np.sqrt(xc**2 + G**2)
-        H = 1.0 + t * hfield.value(X, y)
-        Hx = t * hfield.dx(X, y)
+        H = 1.0 + t * value[:m]
+        Hx = t * dx[:m]
         Q = G * chart.Gp(X) / (speed * np.sqrt(H)) - 0.5 * speed * Hx * H ** (-1.5)
         return dP - Q
 
-    x0 = np.full(m, base) if x_init is None else np.asarray(x_init, float)
+    x0 = np.full(m, base) if initial_rate is None else base + t * np.asarray(initial_rate, float)
     result = root(residual, x0, method="hybr", tol=1e-12)
     # hybr can report "not making good progress" after full convergence when
     # the flat-region directions are nearly degenerate; judge by the residual
@@ -228,34 +235,4 @@ def _solve_perturbed_geodesic(
         raise ConvergenceError(
             f"geodesic Newton failed (residual {res_norm:.2e}): {result.message}"
         )
-    return y, result.x
-
-
-def geodesic_oracle(
-    fam,
-    side: str,
-    t: float,
-    m: int = 256,
-    initial_rate: np.ndarray | None = None,
-):
-    """Normal displacement rate of the perturbed closed seam geodesic.
-
-    Solves the discretized periodic geodesic equation for the family metric
-    at parameter t and takes the forward difference (X_t - X_0) / t, which
-    is first order in t.  Returns (y grid, displacement / t samples); at
-    t = 0 the rate is zero and nothing is solved.
-
-    Pass initial_rate (samples of the anticipated normal variation on the
-    uniform y grid) to select the perturbed geodesic continuously connected
-    to the seam circle; from a cold start the solver can land on a distant
-    geodesic of the same metric.  The Euler-Lagrange residual is checked at
-    the solution either way.
-    """
-    chart = fam.base
-    base = -chart.s / 2 if side == "left" else chart.s / 2
-    y = np.arange(m) * (chart.ell / m)
-    if t == 0:
-        return y, np.zeros(m)
-    guess = None if initial_rate is None else base + t * np.asarray(initial_rate, float)
-    x = _solve_perturbed_geodesic(chart, fam.hdot, t, side, m, x_init=guess)[1]
-    return y, (x - base) / t
+    return y, (result.x - base) / t

@@ -104,7 +104,7 @@ def test_04_slice_bookkeeping():
             lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0, s_rate=s_rate)
             vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
             vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
-            geo = identities.area_derivative_geometric(sol, s, s_rate=s_rate)
+            geo = identities.area_derivative_geometric(sol, s_rate=s_rate)
             ana = identities.area_derivative_analytic(sol, vl, vr)
             worst_gap = max(worst_gap, abs(geo - ana))
             if s_rate == 0.0:
@@ -217,14 +217,13 @@ def test_09_geodesic_oracle():
     chart = GraftedCollar(ell=ell, s=s, a=1.0)
     sol = sampling.random_solution(rng, ell, s, nmax=4, amplitude=0.3)
     cfg = identities.solve_configuration(chart, sol)
-    fld = variation.matched_global_field(chart, sol, cfg.v_left, cfg.v_right)
-    fam = geometry.ConformalFamily(base=chart, hdot=fld)
+    field = variation.matched_global_field(cfg)
     y0 = np.arange(256) * (ell / 256)
     worst, worst_half = 0.0, 0.0
     for side, v in (("left", cfg.v_left), ("right", cfg.v_right)):
         errs = []
         for t in (1e-3, 5e-4):
-            y, rate = variation.geodesic_oracle(fam, side, t, m=256, initial_rate=v.reconstruct(y0))
+            y, rate = variation.geodesic_oracle(chart, field, side, t, m=256, initial_rate=v.reconstruct(y0))
             expected = v.reconstruct(y)
             scale = float(np.max(np.abs(expected)))
             errs.append(float(np.max(np.abs(rate - expected))) / scale)

@@ -449,6 +449,28 @@ def test_verify_report_is_byte_reproducible(argv, capsys):
     assert hashlib.sha256(_canonical(out).encode()).hexdigest() == _PINNED_VERIFY[argv]
 
 
+
+def test_geodesic_report_is_byte_reproducible(capsys):
+    # sha256 of stdout without its generated_at line, taken before the
+    # geodesic path moved onto one field function and one build per command
+    code, out = run("geodesic --ell 1 --s 0.5 --a 0.5 --modes 1 --seed 0".split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(_canonical(out).encode()).hexdigest() == (
+        "d84cf0f1d5b9cd4abc0acf43f65b11fc891def730930a0290796aaf772239f25"
+    )
+
+
+def test_geodesic_newton_failure_exits_1_with_its_message(capsys):
+    # the quickest exit-1 line among the first 16 seed-1 geodesic benchmark
+    # ops, with its stderr as it was before the same change
+    argv = "geodesic --ell 0.283689 --s 17.0575 --a 6.96854 --outer-bc neumann --modes 2 --seed 15"
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "check failed: geodesic Newton failed (residual 2.84e-09): The solution converged.\n"
+
+
 def test_verify_computes_each_seam_trace_once(monkeypatch, capsys):
     calls = []
     for name in ("dirichlet_trace", "neumann_trace_flat"):

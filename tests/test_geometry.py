@@ -5,7 +5,6 @@ import pytest
 
 from graftlab import (
     DomainError,
-    GlobalField,
     GraftedCollar,
     ConformalFamily,
     SeamPointError,
@@ -22,6 +21,11 @@ from graftlab.geometry import family_metric
 
 
 CHART = GraftedCollar(ell=2 * np.pi, s=1.0, a=1.0)
+
+
+def _constant(v: float):
+    """The field function (value, d/dx) of the constant v."""
+    return lambda x, y: (np.full(np.broadcast(x, y).shape, v), np.zeros(np.broadcast(x, y).shape))
 
 
 def gaussian_curvature_fd(E_fn, G_fn, x, y, h: float = 1e-3):
@@ -145,7 +149,7 @@ def test_chart_json_round_trip():
 
 
 def test_family_metric_positivity_guard():
-    fam = ConformalFamily(base=CHART, hdot=GlobalField.constant(-3.0))
+    fam = ConformalFamily(base=CHART, hdot=_constant(-3.0))
     with pytest.raises(DomainError):
         family_metric(fam, 0.5, 0.0, 0.0)
 
@@ -159,7 +163,7 @@ def test_conformal_curvature_identity_flat_stratum():
         return 0.3 * np.sin(k * y) * np.cos(2.0 * x)
 
     t = 0.7
-    fam = ConformalFamily(base=CHART, hdot=GlobalField(hdot, lambda x, y: 0 * x))
+    fam = ConformalFamily(base=CHART, hdot=lambda x, y: (hdot(x, y), 0 * x))
     h = 1e-3
 
     def E_fn(x, y):
@@ -186,7 +190,7 @@ def test_conformal_curvature_identity_flat_stratum():
 
 
 def test_fd_curvature_recovers_hyperbolic_stratum():
-    fam = ConformalFamily(base=CHART, hdot=GlobalField.constant(0.0))
+    fam = ConformalFamily(base=CHART, hdot=_constant(0.0))
 
     def E_fn(x, y):
         return family_metric(fam, 0.0, x, y)[0]

@@ -318,9 +318,9 @@ def test_subtract_in_order_matches_the_loop(shape):
 
 def test_area_geometric_examples():
     sol = FourierSolution(ell=ELL, s=2.0, d0=1.0)
-    assert identities.area_derivative_geometric(sol, 2.0) == pytest.approx(-2.0 * np.pi)
+    assert identities.area_derivative_geometric(sol) == pytest.approx(-2.0 * np.pi)
     flat = FourierSolution(ell=ELL, s=2.0)
-    assert identities.area_derivative_geometric(flat, 2.0, s_rate=0.5) == pytest.approx(ELL / 2.0)
+    assert identities.area_derivative_geometric(flat, s_rate=0.5) == pytest.approx(ELL / 2.0)
 
 
 def test_area_analytic_example():
@@ -335,7 +335,7 @@ def test_area_routes_agree_on_slice():
     lam0, rho0 = sampling.slice_compatible_means(rng, 1.0, sol.d0)
     vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
     vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
-    geo = identities.area_derivative_geometric(sol, 1.0)
+    geo = identities.area_derivative_geometric(sol)
     ana = identities.area_derivative_analytic(sol, vl, vr)
     assert geo == pytest.approx(ana, abs=1e-12)
 

@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graftlab import (
-    ConformalFamily,
     FourierSolution,
-    GlobalField,
     GraftedCollar,
     QuadDiffModes,
     SolvabilityError,
@@ -19,7 +17,7 @@ from graftlab import (
     solve_amended_variation,
     solve_flat_variation,
 )
-from graftlab import hypersolve
+from graftlab import hypersolve, identities
 from oracles import collocation_variation_modes, rotated
 
 ELL, S = 2 * np.pi, 2.0
@@ -210,25 +208,60 @@ def test_matched_field_continuity():
     )
     for modes, (mean_left, mean_right) in fields:
         sol = _sol(d0=0.3, modes=modes)
-        vl = solve_flat_variation(sol.neumann_trace_flat("left"), mean_left)
-        vr = solve_flat_variation(sol.neumann_trace_flat("right"), mean_right)
-        fld = matched_global_field(chart, sol, vl, vr)
+        config = identities.solve_configuration(chart, sol, mean_left, mean_right)
+        field = matched_global_field(config)
         for x0, sgn in ((-S / 2, -1.0), (S / 2, 1.0)):
-            inner = fld.value(np.full(16, x0), y)
-            outer = fld.value(np.full(16, x0 + sgn * 1e-9), y)
+            inner = field(np.full(16, x0), y)[0]
+            outer = field(np.full(16, x0 + sgn * 1e-9), y)[0]
             assert np.max(np.abs(inner - outer)) < 1e-7, list(modes)
         # strip-side slope carries the variation-mediated Neumann data
         h = 1e-6
-        nl = hyperbolic_neumann(vl)
-        fd = (fld.value(-S / 2 - 0.0, y) - fld.value(-S / 2 - h, y)) / h
+        nl = hyperbolic_neumann(config.v_left)
+        fd = (field(-S / 2 - 0.0, y)[0] - field(-S / 2 - h, y)[0]) / h
         assert np.max(np.abs(fd - nl.reconstruct(y))) < 1e-4, list(modes)
+        slope = field(np.full(16, -S / 2 - 1e-12), y)[1]
+        assert np.max(np.abs(slope - nl.reconstruct(y))) < 1e-8, list(modes)
 
 
 def test_geodesic_zero_parameter_and_conformal_scaling():
     chart = GraftedCollar(ell=ELL, s=S, a=1.0)
-    fam = ConformalFamily(base=chart, hdot=GlobalField.constant(1.0))
-    y, rate = geodesic_oracle(fam, "left", 0.0, m=64)
+
+    def one(x, y):
+        return np.ones(np.shape(x)), np.zeros(np.shape(x))
+
+    y, rate = geodesic_oracle(chart, one, "left", 0.0, m=64)
     assert np.all(rate == 0.0)
     # constant conformal scaling moves no geodesic
-    y, rate = geodesic_oracle(fam, "left", 1e-3, m=64)
+    y, rate = geodesic_oracle(chart, one, "left", 1e-3, m=64)
     assert np.max(np.abs(rate)) < 1e-6
+
+
+def test_geodesic_oracle_evaluates_its_field_once_per_residual(monkeypatch):
+    import scipy.optimize
+
+    chart = GraftedCollar(ell=ELL, s=S, a=1.0)
+    config = identities.solve_configuration(chart, _sol(modes={1: (0.02, 0.01j), 2: (-0.01, 0.005)}))
+    field = matched_global_field(config)
+    residuals, shapes = [], []
+    root = scipy.optimize.root
+
+    def counted_root(fun, x0, **kw):
+        def counted(X, *args):
+            residuals.append(len(shapes))
+            return fun(X, *args)
+
+        return root(counted, x0, **kw)
+
+    def spy(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return field(x, y)
+
+    monkeypatch.setattr(scipy.optimize, "root", counted_root)
+    m = 32
+    y = np.arange(m) * (ELL / m)
+    geodesic_oracle(chart, spy, "right", 1e-3, m=m, initial_rate=config.v_right.reconstruct(y))
+    # every residual of the solve, and the check at its solution, makes one
+    # call on the m grid points and the m midpoints together
+    assert residuals == list(range(len(residuals)))
+    assert len(shapes) == len(residuals) + 1
+    assert set(shapes) == {((2 * m,), (2 * m,))}
