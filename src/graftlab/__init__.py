@@ -51,13 +51,11 @@ from .spectral import (
     harmonicity_residual,
 )
 from .variation import (
-    VariationField,
-    extended_hyperbolic_neumann,
+    amend_variation,
     geodesic_oracle,
     hyperbolic_neumann,
     matched_global_field,
     pinned_means,
-    solve_amended_variation,
     solve_flat_variation,
 )
 

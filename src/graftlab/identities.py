@@ -19,8 +19,7 @@ from . import hypersolve
 from .errors import DomainError, GraftLabError, SolvabilityError
 from .geometry import GraftedCollar, conformal_modulus, conformal_modulus_quadrature, total_area, total_area_quadrature
 from .spectral import MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes, harmonicity_bound, harmonicity_residual
-from .variation import VariationField, extended_hyperbolic_neumann, hyperbolic_neumann, pinned_means
-from .variation import solve_flat_variation
+from .variation import amend_variation, hyperbolic_neumann, pinned_means, solve_flat_variation
 
 #: The mixed-term series sums over n >= 1 with conjugate modes already
 #: paired, like the cylinder series (spectral.PAIRING_FACTOR); its factor
@@ -118,9 +117,7 @@ def _out(x):
     return float(x) if getattr(x, "ndim", 0) == 0 else x
 
 
-def boundary_term_closed(
-    sol: FourierSolution, v_left: VariationField, v_right: VariationField
-) -> float:
+def boundary_term_closed(sol: FourierSolution, v_left: TraceModes, v_right: TraceModes) -> float:
     """Closed form of the seam integral of H times its hyperbolic-side
     normal derivative:
 
@@ -189,8 +186,8 @@ class SolvedConfiguration:
 
     chart: GraftedCollar
     sol: FourierSolution
-    v_left: VariationField
-    v_right: VariationField
+    v_left: TraceModes
+    v_right: TraceModes
     quad: QuadDiffModes
     s_rate: float = 0.0
     dirichlet: tuple[TraceModes, ...] = ()
@@ -228,9 +225,9 @@ class SolvedConfiguration:
         return boundary_term_quadrature(self.dirichlet, self.neumann)
 
     @cached_property
-    def amended(self) -> tuple[VariationField, VariationField]:
+    def amended(self) -> tuple[TraceModes, TraceModes]:
         """The (left, right) variations amended for the quadratic differential."""
-        return self.v_left.amend(self.quad), self.v_right.amend(self.quad)
+        return amend_variation(self.v_left, self.quad), amend_variation(self.v_right, self.quad)
 
     @cached_property
     def extended_closed(self) -> float:
@@ -272,8 +269,8 @@ def solve_configuration(
 
 def slice_residual(
     sol: FourierSolution,
-    v_left: VariationField,
-    v_right: VariationField,
+    v_left: TraceModes,
+    v_right: TraceModes,
     s_rate: float = 0.0,
 ) -> float:
     """lam0 - rho0 + s d0 / 2 + ds/dt; zero exactly on the constant-height
@@ -283,8 +280,8 @@ def slice_residual(
 
 def slice_condition(
     sol: FourierSolution,
-    v_left: VariationField,
-    v_right: VariationField,
+    v_left: TraceModes,
+    v_right: TraceModes,
     s_rate: float = 0.0,
     tol: float = 1e-12,
 ) -> IdentityReport:
@@ -393,8 +390,8 @@ def area_derivative_geometric(sol: FourierSolution, s_rate: float = 0.0) -> floa
 
 def area_derivative_analytic(
     sol: FourierSolution,
-    v_left: VariationField,
-    v_right: VariationField,
+    v_left: TraceModes,
+    v_right: TraceModes,
 ) -> float:
     """Derivative of the flat-insert area through the interior integral of
     -H: -ell (lam0 - rho0) - d0 ell s."""
@@ -461,8 +458,8 @@ def arc_length_derivative(
 def extended_boundary_term(
     sol: FourierSolution,
     q: QuadDiffModes,
-    w_left: VariationField,
-    w_right: VariationField,
+    w_left: TraceModes,
+    w_right: TraceModes,
 ) -> float:
     """Closed form of the seam boundary term for the amended fields: the
     unamended expression plus the mixed series
@@ -470,7 +467,7 @@ def extended_boundary_term(
         - sum_{n>=1} (4/(pi n)) (4 pi^2 n^2 + ell^2) Im(v_n conj(c_n)
           + u_n conj(d_n)) S C.
     """
-    if not (w_left.amended and w_right.amended):
+    if not w_left.kind == w_right.kind == "amended_variation":
         raise ValueError("expected amended variation fields")
     if abs(sol.c0) > MEAN_TOL:
         raise SolvabilityError("closed form requires a vanishing linear coefficient")
@@ -610,7 +607,7 @@ def arc_length_report(config: SolvedConfiguration, tol: float) -> IdentityReport
 
 def extended_boundary_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
     """The amended boundary term against its seam quadrature."""
-    neumann = tuple(map(extended_hyperbolic_neumann, config.amended))
+    neumann = tuple(map(hyperbolic_neumann, config.amended))
     quad = boundary_term_quadrature(config.dirichlet, neumann)
     notes = seam_grid_note(*config.dirichlet, *neumann)
     return _compare("extended_boundary_closed_vs_quadrature", config.extended_closed, quad, tol, notes=notes)
@@ -620,7 +617,7 @@ def extended_reduction_report(config: SolvedConfiguration, tol: float) -> Identi
     """The amended boundary term at the zero quadratic differential against the unamended one."""
     sol = config.sol
     q0 = QuadDiffModes(ell=sol.ell, s=sol.s)
-    zero_q = extended_boundary_term(sol, q0, config.v_left.amend(q0), config.v_right.amend(q0))
+    zero_q = extended_boundary_term(sol, q0, amend_variation(config.v_left, q0), amend_variation(config.v_right, q0))
     return _compare("extended_reduction_at_zero_quad", zero_q, config.closed, tol)
 
 

@@ -73,17 +73,11 @@ def random_quad(
     decay: float = 0.7,
     amplitude: float = 1.0,
 ) -> QuadDiffModes:
-    """Random quadratic-differential mode data (u0 = 0 keeps the conjugate
-    single-valued), damped and truncated as in random_solution."""
-    u, v = _damped_modes(rng, ell, s, nmax, decay, amplitude)
-    return QuadDiffModes(
-        ell=ell,
-        s=s,
-        u0=0.0,
-        v0=amplitude * float(rng.standard_normal()),
-        u=u,
-        v=v,
-    )
+    """Random quadratic-differential mode data: the draws of random_solution,
+    read as (u, v, v0) = (c, d, d0); u0 = 0 keeps the conjugate
+    single-valued."""
+    sol = random_solution(rng, ell, s, nmax, decay, amplitude)
+    return QuadDiffModes(ell, s, v0=sol.d0, u=sol.c, v=sol.d)
 
 
 def slice_compatible_means(

@@ -94,9 +94,11 @@ def _series(x, y, ell: float, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 class TraceModes:
     """Fourier data of a real function of y on one seam circle.
 
-    kind is one of "dirichlet", "neumann_flat" (d/dx from the cylinder side)
-    or "neumann_hyperbolic" (d/dx from the strip side).  coef[..., n] is the
-    mode-n coefficient, which carries the implied conjugate-symmetric
+    kind is one of "dirichlet", "neumann_flat" (d/dx from the cylinder side),
+    "neumann_hyperbolic" (d/dx from the strip side), "variation" (the normal
+    variation V of the seam geodesic) or "amended_variation" (V amended for
+    the quadratic differential, W; see the variation module).  coef[..., n]
+    is the mode-n coefficient, which carries the implied conjugate-symmetric
     extension; a {n: c} mapping may be passed as modes instead.  No field
     is assigned after construction, so the seam grids are kept.
     """
@@ -110,7 +112,7 @@ class TraceModes:
     def __init__(self, side, kind, ell, mean, modes=None, coef=None):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if kind not in ("dirichlet", "neumann_flat", "neumann_hyperbolic"):
+        if kind not in ("dirichlet", "neumann_flat", "neumann_hyperbolic", "variation", "amended_variation"):
             raise ValueError(f"unknown trace kind {kind!r}")
         self.side, self.kind, self.ell, self.mean = side, kind, ell, mean
         self.coef = _dense(modes or {}) if coef is None else coef

@@ -13,7 +13,7 @@ along-normal conformal frame carrying phi is negatively oriented.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -21,55 +21,23 @@ import numpy as np
 from . import hypersolve
 from .errors import ConvergenceError, SolvabilityError
 from .geometry import GraftedCollar
-from .spectral import QuadDiffModes, TraceModes
+from .spectral import MEAN_TOL, QuadDiffModes, TraceModes
 
 if TYPE_CHECKING:
     from .identities import SolvedConfiguration
 
-#: traces with |mean| above this are rejected as unsolvable (the periodic
-#: solvability constraint forcing the linear-in-x coefficient to vanish)
-SOLVABILITY_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class VariationField:
-    """Fourier data of one seam's normal variation (lambda_n or rho_n):
-    coef[..., n] is the mode-n coefficient (index 0 holds no mode); mean and
-    ell may carry a leading points axis, as the traces they come from."""
-
-    side: str
-    ell: float
-    mean: float
-    coef: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=complex))
-    amended: bool = False
-    # {n: lambda_n} of a one-point field, and its values at y: as for a trace
-    modes = TraceModes.modes
-    reconstruct = TraceModes.reconstruct
-
-    def amend(self, q: QuadDiffModes) -> "VariationField":
-        """The amended field W of this solved flat variation: W_yy gains the
-        forcing d/dy Im(phi), so per mode lambda_n shifts by
-        (ell / (2 pi i n)) (u_n cosh -/+ v_n sinh); the mean is kept."""
-        if self.amended:
-            raise ValueError("expected an unamended variation field")
-        width = len(q.u)
-        coef = np.zeros(max(len(self.coef), width), dtype=complex)
-        coef[: len(self.coef)] = self.coef
-        n = np.arange(1, width)
-        coef[1:width] += -1j * (self.ell / (2.0 * np.pi * n)) * q.seam_values(self.side)[1:]
-        return replace(self, coef=coef, amended=True)
-
-
-def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> VariationField:
+def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> TraceModes:
     """Solve V_yy = -1/2 * (flat Neumann data) on the periodic seam circle.
 
-    Per mode: lambda_n = (ell^2 / (8 pi^2 n^2)) N_n.  The mean of V is a free
-    constant supplied by the caller; a nonzero mean of the forcing (i.e. a
-    nonzero linear-in-x coefficient) admits no periodic solution.
+    Returns the "variation" trace of V.  Per mode:
+    lambda_n = (ell^2 / (8 pi^2 n^2)) N_n.  The mean of V is a free constant
+    supplied by the caller; a nonzero mean of the forcing (i.e. a nonzero
+    linear-in-x coefficient) admits no periodic solution.
     """
     if flat_neumann.kind != "neumann_flat":
         raise ValueError("expected a flat-side Neumann trace")
-    if (np.abs(flat_neumann.mean) > SOLVABILITY_TOL).any():
+    if (np.abs(flat_neumann.mean) > MEAN_TOL).any():
         raise SolvabilityError(
             f"no periodic solution: mean forcing c0 = {flat_neumann.mean} != 0"
         )
@@ -77,44 +45,37 @@ def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> Variati
     n = np.arange(1, flat_neumann.coef.shape[-1])
     coef = np.zeros(flat_neumann.coef.shape, dtype=flat_neumann.coef.dtype)
     coef[..., 1:] = (np.asarray(ell)[..., None] ** 2 / (8.0 * np.pi**2 * n**2)) * flat_neumann.coef[..., 1:]
-    return VariationField(side=flat_neumann.side, ell=ell, mean=mean_value, coef=coef)
+    return TraceModes(side=flat_neumann.side, kind="variation", ell=ell, mean=mean_value, coef=coef)
 
 
-def hyperbolic_neumann(v: VariationField) -> TraceModes:
-    """Hyperbolic-side d/dx data implied by V: -2 (V_yy - V), spectrally.
+def hyperbolic_neumann(v: TraceModes) -> TraceModes:
+    """Hyperbolic-side d/dx data implied by a variation V or an amended
+    variation W: -2 (V_yy - V), spectrally.
 
     Mode n maps to 2 (4 pi^2 n^2 + ell^2) / ell^2 times lambda_n; the mean
-    maps to twice the free constant.
+    maps to twice the free constant.  On W this is identical to the explicit
+    cosh/sinh expansion in the (c, d, u, v) data (checked in the test suite).
     """
-    if v.amended:
-        raise ValueError("expected an unamended variation field")
-    return _hyperbolic_neumann(v)
-
-
-def _hyperbolic_neumann(v: VariationField) -> TraceModes:
+    if v.kind not in ("variation", "amended_variation"):
+        raise ValueError(f"expected a variation field, got a {v.kind!r} trace")
     n = np.arange(v.coef.shape[-1])
     ell = np.asarray(v.ell)[..., None]
     coef = 2.0 * (4.0 * np.pi**2 * n**2 + ell**2) / ell**2 * v.coef
     return TraceModes(side=v.side, kind="neumann_hyperbolic", ell=v.ell, mean=2.0 * v.mean, coef=coef)
 
 
-def solve_amended_variation(flat_neumann: TraceModes, q: QuadDiffModes, mean_value: float) -> VariationField:
-    """Solve W_yy = -1/2 * (flat Neumann data) + d/dy Im(phi) on the seam:
-    solve_flat_variation, amended by q (VariationField.amend).  Reduces to
-    solve_flat_variation at q = 0."""
-    return solve_flat_variation(flat_neumann, mean_value).amend(q)
-
-
-def extended_hyperbolic_neumann(w: VariationField) -> TraceModes:
-    """Hyperbolic-side d/dx data implied by the amended field: -2 (W_yy - W).
-
-    Computed spectrally from the starred coefficients, which is identical to
-    the explicit cosh/sinh expansion in the (c, d, u, v) data (checked in
-    the test suite).
-    """
-    if not w.amended:
-        raise ValueError("expected an amended variation field")
-    return _hyperbolic_neumann(w)
+def amend_variation(v: TraceModes, q: QuadDiffModes) -> TraceModes:
+    """The amended field W of a solved flat variation v: W_yy gains the
+    forcing d/dy Im(phi), so per mode lambda_n shifts by
+    (ell / (2 pi i n)) (u_n cosh -/+ v_n sinh); the mean is kept."""
+    if v.kind != "variation":
+        raise ValueError(f"expected an unamended variation field, got a {v.kind!r} trace")
+    width = len(q.u)
+    coef = np.zeros(max(len(v.coef), width), dtype=complex)
+    coef[: len(v.coef)] = v.coef
+    n = np.arange(1, width)
+    coef[1:width] += -1j * (v.ell / (2.0 * np.pi * n)) * q.seam_values(v.side)[1:]
+    return replace(v, kind="amended_variation", coef=coef)
 
 
 def pinned_means(dtn0: float, left_mean: float, right_mean: float) -> tuple[float, float]:
@@ -140,7 +101,7 @@ def matched_global_field(config: SolvedConfiguration) -> Callable:
     On the strips dH/dx is the strip-side (one-sided) derivative.
     """
     chart, sol = config.chart, config.sol
-    if abs(sol.c0) > SOLVABILITY_TOL:
+    if abs(sol.c0) > MEAN_TOL:
         raise SolvabilityError("matched fields require a vanishing linear coefficient")
     ell, s, a = chart.ell, chart.s, chart.a
 

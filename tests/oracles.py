@@ -18,7 +18,6 @@ from graftlab import hypersolve
 from graftlab.errors import SingularSystemError
 from graftlab.hypersolve import StripProfiles
 from graftlab.spectral import MEAN_TOL, FourierSolution, TraceModes
-from graftlab.variation import VariationField
 
 
 def collocation_variation_modes(forcing: np.ndarray, ell: float, mean_value: float) -> dict[int, complex]:
@@ -46,8 +45,8 @@ def parseval_norm_sq(trace: TraceModes):
     return trace.ell * (trace.mean**2 + 2.0 * np.sum(np.abs(trace.coef) ** 2, axis=-1))
 
 
-def rotated(v: VariationField, y0: float) -> VariationField:
-    """The variation field shifted by y0 along the seam circle."""
+def rotated(v: TraceModes, y0: float) -> TraceModes:
+    """The trace shifted by y0 along the seam circle."""
     k = 2.0 * np.pi / v.ell
     n = np.arange(len(v.coef))
     return replace(v, coef=v.coef * np.exp(-1j * k * n * y0))

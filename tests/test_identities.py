@@ -15,8 +15,13 @@ from oracles import two_row_determinant
 ELL = 2.0 * np.pi
 
 
-def _vf(side, mean, amended=False):
-    return variation.VariationField(side=side, ell=ELL, mean=mean, amended=amended)
+def _vf(side, mean):
+    return TraceModes(side=side, kind="variation", ell=ELL, mean=mean)
+
+
+def _amended(sol, side, q, mean):
+    """The variation of sol's flat Neumann data on one seam, amended by q."""
+    return variation.amend_variation(variation.solve_flat_variation(sol.neumann_trace_flat(side), mean), q)
 
 
 # --- closed boundary term ---------------------------------------------------
@@ -390,8 +395,8 @@ def test_extended_reduces_at_zero_quad():
     rng = np.random.default_rng(13)
     sol = sampling.random_solution(rng, ELL, 1.5, nmax=5)
     q0 = QuadDiffModes(ell=ELL, s=1.5)
-    wl = variation.solve_amended_variation(sol.neumann_trace_flat("left"), q0, 0.2)
-    wr = variation.solve_amended_variation(sol.neumann_trace_flat("right"), q0, -0.1)
+    wl = _amended(sol, "left", q0, 0.2)
+    wr = _amended(sol, "right", q0, -0.1)
     ext = identities.extended_boundary_term(sol, q0, wl, wr)
     vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), 0.2)
     vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), -0.1)
@@ -403,8 +408,8 @@ def test_extended_cross_term_example():
     -(4/pi)(8 pi^2) sinh(1) cosh(1) = -32 pi sinh(1) cosh(1)."""
     sol = FourierSolution(ell=ELL, s=2.0, modes={1: (1.0, 0.0)})
     q = QuadDiffModes(ell=ELL, s=2.0, modes={1: (0.0, 1j)})
-    wl = variation.solve_amended_variation(sol.neumann_trace_flat("left"), q, 0.0)
-    wr = variation.solve_amended_variation(sol.neumann_trace_flat("right"), q, 0.0)
+    wl = _amended(sol, "left", q, 0.0)
+    wr = _amended(sol, "right", q, 0.0)
     ext = identities.extended_boundary_term(sol, q, wl, wr)
     plain = identities.boundary_term_closed(
         sol,
@@ -419,8 +424,8 @@ def test_extended_real_products_vanish():
     # Im(v conj(c) + u conj(d)) = 0 when everything is real
     sol = FourierSolution(ell=ELL, s=1.0, modes={1: (0.5, 0.25), 2: (0.1, 0.0)})
     q = QuadDiffModes(ell=ELL, s=1.0, modes={1: (0.2, 0.4), 2: (0.3, 0.1)})
-    wl = variation.solve_amended_variation(sol.neumann_trace_flat("left"), q, 0.0)
-    wr = variation.solve_amended_variation(sol.neumann_trace_flat("right"), q, 0.0)
+    wl = _amended(sol, "left", q, 0.0)
+    wr = _amended(sol, "right", q, 0.0)
     ext = identities.extended_boundary_term(sol, q, wl, wr)
     plain = identities.boundary_term_closed(
         sol,
@@ -441,14 +446,14 @@ def test_extended_closed_matches_quadrature():
     rng = np.random.default_rng(17)
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=5)
     q = sampling.random_quad(rng, ELL, 1.0, nmax=5)
-    wl = variation.solve_amended_variation(sol.neumann_trace_flat("left"), q, 0.1)
-    wr = variation.solve_amended_variation(sol.neumann_trace_flat("right"), q, -0.2)
+    wl = _amended(sol, "left", q, 0.1)
+    wr = _amended(sol, "right", q, -0.2)
     ext = identities.extended_boundary_term(sol, q, wl, wr)
     quad = identities.boundary_term_quadrature(
         (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
         (
-            variation.extended_hyperbolic_neumann(wl),
-            variation.extended_hyperbolic_neumann(wr),
+            variation.hyperbolic_neumann(wl),
+            variation.hyperbolic_neumann(wr),
         ),
     )
     assert ext == pytest.approx(quad, rel=1e-10)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,15 @@ from graftlab import (
     QuadDiffModes,
     SolvabilityError,
     TraceModes,
-    extended_hyperbolic_neumann,
+    amend_variation,
     geodesic_oracle,
     hyperbolic_neumann,
     matched_global_field,
     pinned_means,
-    solve_amended_variation,
     solve_flat_variation,
 )
 from graftlab import hypersolve, identities
+from graftlab.spectral import MEAN_TOL
 from oracles import collocation_variation_modes, rotated
 
 ELL, S = 2 * np.pi, 2.0
@@ -37,11 +39,22 @@ def test_rejects_linear_coefficient():
 @settings(max_examples=60, deadline=None)
 def test_solvability_boundary_property(c0):
     trace = TraceModes(side="left", kind="neumann_flat", ell=ELL, mean=c0)
-    if abs(c0) > 1e-12:
+    if abs(c0) > MEAN_TOL:
         with pytest.raises(SolvabilityError):
             solve_flat_variation(trace, 0.0)
     else:
         assert solve_flat_variation(trace, 0.3).mean == 0.3
+
+
+def test_variation_solve_rejects_what_the_closed_form_rejects():
+    # the variation solve rejects every linear coefficient that the closed
+    # boundary term rejects, so a solved configuration always has one
+    sol = _sol(c0=5e-13)
+    with pytest.raises(SolvabilityError):
+        solve_flat_variation(sol.neumann_trace_flat("left"), 0.0)
+    v = TraceModes(side="left", kind="variation", ell=ELL, mean=0.0)
+    with pytest.raises(SolvabilityError):
+        identities.boundary_term_closed(sol, v, replace(v, side="right"))
 
 
 def test_single_mode_coefficient():
@@ -89,8 +102,8 @@ def test_amended_reduces_at_zero_quad():
     q0 = QuadDiffModes(ell=ELL, s=S)
     trace = sol.neumann_trace_flat("left")
     v = solve_flat_variation(trace, 0.9)
-    w = solve_amended_variation(trace, q0, 0.9)
-    assert w.amended and not v.amended
+    w = amend_variation(v, q0)
+    assert (v.kind, w.kind) == ("variation", "amended_variation")
     assert w.mean == v.mean and w.modes == v.modes
 
 
@@ -98,26 +111,35 @@ def test_amend_builds_on_the_solved_flat_variation():
     sol = _sol(modes={1: (0.3 + 1j, -0.2j), 2: (0.1, 0.4)})
     q = QuadDiffModes(ell=ELL, s=S, modes={1: (0.5, -0.25j), 3: (0.2j, 1.0)})
     base = solve_flat_variation(sol.neumann_trace_flat("right"), -0.4)
-    w = base.amend(q)
-    assert w.amended and w.side == "right" and w.mean == -0.4 and len(w.coef) == 4
+    w = amend_variation(base, q)
+    assert w.kind == "amended_variation" and w.side == "right" and w.mean == -0.4 and len(w.coef) == 4
     # lambda_n shifts by (ell / (2 pi i n)) (u_n cosh + v_n sinh) on the right seam
     n = np.arange(1, 4)
     arg = np.pi * n * S / ELL
     shift = -1j * ELL / (2 * np.pi * n) * (q.u[1:] * np.cosh(arg) + q.v[1:] * np.sinh(arg))
     assert np.allclose(w.coef[1:], np.r_[base.coef[1:], 0.0] + shift, rtol=1e-14, atol=0)
     with pytest.raises(ValueError, match="unamended"):
-        w.amend(q)
+        amend_variation(w, q)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann_flat", "neumann_hyperbolic"])
+def test_variation_maps_reject_other_traces(kind):
+    trace = TraceModes(side="left", kind=kind, ell=ELL, mean=0.0, modes={1: 0.5j})
+    with pytest.raises(ValueError, match="expected a variation field"):
+        hyperbolic_neumann(trace)
+    with pytest.raises(ValueError, match="unamended"):
+        amend_variation(trace, QuadDiffModes(ell=ELL, s=S))
 
 
 def test_amended_shift_examples():
     zero = _sol()
     q = QuadDiffModes(ell=ELL, s=S, modes={1: (1.0, 0.0)})
-    w = solve_amended_variation(zero.neumann_trace_flat("left"), q, 0.0)
+    w = amend_variation(solve_flat_variation(zero.neumann_trace_flat("left"), 0.0), q)
     assert w.modes[1] == pytest.approx(-1j * np.cosh(1.0))
 
     q = QuadDiffModes(ell=ELL, s=S, modes={1: (0.0, 1.0)})
-    wl = solve_amended_variation(zero.neumann_trace_flat("left"), q, 0.0)
-    wr = solve_amended_variation(zero.neumann_trace_flat("right"), q, 0.0)
+    wl = amend_variation(solve_flat_variation(zero.neumann_trace_flat("left"), 0.0), q)
+    wr = amend_variation(solve_flat_variation(zero.neumann_trace_flat("right"), 0.0), q)
     assert wl.modes[1] == pytest.approx(1j * np.sinh(1.0))
     assert wr.modes[1] == pytest.approx(-1j * np.sinh(1.0))
 
@@ -125,8 +147,8 @@ def test_amended_shift_examples():
 def test_extended_neumann_example_and_reality():
     zero = _sol()
     q = QuadDiffModes(ell=ELL, s=S, modes={1: (1.0, 0.0)})
-    w = solve_amended_variation(zero.neumann_trace_flat("left"), q, 0.0)
-    trace = extended_hyperbolic_neumann(w)
+    w = amend_variation(solve_flat_variation(zero.neumann_trace_flat("left"), 0.0), q)
+    trace = hyperbolic_neumann(w)
     assert trace.modes[1] == pytest.approx(-4j * np.cosh(1.0))
     y = np.linspace(0, ELL, 33)
     vals = trace.reconstruct(y)
@@ -135,8 +157,8 @@ def test_extended_neumann_example_and_reality():
     q0 = QuadDiffModes(ell=ELL, s=S)
     sol = _sol(modes={2: (1.0, 0.5j)})
     v = solve_flat_variation(sol.neumann_trace_flat("right"), 0.1)
-    w0 = solve_amended_variation(sol.neumann_trace_flat("right"), q0, 0.1)
-    assert extended_hyperbolic_neumann(w0).modes == hyperbolic_neumann(v).modes
+    w0 = amend_variation(v, q0)
+    assert hyperbolic_neumann(w0).modes == hyperbolic_neumann(v).modes
 
 
 def test_defining_ode_residual_per_mode():
