@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     GraftLabError,
     SeamPointError,
-    SingularSystemError,
     SolvabilityError,
 )
 from .geometry import (

@@ -187,11 +187,11 @@ def _report_block(r: identities.IdentityReport) -> str:
     terms = f"[\n{terms}\n      ]" if r.terms else "[]"
     passed = "true" if r.passed else "false"
     return (
-        f'    {{\n      "abs_err": {_json_float(r.abs_err)},\n      "identity": {_json_str(r.identity)},\n'
-        f'      "lhs": {_json_float(r.lhs)},\n      "notes": {_json_str(r.notes)},\n'
-        f'      "pass": {passed},\n      "rel_err": {_json_float(r.rel_err)},\n'
-        f'      "rhs": {_json_float(r.rhs)},\n      "terms": {terms},\n'
-        f'      "tol": {_json_float(r.tol)}\n    }}'
+        f'    {{\n      "abs_err": {_json_float(r.abs_err)},\n      "bound": {_json_float(r.bound)},\n'
+        f'      "identity": {_json_str(r.identity)},\n      "lhs": {_json_float(r.lhs)},\n'
+        f'      "notes": {_json_str(r.notes)},\n      "pass": {passed},\n'
+        f'      "rel_err": {_json_float(r.rel_err)},\n      "rhs": {_json_float(r.rhs)},\n'
+        f'      "terms": {terms},\n      "tol": {_json_float(r.tol)}\n    }}'
     )
 
 

@@ -18,10 +18,6 @@ class SolvabilityError(GraftLabError):
     """The periodic variation problem has no solution (nonzero mean forcing)."""
 
 
-class SingularSystemError(GraftLabError):
-    """A per-mode linear system is singular (degenerate geometry)."""
-
-
 class ConvergenceError(GraftLabError):
     """An iterative solver failed to converge."""
 

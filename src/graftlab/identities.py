@@ -29,7 +29,9 @@ CROSS_FACTOR = 4.0
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity check, with its term-by-term breakdown."""
+    """Outcome of one identity check, with its term-by-term breakdown.  Every
+    check chooses its bound (and tol, the tolerance it was given); one rule,
+    passed, decides them all."""
 
     identity: str
     terms: tuple[tuple[str, float], ...]
@@ -38,8 +40,15 @@ class IdentityReport:
     abs_err: float
     rel_err: float
     tol: float
-    passed: bool
+    bound: float
     notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """lhs, rhs and every term are finite, and abs_err <= bound: a NaN or
+        infinite operand fails, whatever the comparisons with it say."""
+        values = (self.lhs, self.rhs, *(v for _, v in self.terms))
+        return all(map(math.isfinite, values)) and bool(self.abs_err <= self.bound)
 
     def to_dict(self) -> dict:
         return {
@@ -48,9 +57,10 @@ class IdentityReport:
             "lhs": float(self.lhs),
             "rhs": float(self.rhs),
             "abs_err": float(self.abs_err),
+            "bound": float(self.bound),
             "rel_err": float(self.rel_err),
             "tol": float(self.tol),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "notes": self.notes,
         }
 
@@ -62,54 +72,33 @@ def _compare(
     tol: float,
     terms: tuple[tuple[str, float], ...] = (),
     notes: str = "",
+    bound: float | None = None,
 ) -> IdentityReport:
+    """lhs against rhs, within bound: by default tol * max(1, |lhs|, |rhs|),
+    an absolute tol below unit scale and a relative one above it."""
     abs_err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
     rel_err = abs_err / scale if scale > 0 else 0.0
-    return IdentityReport(
-        identity=identity,
-        terms=terms,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        tol=tol,
-        passed=_finite(lhs, rhs, *(v for _, v in terms)) and (abs_err <= tol or rel_err <= tol),
-        notes=notes,
-    )
+    bound = tol * max(1.0, scale) if bound is None else bound
+    return IdentityReport(identity, terms, lhs, rhs, abs_err, rel_err, tol, bound, notes)
 
 
 def error_report(identity: str, exc: Exception) -> IdentityReport:
     """The failing report of an identity that raised exc: NaN values, the error in its notes."""
     nan = float("nan")
-    return IdentityReport(identity, (), nan, nan, nan, nan, nan, False, f"error: {type(exc).__name__}: {exc}")
+    return IdentityReport(identity, (), nan, nan, nan, nan, nan, nan, f"error: {type(exc).__name__}: {exc}")
 
 
 def harmonicity_report(
     residual: float, truncation: float, rounding: float, notes: str = ""
 ) -> IdentityReport:
     """The five-point stencil check: the residual against its truncation
-    bound plus rounding allowance (spectral.harmonicity_bound).  It passes
-    only if residual <= bound; there is no relative-error branch, since the
-    exact value is 0 and any residual is 100% of its error."""
+    bound plus rounding allowance (spectral.harmonicity_bound), which it
+    also reports as its tol.  The exact value is 0, so the bound is absolute
+    at every scale."""
     bound = truncation + rounding
-    return IdentityReport(
-        identity="interior_harmonicity_stencil",
-        terms=(("truncation_bound", truncation), ("rounding_allowance", rounding)),
-        lhs=residual,
-        rhs=0.0,
-        abs_err=residual,
-        rel_err=1.0 if residual > 0 else 0.0,
-        tol=bound,
-        passed=_finite(residual, bound) and residual <= bound,
-        notes=notes,
-    )
-
-
-def _finite(*values: float) -> bool:
-    """Every value (a scalar) is finite: a NaN or infinite operand fails its
-    check, whatever the comparisons with it (all False for NaN) would say."""
-    return all(map(math.isfinite, values))
+    terms = (("truncation_bound", truncation), ("rounding_allowance", rounding))
+    return _compare("interior_harmonicity_stencil", residual, 0.0, bound, terms, notes, bound=bound)
 
 
 def _out(x):
@@ -339,16 +328,18 @@ _NONPOSITIVE = ("hyperbolic_energy", "cylinder_series", "mean_term")
 def _master_report(identity: str, terms: tuple, closed: float, green: float, tol: float, notes: str) -> IdentityReport:
     """Verdict on a master identity, whose total (the sum of terms) equals
     the closed boundary term minus the strip seam Green form on the slice.
-    It passes when every value is finite, |total - (closed - green)| <= tol
-    (sum |terms| + |closed| + |green|), and each _NONPOSITIVE term is within
-    tol (relative to max(1, their sizes)) of being nonpositive."""
+    The bound is tol (sum |terms| + |closed| + |green|).  abs_err is the
+    larger of the equality gap and that sum times the sign violation (the
+    largest _NONPOSITIVE term, relative to max(1, their sizes)), so a
+    positive energy fails even where the equality holds."""
     total, rhs = sum(v for _, v in terms), closed - green
-    abs_err, size = abs(total - rhs), sum(abs(v) for _, v in terms) + abs(closed) + abs(green)
+    size = sum(abs(v) for _, v in terms) + abs(closed) + abs(green)
     signed = [v for label, v in terms if label in _NONPOSITIVE]
     violation = max(0.0, *signed) / max(1.0, *map(abs, signed))
-    passed = _finite(total, closed, green, *(v for _, v in terms)) and abs_err <= tol * size and violation <= tol
+    abs_err = max(abs(total - rhs), size * violation)
     notes += f"; closed boundary term {closed:.6e} vs strip Green form {green:.6e}; sign violation {violation:.3e}"
-    return IdentityReport(identity, terms, total, rhs, abs_err, abs_err / size if size > 0 else 0.0, tol, passed, notes)
+    rel_err = abs_err / size if size > 0 else 0.0
+    return IdentityReport(identity, terms, total, rhs, abs_err, rel_err, tol, tol * size, notes)
 
 
 def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityReport:
@@ -653,18 +644,24 @@ def stencil_report(fld: FourierSolution) -> IdentityReport:
 
 def strip_greens_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
     """The Green identity on the strips, -energy + seam + outer forms = 0,
-    relative to max(1, energy)."""
+    relative to max(1, energy), within tol."""
     _, energy, seam, outer, _ = config.strip_sums
     notes = "energy vs boundary forms on the solved strip modes"
-    return _compare("strip_greens_identity", abs(-energy + seam + outer) / max(1.0, energy), 0.0, tol, notes=notes)
+    residual = abs(-energy + seam + outer) / max(1.0, energy)
+    return _compare("strip_greens_identity", residual, 0.0, tol, notes=notes, bound=tol)
+
+
+#: the smallest floor that passes: the first double above 1e-6
+_ABOVE_FLOOR = math.nextafter(1e-6, 1.0)
 
 
 def determinant_floor_report(chart: GraftedCollar, nmax: int) -> IdentityReport:
-    """determinant_floor over the modes 1..nmax, which passes above 1e-6."""
+    """determinant_floor over the modes 1..nmax, which passes above 1e-6:
+    its gap is measured from the next double up, against a bound of 0."""
     floor = determinant_floor(nmax, chart.ell, chart.s, chart.a, chart.outer_bc)
-    gap, terms = max(0.0, 1e-6 - floor), (("min_abs_normalized_det", floor),)
+    gap, terms = max(0.0, _ABOVE_FLOOR - floor), (("min_abs_normalized_det", floor),)
     notes = "row-normalized determinant of the per-mode seam system"
-    return IdentityReport("per_mode_determinant_floor", terms, floor, 1e-6, gap, gap / 1e-6, 0.0, floor > 1e-6, notes)
+    return IdentityReport("per_mode_determinant_floor", terms, floor, 1e-6, gap, gap / 1e-6, 0.0, 0.0, notes)
 
 
 def suite(config: SolvedConfiguration, stencil_field: FourierSolution, modes: int, tol: float) -> list[IdentityReport]:

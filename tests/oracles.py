@@ -15,9 +15,13 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from graftlab import hypersolve
-from graftlab.errors import SingularSystemError
+from graftlab.errors import GraftLabError
 from graftlab.hypersolve import StripProfiles
 from graftlab.spectral import MEAN_TOL, FourierSolution, TraceModes
+
+
+class SingularSystemError(GraftLabError):
+    """A per-mode linear system is singular (degenerate geometry)."""
 
 
 def collocation_variation_modes(forcing: np.ndarray, ell: float, mean_value: float) -> dict[int, complex]:

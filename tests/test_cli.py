@@ -136,7 +136,7 @@ def test_verify_resolves_the_seam_layer_and_the_stencil_bound(capsys):
     code, out = run(["verify", "--ell", "2"], capsys)
     assert code == 0
     stencil = {r["identity"]: r for r in json.loads(out)["reports"]}["interior_harmonicity_stencil"]
-    assert 0.0 < stencil["lhs"] <= stencil["tol"]
+    assert 0.0 < stencil["lhs"] <= stencil["bound"] == stencil["tol"]
     assert "h = ell/256" in stencil["notes"]
 
 
@@ -423,14 +423,14 @@ def test_sweep_and_modes_csv_are_byte_reproducible(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_CSV[argv]
 
 
-def _canonical(out: str) -> str:
-    return "".join(ln for ln in out.splitlines(True) if not ln.lstrip().startswith('"generated_at"'))
+def _canonical(out: str, drop=('"generated_at"',)) -> str:
+    return "".join(ln for ln in out.splitlines(True) if not ln.lstrip().startswith(drop))
 
 
-#: sha256 of stdout without its generated_at line, taken before the verify
-#: suite moved from the command into identities.suite: both outer
-#: conditions, s = 0 (the stencil's "not applicable" branch), and 1, 8, 64
-#: and 256 modes
+#: sha256 of stdout without its generated_at and bound lines, taken before
+#: the verify suite moved from the command into identities.suite (and so
+#: before any report had a bound): both outer conditions, s = 0 (the
+#: stencil's "not applicable" branch), and 1, 8, 64 and 256 modes
 _PINNED_VERIFY = {
     "verify --modes 1": "721c6ac7d27cefeccd65a5a8ae865045db508c7c3a8abf4687d5ddf5d96fd299",
     "verify --s 0 --outer-bc neumann --seed 4": "73d378098268bfed27c4ca87d5b1bca2f79c819c80caa05a95df1008841bc9fd",
@@ -446,7 +446,18 @@ _PINNED_VERIFY = {
 def test_verify_report_is_byte_reproducible(argv, capsys):
     code, out = run(argv.split(), capsys)
     assert code == 0
-    assert hashlib.sha256(_canonical(out).encode()).hexdigest() == _PINNED_VERIFY[argv]
+    canonical = _canonical(out, drop=('"generated_at"', '"bound"'))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == _PINNED_VERIFY[argv]
+
+
+def test_verify_report_with_its_bounds_is_byte_reproducible(capsys):
+    # sha256 of stdout without its generated_at line, taken when every
+    # report gained its bound
+    code, out = run(["verify", "--modes", "1"], capsys)
+    assert code == 0
+    assert hashlib.sha256(_canonical(out).encode()).hexdigest() == (
+        "d6a9541488b0e6aa1de35bb5bf0d9c82caf0819608b286a004b4bf434d2fe98b"
+    )
 
 
 

@@ -83,7 +83,7 @@ def test_report_writer_equals_json_dumps_of_the_payload():
 def test_report_writer_writes_each_value_as_json_does(value):
     report = identities.IdentityReport(
         identity="x\ty\"z", terms=(("é", value), ("b", 1.0)), lhs=value, rhs=value, abs_err=value,
-        rel_err=value, tol=value, passed=np.bool_(True), notes="snow ☃ \x00",
+        rel_err=value, tol=value, bound=value, notes="snow ☃ \x00",
     )
     cfg = cli.RunConfig()
     counts = {"requested": 1, "field": 0, "quadratic_differential": 1}

@@ -543,9 +543,81 @@ def test_report_serializes_to_json():
 
 def test_harmonicity_report_has_no_relative_branch():
     within = identities.harmonicity_report(0.7e-9, 1e-9, 1e-12)
-    assert within.passed and within.tol == 1e-9 + 1e-12
+    assert within.passed and within.tol == within.bound == 1e-9 + 1e-12
     # a residual above its bound fails even when the bound exceeds 1, where
     # a relative-error test (rel_err = 1 <= tol) would pass it
     assert not identities.harmonicity_report(3.0, 2.0, 0.0).passed
     assert not identities.harmonicity_report(float("nan"), 1.0, 0.0).passed
     assert identities.harmonicity_report(0.0, 0.0, 0.0).passed
+
+
+# --- the verdict rule -------------------------------------------------------
+
+def test_compare_passes_an_error_equal_to_its_bound():
+    # bound = tol * max(1, |lhs|, |rhs|): absolute below unit scale, relative
+    # above it; every value here is exact in binary
+    tol = 0.25
+    for lhs, rhs in ((0.25, 0.5), (3.0, 4.0)):
+        assert abs(lhs - rhs) == tol * max(1.0, abs(lhs), abs(rhs))
+        assert identities._compare("x", lhs, rhs, tol).passed
+        assert not identities._compare("x", lhs, rhs, np.nextafter(tol, 0.0)).passed
+
+
+def test_determinant_floor_of_exactly_1e_6_fails(monkeypatch):
+    chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
+    monkeypatch.setattr(identities, "determinant_floor", lambda *args: 1e-6)
+    assert not identities.determinant_floor_report(chart, 4).passed
+    monkeypatch.setattr(identities, "determinant_floor", lambda *args: np.nextafter(1e-6, 1.0))
+    assert identities.determinant_floor_report(chart, 4).passed
+
+
+def test_master_identity_fails_a_positive_energy_whose_equality_holds():
+    # flip the strip energy's sign and move the difference into the seam
+    # Green form: total and closed - green still agree, the sign does not
+    chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
+    rng = np.random.default_rng(31)
+    sol = sampling.random_solution(rng, ELL, 1.0, nmax=8)
+    cfg = _slice_config(rng, sol, chart)
+    assert identities.master_identity(cfg).passed
+    int_h, energy, seam_form, *rest = cfg.strip_sums
+    cfg.strip_sums = (int_h, -energy, seam_form - 2.0 * energy, *rest)
+    rep = identities.master_identity(cfg)
+    assert dict(rep.terms)["hyperbolic_energy"] > 0.0
+    assert abs(rep.lhs - rep.rhs) <= 1e-14 * sum(abs(v) for _, v in rep.terms)
+    assert not rep.passed
+
+
+def _verdict_holds(report) -> bool:
+    d = report.to_dict()
+    values = [d["lhs"], d["rhs"], *(t["value"] for t in d["terms"])]
+    return d["pass"] == (all(map(np.isfinite, values)) and d["abs_err"] <= d["bound"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    ell=st.floats(0.25, 16.0),
+    s=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    a=st.floats(0.1, 30.0),
+    outer_bc=st.sampled_from(["dirichlet", "neumann"]),
+    modes=st.integers(1, 64),
+)
+def test_every_suite_report_passes_by_its_bound(ell, s, a, outer_bc, modes):
+    # from a = 22 the strip checks fail (the strip quadrature cancels): the
+    # rule must hold on failing reports as well as on passing ones
+    rng = np.random.default_rng(0)
+    sol = sampling.random_solution(rng, ell, s, nmax=modes)
+    q = sampling.random_quad(rng, ell, s, nmax=modes, amplitude=0.5)
+    lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
+    small = sampling.random_solution(rng, ell, s, nmax=3, amplitude=1e-4)
+    chart = GraftedCollar(ell=ell, s=s, a=a, outer_bc=outer_bc)
+    config = identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, quad=q)
+    reports = identities.suite(config, small, modes, 1e-10)
+    assert len(reports) == 13
+    for report in reports:
+        assert not np.isnan(report.bound), report.identity
+        assert _verdict_holds(report), report.identity
+
+
+def test_error_report_fails_on_its_nan_bound():
+    report = identities.error_report("x", DomainError("y"))
+    assert np.isnan(report.bound) and not report.passed and _verdict_holds(report)

@@ -7,7 +7,6 @@ from graftlab import (
     DomainError,
     FourierSolution,
     QuadDiffModes,
-    SingularSystemError,
     TraceModes,
     harmonicity_bound,
     harmonicity_residual,
@@ -15,7 +14,7 @@ from graftlab import (
 )
 from graftlab import spectral
 from graftlab.identities import seam_points
-from oracles import from_boundary_data, parseval_norm_sq
+from oracles import SingularSystemError, from_boundary_data, parseval_norm_sq
 
 ELL, S = 2 * np.pi, 2.0
 
