@@ -146,13 +146,14 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     """The identity reports (identities.suite) of the seeded draws, and the
     mode counts: requested, and kept by the samplers for the field and the
     quadratic differential.  A GraftLabError raised before any report exists
-    (samplers, solve_configuration) propagates."""
+    (samplers, solve_configuration, _finite_quadratures) propagates."""
     rng = np.random.default_rng(cfg.seed)
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=cfg.modes)
     q = sampling.random_quad(rng, cfg.ell, cfg.s, nmax=cfg.modes, amplitude=0.5)
     lam0, rho0 = sampling.slice_compatible_means(rng, cfg.s, sol.d0)
     small = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=3, amplitude=1e-4)
     config = identities.solve_configuration(cfg.chart(), sol, mean_left=lam0, mean_right=rho0, quad=q)
+    _finite_quadratures(config)
     reports = identities.suite(config, small, cfg.modes, cfg.tol)
     kept = (len(sol.nonzero_modes()), len(q.nonzero_modes()))
     return reports, {"requested": cfg.modes, "field": kept[0], "quadratic_differential": kept[1]}
@@ -290,7 +291,8 @@ def cmd_geodesic(cfg: RunConfig) -> int:
 
 def _total_area(chart: geometry.GraftedCollar) -> float:
     """The chart's total area, or a ConfigError where it overflows a double (from
-    a = 710.5 on): no JSON number is infinite, and verify's strip sums overflow there."""
+    a = 707.95 on at ell = 2 pi): no JSON number is infinite, and verify's strip
+    sums overflow there."""
     with np.errstate(over="ignore"):
         area = geometry.total_area(chart)
     if not math.isfinite(area):
@@ -299,6 +301,23 @@ def _total_area(chart: geometry.GraftedCollar) -> float:
             f" (ell = {chart.ell!r}, s = {chart.s!r})"
         )
     return area
+
+
+def _finite_quadratures(config: identities.SolvedConfiguration) -> None:
+    """A ConfigError where the strip sums or a chart quadrature overflow a
+    double below the total-area overflow of _total_area (from about a = 705
+    at ell = 0.3 with 8 modes, where mu sinh xi overflows in the strip
+    pass): verify exits 2 with a message, not with reports of inf and NaN.
+    The strip sums are computed here, once, for every report that reads
+    them."""
+    chart = config.chart
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (*config.strip_sums, geometry.total_area_quadrature(chart), geometry.conformal_modulus_quadrature(chart))
+    if not np.isfinite(values).all():
+        raise ConfigError(
+            f"the strip or chart quadratures overflow a double at a = {chart.a!r}"
+            f" (ell = {chart.ell!r}, s = {chart.s!r})"
+        )
 
 
 def cmd_chart(cfg: RunConfig) -> int:

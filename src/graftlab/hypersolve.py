@@ -168,10 +168,11 @@ class StripProfiles:
 
     values(rows, xi, trig) returns (b, b') of the profiles ns[rows] as
     (rows, points) arrays; trig = _trig(xi) is passed in so that the
-    quadrature grid's sinh, cosh and gd come once per grid.  The grid, the
-    quadratures (in blocks of _BLOCK to 2 _BLOCK - 1 rows) and the endpoint
-    values are computed once, on first use, and strip_sums scales them to
-    each seam's Dirichlet values.
+    quadrature grid's sinh, cosh and gd come once per grid.  On first use
+    each block of _BLOCK to 2 _BLOCK - 1 rows is evaluated once, on the
+    grid's nodes and both ends, for its quadratures and endpoint values
+    (_one_pass), which strip_sums scales to each seam's Dirichlet values;
+    calling the profiles evaluates them at any other points.
     """
 
     ns: np.ndarray
@@ -197,32 +198,36 @@ class StripProfiles:
         return xi, trig, w * trig[1], w / trig[1]
 
     @cached_property
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """(integral of b cosh, energy integrand integral) of each profile.
+    def _one_pass(self) -> tuple[tuple, tuple]:
+        """((integral of b cosh, energy integral), (b(0), b'(0), b(a), b'(a)))
+        of each profile, from one values call per block of _BLOCK to
+        2 _BLOCK - 1 rows, on the nodes of grid followed by xi = 0 and a.
 
-        Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi).  One
-        Gauss-Legendre quadrature on the grid that every profile of the
-        strip shares (grid); no scipy.integrate.
+        Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi), by the
+        Gauss-Legendre rule of grid that every profile of the strip shares;
+        no scipy.integrate.
         """
-        mu = self.mu
         xi, trig, w_cosh, w_sech = self.grid
-        ib, energy = [], []
-        count = len(self.ns)
+        xi_ends = np.array([0.0, self.a])
+        points, trig = np.concatenate((xi, xi_ends)), tuple(map(np.concatenate, zip(trig, _trig(xi_ends))))
+        count, n = len(self.ns), len(xi)
         blocks = max(1, count // _BLOCK)
+        columns = []
         for k in range(blocks):
             rows = slice(count * k // blocks, count * (k + 1) // blocks)
-            b, bp = self.values(rows, xi, trig)
+            b_all, bp_all = self.values(rows, points, trig)
+            b, bp = b_all[:, :n], bp_all[:, :n]
             # b * b is np.abs(b) ** 2 bit for bit for real profiles
             bsq, bpsq = (np.abs(b) ** 2, np.abs(bp) ** 2) if np.iscomplexobj(b) else (b * b, bp * bp)
-            ib.append(b @ w_cosh)
-            energy.append((bpsq + 2.0 * bsq) @ w_cosh + mu[rows] ** 2 * (bsq @ w_sech))
-        return np.concatenate(ib), np.concatenate(energy)
+            energy = (bpsq + 2.0 * bsq) @ w_cosh + self.mu[rows] ** 2 * (bsq @ w_sech)
+            # a copy: views would keep every block's (rows x points) arrays alive
+            ends = np.stack((b_all[:, n], bp_all[:, n], b_all[:, -1], bp_all[:, -1]))
+            columns.append((b @ w_cosh, energy, *ends))
+        ib, energy, *ends = map(np.concatenate, zip(*columns))
+        return (ib, energy), tuple(ends)
 
-    @cached_property
-    def ends(self) -> tuple[np.ndarray, ...]:
-        """(b(0), b'(0), b(a), b'(a)), one entry per profile."""
-        b, bp = self([0.0, self.a])
-        return b[:, 0], bp[:, 0], b[:, 1], bp[:, 1]
+    quadrature = property(lambda self: self._one_pass[0], doc="(integral of b cosh, energy integral) of each profile.")
+    ends = property(lambda self: self._one_pass[1], doc="(b(0), b'(0), b(a), b'(a)), one entry per profile.")
 
 
 def _profiles(ns: np.ndarray, ell: float, a: float, edge: tuple | None, cu, cw) -> StripProfiles:

@@ -148,16 +148,14 @@ def boundary_term_quadrature(
     the right, so the integral is int(D_l N_l) - int(D_r N_r) with N the
     d/dx trace data, summed on seam_points(nmax) points unless npts is given.
     Traces with a points axis give one value per point, from one inverse
-    FFT per trace.
+    FFT per trace.  A grid of npts <= 2 nmax points, on which the sum is not
+    exact, raises ValueError (TraceModes.on_grid).
     """
     traces = (*dirichlet, *neumann)
     ell = traces[0].ell
     if any(t.ell is not ell and not np.array_equal(t.ell, ell) for t in traces):
         raise ValueError("traces come from different circumferences")
-    nmax = max(t.max_mode() for t in traces)
-    npts = seam_points(nmax) if npts is None else npts
-    if npts <= 2 * nmax:
-        raise ValueError(f"{npts} quadrature points cannot resolve mode {nmax}")
+    npts = seam_points(max(t.max_mode() for t in traces)) if npts is None else npts
     # the sum over the grid divided by npts is np.mean's value bit for bit
     left, right = ((d.on_grid(npts) * n.on_grid(npts)).sum(axis=-1) / npts for d, n in zip(dirichlet, neumann))
     return _out(ell * (left - right))
@@ -432,7 +430,9 @@ def arc_length_derivative(
 ) -> float:
     """First variation of the seam circle's length: -1/2 times the seam
     integral of (H variation - 2 Re phi), summed on seam_points(nmax) points
-    (nmax over the trace and q) unless npts is given.  Reduces to -d0 ell / 2 without
+    (nmax over the trace and q) unless npts is given.  A grid of
+    npts <= 2 nmax points of the trace raises ValueError
+    (TraceModes.on_grid).  Reduces to -d0 ell / 2 without
     quadratic-differential data.  dirichlet is the seam's Dirichlet trace
     of sol, when the caller has it already."""
     x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0

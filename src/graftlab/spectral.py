@@ -47,28 +47,17 @@ def _dense(modes: Mapping[int, complex], lowest: int = 0) -> np.ndarray:
 def _synthesize(mean, coef: np.ndarray, npts: int) -> np.ndarray:
     """mean + sum_n 2 Re(coef_n w^(n j)), w = exp(2 pi i / npts), at
     j = 0..npts-1, from one inverse real FFT over every point of a leading
-    points axis.
-
-    On a grid of npts > 2 nmax points, as every seam_points grid is, mode n
-    is bin n, and bin 0 holds mean + 2 Re(coef_0).  Otherwise a mode n falls
-    in the bin r = n mod npts or, conjugated, npts - r, whichever is at most
-    npts/2; the bins 0 and npts/2 keep only a real part, so they take
-    2 Re(coef_n).  Modes past npts/2 thus alias onto the grid exactly as
-    their values there do.
+    points axis.  Only on a grid of npts > 2 nmax points, as every
+    seam_points grid is: there a product of two traces is integrated
+    exactly by the trapezoid rule, mode n is bin n and bin 0 holds
+    mean + 2 Re(coef_0).  ValueError on a smaller grid.
     """
-    width = coef.shape[-1]
+    nmax = coef.shape[-1] - 1
+    if npts <= 2 * nmax:
+        raise ValueError(f"{npts} seam points cannot resolve mode {nmax}: the trapezoid rule is exact above {2 * nmax}")
     spectrum = np.zeros(coef.shape[:-1] + (npts // 2 + 1,), dtype=complex)
-    if npts > 2 * (width - 1):
-        spectrum[..., 0] = mean + 2.0 * coef[..., 0].real
-        spectrum[..., 1:width] += coef[..., 1:]  # added to 0, as np.add.at does: -0.0 becomes 0.0
-    else:
-        r = np.arange(width) % npts
-        folded = 2 * r > npts
-        r = np.where(folded, npts - r, r)
-        c = np.where(folded, np.conj(coef), coef)
-        c = np.where((r == 0) | (2 * r == npts), 2.0 * c.real, c)
-        spectrum[..., 0] = mean
-        np.add.at(spectrum, (..., r), c)
+    spectrum[..., 0] = mean + 2.0 * coef[..., 0].real
+    spectrum[..., 1 : nmax + 1] += coef[..., 1:]  # added to 0: -0.0 enters as 0.0
     return np.fft.irfft(spectrum, npts, norm="forward")
 
 
@@ -131,7 +120,9 @@ class TraceModes:
     def on_grid(self, npts: int) -> np.ndarray:
         """Values of the trace at y_j = j ell / npts, j = 0..npts-1, from one
         inverse real FFT over every point of a trace with a points axis
-        (_synthesize).  The grid is synthesized once per npts and kept; the
+        (_synthesize), for npts > 2 max_mode only, where the trapezoid rule
+        on the grid is exact for a product of two traces: ValueError
+        otherwise.  The grid is synthesized once per npts and kept; the
         array returned is read-only."""
         grid = self._grids.get(npts)
         if grid is None:

@@ -73,6 +73,24 @@ def _one_mode(units: StripProfiles, which: int, xi, seam_dirichlet: complex):
     return seam_dirichlet * units(xi)[which][0]
 
 
+def two_pass_strip_values(units: StripProfiles) -> tuple[tuple, tuple]:
+    """(quadrature, ends) of the profiles by two separate evaluations: the
+    quadrature in the blocks of _BLOCK to 2 _BLOCK - 1 rows on the nodes of
+    grid alone, and the ends from one call of the profiles at xi = 0 and a."""
+    xi, trig, w_cosh, w_sech = units.grid
+    count = len(units.ns)
+    blocks = max(1, count // hypersolve._BLOCK)
+    ib, energy = [], []
+    for k in range(blocks):
+        rows = slice(count * k // blocks, count * (k + 1) // blocks)
+        b, bp = units.values(rows, xi, trig)
+        bsq, bpsq = (np.abs(b) ** 2, np.abs(bp) ** 2) if np.iscomplexobj(b) else (b * b, bp * bp)
+        ib.append(b @ w_cosh)
+        energy.append((bpsq + 2.0 * bsq) @ w_cosh + units.mu[rows] ** 2 * (bsq @ w_sech))
+    b, bp = units(np.array([0.0, units.a]))
+    return (np.concatenate(ib), np.concatenate(energy)), (b[:, 0], bp[:, 0], b[:, 1], bp[:, 1])
+
+
 def manufactured_mode(n: int, ell: float, a: float, b_fn: Callable, bp_fn: Callable, bpp_fn: Callable):
     """Package an arbitrary smooth profile as one-mode profiles plus its
     forcing f(xi) = b'' + tanh b' - (mu^2/cosh^2+2) b, for

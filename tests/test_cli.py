@@ -227,6 +227,20 @@ def test_verify_exits_2_where_the_total_area_overflows(a, outer, capsys):
     )
 
 
+@pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("ell, a", [(0.3, 706.0), (0.3, 708.0), (0.3, 709.9), (0.3, 710.4), (2.0, 708.0), (2.0, 709.0)])
+def test_verify_exits_2_where_the_strip_quadrature_overflows(ell, a, outer, capsys):
+    # below the total-area overflow, mu sinh xi overflows in the strip pass
+    # (and from a = 709.9 at ell = 0.3 the area quadrature too): verify
+    # stops with one message, and no numpy warning, which would fail here
+    code = cli.main(["verify", "--ell", repr(ell), "--a", repr(a), "--outer-bc", outer])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: the strip or chart quadratures overflow a double at a = {a!r} (ell = {ell!r}, s = 1.0)\n"
+    )
+
+
 def _sweep_rows(args, capsys):
     code, out = run(args, capsys)
     assert code == 0

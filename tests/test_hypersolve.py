@@ -1,12 +1,15 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from graftlab import hypersolve, identities, sampling
+from graftlab import cli, hypersolve, identities, sampling
 from graftlab.geometry import GraftedCollar
-from oracles import b_fn, bp_fn, greens_residual, manufactured_mode, unit_profile_reference
+from oracles import b_fn, bp_fn, greens_residual, manufactured_mode, two_pass_strip_values, unit_profile_reference
 
 ELL = 2 * np.pi
 
@@ -274,6 +277,42 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     ns = sol.nonzero_modes()
     greens_residual(config.units, [np.concatenate(([t.mean], t.coef[ns])) for t in config.dirichlet])
     assert grid_rows == [[float(hypersolve._mu(n, ELL)) for n in range(7)]]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    ell=st.floats(0.25, 16.0),
+    log_a=st.floats(np.log(0.1), np.log(700.0)),
+    outer=st.sampled_from(["dirichlet", "neumann"]),
+    modes=st.integers(1, 256),
+)
+def test_one_pass_equals_the_two_pass_evaluation_bit_for_bit(ell, log_a, outer, modes):
+    # the nodes and both ends of each block come from one values call; the
+    # numbers are those of the blocked quadrature and a separate call at
+    # xi = 0 and a, bit for bit, with several blocks from 64 modes on
+    units = hypersolve.solve_modes(np.arange(modes + 1), ell, float(np.exp(log_a)), outer)
+    (ib, energy), ends = two_pass_strip_values(units)
+    got = (*units.quadrature, *units.ends)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in (ib, energy, *ends)]
+
+
+def test_verify_evaluates_each_strip_block_once(monkeypatch, capsys):
+    # one verify op calls _pair once per block of strip rows, on the nodes
+    # and both ends together, and never on the two ends alone
+    calls = []
+    pair = hypersolve._pair
+
+    def spy(mu, trig, edge=None):
+        calls.append((np.size(mu), np.size(trig[0])))
+        return pair(mu, trig, edge)
+
+    monkeypatch.setattr(hypersolve, "_pair", spy)
+    assert cli.main(["verify", "--modes", "100"]) == 0
+    count = 1 + json.loads(capsys.readouterr().out)["mode_counts"]["field"]
+    blocks = count // hypersolve._BLOCK
+    assert blocks == 3
+    assert sum(rows for rows, _ in calls) == count and len(calls) == blocks
+    assert all(points > 2 for _, points in calls)
 
 
 def test_profile_functions_need_a_one_mode_solution():

@@ -389,6 +389,15 @@ def test_arc_length_default_grid_matches_4096_points(nmax_q):
     assert abs(got - ref) <= 64 * np.finfo(float).eps * ELL * np.mean(terms)
 
 
+def test_arc_length_raises_on_a_grid_that_is_not_exact():
+    # the trapezoid sum of the trace on npts <= 2 nmax points would alias
+    sol = FourierSolution(ell=ELL, s=2.0, d0=1.0, modes={5: (0.4, 0.2)})
+    assert identities.arc_length_derivative(sol, npts=11) == pytest.approx(-np.pi, rel=1e-12)
+    for npts in (10, 6, 1):
+        with pytest.raises(ValueError, match="cannot resolve mode 5"):
+            identities.arc_length_derivative(sol, npts=npts)
+
+
 # --- quadratic-differential extensions --------------------------------------
 
 def test_extended_reduces_at_zero_quad():

@@ -207,12 +207,17 @@ def test_on_grid_matches_reconstruct():
     modes = {int(n): complex(rng.standard_normal(), rng.standard_normal()) for n in idx}
     trace = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=-0.4, modes=modes)
     bound = 1e-12 * sum(abs(c) for c in modes.values())
-    # npts <= 2 nmax folds modes onto the grid (aliasing), as their values do
-    for npts in (4096, 599, 600, 256, 97, 2, 1):
+    assert trace.max_mode() == 299
+    for npts in (4096, 599, 600):
         y = np.arange(npts) * (ELL / npts)
         got = trace.on_grid(npts)
         assert got.shape == (npts,)
         assert np.max(np.abs(got - trace.reconstruct(y))) <= bound, npts
+    # npts <= 2 nmax: the trapezoid rule is not exact there, and no grid is made
+    for npts in (598, 256, 97, 2, 1):
+        with pytest.raises(ValueError, match="cannot resolve mode 299"):
+            trace.on_grid(npts)
+        assert npts not in trace._grids
     # no modes: the mean alone; a lone n = 0 coefficient adds 2 Re(c_0)
     empty = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.75)
     assert np.array_equal(empty.on_grid(16), np.full(16, 0.75))
