@@ -146,13 +146,16 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     """The identity reports (identities.suite) of the seeded draws, and the
     mode counts: requested, and kept by the samplers for the field and the
     quadratic differential.  A GraftLabError raised before any report exists
-    (samplers, solve_configuration, _finite_quadratures) propagates."""
+    (_total_area, samplers, solve_configuration, _finite_quadratures)
+    propagates."""
+    chart = cfg.chart()
+    _total_area(chart)
     rng = np.random.default_rng(cfg.seed)
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=cfg.modes)
     q = sampling.random_quad(rng, cfg.ell, cfg.s, nmax=cfg.modes, amplitude=0.5)
     lam0, rho0 = sampling.slice_compatible_means(rng, cfg.s, sol.d0)
     small = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=3, amplitude=1e-4)
-    config = identities.solve_configuration(cfg.chart(), sol, mean_left=lam0, mean_right=rho0, quad=q)
+    config = identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, quad=q)
     _finite_quadratures(config)
     reports = identities.suite(config, small, cfg.modes, cfg.tol)
     kept = (len(sol.nonzero_modes()), len(q.nonzero_modes()))
@@ -211,7 +214,6 @@ def _report_json(cfg: RunConfig, generated_at: str, counts: dict, reports: list)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    _total_area(cfg.chart())
     reports, counts = _verify_reports(cfg)
     generated_at = datetime.now(timezone.utc).isoformat()
     _emit(_report_json(cfg, generated_at, counts, reports) + "\n", cfg.out)
@@ -355,8 +357,9 @@ def cmd_modes(cfg: RunConfig) -> int:
 
 #: Each command's help line and flag table, option string -> (dest, type,
 #: choices, help), in the order of the help text: --config, then the
-#: command's settings.  main reads it directly, and the argparse parsers for
-#: help and error text are built from it (_parsers).
+#: command's settings.  main reads a line of exact --flag value pairs from
+#: it (_table_args), and the argparse parser for every other line is built
+#: from it (make_parser).
 _FLAGS = {
     command: (help_line, {"--config": ("config", str, None, "flat key = value config file")} | {
         "--" + key.replace("_", "-"): (attr, kind, choices, help_text)
@@ -377,9 +380,9 @@ _UNSET = {command: dict.fromkeys(dest for dest, *_ in flags.values()) for comman
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and each command's subparser, built from _FLAGS
-    on first use and kept: only help, usage and error text need them."""
+def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built from _FLAGS on first use and kept: only
+    the lines that the flag table leaves need it."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)
@@ -388,11 +391,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         p = sub.add_parser(command, help=help_line)
         for option, (dest, kind, choices, help_text) in flags.items():
             p.add_argument(option, dest=dest, type=kind, choices=choices, help=help_text)
-    return parser, sub.choices
-
-
-def make_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+    return parser
 
 
 def _table_args(argv: list[str]) -> dict | None:
@@ -421,23 +420,6 @@ def _table_args(argv: list[str]) -> dict | None:
     return args
 
 
-def _argparse_args(argv: list[str]) -> dict:
-    """The dest -> value map of argv from the argparse parsers, which print
-    help or an error and raise SystemExit where argv asks or calls for it."""
-    import argparse
-
-    parser, commands = _parsers()
-    # one pass through the command's own subparser; leftovers get the main
-    # parser's error, as parse_args gives them
-    if argv and argv[0] in commands:
-        args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    else:
-        args = parser.parse_args(argv)
-    return vars(args)
-
-
 _COMMANDS = {
     "verify": cmd_verify,
     "sweep": cmd_sweep,
@@ -450,7 +432,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _table_args(argv) or _argparse_args(argv)
+        args = _table_args(argv) or vars(make_parser().parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -430,15 +430,21 @@ def arc_length_derivative(
 ) -> float:
     """First variation of the seam circle's length: -1/2 times the seam
     integral of (H variation - 2 Re phi), summed on seam_points(nmax) points
-    (nmax over the trace and q) unless npts is given.  A grid of
-    npts <= 2 nmax points of the trace raises ValueError
-    (TraceModes.on_grid).  Reduces to -d0 ell / 2 without
-    quadratic-differential data.  dirichlet is the seam's Dirichlet trace
-    of sol, when the caller has it already."""
+    (nmax over the trace and q) unless npts is given.  The trapezoid sum is
+    exact only on a grid of more than 2 nmax points of the trace and more
+    than q's top mode: any other npts raises ValueError (TraceModes.on_grid
+    for the trace).  A q with u0 != 0 raises SolvabilityError, since the
+    u0*y branch of Re phi is not single-valued on the seam circle.  Reduces
+    to -d0 ell / 2 without quadratic-differential data.  dirichlet is the
+    seam's Dirichlet trace of sol, when the caller has it already."""
+    if q is not None and abs(q.u0) > MEAN_TOL:
+        raise SolvabilityError("arc length requires a vanishing u0: Re phi is not single-valued")
     x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
     dirichlet = sol.dirichlet_trace(side) if dirichlet is None else dirichlet
     qmax = int(q.nonzero_modes().max(initial=0)) if q is not None else 0
     npts = seam_points(max(dirichlet.max_mode(), qmax)) if npts is None else npts
+    if npts <= qmax:
+        raise ValueError(f"{npts} seam points cannot resolve mode {qmax} of q: the trapezoid rule is exact above {qmax}")
     hdot = dirichlet.on_grid(npts)
     re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts)) if q is not None else 0.0
     return float(-0.5 * (sol.ell / npts) * np.sum(hdot - 2.0 * re))

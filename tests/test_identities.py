@@ -398,6 +398,25 @@ def test_arc_length_raises_on_a_grid_that_is_not_exact():
             identities.arc_length_derivative(sol, npts=npts)
 
 
+def test_arc_length_raises_on_a_grid_at_or_below_the_top_mode_of_q():
+    # the trace of mode 1 is exact from 3 points on; q's mode 8 aliases on 8
+    sol = FourierSolution(ell=ELL, s=1.0, d0=1.0, modes={1: (0.1, 0.2)})
+    q = QuadDiffModes(ell=ELL, s=1.0, modes={8: (0.5, 0.3j)})
+    assert identities.arc_length_derivative(sol, q, npts=9) == pytest.approx(-np.pi, rel=1e-12)
+    for npts in (8, 4):
+        with pytest.raises(ValueError, match="cannot resolve mode 8 of q"):
+            identities.arc_length_derivative(sol, q, npts=npts)
+
+
+def test_arc_length_raises_on_a_quad_with_a_linear_mean():
+    # the u0 y branch of Re phi is not single-valued: its sum moves with the grid
+    sol = FourierSolution(ell=ELL, s=1.0, d0=1.0, modes={1: (0.1, 0.2)})
+    q = QuadDiffModes(ell=ELL, s=1.0, u0=0.3, modes={8: (0.5, 0.3j)})
+    for npts in (None, 64, 4096):
+        with pytest.raises(SolvabilityError, match="vanishing u0"):
+            identities.arc_length_derivative(sol, q, npts=npts)
+
+
 # --- quadratic-differential extensions --------------------------------------
 
 def test_extended_reduces_at_zero_quad():

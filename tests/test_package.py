@@ -53,15 +53,26 @@ def test_cli_import_leaves_scipy_and_numpy_polynomial_unloaded():
 
 
 def test_cli_import_and_a_well_formed_command_leave_argparse_unloaded():
-    # a line of exact --flag value pairs is read from the flag table; only
-    # help, usage and error text need the argparse parsers
+    # a line of exact --flag value pairs of any command is read from the
+    # flag table; only the lines it leaves need the argparse parser.
+    # geodesic goes last: scipy.optimize imports argparse itself (through
+    # numpy.f2py), so after it only the parser's cache can tell
+    lines = [
+        ["verify", "--modes", "2"],
+        ["sweep", "--param", "a", "--from", "0.5", "--to", "2", "--steps", "3"],
+        ["chart", "--a", "2"],
+        ["modes", "--modes", "4"],
+        ["geodesic", "--ell", "1", "--s", "0.5", "--a", "0.5", "--modes", "1"],
+    ]
     code = (
         "import contextlib, io, sys, graftlab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = graftlab.cli.main(['sweep', '--param', 'a', '--from', '0.5', '--to', '2', '--steps', '3'])\n"
-        "print(rc, 'argparse' in sys.modules)"
+        f"    rcs = [graftlab.cli.main(argv) for argv in {lines[:-1]!r}]\n"
+        "    loaded = 'argparse' in sys.modules\n"
+        f"    rcs.append(graftlab.cli.main({lines[-1]!r}))\n"
+        "print(rcs, loaded, graftlab.cli.make_parser.cache_info().misses)"
     )
-    assert _run_python(code) == "0 False"
+    assert _run_python(code) == "[0, 0, 0, 0, 0] False 0"
 
 
 def test_verify_output_does_not_depend_on_blas_threads():
