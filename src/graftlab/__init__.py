@@ -2,24 +2,21 @@
 to hyperbolic strips, its Fourier-mode fields, geodesic variations, and the
 boundary-term and area identities that drive the injectivity mechanism."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
     GraftLabError,
-    SeamPointError,
     SolvabilityError,
 )
 from .geometry import (
-    ConformalFamily,
     GraftedCollar,
     conformal_modulus,
     conformal_modulus_quadrature,
-    family_metric,
-    gauss_curvature,
     grafted_length,
     gudermannian,
-    metric_coefficient,
     total_area,
     total_area_quadrature,
 )
@@ -60,4 +57,5 @@ from .variation import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, without the submodules that importing them binds here
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -325,10 +325,15 @@ def _finite_quadratures(config: identities.SolvedConfiguration) -> None:
 def cmd_chart(cfg: RunConfig) -> int:
     chart = cfg.chart()
     area = _total_area(chart)
-    payload = json.loads(chart.to_json())
-    payload["conformal_modulus"] = geometry.conformal_modulus(chart)
-    payload["total_area"] = area
-    payload["grafted_length"] = geometry.grafted_length(cfg.ell, cfg.s)
+    payload = {
+        "ell": cfg.ell,
+        "s": cfg.s,
+        "a": cfg.a,
+        "outer_bc": cfg.outer_bc,
+        "conformal_modulus": geometry.conformal_modulus(chart),
+        "total_area": area,
+        "grafted_length": geometry.grafted_length(cfg.ell, cfg.s),
+    }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
     return 0
 

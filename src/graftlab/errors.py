@@ -9,11 +9,6 @@ class DomainError(GraftLabError):
     """A coordinate lies outside the chart or a field's domain."""
 
 
-class SeamPointError(GraftLabError):
-    """Curvature (or another seam-discontinuous quantity) was requested
-    exactly on a seam circle, where it jumps."""
-
-
 class SolvabilityError(GraftLabError):
     """The periodic variation problem has no solution (nonzero mean forcing)."""
 

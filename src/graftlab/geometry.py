@@ -8,15 +8,12 @@ while G'' jumps by exactly 1 there.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SeamPointError
-from .spectral import QuadDiffModes
+from .errors import DomainError
 
 _SEAM_TOL = 1e-12
 
@@ -107,53 +104,6 @@ class GraftedCollar:
         x = self.s / 2 + xi
         return w, 0.5 * self.G(x) + 0.5 * self.G(-x)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"ell": self.ell, "s": self.s, "a": self.a, "outer_bc": self.outer_bc},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GraftedCollar":
-        data = json.loads(text)
-        return cls(
-            ell=data["ell"], s=data["s"], a=data["a"], outer_bc=data.get("outer_bc", "dirichlet")
-        )
-
-
-def metric_coefficient(chart: GraftedCollar, x: float):
-    """(G, G', (G'' left limit, G'' right limit)) at a single point.
-
-    On a seam the two one-sided G'' values differ by 1; elsewhere they agree.
-    """
-    chart._check_domain(x)
-    s2 = chart.s / 2
-    G = chart.G(x)
-    Gp = chart.Gp(x)
-    if abs(abs(x) - s2) <= _SEAM_TOL:
-        flat, hyp = 0.0, 1.0
-        pair = (flat, hyp) if x > 0 else (hyp, flat)
-        # the seam x = +s/2 has the flat stratum on its left; x = -s/2 on its right
-        if chart.s == 0.0:
-            pair = (1.0, 1.0)
-    elif abs(x) < s2:
-        pair = (0.0, 0.0)
-    else:
-        v = float(np.cosh(abs(x) - s2))
-        pair = (v, v)
-    return G, Gp, pair
-
-
-def gauss_curvature(chart: GraftedCollar, x: float) -> float:
-    """K = -G''/G: 0 on the open flat stratum, -1 on the open strips.
-
-    Raises on a seam, where the curvature jumps (the support of the
-    distributional curvature variation)."""
-    chart._check_domain(x)
-    if abs(abs(x) - chart.s / 2) <= _SEAM_TOL:
-        raise SeamPointError("seam: curvature discontinuous")
-    return 0.0 if abs(x) < chart.s / 2 else -1.0
-
 
 def total_area(chart: GraftedCollar) -> float:
     """Closed-form area 2 ell sinh(a) + ell s."""
@@ -196,46 +146,3 @@ def grafted_length(ell: float, s: float) -> float:
     if s < 0:
         raise ValueError("s must be nonnegative")
     return ell * s
-
-
-@dataclass(frozen=True)
-class ConformalFamily:
-    """Family of metrics gr/H_t with H_t = 1 + t * hdot to first order;
-    hdot(x, y) -> (value, d/dx), as variation.matched_global_field returns it.
-
-    When quad is absent the family is conformal; otherwise the first-order
-    off-conformal tensor built from the quadratic-differential modes is added
-    on the flat stratum."""
-
-    base: GraftedCollar
-    hdot: Callable
-    quad: QuadDiffModes | None = None
-
-
-def family_metric(fam: ConformalFamily, t: float, x, y):
-    """Metric components (g_xx, g_yy, g_xy) of the family at parameter t.
-
-    The off-conformal part uses the frame w = y + i x (along + i * normal),
-    in which the perturbation -2 Re(t phi dw^2) has components
-    (+2 t Re phi, -2 t Re phi, 2 t Im phi); it is defined on the flat
-    stratum only, where the quadratic-differential modes live.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    H = 1.0 + t * fam.hdot(x, y)[0]
-    if np.any(H <= 0):
-        raise DomainError("1 + t * hdot is not positive on the evaluation points")
-    G = fam.base.G(x)
-    gxx = 1.0 / H + np.zeros(np.broadcast(x, y).shape)
-    gyy = G**2 / H + np.zeros(np.broadcast(x, y).shape)
-    gxy = np.zeros(np.broadcast(x, y).shape)
-    if fam.quad is not None and not fam.quad.is_zero():
-        if np.any(np.abs(x) > fam.base.s / 2 + _SEAM_TOL):
-            raise DomainError("quadratic-differential data lives on the flat stratum only")
-        re = fam.quad.re_phi(x, y)
-        im = fam.quad.im_phi(x, y)
-        gxx = gxx + 2.0 * t * re
-        gyy = gyy - 2.0 * t * re
-        gxy = gxy + 2.0 * t * im
-    return gxx, gyy, gxy
-

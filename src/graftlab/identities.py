@@ -423,31 +423,20 @@ def area_derivative_report(
 
 def arc_length_derivative(
     sol: FourierSolution,
-    q: QuadDiffModes | None = None,
     side: str = "left",
     npts: int | None = None,
     dirichlet: TraceModes | None = None,
 ) -> float:
-    """First variation of the seam circle's length: -1/2 times the seam
-    integral of (H variation - 2 Re phi), summed on seam_points(nmax) points
-    (nmax over the trace and q) unless npts is given.  The trapezoid sum is
-    exact only on a grid of more than 2 nmax points of the trace and more
-    than q's top mode: any other npts raises ValueError (TraceModes.on_grid
-    for the trace).  A q with u0 != 0 raises SolvabilityError, since the
-    u0*y branch of Re phi is not single-valued on the seam circle.  Reduces
-    to -d0 ell / 2 without quadratic-differential data.  dirichlet is the
-    seam's Dirichlet trace of sol, when the caller has it already."""
-    if q is not None and abs(q.u0) > MEAN_TOL:
-        raise SolvabilityError("arc length requires a vanishing u0: Re phi is not single-valued")
-    x_seam = -sol.s / 2.0 if side == "left" else sol.s / 2.0
+    """First variation of the seam circle's length without
+    quadratic-differential data: -1/2 times the seam integral of the H
+    variation, summed on seam_points(nmax) points of the trace unless npts
+    is given.  The trapezoid sum is exact only on a grid of more than
+    2 nmax points: any other npts raises ValueError (TraceModes.on_grid).
+    Reduces to -d0 ell / 2.  dirichlet is the seam's Dirichlet trace of
+    sol, when the caller has it already."""
     dirichlet = sol.dirichlet_trace(side) if dirichlet is None else dirichlet
-    qmax = int(q.nonzero_modes().max(initial=0)) if q is not None else 0
-    npts = seam_points(max(dirichlet.max_mode(), qmax)) if npts is None else npts
-    if npts <= qmax:
-        raise ValueError(f"{npts} seam points cannot resolve mode {qmax} of q: the trapezoid rule is exact above {qmax}")
-    hdot = dirichlet.on_grid(npts)
-    re = q.re_phi(np.full(npts, x_seam), np.arange(npts) * (sol.ell / npts)) if q is not None else 0.0
-    return float(-0.5 * (sol.ell / npts) * np.sum(hdot - 2.0 * re))
+    npts = seam_points(dirichlet.max_mode()) if npts is None else npts
+    return float(-0.5 * (sol.ell / npts) * np.sum(dirichlet.on_grid(npts)))
 
 
 # --- quadratic-differential extensions --------------------------------------
@@ -537,9 +526,10 @@ def per_mode_determinant(
     Neumann data with the strip Dirichlet-to-Neumann data on both seams.
 
     The raw determinant grows like cosh^2(pi n s / ell); normalizing each
-    row keeps the value in [-1, 1] with magnitude bounded away from zero,
-    which is the per-mode vanishing mechanism: only c_n = d_n = 0 solves
-    the system.
+    row keeps the value in [-1, 0): the seam DtN value is negative, so the
+    row entries satisfy a < 0 < b (_normalized_determinant) and the value
+    never vanishes, which is the per-mode vanishing mechanism: only
+    c_n = d_n = 0 solves the system.
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")

@@ -12,7 +12,6 @@ a family of fields, one per point of a parameter sweep, computed together.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -256,29 +255,6 @@ class FourierSolution:
         coef = (2 * np.pi * n / np.asarray(self.ell)[..., None]) * (sgn * self.c * S + self.d * C)
         return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=self.c0, coef=coef)
 
-    def to_json(self) -> str:
-        payload = {
-            "ell": self.ell,
-            "s": self.s,
-            "c0": self.c0,
-            "d0": self.d0,
-            "modes": [
-                {"n": n, "c_re": c.real, "c_im": c.imag, "d_re": d.real, "d_im": d.imag}
-                for n, (c, d) in sorted(self.modes.items())
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierSolution":
-        data = json.loads(text)
-        modes = {
-            int(m["n"]): (complex(m["c_re"], m["c_im"]), complex(m["d_re"], m["d_im"]))
-            for m in data["modes"]
-        }
-        # positional, so a subclass (QuadDiffModes) rebuilds its own type
-        return cls(data["ell"], data["s"], data["c0"], data["d0"], modes=modes)
-
 
 def harmonicity_residual(
     fld: FourierSolution | Callable,
@@ -355,9 +331,9 @@ class QuadDiffModes(FourierSolution):
     Im(phi) is the FourierSolution with mean part u0*x + v0 and modes
     (u_n, v_n) in place of (c_n, d_n); u, v, u0 and v0 are read-only names
     for c, d, c0 and d0, and a {n: (u_n, v_n)} mapping may be passed as
-    modes instead.  Re(phi) is the harmonic conjugate with respect to the
-    negatively-oriented conformal frame (y + i*x), with its free additive
-    constant fixed to 0.
+    modes instead.  phi is holomorphic in the negatively-oriented conformal
+    frame (y + i*x); its real part, the harmonic conjugate, is never
+    evaluated.
     """
 
     def __init__(self, ell, s, u0=0.0, v0=0.0, modes=None, u=None, v=None):
@@ -375,19 +351,5 @@ class QuadDiffModes(FourierSolution):
         out = _series(x, y, self.ell, ikn * self.u, ikn * self.v)
         return float(out) if out.ndim == 0 else out
 
-    def re_phi(self, x, y):
-        """Harmonic conjugate of Im(phi) in the frame w = y + i x.
-
-        Cauchy-Riemann there reads d(Re)/dy = d(Im)/dx, d(Re)/dx = -d(Im)/dy,
-        which integrates to u0*y - i*sum'(u_n sinh + v_n cosh) e^{2 pi i n y/ell}.
-        The u0*y branch is single-valued only for u0 = 0.
-        """
-        x, y = _as_pair(x, y)
-        out = self.u0 * y + _series(x, y, self.ell, -1j * self.v, -1j * self.u)
-        return float(out) if out.ndim == 0 else out
-
     def scaled(self, eps: float) -> "QuadDiffModes":
         return QuadDiffModes(self.ell, self.s, eps * self.u0, eps * self.v0, u=eps * self.u, v=eps * self.v)
-
-    def is_zero(self) -> bool:
-        return self.u0 == 0.0 and self.v0 == 0.0 and not np.any(self.u) and not np.any(self.v)

@@ -186,11 +186,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_chart_json_fields(capsys):
-    code, out = run(["chart", "--ell", "6.0", "--s", "1.0", "--a", "1.0"], capsys)
+    argv = ["chart", "--ell", "6.0", "--s", "1.5", "--a", "2.0", "--outer-bc", "neumann"]
+    code, out = run(argv, capsys)
     assert code == 0
     payload = json.loads(out)
-    for key in ("conformal_modulus", "total_area", "grafted_length"):
-        assert key in payload
+    assert set(payload) == {"a", "conformal_modulus", "ell", "grafted_length", "outer_bc", "s", "total_area"}
+    assert (payload["ell"], payload["s"], payload["a"], payload["outer_bc"]) == (6.0, 1.5, 2.0, "neumann")
 
 
 def test_chart_exits_2_where_the_total_area_overflows(capsys):

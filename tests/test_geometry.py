@@ -1,31 +1,19 @@
-import json
-
 import numpy as np
 import pytest
 
 from graftlab import (
     DomainError,
     GraftedCollar,
-    ConformalFamily,
-    SeamPointError,
     conformal_modulus,
     conformal_modulus_quadrature,
-    gauss_curvature,
     grafted_length,
     gudermannian,
-    metric_coefficient,
     total_area,
     total_area_quadrature,
 )
-from graftlab.geometry import family_metric
 
 
 CHART = GraftedCollar(ell=2 * np.pi, s=1.0, a=1.0)
-
-
-def _constant(v: float):
-    """The field function (value, d/dx) of the constant v."""
-    return lambda x, y: (np.full(np.broadcast(x, y).shape, v), np.zeros(np.broadcast(x, y).shape))
 
 
 def gaussian_curvature_fd(E_fn, G_fn, x, y, h: float = 1e-3):
@@ -48,6 +36,19 @@ def gaussian_curvature_fd(E_fn, G_fn, x, y, h: float = 1e-3):
     return -(term_x + term_y) / (2.0 * root(x, y))
 
 
+def _one_sided_second_derivatives(chart: GraftedCollar, x: float, h: float = 1e-6):
+    """(left, right) one-sided differences of G' at x: the limits of G''
+    from each side, to O(h)."""
+    Gp = chart.Gp(x)
+    return (Gp - chart.Gp(x - h)) / h, (chart.Gp(x + h) - Gp) / h
+
+
+def _chart_curvature(chart: GraftedCollar, x):
+    """Finite-difference curvature of dx^2 + G^2 dy^2, E = 1 and Gm = G^2."""
+    y = np.zeros_like(x)
+    return gaussian_curvature_fd(lambda xx, yy: np.ones_like(xx), lambda xx, yy: chart.G(xx) ** 2, x, y, h=1e-4)
+
+
 def test_metric_is_c11_across_seams():
     # G and G' continuous across both seams on a dense straddling grid
     for seam in (-CHART.s / 2, CHART.s / 2):
@@ -58,30 +59,30 @@ def test_metric_is_c11_across_seams():
         assert np.all(gap_Gp < 1e-3)
         # the gaps vanish linearly (quadratically for G), not to a constant
         assert gap_G[0] < 1e-14 and gap_Gp[0] < 1e-9
-
-
-def test_second_derivative_jumps_by_one_at_seams():
-    _, _, pair_r = metric_coefficient(CHART, CHART.s / 2)
-    assert pair_r == (0.0, 1.0)
-    _, _, pair_l = metric_coefficient(CHART, -CHART.s / 2)
-    assert pair_l == (1.0, 0.0)
-    _, _, interior = metric_coefficient(CHART, 0.0)
-    assert interior == (0.0, 0.0)
-    _, _, strip = metric_coefficient(CHART, CHART.s / 2 + 0.3)
-    assert strip[0] == strip[1] == pytest.approx(np.cosh(0.3))
+    # G'' jumps by exactly 1 at each seam: 0 on the insert side, cosh 0 = 1
+    # on the strip side
+    left, right = _one_sided_second_derivatives(CHART, CHART.s / 2)
+    assert left == 0.0 and right == pytest.approx(1.0, abs=1e-5)
+    left, right = _one_sided_second_derivatives(CHART, -CHART.s / 2)
+    assert left == pytest.approx(1.0, abs=1e-5) and right == 0.0
 
 
 def test_degenerate_insert_has_no_jump():
+    # with s = 0 the seams meet at x = 0, where G'' = cosh 0 = 1 on both sides
     thin = GraftedCollar(ell=1.0, s=0.0, a=1.0)
-    _, _, pair = metric_coefficient(thin, 0.0)
-    assert pair == (1.0, 1.0)
+    left, right = _one_sided_second_derivatives(thin, 0.0)
+    assert left == pytest.approx(1.0, abs=1e-5) and right == pytest.approx(1.0, abs=1e-5)
 
 
-def test_gauss_curvature_values_and_seam_refusal():
-    assert gauss_curvature(CHART, 0.0) == 0.0
-    assert gauss_curvature(CHART, 1.2) == -1.0
-    with pytest.raises(SeamPointError):
-        gauss_curvature(CHART, CHART.s / 2)
+def test_fd_curvature_vanishes_on_the_flat_insert():
+    K = _chart_curvature(CHART, np.array([-0.3, 0.0, 0.2]))
+    assert np.all(K == 0.0)
+
+
+def test_fd_curvature_recovers_hyperbolic_stratum():
+    # K = -G''/G = -1 on both strips, away from the seams
+    K = _chart_curvature(CHART, np.array([-1.3, -0.7, 0.7, 1.1, 1.4]))
+    assert np.max(np.abs(K + 1.0)) < 1e-6
 
 
 def test_domain_check():
@@ -139,64 +140,3 @@ def test_grafted_length():
     assert grafted_length(2 * np.pi, 2.0) == pytest.approx(4 * np.pi)
     with pytest.raises(ValueError):
         grafted_length(-1.0, 1.0)
-
-
-def test_chart_json_round_trip():
-    text = CHART.to_json()
-    again = GraftedCollar.from_json(text)
-    assert again == CHART
-    assert json.loads(text)["ell"] == CHART.ell
-
-
-def test_family_metric_positivity_guard():
-    fam = ConformalFamily(base=CHART, hdot=_constant(-3.0))
-    with pytest.raises(DomainError):
-        family_metric(fam, 0.5, 0.0, 0.0)
-
-
-def test_conformal_curvature_identity_flat_stratum():
-    # K of g0 / H equals H * (K0 + (1/2) Lap0 log H); on the flat stratum
-    # K0 = 0 and Lap0 is the Euclidean Laplacian
-    k = 2.0
-
-    def hdot(x, y):
-        return 0.3 * np.sin(k * y) * np.cos(2.0 * x)
-
-    t = 0.7
-    fam = ConformalFamily(base=CHART, hdot=lambda x, y: (hdot(x, y), 0 * x))
-    h = 1e-3
-
-    def E_fn(x, y):
-        return family_metric(fam, t, x, y)[0]
-
-    def G_fn(x, y):
-        return family_metric(fam, t, x, y)[1]
-
-    xs = np.array([0.0, 0.1, -0.2])
-    ys = np.array([0.3, 1.0, 2.0])
-    K_fd = gaussian_curvature_fd(E_fn, G_fn, xs, ys, h=h)
-
-    def H(x, y):
-        return 1.0 + t * hdot(x, y)
-
-    lap = (
-        H(xs + h, ys) + H(xs - h, ys) + H(xs, ys + h) + H(xs, ys - h) - 4 * H(xs, ys)
-    ) / h**2
-    # Lap log H = Lap H / H - |grad H|^2 / H^2
-    gx = (H(xs + h, ys) - H(xs - h, ys)) / (2 * h)
-    gy = (H(xs, ys + h) - H(xs, ys - h)) / (2 * h)
-    expected = H(xs, ys) * 0.5 * (lap / H(xs, ys) - (gx**2 + gy**2) / H(xs, ys) ** 2)
-    assert np.max(np.abs(K_fd - expected)) < 1e-4
-
-
-def test_fd_curvature_recovers_hyperbolic_stratum():
-    fam = ConformalFamily(base=CHART, hdot=_constant(0.0))
-
-    def E_fn(x, y):
-        return family_metric(fam, 0.0, x, y)[0]
-
-    def G_fn(x, y):
-        return family_metric(fam, 0.0, x, y)[1]
-
-    K = gaussian_curvature_fd(E_fn, G_fn, np.array([1.1]), np.array([0.5]), h=1e-4)
-    assert K[0] == pytest.approx(-1.0, abs=1e-6)

@@ -368,24 +368,14 @@ def test_arc_length_examples():
     assert identities.arc_length_derivative(flat) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_arc_length_with_quad_data():
-    sol = FourierSolution(ell=ELL, s=2.0, d0=1.0)
-    q = QuadDiffModes(ell=ELL, s=2.0, modes={1: (0.5, 0.3j)})
-    # Re phi oscillates in y at the seam, so the correction averages out
-    val = identities.arc_length_derivative(sol, q=q, side="left")
-    assert val == pytest.approx(-np.pi, rel=1e-10)
-
-
-@pytest.mark.parametrize("nmax_q", [0, 8, 40])
-def test_arc_length_default_grid_matches_4096_points(nmax_q):
-    rng = np.random.default_rng(nmax_q)
-    sol = sampling.random_solution(rng, ELL, 1.5, nmax=8, decay=0.05)
-    q = sampling.random_quad(rng, ELL, 1.5, nmax=nmax_q, decay=0.05) if nmax_q else None
-    got = identities.arc_length_derivative(sol, q)
-    ref = identities.arc_length_derivative(sol, q, npts=4096)
-    y = np.arange(4096) * (ELL / 4096)
-    re = q.re_phi(np.full(4096, -0.75), y) if q is not None else 0.0
-    terms = np.abs(sol.dirichlet_trace("left").on_grid(4096) - 2.0 * re)
+@pytest.mark.parametrize("nmax", [0, 8, 40])
+def test_arc_length_default_grid_matches_4096_points(nmax):
+    # the default grid, exact for the trace, against a 4096-point sum, for
+    # a mean-only trace and two widths of modes
+    sol = sampling.random_solution(np.random.default_rng(nmax), ELL, 1.5, nmax=nmax, decay=0.05)
+    got = identities.arc_length_derivative(sol)
+    ref = identities.arc_length_derivative(sol, npts=4096)
+    terms = np.abs(sol.dirichlet_trace("left").on_grid(4096))
     assert abs(got - ref) <= 64 * np.finfo(float).eps * ELL * np.mean(terms)
 
 
@@ -396,25 +386,6 @@ def test_arc_length_raises_on_a_grid_that_is_not_exact():
     for npts in (10, 6, 1):
         with pytest.raises(ValueError, match="cannot resolve mode 5"):
             identities.arc_length_derivative(sol, npts=npts)
-
-
-def test_arc_length_raises_on_a_grid_at_or_below_the_top_mode_of_q():
-    # the trace of mode 1 is exact from 3 points on; q's mode 8 aliases on 8
-    sol = FourierSolution(ell=ELL, s=1.0, d0=1.0, modes={1: (0.1, 0.2)})
-    q = QuadDiffModes(ell=ELL, s=1.0, modes={8: (0.5, 0.3j)})
-    assert identities.arc_length_derivative(sol, q, npts=9) == pytest.approx(-np.pi, rel=1e-12)
-    for npts in (8, 4):
-        with pytest.raises(ValueError, match="cannot resolve mode 8 of q"):
-            identities.arc_length_derivative(sol, q, npts=npts)
-
-
-def test_arc_length_raises_on_a_quad_with_a_linear_mean():
-    # the u0 y branch of Re phi is not single-valued: its sum moves with the grid
-    sol = FourierSolution(ell=ELL, s=1.0, d0=1.0, modes={1: (0.1, 0.2)})
-    q = QuadDiffModes(ell=ELL, s=1.0, u0=0.3, modes={8: (0.5, 0.3j)})
-    for npts in (None, 64, 4096):
-        with pytest.raises(SolvabilityError, match="vanishing u0"):
-            identities.arc_length_derivative(sol, q, npts=npts)
 
 
 # --- quadratic-differential extensions --------------------------------------
@@ -550,6 +521,22 @@ def test_determinant_equals_the_two_row_form_bit_for_bit(ell, s, a, outer_bc, nm
     assert identities.determinant_floor(nmax, ell, s, a, outer_bc) == np.min(np.abs(ref))
     for n in ns:
         assert identities.per_mode_determinant(n, ell, s, a, outer_bc) == ref[n - 1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ell=st.floats(0.25, 16.0),
+    s=st.floats(0.0, 20.0),
+    log10_a=st.floats(-1.0, 1.0),
+    outer_bc=st.sampled_from(["dirichlet", "neumann"]),
+)
+def test_normalized_determinant_is_negative(ell, s, log10_a, outer_bc):
+    # seam_dtn < 0 gives the row entries a < 0 < b, so 2ab / h^2 lies in [-1, 0)
+    ns = np.arange(1, 257)
+    t = hypersolve.seam_dtn(ns, ell, 10.0**log10_a, outer_bc)
+    assert np.all(t < 0.0)
+    det = identities._normalized_determinant(ns, ell, s, t)
+    assert np.all(det < 0.0) and np.all(det >= -1.0)
 
 
 def test_n0_balance_strictly_negative():

@@ -242,13 +242,6 @@ def test_harmonicity_bound_covers_the_stencil_residual():
     assert rounding < 1e-10
 
 
-def test_json_round_trip():
-    sol = _random_sol(5)
-    again = FourierSolution.from_json(sol.to_json())
-    assert again.ell == sol.ell and again.s == sol.s
-    assert again.modes == sol.modes
-
-
 def test_quad_modes_imaginary_part_is_harmonic():
     rng = np.random.default_rng(6)
     q = QuadDiffModes(
@@ -258,19 +251,6 @@ def test_quad_modes_imaginary_part_is_harmonic():
         modes={2: (1e-4 * (1 + 1j), 1e-4 * (1 - 2j))},
     )
     assert harmonicity_residual(q.im_phi, ell=q.ell, s=q.s, h=2 * np.pi / 256) < 1e-6
-
-
-def test_quad_conjugate_satisfies_cauchy_riemann():
-    # in the frame w = y + i x: d(Re)/dy = d(Im)/dx and d(Re)/dx = -d(Im)/dy
-    q = QuadDiffModes(ell=ELL, s=S, v0=0.3, modes={1: (0.4 - 0.2j, 0.1 + 0.5j)})
-    h = 1e-6
-    x = np.array([0.0, 0.4, -0.6])
-    y = np.array([0.3, 2.0, 5.0])
-    re_y = (q.re_phi(x, y + h) - q.re_phi(x, y - h)) / (2 * h)
-    im_x = (q.im_phi(x + h, y) - q.im_phi(x - h, y)) / (2 * h)
-    assert np.max(np.abs(re_y - im_x)) < 1e-6
-    re_x = (q.re_phi(x + h, y) - q.re_phi(x - h, y)) / (2 * h)
-    assert np.max(np.abs(re_x + q.im_phi_dy(x, y))) < 1e-6
 
 
 @pytest.mark.parametrize("nmax", [1, 3, 16])
@@ -341,7 +321,6 @@ def test_quad_modes_from_mapping_equal_those_from_arrays():
     for side in ("left", "right"):
         assert np.array_equal(mapped.seam_values(side), dense.seam_values(side))
     assert mapped.norm() == dense.norm()
-    assert np.array_equal(mapped.re_phi(x, y), dense.re_phi(x, y))
     assert np.array_equal(mapped.im_phi_dy(x, y), dense.im_phi_dy(x, y))
     # the loop-free forms against one mode written out
     k = 2 * np.pi / ELL
@@ -352,20 +331,16 @@ def test_quad_modes_from_mapping_equal_those_from_arrays():
     assert np.allclose(single.im_phi_dy(x, y), expected_dy, rtol=0, atol=1e-14)
     assert single.seam_values("left")[1] == un * np.cosh(1.0) - vn * np.sinh(1.0)
     assert single.scaled(2.0).modes == {1: (2 * un, 2 * vn)}
-    assert QuadDiffModes(ell=ELL, s=S).is_zero() and not single.is_zero()
 
 
 def test_quad_modes_are_a_fourier_solution_of_their_own_type():
     q = QuadDiffModes(ell=ELL, s=S, u0=0.2, v0=0.3, modes={1: (0.4 - 0.2j, 0.1 + 0.5j), 3: (0.0, -0.3j)})
     assert q.u is q.c and q.v is q.d and (q.u0, q.v0) == (q.c0, q.d0) == (0.2, 0.3)
+    assert isinstance(q, FourierSolution) and type(q.scaled(2.0)) is QuadDiffModes
     with pytest.raises(AttributeError):
         q.u = np.zeros(4)
     for side in ("left", "right"):
         assert np.array_equal(q.seam_values(side), q.dirichlet_trace(side).coef)
-    back = QuadDiffModes.from_json(q.to_json())
-    assert type(back) is QuadDiffModes
-    assert (back.u0, back.v0, back.modes) == (q.u0, q.v0, q.modes)
-    assert type(FourierSolution.from_json(q.to_json())) is FourierSolution
 
 
 def _folded_synthesis(mean, coef, npts):
