@@ -59,12 +59,19 @@ def test_metric_is_c11_across_seams():
         assert np.all(gap_Gp < 1e-3)
         # the gaps vanish linearly (quadratically for G), not to a constant
         assert gap_G[0] < 1e-14 and gap_Gp[0] < 1e-9
+
+
+def test_second_derivative_jumps_by_one_at_seams():
     # G'' jumps by exactly 1 at each seam: 0 on the insert side, cosh 0 = 1
     # on the strip side
     left, right = _one_sided_second_derivatives(CHART, CHART.s / 2)
     assert left == 0.0 and right == pytest.approx(1.0, abs=1e-5)
     left, right = _one_sided_second_derivatives(CHART, -CHART.s / 2)
     assert left == pytest.approx(1.0, abs=1e-5) and right == 0.0
+    # no jump inside the insert (G'' = 0) or inside a strip (G'' = cosh)
+    assert _one_sided_second_derivatives(CHART, 0.0) == (0.0, 0.0)
+    left, right = _one_sided_second_derivatives(CHART, CHART.s / 2 + 0.3)
+    assert left == pytest.approx(np.cosh(0.3), abs=1e-5) and right == pytest.approx(np.cosh(0.3), abs=1e-5)
 
 
 def test_degenerate_insert_has_no_jump():

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -24,16 +25,31 @@ def _run_python(code: str, **env_vars: str) -> str:
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_leaves_scipy_and_numpy_polynomial_unloaded():
-    # no scipy module at all (scipy.integrate and scipy.interpolate among
-    # them): the Gauss-Legendre rule is a literal table, so no
-    # numpy.polynomial and no LAPACK either
+@pytest.fixture(scope="module")
+def modules_after_cli_import() -> list[str]:
+    # one interpreter launch serves every import test below: the scipy and
+    # numpy.polynomial modules loaded by `import graftlab.cli`
     code = (
         "import sys, graftlab.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
     )
-    assert _run_python(code) == "[]"
+    return ast.literal_eval(_run_python(code))
+
+
+def test_cli_import_leaves_ode_and_spline_modules_unloaded(modules_after_cli_import):
+    assert [m for m in ("scipy.integrate", "scipy.interpolate") if m in modules_after_cli_import] == []
+
+
+def test_cli_import_leaves_polynomial_and_quadrature_modules_unloaded(modules_after_cli_import):
+    # the Gauss-Legendre rule is a literal table: no numpy.polynomial, no LAPACK
+    assert [m for m in ("numpy.polynomial", "scipy.integrate") if m in modules_after_cli_import] == []
+
+
+def test_cli_import_leaves_scipy_and_numpy_polynomial_unloaded(modules_after_cli_import):
+    # no scipy module at all: the Gauss-Legendre rule is a literal table, so
+    # no numpy.polynomial and no LAPACK either
+    assert modules_after_cli_import == []
 
 
 def test_public_surface_is_pinned():
