@@ -7,8 +7,7 @@ chart as JSON), modes (per-mode solver data as CSV).
 Config files are flat ``key = value`` text; every key can be overridden by
 the command-line flag of the same name.  A single seed fixes all generated
 fields, so reports are reproducible byte for byte apart from the
-``generated_at`` stamp.  A sweep computes all of its points together, in
-one array pass with a leading points axis, from one draw of the seed.
+``generated_at`` stamp.
 """
 from __future__ import annotations
 
@@ -202,7 +201,9 @@ def _report_block(r: identities.IdentityReport) -> str:
 def _report_json(cfg: RunConfig, generated_at: str, counts: dict, reports: list) -> str:
     """The verify report by its schema, byte for byte as json.dumps(indent=2,
     sort_keys=True) writes {generated_at, config: asdict(cfg), mode_counts:
-    counts, reports: [r.to_dict() for r in reports]}."""
+    counts, reports: [r.to_dict() for r in reports]}, NaN and infinite values
+    included, at a third of that encoder's cost (the pure-Python encoder,
+    which json.dumps runs for any indent); tests pin the two together."""
     config = ",\n".join(f'    "{name}": {_json_scalar(getattr(cfg, name))}' for name in _CONFIG_FIELDS)
     mode_counts = ",\n".join(f'    "{key}": {_json_scalar(counts[key])}' for key in sorted(counts))
     blocks = ",\n".join(map(_report_block, reports))
@@ -226,6 +227,12 @@ _SWEEP_FIELDS = "param value ell s a conformal_modulus det_min boundary_rel_err 
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """All points of the sweep together, in one array pass with a leading
+    points axis, from one draw of the seed and one family-wide
+    solve_configuration: the samplers, the traces, solve_flat_variation,
+    boundary_term_closed and _quadrature, determinant_floor,
+    conformal_modulus and slice_residual take the axis and return one value
+    per point, so each row equals the one-point calls at its value."""
     if cfg.param not in ("ell", "s", "a"):
         raise ConfigError("sweep needs --param one of ell, s, a")
     if cfg.sweep_from is None or cfg.sweep_to is None:
@@ -256,6 +263,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # --- geodesic ---------------------------------------------------------------
 
 def cmd_geodesic(cfg: RunConfig) -> int:
+    """The field is drawn, its configuration solved and its matched field
+    built once; each seam's geodesic is then solved at t and at t/2 on it.
+    Passes when the rate's relative error is below 1e-2 at t and smaller at
+    t/2 (first order in t)."""
     if cfg.t <= 0:
         raise ConfigError("--t must be positive")
     rng = np.random.default_rng(cfg.seed)
@@ -293,8 +304,9 @@ def cmd_geodesic(cfg: RunConfig) -> int:
 
 def _total_area(chart: geometry.GraftedCollar) -> float:
     """The chart's total area, or a ConfigError where it overflows a double (from
-    a = 707.95 on at ell = 2 pi): no JSON number is infinite, and verify's strip
-    sums overflow there."""
+    a = 707.95 on at ell = 2 pi, and from a = 710.5, where sinh a does, at every
+    ell <= 1/2): no JSON number is infinite, and verify's strip sums overflow
+    there."""
     with np.errstate(over="ignore"):
         area = geometry.total_area(chart)
     if not math.isfinite(area):
@@ -307,11 +319,11 @@ def _total_area(chart: geometry.GraftedCollar) -> float:
 
 def _finite_quadratures(config: identities.SolvedConfiguration) -> None:
     """A ConfigError where the strip sums or a chart quadrature overflow a
-    double below the total-area overflow of _total_area (from about a = 705
-    at ell = 0.3 with 8 modes, where mu sinh xi overflows in the strip
-    pass): verify exits 2 with a message, not with reports of inf and NaN.
-    The strip sums are computed here, once, for every report that reads
-    them."""
+    double below the total-area overflow of _total_area (with the default
+    seed and 8 modes, from about a = 705.35 at ell = 0.3 and a = 707.25 at
+    ell = 2, where mu sinh xi overflows in the strip pass): verify exits 2
+    with a message, not with reports of inf and NaN.  The strip sums are
+    computed here, once, for every report that reads them."""
     chart = config.chart
     with np.errstate(over="ignore", invalid="ignore"):
         values = (*config.strip_sums, geometry.total_area_quadrature(chart), geometry.conformal_modulus_quadrature(chart))
@@ -387,7 +399,9 @@ _UNSET = {command: dict.fromkeys(dest for dest, *_ in flags.values()) for comman
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built from _FLAGS on first use and kept: only
-    the lines that the flag table leaves need it."""
+    the lines that the flag table leaves need it.  argparse is imported
+    here, so neither import graftlab.cli nor a well-formed command line
+    loads it (geodesic does, through scipy: see variation.geodesic_oracle)."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)

@@ -236,7 +236,7 @@ def solve_configuration(
     (the closed-form strip Dirichlet-to-Neumann value of the mean mode,
     seam_dtn, applied to the seam means), and quad to the zero quadratic
     differential.  The strip modes are solved only when the strip sums are
-    read.
+    read, so geodesic, which reads none, solves no strip mode.
     """
     sides = ("left", "right")
     dirichlet = tuple(sol.dirichlet_trace(side) for side in sides)
@@ -329,7 +329,8 @@ def _master_report(identity: str, terms: tuple, closed: float, green: float, tol
     The bound is tol (sum |terms| + |closed| + |green|).  abs_err is the
     larger of the equality gap and that sum times the sign violation (the
     largest _NONPOSITIVE term, relative to max(1, their sizes)), so a
-    positive energy fails even where the equality holds."""
+    positive energy fails even where the equality holds, and a wrong strip
+    energy of the right sign, as from a = 22 on, fails the equality."""
     total, rhs = sum(v for _, v in terms), closed - green
     size = sum(abs(v) for _, v in terms) + abs(closed) + abs(green)
     signed = [v for label, v in terms if label in _NONPOSITIVE]
@@ -640,7 +641,8 @@ def stencil_report(fld: FourierSolution) -> IdentityReport:
 
 def strip_greens_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
     """The Green identity on the strips, -energy + seam + outer forms = 0,
-    relative to max(1, energy), within tol."""
+    relative to max(1, energy), within tol.  It reads the strip sums only,
+    so it does not depend on the master report."""
     _, energy, seam, outer, _ = config.strip_sums
     notes = "energy vs boundary forms on the solved strip modes"
     residual = abs(-energy + seam + outer) / max(1.0, energy)
@@ -664,8 +666,10 @@ def suite(config: SolvedConfiguration, stencil_field: FourierSolution, modes: in
     """The verify report: every identity of the configuration, in a fixed
     order, with the stencil check of stencil_field and the determinant floor
     over modes 1..modes.  The algebraic and quadrature checks take tol, the
-    checks on the strip sums 1e3 tol.  A GraftLabError raised by one check
-    becomes its failing report (error_report), and the others still run."""
+    slice condition max(tol, 1e-12), the checks on the strip sums 1e3 tol,
+    the stencil its own bound and the determinant floor 0.  A GraftLabError
+    raised by one check becomes its failing report (error_report), and the
+    others still run."""
     tol_bvp = tol * 1e3
     sol, chart = config.sol, config.chart
     # each check is looked up when it runs, so a replaced one is the one run

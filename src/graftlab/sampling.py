@@ -10,9 +10,10 @@ import numpy as np
 
 from .spectral import FourierSolution, QuadDiffModes
 
-#: Largest pi n s / ell at which cosh^2 is a finite double.  Both samplers
-#: drop the modes above it: their 1/cosh damping underflows to 0, and the
-#: seam traces and S C series then multiply 0 by an infinite cosh.
+#: Largest pi n s / ell at which cosh^2 is a finite double, about 354.9.
+#: Both samplers drop the modes above it: their 1/cosh damping underflows
+#: to 0, and the seam traces and S C series then multiply 0 by an infinite
+#: cosh.
 MAX_DAMPED_ARG = float(np.log(np.finfo(float).max)) / 2.0
 
 

@@ -233,7 +233,9 @@ class FourierSolution:
 
     def seam_values(self, side: str) -> np.ndarray:
         """Mode values c_n cosh -/+ d_n sinh on the seam x = -s/2 (left) or
-        x = +s/2 (right), indexed by n, exactly 0 at the zero modes."""
+        x = +s/2 (right), indexed by n, exactly 0 at the zero modes; a
+        field's Dirichlet trace and amend_variation's quadratic-differential
+        shift both read them."""
         _, S, C = self.seam
         return self.c * C + (-1.0 if side == "left" else 1.0) * self.d * S
 

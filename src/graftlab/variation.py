@@ -55,6 +55,7 @@ def hyperbolic_neumann(v: TraceModes) -> TraceModes:
     Mode n maps to 2 (4 pi^2 n^2 + ell^2) / ell^2 times lambda_n; the mean
     maps to twice the free constant.  On W this is identical to the explicit
     cosh/sinh expansion in the (c, d, u, v) data (checked in the test suite).
+    Any other trace kind is a ValueError.
     """
     if v.kind not in ("variation", "amended_variation"):
         raise ValueError(f"expected a variation field, got a {v.kind!r} trace")
@@ -98,7 +99,9 @@ def matched_global_field(config: SolvedConfiguration) -> Callable:
     traces and carry its hyperbolic-side Neumann traces as their normal
     derivative, so the geodesic variation of the (1 + t * H)-conformal
     family solves both regimes of the variation equation simultaneously.
-    On the strips dH/dx is the strip-side (one-sided) derivative.
+    On the strips dH/dx is the strip-side (one-sided) derivative; each strip
+    takes b and b' from one call of its mode_extend profiles, summed over
+    all its modes in one array expression.
     """
     chart, sol = config.chart, config.sol
     if abs(sol.c0) > MEAN_TOL:
@@ -159,6 +162,10 @@ def geodesic_oracle(
     to the seam circle; from a cold start the solver can land on a distant
     geodesic of the same metric.  The Euler-Lagrange residual is checked at
     the solution either way.
+
+    scipy is imported here only, on first use.  scipy.optimize loads
+    argparse through numpy.f2py, so every geodesic run imports argparse,
+    even from a well-formed command line.
     """
     ell, s = chart.ell, chart.s
     base = -s / 2 if side == "left" else s / 2
