@@ -255,10 +255,12 @@ def seam_dtn(ns, ell, a, outer_bc: str = "dirichlet") -> np.ndarray:
     n = 0: k = c - gd a (_strip_constants).  Finite and negative for every
     a > 0 and mode, but -inf, with no warning, for an outer Dirichlet
     condition where a is below about 5.6e-309: there the value, about -1/a,
-    passes the double range."""
+    passes the double range, and the n >= 1 quotient overflows, or divides
+    by a denominator that underflows to 0 where 2 mu gd a does (as at
+    a = 8.8e-320, ell = 5e10)."""
     mu = _mu(np.asarray(ns, dtype=int), ell)
     m, G, d, em, c = _strip_constants(mu, a, outer_bc)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         return np.where(mu == 0.0, c - G, (m + 1.0 / m) * ((1.0 - d) * em - d) / (2.0 - d + (1.0 - d) * em))
 
 

@@ -266,22 +266,12 @@ def slice_condition(
     v_right: TraceModes,
     tol: float = 1e-12,
 ) -> IdentityReport:
-    """lam0 - rho0 against -s d0/2 - ds/dt.  The family holds s fixed, so
-    the height_rate term -ds/dt is -0.0."""
+    """lam0 - rho0 against -s d0/2 - ds/dt, where ds/dt = 0: the family
+    holds s fixed, so the right side is the height term -s d0/2 alone."""
     lhs = v_left.mean - v_right.mean
     rhs = -sol.s * sol.d0 / 2.0
-    return _compare(
-        "slice_condition",
-        lhs,
-        rhs,
-        tol,
-        terms=(
-            ("mean_gap", lhs),
-            ("height_term", -sol.s * sol.d0 / 2.0),
-            ("height_rate", -0.0),
-        ),
-        notes="lam0 - rho0 must equal -s d0/2 - ds/dt",
-    )
+    notes = "lam0 - rho0 must equal -s d0/2 - ds/dt, and ds/dt = 0 as the family holds s fixed"
+    return _compare("slice_condition", lhs, rhs, tol, terms=(("mean_gap", lhs), ("height_term", rhs)), notes=notes)
 
 
 # --- master identity --------------------------------------------------------
@@ -463,43 +453,21 @@ def extended_master_identity(
 ) -> IdentityReport:
     """Nonpositive decomposition of the amended boundary term.
 
-    Adds to the unamended terms the mixed Im-series and the height-rate term
-    -2 ell s d0 (ds/dt / s), which is 0.0 as the family holds s fixed; the
-    mixed series is not sign-definite but is bounded linearly by the
-    quadratic-differential size, and the measured ratio against
-    ell * s * (sup norm of Im phi) is reported.  The closed term of the
-    equality is extended_boundary_term's.  Also checks the rewrite of the
-    series arguments through the lamination length L = ell * s
-    (pi n s / ell = pi n L / ell^2).
+    Adds to the unamended terms the mixed Im-series (_mixed_series), which
+    is not sign-definite, and the height-rate term -2 ell s d0 (ds/dt / s),
+    which vanishes as the family holds s fixed.  The closed term of the
+    equality is extended_boundary_term's.
     """
-    sol, q = config.sol, config.quad
+    sol = config.sol
     _, energy, seam_form, t_outer, _ = config.strip_sums
-    t_energy = -energy
-    t_series = _cylinder_series(sol)
-    t_cross = _mixed_series(sol, q)
-    t_mean = -sol.ell * sol.s * sol.d0**2
-
-    # same numbers with sinh/cosh arguments rewritten through L = ell * s
-    n = sol.nonzero_modes()
-    a1, a2 = np.pi * n * sol.s / sol.ell, np.pi * n * (sol.ell * sol.s) / sol.ell**2
-    diffs = (np.abs(np.sinh(a1) - np.sinh(a2)), np.abs(np.cosh(a1) - np.cosh(a2)))
-    rewrite_diff = float(np.max(diffs, initial=0.0))
-
-    bound = sol.ell * sol.s * q.norm()
-    ratio = abs(t_cross) / bound if bound > 0 else 0.0
     terms = (
-        ("hyperbolic_energy", t_energy),
-        ("cylinder_series", t_series),
-        ("mixed_series", t_cross),
-        ("mean_term", t_mean),
-        ("height_rate_term", 0.0),
+        ("hyperbolic_energy", -energy),
+        ("cylinder_series", _cylinder_series(sol)),
+        ("mixed_series", _mixed_series(sol, config.quad)),
+        ("mean_term", -sol.ell * sol.s * sol.d0**2),
         ("outer_greens", t_outer),
     )
-    notes = (
-        f"mixed series {t_cross:.6e}, linear bound ell*s*|Im phi|_sup = "
-        f"{bound:.6e}, measured ratio {ratio:.3e} (constant unquantified); "
-        f"lamination-length rewrite max difference {rewrite_diff:.3e}"
-    )
+    notes = "total is the seam data mismatch of the amended fields on this bounded model"
     return _master_report("extended_master_identity", terms, config.extended_closed, seam_form, tol, notes)
 
 
@@ -520,7 +488,8 @@ def per_mode_determinant(
     row keeps the value in [-1, 0): the seam DtN value is negative, so the
     row entries satisfy a < 0 < b (_normalized_determinant) and the value
     never vanishes, which is the per-mode vanishing mechanism: only
-    c_n = d_n = 0 solves the system.
+    c_n = d_n = 0 solves the system.  A DtN value of -inf takes the limit,
+    which is 0 at s = 0.
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")
@@ -530,12 +499,19 @@ def per_mode_determinant(
 
 def _normalized_determinant(n, ell: float, s: float, t):
     """per_mode_determinant for mode indices n >= 1 with DtN values t
-    (scalars or matching arrays)."""
+    (scalars or matching arrays).  Where t is -inf (seam_dtn on an outer
+    Dirichlet strip of subnormal a), the value is the t -> -inf limit
+    -2CS/(C^2 + S^2) = -(1 - damp^2)/(1 + damp^2) = -tanh(2 pi n s / ell),
+    0 where S = 0; every finite t takes the rows below."""
     k = (4.0 * np.pi**2 * n**2 + ell**2) / (2.0 * np.pi * n * ell)
     # sinh and cosh scaled by exp(-arg): the normalized determinant is
     # invariant under the common row factor, and this never overflows
     arg = np.pi * n * s / ell
     damp = np.exp(-2.0 * arg)
+    lost = np.isneginf(t)
+    if lost.any():
+        limit = -(1.0 - damp * damp) / (1.0 + damp * damp)
+        return np.where(lost, limit, _normalized_determinant(n, ell, s, np.where(lost, -1.0, t)))
     S = (1.0 - damp) / 2.0
     C = (1.0 + damp) / 2.0
     # the rows (a, b) and (-a, b) have determinant 2ab and norms h each;
@@ -618,9 +594,15 @@ def area_report(chart: GraftedCollar, tol: float) -> IdentityReport:
 def stencil_report(fld: FourierSolution) -> IdentityReport:
     """harmonicity_report of the five-point stencil on fld at h = ell/256;
     not applicable, and passing on zeros, where the insert is thinner than
-    2h, since the stencil's x +/- h steps would leave it."""
+    2h, since the stencil's x +/- h steps would leave it, and where h * h
+    underflows to 0 (ell below about 4e-160), since the stencil and its
+    rounding allowance divide by h^2.  The notes name h and the reason."""
     h = fld.ell / 256
-    if fld.s / 2 >= h:
+    if fld.s / 2 < h:
+        reason = f"s/2 = {fld.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
+    elif h * h == 0.0:
+        reason = f"the stencil step h = ell/256 = {h!r} squares to 0 in double precision"
+    else:
         residual = harmonicity_residual(fld)
         truncation, rounding = harmonicity_bound(fld)
         notes = (
@@ -628,10 +610,8 @@ def stencil_report(fld: FourierSolution) -> IdentityReport:
             f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
             f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
         )
-    else:
-        residual = truncation = rounding = 0.0
-        notes = f"not applicable: s/2 = {fld.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
-    return harmonicity_report(residual, truncation, rounding, notes=notes)
+        return harmonicity_report(residual, truncation, rounding, notes=notes)
+    return harmonicity_report(0.0, 0.0, 0.0, notes=f"not applicable: {reason}")
 
 
 def strip_greens_report(config: SolvedConfiguration, tol: float) -> IdentityReport:

@@ -53,17 +53,24 @@ def hyperbolic_neumann(v: TraceModes) -> TraceModes:
     variation W: -2 (V_yy - V), spectrally.
 
     Mode n maps to 2 (4 pi^2 n^2 + ell^2) / ell^2 times lambda_n; the mean
-    maps to twice the free constant.  On W this is identical to the explicit
-    cosh/sinh expansion in the (c, d, u, v) data (checked in the test suite).
-    Any other trace kind is a ValueError.
+    maps to twice the free constant.  Where ell^2 underflows to 0 (ell below
+    about 1.6e-162) that factor is inf: a zero lambda_n stays 0 there, with
+    no warning.  On W this is identical to the explicit cosh/sinh expansion
+    in the (c, d, u, v) data (checked in the test suite).  Any other trace
+    kind is a ValueError.
     """
     if v.kind not in ("variation", "amended_variation"):
         raise ValueError(f"expected a variation field, got a {v.kind!r} trace")
     # slot 0 holds no mode: its factor is 0/0 where ell^2 underflows
     n = np.arange(1, v.coef.shape[-1])
-    ell = np.asarray(v.ell)[..., None]
+    ell_sq = np.asarray(v.ell)[..., None] ** 2
     coef = np.zeros(v.coef.shape, dtype=np.result_type(v.coef, 1.0))
-    coef[..., 1:] = 2.0 * (4.0 * np.pi**2 * n**2 + ell**2) / ell**2 * v.coef[..., 1:]
+    modes = v.coef[..., 1:]
+    if ell_sq.all():
+        coef[..., 1:] = 2.0 * (4.0 * np.pi**2 * n**2 + ell_sq) / ell_sq * modes
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef[..., 1:] = np.where(modes == 0, 0.0, 2.0 * (4.0 * np.pi**2 * n**2 + ell_sq) / ell_sq * modes)
     return TraceModes(side=v.side, kind="neumann_hyperbolic", ell=v.ell, mean=2.0 * v.mean, coef=coef)
 
 

@@ -87,6 +87,18 @@ def test_hyperbolic_neumann_scales_no_slot_0_where_ell_squared_underflows():
     assert trace.mean == 0.5 and trace.coef[0] == 0
 
 
+def test_hyperbolic_neumann_keeps_a_zero_mode_zero_where_ell_squared_underflows():
+    # the factor 2 (4 pi^2 n^2 + ell^2) / ell^2 is inf where ell^2 is 0: a
+    # zero mode stays 0 there, with no warning, and the family's other
+    # point keeps its one-point value bit for bit
+    coef = np.array([[0, 0, 0], [0, 0.1 + 0.2j, -0.3j]])
+    v = TraceModes(side="left", kind="variation", ell=np.array([1e-170, 2.0]), mean=np.array([0.25, 0.5]), coef=coef)
+    trace = hyperbolic_neumann(v)
+    assert np.all(trace.coef[0] == 0)
+    one = hyperbolic_neumann(TraceModes(side="left", kind="variation", ell=2.0, mean=0.5, coef=coef[1]))
+    assert np.array_equal(trace.coef[1], one.coef)
+
+
 def test_hyperbolic_neumann_is_spectral_second_order_form():
     # trace equals -2 (V_yy - V), checked with trigonometric differentiation
     rng = np.random.default_rng(0)
