@@ -183,9 +183,8 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     config = identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, quad=q)
     # the strip sums are computed here, once, for every check that reads them
     with np.errstate(over="ignore", invalid="ignore"):
-        int_h, energy, seam_form, outer, outer_flux = config.strip_sums
+        energy, seam_form, outer = config.strip_sums
         numbers = {"hyperbolic_energy": energy, "outer_greens": outer, "strip Green form": seam_form}
-        numbers |= {"strip_integral_route": int_h, "outer_flux_correction": outer_flux}
         numbers[f"{modulus} rhs"] = geometry.conformal_modulus_quadrature(chart)
         numbers[f"{area} rhs"] = geometry.total_area_quadrature(chart)
     _require_finite(numbers, chart)

@@ -199,10 +199,10 @@ class StripProfiles:
         return xi, trig, w * trig[1], w / trig[1]
 
     @cached_property
-    def _one_pass(self) -> tuple[tuple, tuple]:
-        """((integral of b cosh, energy integral), (b(0), b'(0), b(a), b'(a)))
-        of each profile, from one values call per block of _BLOCK to
-        2 _BLOCK - 1 rows, on the nodes of grid followed by xi = 0 and a.
+    def _one_pass(self) -> tuple[np.ndarray, tuple]:
+        """(energy integral, (b(0), b'(0), b(a), b'(a))) of each profile,
+        from one values call per block of _BLOCK to 2 _BLOCK - 1 rows, on
+        the nodes of grid followed by xi = 0 and a.
 
         Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi), by the
         Gauss-Legendre rule of grid that every profile of the strip shares;
@@ -227,11 +227,11 @@ class StripProfiles:
             energy = (bpsq + 2.0 * bsq) @ w_cosh + self.mu[rows] ** 2 * (bsq @ w_sech)
             # a copy: views would keep every block's (rows x points) arrays alive
             ends = np.stack((b_all[:, n], bp_all[:, n], b_all[:, -1], bp_all[:, -1]))
-            columns.append((b @ w_cosh, energy, *ends))
-        ib, energy, *ends = map(np.concatenate, zip(*columns))
-        return (ib, energy), tuple(ends)
+            columns.append((energy, *ends))
+        energy, *ends = map(np.concatenate, zip(*columns))
+        return energy, tuple(ends)
 
-    quadrature = property(lambda self: self._one_pass[0], doc="(integral of b cosh, energy integral) of each profile.")
+    quadrature = property(lambda self: self._one_pass[0], doc="The energy integral of each profile.")
     ends = property(lambda self: self._one_pass[1], doc="(b(0), b'(0), b(a), b'(a)), one entry per profile.")
 
 
@@ -297,28 +297,24 @@ def mode_extend(ns, ell: float, a: float, seam_values, seam_slopes) -> StripProf
     return StripProfiles(ns, ell, a, None, cu, cw)
 
 
-def strip_sums(units: StripProfiles, seams: Iterable) -> tuple[float, ...]:
-    """(integral of H, energy |grad H|^2 + 2 H^2, seam Green form, outer
-    Green form, outer flux of the n = 0 modes) over the strips, in one pass:
-    area element cosh(xi) dxi dy, pair weights, seam normal -d/dxi, outer
-    line element cosh(a) dy.  Each strip is the unit profiles times one
-    array of seam Dirichlet values, one per mode of units; b enters every
-    sum as scale * b, so each takes scale or |scale|^2 times the profiles'
-    cached quadrature and endpoint values.  The outer form vanishes for
-    either homogeneous outer condition; it is kept so the gap from a closed
-    surface shows."""
-    ib, en = units.quadrature
-    mean, cosh_a = units.ns == 0, np.cosh(units.a)
+def strip_sums(units: StripProfiles, seams: Iterable) -> tuple[float, float, float]:
+    """(energy |grad H|^2 + 2 H^2, seam Green form, outer Green form) over
+    the strips, in one pass: area element cosh(xi) dxi dy, pair weights,
+    seam normal -d/dxi, outer line element cosh(a) dy.  Each strip is the
+    unit profiles times one array of seam Dirichlet values, one per mode of
+    units; b enters every sum as scale * b, so each takes |scale|^2 times
+    the profiles' cached quadrature or scale times their endpoint values.
+    The outer form vanishes for either homogeneous outer condition; it is
+    kept so the gap from a closed surface shows."""
+    en, cosh_a = units.quadrature, np.cosh(units.a)
     # a stored mode n >= 1 stands for itself and its conjugate, which
     # doubles its share of every y-integral
-    weights = np.where(mean, 1.0, 2.0) * units.ell
-    int_h = energy = seam = outer = flux = 0.0
+    weights = np.where(units.ns == 0, 1.0, 2.0) * units.ell
+    energy = seam = outer = 0.0
     for values in seams:
         scale = np.asarray(values, dtype=complex)
         b0, bp0, ba, bpa = (scale * v for v in units.ends)
-        int_h += units.ell * float((scale * ib).real[mean].sum())
         energy += float(weights @ (np.abs(scale) ** 2 * en))
         seam -= float(weights @ (b0 * np.conj(bp0)).real)
         outer += float(weights @ (ba * np.conj(bpa)).real) * cosh_a
-        flux += units.ell * cosh_a * float(bpa[mean].real.sum())
-    return int_h, energy, seam, outer, flux
+    return energy, seam, outer

@@ -187,11 +187,10 @@ class SolvedConfiguration:
         return hypersolve.solve_modes(ns, self.chart.ell, self.chart.a, self.chart.outer_bc)
 
     @cached_property
-    def strip_sums(self) -> tuple[float, ...]:
+    def strip_sums(self) -> tuple[float, float, float]:
         """hypersolve.strip_sums of the unit profiles scaled to each seam's
-        Dirichlet values: (integral of H, energy, seam Green form, outer
-        Green form, mean-mode outer flux), computed once, on first use, for
-        every identity."""
+        Dirichlet values: (energy, seam Green form, outer Green form),
+        computed once, on first use, for every identity."""
         ns = self.units.ns[1:]
         seams = (np.concatenate(([trace.mean], trace.coef[ns])) for trace in self.dirichlet)
         return hypersolve.strip_sums(self.units, seams)
@@ -339,7 +338,7 @@ def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityR
     seams, which vanishes only for the zero field.
     """
     sol = config.sol
-    _, energy, seam_form, t_outer, _ = config.strip_sums
+    energy, seam_form, t_outer = config.strip_sums
     t_energy = -energy
     t_series = _cylinder_series(sol)
     t_mean = -sol.ell * sol.s * sol.d0**2
@@ -378,33 +377,13 @@ def area_derivative_analytic(
 def area_derivative_report(
     config: SolvedConfiguration, tol: float = 1e-9
 ) -> IdentityReport:
-    """Compare the two area-derivative routes; the strip contribution of the
-    analytic route is additionally cross-checked by quadrature."""
+    """Compare the geometric and analytic area-derivative routes."""
     sol = config.sol
     geo = area_derivative_geometric(sol)
     ana = area_derivative_analytic(sol, config.v_left, config.v_right)
-    int_h, *_, outer_flux = config.strip_sums
-    # int of H over a strip = (seam flux + outer flux) / 2, seam normal -d/dxi
-    quad_strip = -int_h + 0.5 * outer_flux
     sres = slice_residual(sol, config.v_left, config.v_right)
-    return _compare(
-        "area_derivative",
-        geo,
-        ana,
-        tol,
-        terms=(
-            ("geometric", geo),
-            ("analytic", ana),
-            ("strip_integral_route", quad_strip),
-            ("outer_flux_correction", 0.5 * outer_flux),
-        ),
-        notes=(
-            f"slice residual {sres:.3e}; -ell(lam0-rho0) = "
-            f"{-sol.ell * (config.v_left.mean - config.v_right.mean):.6e} vs "
-            f"strip quadrature {quad_strip:.6e} (matches when the means are "
-            "pinned by the seam balance)"
-        ),
-    )
+    terms = (("geometric", geo), ("analytic", ana))
+    return _compare("area_derivative", geo, ana, tol, terms=terms, notes=f"slice residual {sres:.3e}")
 
 
 # --- arc length -------------------------------------------------------------
@@ -459,7 +438,7 @@ def extended_master_identity(
     equality is extended_boundary_term's.
     """
     sol = config.sol
-    _, energy, seam_form, t_outer, _ = config.strip_sums
+    energy, seam_form, t_outer = config.strip_sums
     terms = (
         ("hyperbolic_energy", -energy),
         ("cylinder_series", _cylinder_series(sol)),
@@ -618,7 +597,7 @@ def strip_greens_report(config: SolvedConfiguration, tol: float) -> IdentityRepo
     """The Green identity on the strips, -energy + seam + outer forms = 0,
     relative to max(1, energy), within tol.  It reads the strip sums only,
     so it does not depend on the master report."""
-    _, energy, seam, outer, _ = config.strip_sums
+    energy, seam, outer = config.strip_sums
     notes = "energy vs boundary forms on the solved strip modes"
     residual = abs(-energy + seam + outer) / max(1.0, energy)
     return _compare("strip_greens_identity", residual, 0.0, tol, notes=notes, bound=tol)

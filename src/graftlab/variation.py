@@ -27,13 +27,40 @@ if TYPE_CHECKING:
     from .identities import SolvedConfiguration
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+
+
+def _ell_squared(ell, nmax: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(q, e) with ell^2 = q 4^e, for ell as a column against the modes
+    1..nmax: q = ell^2 and e = None where ell^2 / (8 pi^2 n^2) is a normal
+    double at every n.  Below that (ell under about 4.2e-154 n) the quotient
+    loses bits and its reciprocal overflows, so there e < 0 scales ell
+    exactly into [1/2, 1) before it is squared; e is 0 at the other points."""
+    ell = np.asarray(ell)[..., None]
+    ell_sq = ell**2
+    small = ell_sq < 8.0 * np.pi**2 * nmax**2 * _TINY
+    if not small.any():
+        return ell_sq, None
+    e = np.where(small, np.frexp(ell)[1], 0)
+    return np.ldexp(ell, -e) ** 2, e
+
+
+def _times_4_to_the(z: np.ndarray, e: np.ndarray | None) -> np.ndarray:
+    """z 4^e, each real and imaginary part scaled by ldexp: exact, signed
+    zeros too, bar one rounding where the result is subnormal; z if e is None."""
+    return z if e is None else np.ldexp(z.view(float), 2 * e).view(z.dtype)
+
+
 def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> TraceModes:
     """Solve V_yy = -1/2 * (flat Neumann data) on the periodic seam circle.
 
     Returns the "variation" trace of V.  Per mode:
-    lambda_n = (ell^2 / (8 pi^2 n^2)) N_n.  The mean of V is a free constant
-    supplied by the caller; a nonzero mean of the forcing (i.e. a nonzero
-    linear-in-x coefficient) admits no periodic solution.
+    lambda_n = (ell^2 / (8 pi^2 n^2)) N_n, with ell^2 scaled by a power of
+    four where the quotient is not a normal double (_ell_squared), so
+    lambda_n stays within a few eps wherever it is one, as at ell = 1e-170.
+    The mean of V is a free constant supplied by the caller; a nonzero mean
+    of the forcing (i.e. a nonzero linear-in-x coefficient) admits no
+    periodic solution.
     """
     if flat_neumann.kind != "neumann_flat":
         raise ValueError("expected a flat-side Neumann trace")
@@ -44,7 +71,8 @@ def solve_flat_variation(flat_neumann: TraceModes, mean_value: float) -> TraceMo
     ell = flat_neumann.ell
     n = np.arange(1, flat_neumann.coef.shape[-1])
     coef = np.zeros(flat_neumann.coef.shape, dtype=flat_neumann.coef.dtype)
-    coef[..., 1:] = (np.asarray(ell)[..., None] ** 2 / (8.0 * np.pi**2 * n**2)) * flat_neumann.coef[..., 1:]
+    ell_sq, e = _ell_squared(ell, len(n))
+    coef[..., 1:] = _times_4_to_the((ell_sq / (8.0 * np.pi**2 * n**2)) * flat_neumann.coef[..., 1:], e)
     return TraceModes(side=flat_neumann.side, kind="variation", ell=ell, mean=mean_value, coef=coef)
 
 
@@ -53,24 +81,21 @@ def hyperbolic_neumann(v: TraceModes) -> TraceModes:
     variation W: -2 (V_yy - V), spectrally.
 
     Mode n maps to 2 (4 pi^2 n^2 + ell^2) / ell^2 times lambda_n; the mean
-    maps to twice the free constant.  Where ell^2 underflows to 0 (ell below
-    about 1.6e-162) that factor is inf: a zero lambda_n stays 0 there, with
-    no warning.  On W this is identical to the explicit cosh/sinh expansion
-    in the (c, d, u, v) data (checked in the test suite).  Any other trace
-    kind is a ValueError.
+    maps to twice the free constant.  Where that factor would overflow the
+    quotient takes ell^2 scaled by a power of four (_ell_squared), and the
+    product is scaled back: 4 pi^2 n^2 + ell^2 is 4 pi^2 n^2 there, so the
+    value stays within a few eps, as at ell = 1e-170.  On W this is
+    identical to the explicit cosh/sinh expansion in the (c, d, u, v) data
+    (checked in the test suite).  Any other trace kind is a ValueError.
     """
     if v.kind not in ("variation", "amended_variation"):
         raise ValueError(f"expected a variation field, got a {v.kind!r} trace")
-    # slot 0 holds no mode: its factor is 0/0 where ell^2 underflows
     n = np.arange(1, v.coef.shape[-1])
-    ell_sq = np.asarray(v.ell)[..., None] ** 2
+    ell_sq, e = _ell_squared(v.ell, len(n))
     coef = np.zeros(v.coef.shape, dtype=np.result_type(v.coef, 1.0))
-    modes = v.coef[..., 1:]
-    if ell_sq.all():
-        coef[..., 1:] = 2.0 * (4.0 * np.pi**2 * n**2 + ell_sq) / ell_sq * modes
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef[..., 1:] = np.where(modes == 0, 0.0, 2.0 * (4.0 * np.pi**2 * n**2 + ell_sq) / ell_sq * modes)
+    # where ell is scaled (e < 0), ell^2 adds nothing to 4 pi^2 n^2
+    kept, e = (ell_sq, e) if e is None else (np.where(e < 0, 0.0, ell_sq), -e)
+    coef[..., 1:] = _times_4_to_the(2.0 * (4.0 * np.pi**2 * n**2 + kept) / ell_sq * v.coef[..., 1:], e)
     return TraceModes(side=v.side, kind="neumann_hyperbolic", ell=v.ell, mean=2.0 * v.mean, coef=coef)
 
 

@@ -3,7 +3,8 @@
 Each quantity has one production route in graftlab; the routes here are
 separate computations of the same numbers (periodic collocation, Parseval,
 manufactured strip profiles, the strip Green identity, the interior field
-rebuilt from its seam traces) or helpers that only the tests use.
+rebuilt from its seam traces), identities that graftlab does not print
+(the strip integral of H), or helpers that only the tests use.
 """
 from __future__ import annotations
 
@@ -73,22 +74,41 @@ def _one_mode(units: StripProfiles, which: int, xi, seam_dirichlet: complex):
     return seam_dirichlet * units(xi)[which][0]
 
 
-def two_pass_strip_values(units: StripProfiles) -> tuple[tuple, tuple]:
-    """(quadrature, ends) of the profiles by two separate evaluations: the
-    quadrature in the blocks of _BLOCK to 2 _BLOCK - 1 rows on the nodes of
+def two_pass_strip_values(units: StripProfiles) -> tuple[np.ndarray, tuple]:
+    """(energy, ends) of the profiles by two separate evaluations: the
+    energy in the blocks of _BLOCK to 2 _BLOCK - 1 rows on the nodes of
     grid alone, and the ends from one call of the profiles at xi = 0 and a."""
     xi, trig, w_cosh, w_sech = units.grid
     count = len(units.ns)
     blocks = max(1, count // hypersolve._BLOCK)
-    ib, energy = [], []
+    energy = []
     for k in range(blocks):
         rows = slice(count * k // blocks, count * (k + 1) // blocks)
         b, bp = units.values(rows, xi, trig)
         bsq, bpsq = (np.abs(b) ** 2, np.abs(bp) ** 2) if np.iscomplexobj(b) else (b * b, bp * bp)
-        ib.append(b @ w_cosh)
         energy.append((bpsq + 2.0 * bsq) @ w_cosh + units.mu[rows] ** 2 * (bsq @ w_sech))
     b, bp = units(np.array([0.0, units.a]))
-    return (np.concatenate(ib), np.concatenate(energy)), (b[:, 0], bp[:, 0], b[:, 1], bp[:, 1])
+    return np.concatenate(energy), (b[:, 0], bp[:, 0], b[:, 1], bp[:, 1])
+
+
+def strip_integral_of_h(units: StripProfiles, seams: Iterable) -> tuple[float, float]:
+    """(integral of H, outer flux ell cosh(a) dH/dxi at xi = a) over the
+    strips, each strip the profiles units scaled to one array of seam
+    Dirichlet values.  A mode n >= 1 integrates to 0 over y, so both take
+    the n = 0 rows alone: ell times the integral of b0 cosh by the
+    profiles' Gauss-Legendre grid, and ell cosh(a) b0'(a).  The n = 0 mode
+    equation (cosh b0')' = 2 cosh b0 makes the integral half the net flux
+    (b0'(a) cosh a - b0'(0)) / 2, and with the means pinned by the seam
+    balance (variation.pinned_means), minus the integral plus half the
+    outer flux is -ell (lam0 - rho0)."""
+    xi, trig, w_cosh, _ = units.grid
+    mean = np.flatnonzero(units.ns == 0)
+    b, _ = units.values(mean, xi, trig)
+    bpa = units.ends[3][mean]
+    scales = [np.asarray(values, dtype=complex)[mean] for values in seams]
+    integral = sum(units.ell * float((scale * (b @ w_cosh)).real.sum()) for scale in scales)
+    flux = sum(units.ell * np.cosh(units.a) * float((scale * bpa).real.sum()) for scale in scales)
+    return integral, flux
 
 
 @dataclass(eq=False)
@@ -132,7 +152,7 @@ def greens_residual(units: StripProfiles, seams: Iterable, forcing: Callable | N
         weights = np.where(units.ns == 0, 1.0, 2.0) * units.ell
         for scale in seams:
             lhs += float(weights @ (np.real(scale[:, None] * b * np.conj(scale[:, None] * f)) @ w_cosh))
-    _, energy, seam, outer, _ = hypersolve.strip_sums(units, seams)
+    energy, seam, outer = hypersolve.strip_sums(units, seams)
     return float(abs(lhs - (-energy + seam + outer)))
 
 

@@ -86,6 +86,9 @@ def test_verify_where_the_stencil_step_squares_to_0(argv, capsys):
     "sweep --param a --from 1e-310 --to 1 --steps 3 --ell 1",
     # ell^2 is 0 at the first row, where hyperbolic_neumann keeps zero modes 0
     "sweep --param ell --from 1e-300 --to 1 --steps 2",
+    # ell^2 is 0 and subnormal, with s = 0 keeping every mode: the variation
+    # maps scale it, so the boundary term's quadrature route stays finite
+    "sweep --param ell --from 1e-170 --to 1e-160 --steps 2 --s 0 --modes 2",
 ])
 def test_sweep_prints_finite_cells_at_subnormal_a_and_tiny_ell(argv, capsys):
     code = cli.main(argv.split())
@@ -93,6 +96,33 @@ def test_sweep_prints_finite_cells_at_subnormal_a_and_tiny_ell(argv, capsys):
     assert (code, captured.err) == (0, "")
     rows = list(csv.DictReader(io.StringIO(captured.out)))
     assert all(math.isfinite(float(v)) for row in rows for k, v in row.items() if k != "param")
+
+
+def test_verify_passes_where_the_hyperbolic_factor_passes_the_double_range(capsys):
+    # 2 (4 pi^2 + ell^2) / ell^2 is 3.2e308 at ell = 5e-154, though ell^2 is
+    # a normal double and mu = 2 pi / ell = 1.3e154 still squares to one
+    code = cli.main("verify --s 0 --ell 5e-154 --modes 1".split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert all(r["pass"] for r in json.loads(captured.out)["reports"])
+
+
+@pytest.mark.parametrize("ell", ["1e-155", "1e-160", "1e-170"])
+def test_modes_prints_the_variation_where_ell_squared_is_subnormal(ell, capsys):
+    # at s = 0, lambda_n = rho_n = ell d_n / (4 pi n), a normal double though
+    # ell^2 is not: n = 1 within a few eps of its 50-digit value
+    mp = pytest.importorskip("mpmath").mp
+    code = cli.main(["modes", "--ell", ell, "--s", "0", "--modes", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    row = list(csv.DictReader(io.StringIO(captured.out)))[1]
+    d1 = sampling.random_solution(np.random.default_rng(0), float(ell), 0.0, nmax=2).d[1]
+    eps = np.finfo(float).eps
+    with mp.workdps(50):
+        for part, value in (("re", d1.real), ("im", d1.imag)):
+            want = mp.mpf(float(ell)) * mp.mpf(value) / (4 * mp.pi)
+            for name in ("lambda", "rho"):
+                assert abs(float(row[f"{name}_{part}"]) - want) <= 4 * eps * abs(want), (name, part)
 
 
 def test_modes_exits_2_where_the_dtn_denominator_underflows(capsys):
@@ -598,15 +628,18 @@ def _canonical(out: str, drop=('"generated_at"',)) -> str:
 #: again when the slice condition and the extended master identity dropped
 #: their literal ds/dt terms and the extended master's notes dropped the
 #: linear-bound ratio and the lamination rewrite: only those two reports'
-#: terms and notes moved, and every verdict field stayed bit-identical
+#: terms and notes moved, and every verdict field stayed bit-identical.
+#: Taken again when area_derivative dropped its strip_integral_route and
+#: outer_flux_correction terms and its note kept only the slice residual:
+#: every other byte stayed
 _PINNED_VERIFY = {
-    "verify --modes 1": "83b3ffcf6b8892a9438203a43c057a06916f1b9041cc217d86e1ae95449009e8",
-    "verify --s 0 --outer-bc neumann --seed 4": "bdc936b78beb24c5efda1f4d2ae2fff8b0b8745384f4a05a5a1694ea81611cdf",
-    "verify --ell 2 --a 3 --modes 64 --seed 7": "14b38b7a25c1f617641a80e4791ee28988ef348f35f6c0b43187dec022eef9fe",
+    "verify --modes 1": "eeadd80302e246ff1c6fb92a1672cbacc4305d3692bb4c7a1db1ebe04572c405",
+    "verify --s 0 --outer-bc neumann --seed 4": "f8e859143f06c17bca52018dfb21796208cf72b5d5cf08e63f729b674efe6462",
+    "verify --ell 2 --a 3 --modes 64 --seed 7": "5ce7281b51132ebd62c705a465e3abee4f2059b814add2885b489cf52ffa2458",
     "verify --ell 8 --s 20 --a 1 --outer-bc neumann --modes 256 --seed 2":
-        "11ea0df47a304e9cf85645e49e9fcbecbc3e9b15383ae20275f3650ab402c513",
+        "6684e18aeabd884dcd4150929940e3386aa7b9f93e2418212fa87c8516e115d9",
     "verify --ell 0.5 --s 3 --a 0.3 --modes 256 --seed 11":
-        "39c033f18f9a2b8a9e2cd7cf5bc48fd650a63e6fc56a7a61285f13227ebd3c33",
+        "97b38b19845ca18684deef1fd4f5f8da48f1a5ad492db967846bb154c2047abf",
 }
 
 
@@ -620,11 +653,12 @@ def test_verify_report_is_byte_reproducible(argv, capsys):
 
 def test_verify_report_with_its_bounds_is_byte_reproducible(capsys):
     # sha256 of stdout without its generated_at line, taken when every
-    # report gained its bound, and again with the _PINNED_VERIFY hashes
+    # report gained its bound, and again each time the _PINNED_VERIFY
+    # hashes were
     code, out = run(["verify", "--modes", "1"], capsys)
     assert code == 0
     assert hashlib.sha256(_canonical(out).encode()).hexdigest() == (
-        "b082443f1a10a5f64425a2ae91d5df8a228ca6e493dba3e4fc923166f9743746"
+        "cf8ac4b6abed8ca1c3c43cc1cdc26b75877d6a3729e6631fc6c4696ad0a5f43d"
     )
 
 

@@ -10,7 +10,15 @@ from scipy.integrate import simpson
 
 from graftlab import cli, geometry, hypersolve, identities, sampling
 from graftlab.geometry import GraftedCollar
-from oracles import b_fn, bp_fn, greens_residual, manufactured_mode, two_pass_strip_values, unit_profile_reference
+from oracles import (
+    b_fn,
+    bp_fn,
+    greens_residual,
+    manufactured_mode,
+    strip_integral_of_h,
+    two_pass_strip_values,
+    unit_profile_reference,
+)
 
 ELL = 2 * np.pi
 
@@ -19,7 +27,7 @@ def test_zero_seam_data_gives_zero_solution():
     units = hypersolve.solve_modes([1], ELL, 1.0)
     xi = np.linspace(0, 1.0, 50)
     assert np.max(np.abs(b_fn(units, xi, 0.0))) < 1e-12
-    assert hypersolve.strip_sums(units, [[0.0]]) == (0.0,) * 5
+    assert hypersolve.strip_sums(units, [[0.0]]) == (0.0,) * 3
 
 
 def test_mean_mode_profile_decreasing():
@@ -33,13 +41,11 @@ def test_mean_mode_profile_decreasing():
 
 
 def test_linearity_in_seam_value():
-    # doubling the seam values doubles the plain integral and the outer
-    # flux, and quadruples the energy and the Green forms
+    # doubling the seam values quadruples the energy and the Green forms
     units = hypersolve.solve_modes([0, 2], ELL, 1.0)
     once = hypersolve.strip_sums(units, [[0.7, 0.7 - 0.2j]])
     twice = hypersolve.strip_sums(units, [[1.4, 1.4 - 0.4j]])
-    factors = (2.0, 4.0, 4.0, 4.0, 2.0)
-    assert twice == pytest.approx([f * v for f, v in zip(factors, once)], rel=1e-14, abs=1e-14)
+    assert twice == pytest.approx([4.0 * v for v in once], rel=1e-14, abs=1e-14)
 
 
 def test_ode_residual_of_solution():
@@ -193,18 +199,17 @@ def test_unit_seam_slopes_equal_seam_dtn_at_every_a():
 @pytest.mark.parametrize("a", [0.1, 1.0, 3.0, 5.0, 10.0])
 def test_unit_profiles_match_50_digit_references(a):
     # the profile c_u u + c_w w cancels toward xi = a: its terms grow like
-    # e^xi, so b(a) and b'(a) carry eps e^a of rounding and the integral of
-    # b cosh eps e^(2a); the energy stays within rounding of its value
+    # e^xi, so b(a) and b'(a) carry eps e^a of rounding; the energy stays
+    # within rounding of its value
     pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
     ns = [0, 1, 16]
     for outer in ("dirichlet", "neumann"):
         units = hypersolve.solve_modes(ns, ELL, a, outer)
-        (ib, energy), (_, _, ba, bpa) = units.quadrature, units.ends
+        energy, (_, _, ba, bpa) = units.quadrature, units.ends
         for k, n in enumerate(ns):
             ref = unit_profile_reference(n, ELL, a, outer)
             assert abs(energy[k] - ref[0]) <= 16 * eps * abs(ref[0]), (outer, n)
-            assert abs(ib[k] - ref[1]) <= 16 * eps * (abs(ref[1]) + np.exp(2 * a)), (outer, n)
             for got, want in ((ba[k], ref[2]), (bpa[k], ref[3])):
                 assert abs(got - want) <= 16 * eps * (abs(want) + np.exp(a)), (outer, n)
 
@@ -236,17 +241,37 @@ def test_dtn_matches_collocation_oracle():
 
 
 def test_interior_integral_orthogonality():
+    # distinct modes are orthogonal over y, so the energy of a sum of modes
+    # is the sum of their energies
     both = hypersolve.solve_modes([0, 1], ELL, 1.0)
-    int_h, energy, *_ = hypersolve.strip_sums(both, [[0.5, 1.0 + 1j]])
-    # only the n = 0 mode contributes to the plain integral
+    energy, *_ = hypersolve.strip_sums(both, [[0.5, 1.0 + 1j]])
+    mean, *_ = hypersolve.strip_sums(hypersolve.solve_modes([0], ELL, 1.0), [[0.5]])
+    one, *_ = hypersolve.strip_sums(hypersolve.solve_modes([1], ELL, 1.0), [[1.0 + 1j]])
+    assert 0 < mean < energy
+    assert energy == pytest.approx(mean + one, rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 3.0, 10.0])
+def test_mean_mode_integral_is_half_its_net_flux(a):
+    # integrating the n = 0 mode equation (cosh b0')' = 2 cosh b0 gives
+    # int_0^a b0 cosh = (b0'(a) cosh a - b0'(0)) / 2: the 50-digit integral
+    # against the program's end slopes, whose rounding eps e^a grows by cosh a
+    pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for outer in ("dirichlet", "neumann"):
+        units = hypersolve.solve_modes([0], ELL, a, outer)
+        _, bp0, _, bpa = units.ends
+        flux_form = (bpa[0] * np.cosh(a) - bp0[0]) / 2.0
+        ref = unit_profile_reference(0, ELL, a, outer)[1]
+        assert abs(flux_form - ref) <= 16 * eps * (abs(ref) + np.exp(2 * a)), outer
+        # the oracle's quadrature of the same integral, on the profiles' grid
+        int_h, _ = strip_integral_of_h(units, [[1.0]])
+        assert abs(int_h / ELL - ref) <= 16 * eps * (abs(ref) + np.exp(2 * a)), outer
+    # a direct quadrature of the mean profile, one strip
     mean = hypersolve.solve_modes([0], ELL, 1.0)
-    int_mean_only, *_ = hypersolve.strip_sums(mean, [[0.5]])
-    assert int_h == pytest.approx(int_mean_only)
-    assert energy > 0
-    # direct quadrature of the mean profile, one strip
     xi = np.linspace(0, 1.0, 4001)
     direct = simpson(np.real(b_fn(mean, xi, 0.5)) * np.cosh(xi), x=xi) * ELL
-    assert int_mean_only == pytest.approx(direct, rel=1e-8)
+    assert strip_integral_of_h(mean, [[0.5]])[0] == pytest.approx(direct, rel=1e-8)
 
 
 @pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
@@ -258,18 +283,18 @@ def test_unit_energy_matches_dtn_by_greens_identity(a, outer):
     ns = np.arange(257)
     for ell in (0.25, 1.0, ELL, 16.0):
         units = hypersolve.solve_modes(ns, ell, a, outer)
-        batch_ib, batch_energy = units.quadrature
+        batch_energy = units.quadrature
         dtn = np.array([hypersolve.dtn(n, ell, a, outer) for n in ns])
         assert np.all(np.abs(batch_energy + dtn) <= 1e-13 * np.abs(dtn)), (ell, a, outer)
         # the one-mode solve is the same path, one row of it
         for n in (0, 1, 17, 256):
-            ib, en = hypersolve.solve_modes([n], ell, a, outer).quadrature
-            assert abs(ib[0] - batch_ib[n]) <= 1e-15 * abs(batch_ib[n]), (ell, a, outer, n)
+            en = hypersolve.solve_modes([n], ell, a, outer).quadrature
             assert abs(en[0] - batch_energy[n]) <= 1e-15 * batch_energy[n], (ell, a, outer, n)
 
 
 def test_interior_quadrature_runs_once_per_mode(monkeypatch):
-    # the four identity passes of verify share one quadrature per mode
+    # the identity passes of verify that read the strip sums share one
+    # quadrature per mode
     grid_calls = {}
 
     def counted(n, a):
@@ -294,7 +319,7 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     resid = [greens_residual(units, seams) for units in sols]
     assert grid_calls == {0: 1, 2: 1, 5: 1}
     assert first == second
-    assert resid == [abs(-f[1] + f[2] + f[3]) for f in first]
+    assert resid == [abs(-f[0] + f[1] + f[2]) for f in first]
 
     # ... and one solve_configuration makes one batched grid pass over all
     # its modes, shared by both seams and by every identity
@@ -312,7 +337,6 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     quad = sampling.random_quad(rng, ELL, 1.0, nmax=6, amplitude=0.5)
     config = identities.solve_configuration(GraftedCollar(ell=ELL, s=1.0, a=1.3), sol, quad=quad)
     identities.master_identity(config)
-    identities.area_derivative_report(config)
     identities.extended_master_identity(config)
     ns = sol.nonzero_modes()
     greens_residual(config.units, [np.concatenate(([t.mean], t.coef[ns])) for t in config.dirichlet])
@@ -331,9 +355,9 @@ def test_one_pass_equals_the_two_pass_evaluation_bit_for_bit(ell, log_a, outer, 
     # numbers are those of the blocked quadrature and a separate call at
     # xi = 0 and a, bit for bit, with several blocks from 64 modes on
     units = hypersolve.solve_modes(np.arange(modes + 1), ell, float(np.exp(log_a)), outer)
-    (ib, energy), ends = two_pass_strip_values(units)
-    got = (*units.quadrature, *units.ends)
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in (ib, energy, *ends)]
+    energy, ends = two_pass_strip_values(units)
+    got = (units.quadrature, *units.ends)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in (energy, *ends)]
 
 
 def test_verify_evaluates_each_strip_block_once(monkeypatch, capsys):
@@ -373,7 +397,7 @@ def test_greens_identity_on_solved_modes():
 def test_outer_boundary_form_vanishes_for_homogeneous_conditions():
     for outer in ("dirichlet", "neumann"):
         units = hypersolve.solve_modes([1], ELL, 1.0, outer_bc=outer)
-        assert abs(hypersolve.strip_sums(units, [[1.0]])[3]) < 1e-12
+        assert abs(hypersolve.strip_sums(units, [[1.0]])[2]) < 1e-12
 
 
 def test_greens_identity_manufactured_solution():

@@ -10,7 +10,7 @@ from graftlab import hypersolve, identities, sampling, variation
 from graftlab.errors import DomainError, SolvabilityError
 from graftlab.geometry import GraftedCollar
 from graftlab.spectral import FourierSolution, QuadDiffModes, TraceModes
-from oracles import two_row_determinant
+from oracles import strip_integral_of_h, two_row_determinant
 
 ELL = 2.0 * np.pi
 
@@ -267,7 +267,7 @@ def test_master_identities_are_equalities_on_the_slice_only():
     on, off = _slice_config(rng, sol, chart, quad=q), _pinned_config(sol, chart, quad=q)
     for cfg in (on, off):
         rep = identities.master_identity(cfg)
-        assert rep.rhs == cfg.closed - cfg.strip_sums[2]
+        assert rep.rhs == cfg.closed - cfg.strip_sums[1]
         assert rep.abs_err == abs(rep.lhs - rep.rhs)
     for rep in (identities.master_identity(on), identities.extended_master_identity(on)):
         assert rep.passed and rep.rel_err <= 1e-15
@@ -288,8 +288,8 @@ def test_master_identities_fail_a_relative_energy_defect_of_1e_9(outer):
     checks = (identities.master_identity, identities.extended_master_identity)
     # tol 1e-12: above the rounding of the equality, below the defect
     assert all(check(cfg, tol=1e-12).passed for check in checks)
-    int_h, energy, *rest = cfg.strip_sums
-    cfg.strip_sums = (int_h, energy * (1.0 + 1e-9), *rest)
+    energy, *rest = cfg.strip_sums
+    cfg.strip_sums = (energy * (1.0 + 1e-9), *rest)
     for check in checks:
         rep = check(cfg, tol=1e-12)
         assert not rep.passed and np.isfinite(rep.abs_err)
@@ -341,17 +341,21 @@ def test_area_routes_agree_on_slice():
     assert geo == pytest.approx(ana, abs=1e-12)
 
 
-def test_area_report_pinned_means():
-    chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
+@pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
+def test_strip_integral_route_matches_the_pinned_means(outer):
+    # minus the strip integral of H plus half the outer flux (oracles) is
+    # ell dtn0 (D0_l + D0_r) / 2, which is -ell (lam0 - rho0) when the means
+    # come from the seam balance; the outer flux is 0 for a Neumann strip
+    chart = GraftedCollar(ell=ELL, s=1.0, a=1.0, outer_bc=outer)
     rng = np.random.default_rng(5)
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=4)
-    rep = identities.area_derivative_report(_pinned_config(sol, chart))
-    terms = dict(rep.terms)
-    # the strip-quadrature route reproduces -ell (lam0 - rho0) when the
-    # means come from the seam balance
     cfg = _pinned_config(sol, chart)
+    ns = cfg.units.ns[1:]
+    seams = [np.concatenate(([t.mean], t.coef[ns])) for t in cfg.dirichlet]
+    int_h, flux = strip_integral_of_h(cfg.units, seams)
+    assert (abs(flux) < 1e-12) == (outer == "neumann")
     target = -sol.ell * (cfg.v_left.mean - cfg.v_right.mean)
-    assert terms["strip_integral_route"] == pytest.approx(target, rel=1e-8)
+    assert -int_h + 0.5 * flux == pytest.approx(target, rel=1e-8)
 
 
 # --- arc length -------------------------------------------------------------
@@ -622,8 +626,8 @@ def test_master_identity_fails_a_positive_energy_whose_equality_holds():
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=8)
     cfg = _slice_config(rng, sol, chart)
     assert identities.master_identity(cfg).passed
-    int_h, energy, seam_form, *rest = cfg.strip_sums
-    cfg.strip_sums = (int_h, -energy, seam_form - 2.0 * energy, *rest)
+    energy, seam_form, outer = cfg.strip_sums
+    cfg.strip_sums = (-energy, seam_form - 2.0 * energy, outer)
     rep = identities.master_identity(cfg)
     assert dict(rep.terms)["hyperbolic_energy"] > 0.0
     assert abs(rep.lhs - rep.rhs) <= 1e-14 * sum(abs(v) for _, v in rep.terms)

@@ -81,22 +81,50 @@ def test_hyperbolic_neumann_values():
 def test_hyperbolic_neumann_scales_no_slot_0_where_ell_squared_underflows():
     # below ell = 2.2e-162 ell^2 is 0, and slot 0's factor 2 ell^2 / ell^2
     # would be 0/0: only the modes n >= 1 are scaled, so slot 0 stays empty
+    # (mode 1, 8 pi^2 / ell^2 times 0.1, is past the double range)
     v = TraceModes(side="left", kind="variation", ell=1e-170, mean=0.25, modes={1: 0.1})
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         trace = hyperbolic_neumann(v)
     assert trace.mean == 0.5 and trace.coef[0] == 0
 
 
 def test_hyperbolic_neumann_keeps_a_zero_mode_zero_where_ell_squared_underflows():
-    # the factor 2 (4 pi^2 n^2 + ell^2) / ell^2 is inf where ell^2 is 0: a
-    # zero mode stays 0 there, with no warning, and the family's other
-    # point keeps its one-point value bit for bit
+    # where ell^2 is 0 the factor 2 (4 pi^2 n^2 + ell^2) / ell^2 is taken
+    # on a scaled ell^2: a zero mode stays 0 there, with no warning, and the
+    # family's other point keeps its one-point value bit for bit
     coef = np.array([[0, 0, 0], [0, 0.1 + 0.2j, -0.3j]])
     v = TraceModes(side="left", kind="variation", ell=np.array([1e-170, 2.0]), mean=np.array([0.25, 0.5]), coef=coef)
     trace = hyperbolic_neumann(v)
     assert np.all(trace.coef[0] == 0)
     one = hyperbolic_neumann(TraceModes(side="left", kind="variation", ell=2.0, mean=0.5, coef=coef[1]))
     assert np.array_equal(trace.coef[1], one.coef)
+
+
+@pytest.mark.parametrize("ell", [5e-154, 1e-155, 1e-160, 1e-170])
+def test_variation_maps_match_50_digit_values_where_ell_squared_is_subnormal(ell):
+    # ell^2 / (8 pi^2 n^2) is below the smallest normal double (at 5e-154
+    # ell^2 itself is not), yet lambda_n, about ell d_n / (4 pi n) at s = 0,
+    # and its hyperbolic Neumann value are normal doubles: each map is
+    # within a few eps of its exact value on the same input
+    mp = pytest.importorskip("mpmath").mp
+    eps = np.finfo(float).eps
+    sol = FourierSolution(ell=ell, s=0.0, modes={1: (0.3, 0.8 - 0.1j), 2: (0.0, -0.5j)})
+    for side in ("left", "right"):
+        forcing = sol.neumann_trace_flat(side)
+        v = solve_flat_variation(forcing, 0.0)
+        h = hyperbolic_neumann(v)
+        with mp.workdps(50):
+            L = mp.mpf(ell)
+            for n in (1, 2):
+                pairs = (
+                    (v.coef[n], forcing.coef[n], L**2 / (8 * mp.pi**2 * n**2)),
+                    (h.coef[n], v.coef[n], 2 * (4 * mp.pi**2 * n**2 + L**2) / L**2),
+                )
+                for got, given, factor in pairs:
+                    for part in ("real", "imag"):
+                        want = factor * mp.mpf(getattr(given, part))
+                        assert abs(getattr(got, part) - want) <= 4 * eps * abs(want), (side, n, part)
+                        assert (getattr(got, part) == 0) == (want == 0), (side, n, part)
 
 
 def test_hyperbolic_neumann_is_spectral_second_order_form():
