@@ -10,8 +10,10 @@ Boundary orientation: the seam normal points out of the hyperbolic strips,
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +31,9 @@ CROSS_FACTOR = 4.0
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity check, with its term-by-term breakdown.  Every
-    check chooses its bound (and tol, the tolerance it was given); one rule,
-    passed, decides them all."""
+    """Outcome of one identity check, with its term-by-term breakdown.  Its
+    check's kind sets abs_err, rel_err and bound from its tol (Check.report);
+    one rule, passed, decides them all."""
 
     identity: str
     terms: tuple[tuple[str, float], ...]
@@ -65,40 +67,10 @@ class IdentityReport:
         }
 
 
-def _compare(
-    identity: str,
-    lhs: float,
-    rhs: float,
-    tol: float,
-    terms: tuple[tuple[str, float], ...] = (),
-    notes: str = "",
-    bound: float | None = None,
-) -> IdentityReport:
-    """lhs against rhs, within bound: by default tol * max(1, |lhs|, |rhs|),
-    an absolute tol below unit scale and a relative one above it."""
-    abs_err = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    rel_err = abs_err / scale if scale > 0 else 0.0
-    bound = tol * max(1.0, scale) if bound is None else bound
-    return IdentityReport(identity, terms, lhs, rhs, abs_err, rel_err, tol, bound, notes)
-
-
 def error_report(identity: str, exc: Exception) -> IdentityReport:
     """The failing report of an identity that raised exc: NaN values, the error in its notes."""
     nan = float("nan")
     return IdentityReport(identity, (), nan, nan, nan, nan, nan, nan, f"error: {type(exc).__name__}: {exc}")
-
-
-def harmonicity_report(
-    residual: float, truncation: float, rounding: float, notes: str = ""
-) -> IdentityReport:
-    """The five-point stencil check: the residual against its truncation
-    bound plus rounding allowance (spectral.harmonicity_bound), which it
-    also reports as its tol.  The exact value is 0, so the bound is absolute
-    at every scale."""
-    bound = truncation + rounding
-    terms = (("truncation_bound", truncation), ("rounding_allowance", rounding))
-    return _compare("interior_harmonicity_stencil", residual, 0.0, bound, terms, notes, bound=bound)
 
 
 def _out(x):
@@ -263,14 +235,15 @@ def slice_condition(
     sol: FourierSolution,
     v_left: TraceModes,
     v_right: TraceModes,
-    tol: float = 1e-12,
+    tol: float,
 ) -> IdentityReport:
     """lam0 - rho0 against -s d0/2 - ds/dt, where ds/dt = 0: the family
-    holds s fixed, so the right side is the height term -s d0/2 alone."""
+    holds s fixed, so the right side is the height term -s d0/2 alone.
+    Judged as its CHECKS row, within tol."""
     lhs = v_left.mean - v_right.mean
     rhs = -sol.s * sol.d0 / 2.0
     notes = "lam0 - rho0 must equal -s d0/2 - ds/dt, and ds/dt = 0 as the family holds s fixed"
-    return _compare("slice_condition", lhs, rhs, tol, terms=(("mean_gap", lhs), ("height_term", rhs)), notes=notes)
+    return CHECKS["slice_condition"].report(tol, lhs, rhs, (("mean_gap", lhs), ("height_term", rhs)), notes)
 
 
 # --- master identity --------------------------------------------------------
@@ -304,36 +277,14 @@ def _mixed_series(sol: FourierSolution, q: QuadDiffModes, total: float = 0.0) ->
     return _subtract_in_order(total, sol.series_terms(CROSS_FACTOR, im))
 
 
-#: The terms of a master identity that are nonpositive by construction
-_NONPOSITIVE = ("hyperbolic_energy", "cylinder_series", "mean_term")
-
-
-def _master_report(identity: str, terms: tuple, closed: float, green: float, tol: float, notes: str) -> IdentityReport:
-    """Verdict on a master identity, whose total (the sum of terms) equals
-    the closed boundary term minus the strip seam Green form on the slice.
-    The bound is tol (sum |terms| + |closed| + |green|).  abs_err is the
-    larger of the equality gap and that sum times the sign violation (the
-    largest _NONPOSITIVE term, relative to max(1, their sizes)), so a
-    positive energy fails even where the equality holds, and a wrong strip
-    energy of the right sign, as from a = 22 on, fails the equality."""
-    total, rhs = sum(v for _, v in terms), closed - green
-    size = sum(abs(v) for _, v in terms) + abs(closed) + abs(green)
-    signed = [v for label, v in terms if label in _NONPOSITIVE]
-    violation = max(0.0, *signed) / max(1.0, *map(abs, signed))
-    abs_err = max(abs(total - rhs), size * violation)
-    notes += f"; closed boundary term {closed:.6e} vs strip Green form {green:.6e}; sign violation {violation:.3e}"
-    rel_err = abs_err / size if size > 0 else 0.0
-    return IdentityReport(identity, terms, total, rhs, abs_err, rel_err, tol, tol * size, notes)
-
-
-def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityReport:
+def master_identity(config: SolvedConfiguration, tol: float) -> IdentityReport:
     """Nonpositive decomposition of the seam boundary term.
 
     Terms: minus the strip energy integral of |grad H|^2 + 2 H^2, minus the
     cylinder mode series, minus ell s d0^2, plus the outer-boundary Green
     term (zero for either homogeneous outer condition).  On the slice the
     total equals the closed boundary term minus the strip seam Green form
-    (_master_report): on this bounded model, the mismatch between the
+    (_decomposition, within tol): on this bounded model, the mismatch between the
     variation Neumann data and the strip Dirichlet-to-Neumann data at the
     seams, which vanishes only for the zero field.
     """
@@ -350,7 +301,7 @@ def master_identity(config: SolvedConfiguration, tol: float = 1e-9) -> IdentityR
     )
     sres = slice_residual(sol, config.v_left, config.v_right)
     notes = f"total is the seam data mismatch on this bounded model; slice residual {sres:.3e}"
-    return _master_report("master_identity", terms, config.closed, seam_form, tol, notes)
+    return CHECKS["master_identity"].report(tol, terms, config.closed, seam_form, notes)
 
 
 # --- area derivatives -------------------------------------------------------
@@ -374,16 +325,14 @@ def area_derivative_analytic(
     return -sol.ell * (v_left.mean - v_right.mean) - sol.d0 * sol.ell * sol.s
 
 
-def area_derivative_report(
-    config: SolvedConfiguration, tol: float = 1e-9
-) -> IdentityReport:
-    """Compare the geometric and analytic area-derivative routes."""
+def area_derivative_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+    """Compare the geometric and analytic area-derivative routes, within tol."""
     sol = config.sol
     geo = area_derivative_geometric(sol)
     ana = area_derivative_analytic(sol, config.v_left, config.v_right)
     sres = slice_residual(sol, config.v_left, config.v_right)
     terms = (("geometric", geo), ("analytic", ana))
-    return _compare("area_derivative", geo, ana, tol, terms=terms, notes=f"slice residual {sres:.3e}")
+    return CHECKS["area_derivative"].report(tol, geo, ana, terms, f"slice residual {sres:.3e}")
 
 
 # --- arc length -------------------------------------------------------------
@@ -427,15 +376,13 @@ def extended_boundary_term(
     return float(_mixed_series(sol, q, total))
 
 
-def extended_master_identity(
-    config: SolvedConfiguration, tol: float = 1e-9
-) -> IdentityReport:
+def extended_master_identity(config: SolvedConfiguration, tol: float) -> IdentityReport:
     """Nonpositive decomposition of the amended boundary term.
 
     Adds to the unamended terms the mixed Im-series (_mixed_series), which
     is not sign-definite, and the height-rate term -2 ell s d0 (ds/dt / s),
     which vanishes as the family holds s fixed.  The closed term of the
-    equality is extended_boundary_term's.
+    equality is extended_boundary_term's; judged as master_identity is.
     """
     sol = config.sol
     energy, seam_form, t_outer = config.strip_sums
@@ -447,7 +394,7 @@ def extended_master_identity(
         ("outer_greens", t_outer),
     )
     notes = "total is the seam data mismatch of the amended fields on this bounded model"
-    return _master_report("extended_master_identity", terms, config.extended_closed, seam_form, tol, notes)
+    return CHECKS["extended_master_identity"].report(tol, terms, config.extended_closed, seam_form, notes)
 
 
 # --- per-mode injectivity system --------------------------------------------
@@ -528,124 +475,194 @@ def n0_balance_coefficient(
 
 
 # --- the verify suite -------------------------------------------------------
+#
+# A kind turns a check's numbers, at its tol, into the fields of its report
+# that follow the identity: (terms, lhs, rhs, abs_err, rel_err, tol, bound,
+# notes).  README's bound table states each kind's bound and abs_err.
 
-def boundary_term_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+def _equality(tol: float, lhs: float, rhs: float, terms: tuple, notes: str) -> tuple:
+    """lhs against rhs, within tol * max(1, |lhs|, |rhs|): an absolute tol
+    below unit scale and a relative one above it."""
+    abs_err = abs(lhs - rhs)
+    scale = max(abs(lhs), abs(rhs))
+    rel_err = abs_err / scale if scale > 0 else 0.0
+    return terms, lhs, rhs, abs_err, rel_err, tol, tol * max(1.0, scale), notes
+
+
+#: The terms of a master identity that are nonpositive by construction
+_NONPOSITIVE = ("hyperbolic_energy", "cylinder_series", "mean_term")
+
+
+def _decomposition(tol: float, terms: tuple, closed: float, green: float, notes: str) -> tuple:
+    """A master identity, whose total (the sum of terms) equals the closed
+    boundary term minus the strip seam Green form on the slice.  The bound
+    is tol (sum |terms| + |closed| + |green|).  abs_err is the larger of the
+    equality gap and that sum times the sign violation (the largest
+    _NONPOSITIVE term, relative to max(1, their sizes)), so a positive
+    energy fails even where the equality holds, and a wrong strip energy of
+    the right sign, as at large a (README, Known limits), fails the equality."""
+    total, rhs = sum(v for _, v in terms), closed - green
+    size = sum(abs(v) for _, v in terms) + abs(closed) + abs(green)
+    signed = [v for label, v in terms if label in _NONPOSITIVE]
+    violation = max(0.0, *signed) / max(1.0, *map(abs, signed))
+    abs_err = max(abs(total - rhs), size * violation)
+    notes += f"; closed boundary term {closed:.6e} vs strip Green form {green:.6e}; sign violation {violation:.3e}"
+    rel_err = abs_err / size if size > 0 else 0.0
+    return terms, total, rhs, abs_err, rel_err, tol, tol * size, notes
+
+
+def _residual(tol: float, residual: float, terms: tuple, notes: str) -> tuple:
+    """A residual whose exact value is 0, within tol itself: the bound is
+    absolute at every scale, so no relative branch passes a residual above
+    it."""
+    terms, lhs, rhs, abs_err, rel_err, *_ = _equality(tol, residual, 0.0, terms, notes)
+    return terms, lhs, rhs, abs_err, rel_err, tol, tol, notes
+
+
+def _lower_bound(tol: float, value: float, floor: float, terms: tuple, notes: str) -> tuple:
+    """value above floor: its gap is measured from the next double above
+    floor, so a value equal to floor fails, within tol."""
+    gap = max(0.0, math.nextafter(floor, math.inf) - value)
+    return terms, value, floor, gap, gap / floor, tol, tol, notes
+
+
+class Check(NamedTuple):
+    """One check of verify, a row of README's bound table: its identity, its
+    kind (_equality, _decomposition, _residual or _lower_bound), its tol as
+    a function of verify's tol (the stencil's is None: its route judges it
+    at its own bound) and its route.  The route takes (check, that tol,
+    config, stencil field, modes) and returns the check's report; it looks
+    up what it calls when it runs, so a replaced function is the one run."""
+
+    identity: str
+    kind: Callable[..., tuple]
+    tol: Callable[[float], float | None]
+    route: Callable[..., IdentityReport]
+
+    def report(self, tol: float, *numbers) -> IdentityReport:
+        """The report of numbers, judged by the check's kind at tol."""
+        return IdentityReport(self.identity, *self.kind(tol, *numbers))
+
+
+def _boundary_term(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The closed boundary term against its seam quadrature."""
     notes = seam_grid_note(*config.dirichlet, *config.neumann)
-    return _compare("boundary_term_closed_vs_quadrature", config.closed, config.quadrature, tol, notes=notes)
+    return check.report(tol, config.closed, config.quadrature, (), notes)
 
 
-def arc_length_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+def _arc_length(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The left seam's arc-length derivative by quadrature against -d0 ell / 2."""
     sol, dirichlet = config.sol, config.dirichlet[0]
     notes = f"seam quadrature vs -d0 ell / 2; {seam_grid_note(dirichlet)}"
     value = arc_length_derivative(sol, dirichlet=dirichlet)
-    return _compare("arc_length_derivative", value, -0.5 * sol.d0 * sol.ell, tol, notes=notes)
+    return check.report(tol, value, -0.5 * sol.d0 * sol.ell, (), notes)
 
 
-def extended_boundary_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+def _extended_boundary(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The amended boundary term against its seam quadrature."""
     neumann = tuple(map(hyperbolic_neumann, config.amended))
     quad = boundary_term_quadrature(config.dirichlet, neumann)
     notes = seam_grid_note(*config.dirichlet, *neumann)
-    return _compare("extended_boundary_closed_vs_quadrature", config.extended_closed, quad, tol, notes=notes)
+    return check.report(tol, config.extended_closed, quad, (), notes)
 
 
-def extended_reduction_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+def _extended_reduction(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The amended boundary term at the zero quadratic differential against the unamended one."""
     sol = config.sol
     q0 = QuadDiffModes(ell=sol.ell, s=sol.s)
     zero_q = extended_boundary_term(sol, q0, amend_variation(config.v_left, q0), amend_variation(config.v_right, q0))
-    return _compare("extended_reduction_at_zero_quad", zero_q, config.closed, tol)
+    return check.report(tol, zero_q, config.closed, (), "")
 
 
-def modulus_report(chart: GraftedCollar, tol: float) -> IdentityReport:
+def _modulus(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The conformal modulus against its quadrature."""
-    closed, quad = conformal_modulus(chart), conformal_modulus_quadrature(chart)
-    return _compare("conformal_modulus_closed_vs_quadrature", closed, quad, tol)
+    closed, quad = conformal_modulus(config.chart), conformal_modulus_quadrature(config.chart)
+    return check.report(tol, closed, quad, (), "")
 
 
-def area_report(chart: GraftedCollar, tol: float) -> IdentityReport:
+def _area(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The total area against its quadrature."""
-    return _compare("total_area_closed_vs_quadrature", total_area(chart), total_area_quadrature(chart), tol)
+    return check.report(tol, total_area(config.chart), total_area_quadrature(config.chart), (), "")
 
 
-def stencil_report(fld: FourierSolution) -> IdentityReport:
-    """harmonicity_report of the five-point stencil on fld at h = ell/256;
-    not applicable, and passing on zeros, where the insert is thinner than
-    2h, since the stencil's x +/- h steps would leave it, and where h * h
-    underflows to 0 (ell below about 4e-160), since the stencil and its
-    rounding allowance divide by h^2.  The notes name h and the reason."""
-    h = fld.ell / 256
-    if fld.s / 2 < h:
-        reason = f"s/2 = {fld.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
+def _stencil(check: Check, tol: None, config: SolvedConfiguration, field: FourierSolution, modes) -> IdentityReport:
+    """The five-point stencil on the stencil field at h = ell/256, within its
+    own bound, the truncation bound plus rounding allowance
+    (spectral.harmonicity_bound), which is also its tol.  Not applicable,
+    and passing on zeros, where the insert is thinner than 2h, since the
+    stencil's x +/- h steps would leave it, and where h * h underflows to 0
+    (ell below about 4e-160), since the stencil and its rounding allowance
+    divide by h^2.  The notes name h and the reason."""
+    h = field.ell / 256
+    residual = truncation = rounding = 0.0
+    if field.s / 2 < h:
+        notes = f"not applicable: s/2 = {field.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
     elif h * h == 0.0:
-        reason = f"the stencil step h = ell/256 = {h!r} squares to 0 in double precision"
+        notes = f"not applicable: the stencil step h = ell/256 = {h!r} squares to 0 in double precision"
     else:
-        residual = harmonicity_residual(fld)
-        truncation, rounding = harmonicity_bound(fld)
+        residual = harmonicity_residual(field)
+        truncation, rounding = harmonicity_bound(field)
         notes = (
             f"five-point Laplacian on the series partial sum, h = ell/256 = {h!r}:"
             f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
             f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
         )
-        return harmonicity_report(residual, truncation, rounding, notes=notes)
-    return harmonicity_report(0.0, 0.0, 0.0, notes=f"not applicable: {reason}")
+    terms = (("truncation_bound", truncation), ("rounding_allowance", rounding))
+    return check.report(truncation + rounding, residual, terms, notes)
 
 
-def strip_greens_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
+def _strip_greens(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The Green identity on the strips, -energy + seam + outer forms = 0,
-    relative to max(1, energy), within tol.  It reads the strip sums only,
-    so it does not depend on the master report."""
+    relative to max(1, energy).  It reads the strip sums only, so it does
+    not depend on the master report."""
     energy, seam, outer = config.strip_sums
     notes = "energy vs boundary forms on the solved strip modes"
     residual = abs(-energy + seam + outer) / max(1.0, energy)
-    return _compare("strip_greens_identity", residual, 0.0, tol, notes=notes, bound=tol)
+    return check.report(tol, residual, (), notes)
 
 
-#: the smallest floor that passes: the first double above 1e-6
-_ABOVE_FLOOR = math.nextafter(1e-6, 1.0)
-
-
-def determinant_floor_report(chart: GraftedCollar, nmax: int) -> IdentityReport:
-    """determinant_floor over the modes 1..nmax, which passes above 1e-6:
-    its gap is measured from the next double up, against a bound of 0."""
-    floor = determinant_floor(nmax, chart.ell, chart.s, chart.a, chart.outer_bc)
-    gap, terms = max(0.0, _ABOVE_FLOOR - floor), (("min_abs_normalized_det", floor),)
+def _determinant_floor(check: Check, tol: float, config: SolvedConfiguration, field, modes: int) -> IdentityReport:
+    """determinant_floor over the modes 1..modes, which passes above 1e-6."""
+    chart = config.chart
+    floor = determinant_floor(modes, chart.ell, chart.s, chart.a, chart.outer_bc)
     notes = "row-normalized determinant of the per-mode seam system"
-    return IdentityReport("per_mode_determinant_floor", terms, floor, 1e-6, gap, gap / 1e-6, 0.0, 0.0, notes)
+    return check.report(tol, floor, 1e-6, (("min_abs_normalized_det", floor),), notes)
+
+
+#: verify's checks by identity, in report order.  A public report function
+#: judges by its own row, and its row's route calls it by name, so a
+#: replaced one is the one run.
+CHECKS = {check.identity: check for check in (
+    Check("boundary_term_closed_vs_quadrature", _equality, lambda tol: tol, _boundary_term),
+    Check("slice_condition", _equality, lambda tol: max(tol, 1e-12),
+          lambda check, tol, config, field, modes: slice_condition(config.sol, config.v_left, config.v_right, tol)),
+    Check("master_identity", _decomposition, lambda tol: 1e3 * tol,
+          lambda check, tol, config, field, modes: master_identity(config, tol)),
+    Check("area_derivative", _equality, lambda tol: tol,
+          lambda check, tol, config, field, modes: area_derivative_report(config, tol)),
+    Check("arc_length_derivative", _equality, lambda tol: tol, _arc_length),
+    Check("extended_boundary_closed_vs_quadrature", _equality, lambda tol: tol, _extended_boundary),
+    Check("extended_reduction_at_zero_quad", _equality, lambda tol: tol, _extended_reduction),
+    Check("extended_master_identity", _decomposition, lambda tol: 1e3 * tol,
+          lambda check, tol, config, field, modes: extended_master_identity(config, tol)),
+    Check("conformal_modulus_closed_vs_quadrature", _equality, lambda tol: tol, _modulus),
+    Check("total_area_closed_vs_quadrature", _equality, lambda tol: tol, _area),
+    Check("interior_harmonicity_stencil", _residual, lambda tol: None, _stencil),
+    Check("strip_greens_identity", _residual, lambda tol: 1e3 * tol, _strip_greens),
+    Check("per_mode_determinant_floor", _lower_bound, lambda tol: 0.0, _determinant_floor),
+)}
 
 
 def suite(config: SolvedConfiguration, stencil_field: FourierSolution, modes: int, tol: float) -> list[IdentityReport]:
-    """The verify report: every identity of the configuration, in a fixed
-    order, with the stencil check of stencil_field and the determinant floor
-    over modes 1..modes.  The algebraic and quadrature checks take tol, the
-    slice condition max(tol, 1e-12), the checks on the strip sums 1e3 tol,
-    the stencil its own bound and the determinant floor 0.  A GraftLabError
-    raised by one check becomes its failing report (error_report), and the
-    others still run."""
-    tol_bvp = tol * 1e3
-    sol, chart = config.sol, config.chart
-    # each check is looked up when it runs, so a replaced one is the one run
-    checks = (
-        ("boundary_term_closed_vs_quadrature", lambda: boundary_term_report(config, tol)),
-        ("slice_condition", lambda: slice_condition(sol, config.v_left, config.v_right, tol=max(tol, 1e-12))),
-        ("master_identity", lambda: master_identity(config, tol=tol_bvp)),
-        ("area_derivative", lambda: area_derivative_report(config, tol=tol)),
-        ("arc_length_derivative", lambda: arc_length_report(config, tol)),
-        ("extended_boundary_closed_vs_quadrature", lambda: extended_boundary_report(config, tol)),
-        ("extended_reduction_at_zero_quad", lambda: extended_reduction_report(config, tol)),
-        ("extended_master_identity", lambda: extended_master_identity(config, tol=tol_bvp)),
-        ("conformal_modulus_closed_vs_quadrature", lambda: modulus_report(chart, tol)),
-        ("total_area_closed_vs_quadrature", lambda: area_report(chart, tol)),
-        ("interior_harmonicity_stencil", lambda: stencil_report(stencil_field)),
-        ("strip_greens_identity", lambda: strip_greens_report(config, tol_bvp)),
-        ("per_mode_determinant_floor", lambda: determinant_floor_report(chart, modes)),
-    )
+    """The verify report: the report of every row of CHECKS, in order, at
+    its tol rule applied to tol, with the stencil check of stencil_field and
+    the determinant floor over modes 1..modes.  A GraftLabError raised by
+    one check becomes its failing report (error_report), and the others
+    still run."""
     reports = []
-    for name, check in checks:
+    for check in CHECKS.values():
         try:
-            reports.append(check())
+            reports.append(check.route(check, check.tol(tol), config, stencil_field, modes))
         except GraftLabError as exc:
-            reports.append(error_report(name, exc))
+            reports.append(error_report(check.identity, exc))
     return reports

@@ -357,6 +357,3 @@ class QuadDiffModes(FourierSolution):
         ikn = 2j * np.pi / self.ell * np.arange(len(self.u))
         out = _series(x, y, self.ell, ikn * self.u, ikn * self.v)
         return float(out) if out.ndim == 0 else out
-
-    def scaled(self, eps: float) -> "QuadDiffModes":
-        return QuadDiffModes(self.ell, self.s, eps * self.u0, eps * self.v0, u=eps * self.u, v=eps * self.v)

@@ -217,12 +217,12 @@ def geodesic_oracle(
         xm = 0.5 * (X + Xr)
         value, dx = field(np.concatenate((X, xm)), points_y)
         xp = (Xr - X) / h
-        speed_m = np.sqrt(xp**2 + chart.G(xm) ** 2)
+        speed_m = np.hypot(xp, chart.G(xm))
         P = xp / (speed_m * np.sqrt(1.0 + t * value[m:]))
         dP = (P - np.roll(P, 1)) / h
         xc = (Xr - np.roll(X, 1)) / (2 * h)
         G = chart.G(X)
-        speed = np.sqrt(xc**2 + G**2)
+        speed = np.hypot(xc, G)
         H = 1.0 + t * value[:m]
         Hx = t * dx[:m]
         Q = G * chart.Gp(X) / (speed * np.sqrt(H)) - 0.5 * speed * Hx * H ** (-1.5)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from graftlab import geometry, hypersolve, identities, sampling, variation
 from graftlab.errors import SolvabilityError
 from graftlab.geometry import GraftedCollar
-from graftlab.spectral import MEAN_TOL, FourierSolution, TraceModes
+from graftlab.spectral import MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes
 from oracles import collocation_variation_modes
 
 
@@ -152,12 +152,13 @@ def test_06_vanishing_mechanism():
                 )
     chart = GraftedCollar(ell=2 * np.pi, s=1.0, a=1.0)
     zero = identities.master_identity(
-        identities.solve_configuration(chart, FourierSolution(ell=2 * np.pi, s=1.0))
+        identities.solve_configuration(chart, FourierSolution(ell=2 * np.pi, s=1.0)), 1e-9
     )
     nonzero = identities.master_identity(
         identities.solve_configuration(
             chart, FourierSolution(ell=2 * np.pi, s=1.0, modes={1: (0.3, 0.0)})
-        )
+        ),
+        1e-9,
     )
     ok = det_min > 1e-6 and bal_max < 0 and abs(zero.lhs) < 1e-12 and nonzero.lhs < -1e-6
     _line(6, "vanishing_mechanism", ok, f"min |det| {det_min:.3f}, max balance {bal_max:.3f}")
@@ -179,7 +180,7 @@ def test_07_master_identity_nonpositivity():
         cfg = identities.solve_configuration(
             chart, sol, mean_left=lam0, mean_right=rho0
         )
-        rep = identities.master_identity(cfg)
+        rep = identities.master_identity(cfg, 1e-9)
         assert rep.passed
         worst = max(worst, *(v for label, v in rep.terms if label != "outer_greens"))
     ok = worst <= 1e-12
@@ -195,15 +196,16 @@ def test_08_extended_reduction_and_scaling():
     q = sampling.random_quad(rng, ell, s, nmax=4)
 
     cfg0 = identities.solve_configuration(chart, sol)
-    base = identities.master_identity(cfg0)
-    ext0 = identities.extended_master_identity(cfg0)
+    base = identities.master_identity(cfg0, 1e-9)
+    ext0 = identities.extended_master_identity(cfg0, 1e-9)
     exact = ext0.lhs == base.lhs and dict(ext0.terms)["mixed_series"] == 0.0
 
     eps = np.array([1e-2, 1e-3, 1e-4])
     mixed = []
-    for e in eps:
-        cfg = identities.solve_configuration(chart, sol, quad=q.scaled(float(e)))
-        mixed.append(abs(dict(identities.extended_master_identity(cfg).terms)["mixed_series"]))
+    for e in eps.tolist():
+        scaled = QuadDiffModes(q.ell, q.s, e * q.u0, e * q.v0, u=e * q.u, v=e * q.v)
+        cfg = identities.solve_configuration(chart, sol, quad=scaled)
+        mixed.append(abs(dict(identities.extended_master_identity(cfg, 1e-9).terms)["mixed_series"]))
     slope = np.polyfit(np.log(eps), np.log(mixed), 1)[0]
     ok = exact and abs(slope - 1.0) < 0.05
     _line(8, "extended_reduction_scaling", ok, f"q=0 exact {exact}, fitted exponent {slope:.4f}")

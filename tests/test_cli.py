@@ -673,6 +673,18 @@ def test_geodesic_report_is_byte_reproducible(capsys):
     )
 
 
+def test_geodesic_at_a_tiny_ell_prints_finite_errors_with_no_warning(capsys):
+    # at ell 1e-170 the squares of the seam speeds overflowed, with numpy
+    # warnings; np.hypot forms the speeds.  The half step's error is at the
+    # rounding level there, so the first-order test fails and the line exits 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run("geodesic --ell 1e-170 --modes 1".split(), capsys)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert math.isfinite(report["max_rel_err"]) and math.isfinite(report["max_rel_err_half_step"])
+
+
 def test_geodesic_newton_failure_exits_1_with_its_message(capsys):
     # the quickest exit-1 line among the first 16 seed-1 geodesic benchmark
     # ops, with its stderr as it was before the same change

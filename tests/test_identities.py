@@ -140,9 +140,9 @@ def test_slice_residual_examples():
 
 def test_slice_condition_report():
     sol = FourierSolution(ell=ELL, s=2.0, d0=0.3)
-    rep = identities.slice_condition(sol, _vf("left", -0.3), _vf("right", 0.0))
+    rep = identities.slice_condition(sol, _vf("left", -0.3), _vf("right", 0.0), 1e-12)
     assert rep.passed
-    bad = identities.slice_condition(sol, _vf("left", 0.5), _vf("right", 0.0))
+    bad = identities.slice_condition(sol, _vf("left", 0.5), _vf("right", 0.0), 1e-12)
     assert not bad.passed
 
 
@@ -187,7 +187,7 @@ def test_free_means_solve_no_strip_mode_at_large_a(chart, monkeypatch):
 def test_master_identity_zero_field():
     chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
     sol = FourierSolution(ell=ELL, s=1.0)
-    rep = identities.master_identity(_pinned_config(sol, chart))
+    rep = identities.master_identity(_pinned_config(sol, chart), 1e-9)
     assert rep.passed
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert all(abs(v) < 1e-12 for _, v in rep.terms)
@@ -196,7 +196,7 @@ def test_master_identity_zero_field():
 def test_master_identity_single_mode():
     chart = GraftedCollar(ell=ELL, s=2.0, a=1.0)
     sol = FourierSolution(ell=ELL, s=2.0, modes={1: (0.3, 0.0)})
-    rep = identities.master_identity(_pinned_config(sol, chart))
+    rep = identities.master_identity(_pinned_config(sol, chart), 1e-9)
     assert rep.passed
     terms = dict(rep.terms)
     assert terms["hyperbolic_energy"] < 0
@@ -213,10 +213,14 @@ def test_master_identities_fail_non_finite_terms():
     sol = FourierSolution(ell=ELL, s=1.0, modes={1: (0.3, 0.0), 1500: (1e-300, 0.0)})
     with np.errstate(over="ignore", invalid="ignore"):
         config = _pinned_config(sol, chart)
-        reports = [identities.master_identity(config), identities.extended_master_identity(config)]
+        reports = [identities.master_identity(config, 1e-9), identities.extended_master_identity(config, 1e-9)]
     for rep in reports:
         assert np.isnan(dict(rep.terms)["cylinder_series"])
         assert not rep.passed
+
+
+#: a check of the equality kind, to judge numbers with
+_EQUALITY = identities.CHECKS["boundary_term_closed_vs_quadrature"]
 
 
 def test_zero_mode_past_cosh_overflow_is_zero():
@@ -234,14 +238,14 @@ def test_zero_mode_past_cosh_overflow_is_zero():
         dirichlet, (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
     )
     assert np.isfinite(closed) and closed != 0.0
-    assert identities._compare("boundary_term_closed_vs_quadrature", closed, quad, 1e-10).passed
+    assert _EQUALITY.report(1e-10, closed, quad, (), "").passed
 
 
 def test_compare_fails_non_finite_operands():
     for lhs, rhs in ((np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan), (np.inf, 1.0)):
-        assert not identities._compare("x", lhs, rhs, 1e-9).passed
-    assert not identities._compare("x", 1.0, 1.0, 1e-9, terms=(("t", np.nan),)).passed
-    assert identities._compare("x", 1.0, 1.0, 1e-9, terms=(("t", 1.0),)).passed
+        assert not _EQUALITY.report(1e-9, lhs, rhs, (), "").passed
+    assert not _EQUALITY.report(1e-9, 1.0, 1.0, (("t", np.nan),), "").passed
+    assert _EQUALITY.report(1e-9, 1.0, 1.0, (("t", 1.0),), "").passed
 
 
 def test_master_identity_random_nonpositive():
@@ -249,7 +253,7 @@ def test_master_identity_random_nonpositive():
     for s in (0.5, 2.0):
         chart = GraftedCollar(ell=ELL, s=s, a=1.0)
         sol = sampling.random_solution(rng, ELL, s, nmax=4)
-        rep = identities.master_identity(_slice_config(rng, sol, chart))
+        rep = identities.master_identity(_slice_config(rng, sol, chart), 1e-9)
         assert rep.passed
         for label, v in rep.terms:
             if label != "outer_greens":
@@ -266,14 +270,14 @@ def test_master_identities_are_equalities_on_the_slice_only():
     q = sampling.random_quad(rng, ELL, 1.5, nmax=6)
     on, off = _slice_config(rng, sol, chart, quad=q), _pinned_config(sol, chart, quad=q)
     for cfg in (on, off):
-        rep = identities.master_identity(cfg)
+        rep = identities.master_identity(cfg, 1e-9)
         assert rep.rhs == cfg.closed - cfg.strip_sums[1]
         assert rep.abs_err == abs(rep.lhs - rep.rhs)
-    for rep in (identities.master_identity(on), identities.extended_master_identity(on)):
+    for rep in (identities.master_identity(on, 1e-9), identities.extended_master_identity(on, 1e-9)):
         assert rep.passed and rep.rel_err <= 1e-15
     sres = identities.slice_residual(sol, off.v_left, off.v_right)
     assert abs(2.0 * ELL * sol.d0 * sres) > 0.5
-    for rep in (identities.master_identity(off), identities.extended_master_identity(off)):
+    for rep in (identities.master_identity(off, 1e-9), identities.extended_master_identity(off, 1e-9)):
         assert not rep.passed
         assert rep.lhs - rep.rhs == pytest.approx(-2.0 * ELL * sol.d0 * sres, rel=1e-12)
 
@@ -470,8 +474,8 @@ def test_extended_master_reduces_to_master():
     rng = np.random.default_rng(19)
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=4)
     cfg = _slice_config(rng, sol, chart)
-    base = identities.master_identity(cfg)
-    ext = identities.extended_master_identity(cfg)
+    base = identities.master_identity(cfg, 1e-9)
+    ext = identities.extended_master_identity(cfg, 1e-9)
     assert ext.passed
     base_terms = dict(base.terms)
     ext_terms = dict(ext.terms)
@@ -488,7 +492,7 @@ def test_extended_master_with_quad_data():
     sol = sampling.random_solution(rng, ELL, 1.5, nmax=4)
     q = sampling.random_quad(rng, ELL, 1.5, nmax=4)
     cfg = _slice_config(rng, sol, chart, quad=q)
-    rep = identities.extended_master_identity(cfg)
+    rep = identities.extended_master_identity(cfg, 1e-9)
     assert rep.passed
     assert dict(rep.terms)["mixed_series"] != 0.0
 
@@ -581,7 +585,7 @@ def test_n0_balance_strictly_negative():
 
 def test_report_serializes_to_json():
     sol = FourierSolution(ell=ELL, s=2.0, d0=0.3)
-    rep = identities.slice_condition(sol, _vf("left", -0.3), _vf("right", 0.0))
+    rep = identities.slice_condition(sol, _vf("left", -0.3), _vf("right", 0.0), 1e-12)
     text = json.dumps(rep.to_dict())
     data = json.loads(text)
     assert data["pass"] is True
@@ -589,13 +593,15 @@ def test_report_serializes_to_json():
 
 
 def test_harmonicity_report_has_no_relative_branch():
-    within = identities.harmonicity_report(0.7e-9, 1e-9, 1e-12)
+    # the stencil's kind, the residual, judged within its tol at every scale
+    stencil = identities.CHECKS["interior_harmonicity_stencil"]
+    within = stencil.report(1e-9 + 1e-12, 0.7e-9, (), "")
     assert within.passed and within.tol == within.bound == 1e-9 + 1e-12
     # a residual above its bound fails even when the bound exceeds 1, where
     # a relative-error test (rel_err = 1 <= tol) would pass it
-    assert not identities.harmonicity_report(3.0, 2.0, 0.0).passed
-    assert not identities.harmonicity_report(float("nan"), 1.0, 0.0).passed
-    assert identities.harmonicity_report(0.0, 0.0, 0.0).passed
+    assert not stencil.report(2.0, 3.0, (), "").passed
+    assert not stencil.report(1.0, float("nan"), (), "").passed
+    assert stencil.report(0.0, 0.0, (), "").passed
 
 
 # --- the verdict rule -------------------------------------------------------
@@ -606,16 +612,17 @@ def test_compare_passes_an_error_equal_to_its_bound():
     tol = 0.25
     for lhs, rhs in ((0.25, 0.5), (3.0, 4.0)):
         assert abs(lhs - rhs) == tol * max(1.0, abs(lhs), abs(rhs))
-        assert identities._compare("x", lhs, rhs, tol).passed
-        assert not identities._compare("x", lhs, rhs, np.nextafter(tol, 0.0)).passed
+        assert _EQUALITY.report(tol, lhs, rhs, (), "").passed
+        assert not _EQUALITY.report(np.nextafter(tol, 0.0), lhs, rhs, (), "").passed
 
 
 def test_determinant_floor_of_exactly_1e_6_fails(monkeypatch):
-    chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
+    config = identities.solve_configuration(GraftedCollar(ell=ELL, s=1.0, a=1.0), FourierSolution(ell=ELL, s=1.0))
+    floor = identities.CHECKS["per_mode_determinant_floor"]
     monkeypatch.setattr(identities, "determinant_floor", lambda *args: 1e-6)
-    assert not identities.determinant_floor_report(chart, 4).passed
+    assert not floor.route(floor, 0.0, config, None, 4).passed
     monkeypatch.setattr(identities, "determinant_floor", lambda *args: np.nextafter(1e-6, 1.0))
-    assert identities.determinant_floor_report(chart, 4).passed
+    assert floor.route(floor, 0.0, config, None, 4).passed
 
 
 def test_master_identity_fails_a_positive_energy_whose_equality_holds():
@@ -625,10 +632,10 @@ def test_master_identity_fails_a_positive_energy_whose_equality_holds():
     rng = np.random.default_rng(31)
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=8)
     cfg = _slice_config(rng, sol, chart)
-    assert identities.master_identity(cfg).passed
+    assert identities.master_identity(cfg, 1e-9).passed
     energy, seam_form, outer = cfg.strip_sums
     cfg.strip_sums = (-energy, seam_form - 2.0 * energy, outer)
-    rep = identities.master_identity(cfg)
+    rep = identities.master_identity(cfg, 1e-9)
     assert dict(rep.terms)["hyperbolic_energy"] > 0.0
     assert abs(rep.lhs - rep.rhs) <= 1e-14 * sum(abs(v) for _, v in rep.terms)
     assert not rep.passed

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import graftlab
-from graftlab import cli
+from graftlab import cli, identities
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -99,14 +100,35 @@ def test_every_synopsis_line_parses():
         cli.make_parser().parse_args(argv[1:])
 
 
-#: each bound-column formula, as a function of one report's fields; the
-#: master identities' bound reads sums that the report does not print
-_BOUNDS = {
-    r"tol · max(1, \|lhs\|, \|rhs\|)": lambda r: r["tol"] * max(1.0, abs(r["lhs"]), abs(r["rhs"])),
-    "truncation bound + rounding allowance": lambda r: sum(term["value"] for term in r["terms"]),
-    "tol": lambda r: r["tol"],
-    "0": lambda r: 0.0,
+#: each kind's bound and abs_err columns, then each as a function of one
+#: report's fields; the decomposition's read sums that the report does not print
+_KINDS = {
+    "equality": (
+        r"tol · max(1, \|lhs\|, \|rhs\|)", r"\|lhs − rhs\|",
+        lambda r: r["tol"] * max(1.0, abs(r["lhs"]), abs(r["rhs"])), lambda r: abs(r["lhs"] - r["rhs"]),
+    ),
+    "decomposition": (
+        r"tol · (Σ\|terms\| + \|closed\| + \|Green form\|)", r"max(\|lhs − rhs\|, that sum × sign violation)",
+        None, None,
+    ),
+    "residual": ("tol", r"\|lhs\|", lambda r: r["tol"], lambda r: abs(r["lhs"])),
+    "lower bound": (
+        "tol", "max(0, next double above rhs − lhs)",
+        lambda r: r["tol"], lambda r: max(0.0, math.nextafter(r["rhs"], math.inf) - r["lhs"]),
+    ),
 }
+#: the tol column of the check judged at its own bound, the sum of its terms
+_OWN_TOL = "truncation bound + rounding allowance"
+
+
+def test_bound_table_is_the_check_table():
+    rows = _table("Bounds of the verify checks")
+    checks = list(identities.CHECKS.values())
+    assert [_ticked(row[0]) for row in rows] == [[check.identity] for check in checks]
+    for row, check in zip(rows, checks):
+        kind = check.kind.__name__.strip("_").replace("_", " ")
+        assert row[1] == kind and tuple(row[3:]) == _KINDS[kind][:2], row
+        assert (row[2] == _OWN_TOL) == (check.tol(1.0) is None), row
 
 
 @pytest.mark.parametrize("run, tol", [("verify", 1e-10), ("verify_tight", 1e-14)])
@@ -115,10 +137,14 @@ def test_bound_table_is_the_suite(outputs, run, tol):
     reports = json.loads(outputs[run])["reports"]
     assert [_ticked(row[0]) for row in rows] == [[r["identity"]] for r in reports]
     for row, report in zip(rows, reports):
-        names = {"__builtins__": {}, "max": max, "tol": tol, "bound": report["bound"]}
-        assert report["tol"] == eval(_ticked(row[1])[0].replace("·", "*"), names), row
-        if row[2] in _BOUNDS:
-            assert report["bound"] == _BOUNDS[row[2]](report), row
+        if row[2] == _OWN_TOL:
+            assert report["tol"] == sum(term["value"] for term in report["terms"]), row
+        else:
+            names = {"__builtins__": {}, "max": max, "tol": tol}
+            assert report["tol"] == eval(_ticked(row[2])[0].replace("·", "*"), names), row
+        bound, abs_err = _KINDS[row[1]][2:]
+        if bound is not None:
+            assert (report["bound"], report["abs_err"]) == (bound(report), abs_err(report)), row
 
 
 def test_output_schema_is_what_the_commands_print(outputs):

@@ -330,13 +330,12 @@ def test_quad_modes_from_mapping_equal_those_from_arrays():
     single = QuadDiffModes(ell=ELL, s=S, modes={1: modes[1]})
     assert np.allclose(single.im_phi_dy(x, y), expected_dy, rtol=0, atol=1e-14)
     assert single.seam_values("left")[1] == un * np.cosh(1.0) - vn * np.sinh(1.0)
-    assert single.scaled(2.0).modes == {1: (2 * un, 2 * vn)}
 
 
 def test_quad_modes_are_a_fourier_solution_of_their_own_type():
     q = QuadDiffModes(ell=ELL, s=S, u0=0.2, v0=0.3, modes={1: (0.4 - 0.2j, 0.1 + 0.5j), 3: (0.0, -0.3j)})
     assert q.u is q.c and q.v is q.d and (q.u0, q.v0) == (q.c0, q.d0) == (0.2, 0.3)
-    assert isinstance(q, FourierSolution) and type(q.scaled(2.0)) is QuadDiffModes
+    assert isinstance(q, FourierSolution)
     with pytest.raises(AttributeError):
         q.u = np.zeros(4)
     for side in ("left", "right"):
