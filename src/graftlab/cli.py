@@ -178,9 +178,9 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     rng = np.random.default_rng(cfg.seed)
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=cfg.modes)
     q = sampling.random_quad(rng, cfg.ell, cfg.s, nmax=cfg.modes, amplitude=0.5)
-    lam0, rho0 = sampling.slice_compatible_means(rng, cfg.s, sol.d0)
+    means = sampling.slice_compatible_means(rng, cfg.s, sol.d0)
     small = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=3, amplitude=1e-4)
-    config = identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, quad=q)
+    config = identities.solve_configuration(chart, sol, means, quad=q)
     # the strip sums are computed here, once, for every check that reads them
     with np.errstate(over="ignore", invalid="ignore"):
         energy, seam_form, outer = config.strip_sums
@@ -278,15 +278,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # every point draws from the same seed, so one draw serves them all
     rng = np.random.default_rng(cfg.seed)
     sol = sampling.random_solution(rng, ell, s, nmax=nmax)
-    lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
+    means = sampling.slice_compatible_means(rng, s, sol.d0)
     chart = geometry.GraftedCollar(ell=ell, s=s, a=a, outer_bc=cfg.outer_bc)
-    config = identities.solve_configuration(chart, sol, lam0, rho0)
+    config = identities.solve_configuration(chart, sol, means)
     denom = np.maximum(np.maximum(np.abs(config.closed), np.abs(config.quadrature)), 1e-300)
     columns = ([cfg.param] * cfg.steps, values, ell, s, a, geometry.conformal_modulus(chart))
     columns += (
         identities.determinant_floor(nmax, ell, s, a, cfg.outer_bc),
         np.abs(config.closed - config.quadrature) / denom,
-        identities.slice_residual(sol, config.v_left, config.v_right),
+        identities.slice_residual(sol, config.variation),
     )
     _emit_csv(_SWEEP_FIELDS, columns, cfg.out, chart, cfg.param)
     return 0
@@ -308,7 +308,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     field = variation.matched_global_field(config)
     # each variation on the oracle's y grid: its initial rate and its target
     y = np.arange(256) * (cfg.ell / 256)
-    targets = [("left", config.v_left.reconstruct(y)), ("right", config.v_right.reconstruct(y))]
+    targets = [(side, config.seam(side)[1].reconstruct(y)) for side in ("left", "right")]
 
     def max_rel_err(t: float) -> float:
         errs = []
@@ -351,10 +351,12 @@ def cmd_chart(cfg: RunConfig) -> int:
 def cmd_modes(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=cfg.modes)
-    config = identities.solve_configuration(cfg.chart(), sol, 0.0, 0.0)
+    # each seam's traces, with the variation means 0
+    config = identities.solve_configuration(cfg.chart(), sol, (0.0, 0.0))
+    (d_left, v_left), (d_right, v_right) = map(config.seam, ("left", "right"))
     n = np.arange(cfg.modes + 1)
     columns = [n, hypersolve.seam_dtn(n, cfg.ell, cfg.a, cfg.outer_bc)]
-    for data in (*config.dirichlet, config.v_left, config.v_right):
+    for data in (d_left, d_right, v_left, v_right):
         # row 0 holds the mean; a mode the sampler dropped (its cosh would
         # overflow) has no coefficient and prints as 0.0
         c = np.zeros(len(n), dtype=complex)

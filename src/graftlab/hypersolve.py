@@ -207,10 +207,11 @@ class StripProfiles:
         Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi), by the
         Gauss-Legendre rule of grid that every profile of the strip shares;
         no scipy.integrate.  For n >= 1 the unit profile c_u u + c_w w
-        cancels from about a = 22, and the energy loses accuracy there: on
-        the default verify chart the strip Green check fails from a = 22 and
-        the master identities from a = 23.  Only reading the strip sums runs this pass, so geodesic,
-        which reads none, is not affected.
+        cancels at large a, and the energy loses accuracy there: the strip
+        Green check fails from a strip width that falls as ell grows
+        (README, Known limits, gives the onset per ell).  Only reading the
+        strip sums runs this pass, so geodesic, which reads none, is not
+        affected.
         """
         xi, trig, w_cosh, w_sech = self.grid
         xi_ends = np.array([0.0, self.a])

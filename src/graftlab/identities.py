@@ -6,6 +6,11 @@ derivative, their quadratic-differential extensions, and the suite of verify.
 
 Boundary orientation: the seam normal points out of the hyperbolic strips,
 +d/dx at the left seam x = -s/2 and -d/dx at the right seam x = +s/2.
+Every seam pair is held as its even and odd parts, (right + left)/2 and
+(right - left)/2 (spectral.seam_part), and no seam quantity is a difference
+of the two seams: in parts the seam integral of D N, int(D_l N_l) -
+int(D_r N_r), is -2 int(D_e N_o + D_o N_e), and lam0 - rho0 is -2 times the
+odd part of the variation means.
 """
 from __future__ import annotations
 
@@ -20,7 +25,9 @@ import numpy as np
 from . import hypersolve
 from .errors import GraftLabError, SolvabilityError
 from .geometry import GraftedCollar, conformal_modulus, conformal_modulus_quadrature, total_area, total_area_quadrature
-from .spectral import MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes, harmonicity_bound, harmonicity_residual
+from .spectral import (
+    MEAN_TOL, FourierSolution, QuadDiffModes, TraceModes, harmonicity_bound, harmonicity_residual, seam_part,
+)
 from .variation import amend_variation, hyperbolic_neumann, pinned_means, solve_flat_variation
 
 #: The mixed-term series sums over n >= 1 with conjugate modes already
@@ -78,18 +85,32 @@ def _out(x):
     return float(x) if getattr(x, "ndim", 0) == 0 else x
 
 
-def boundary_term_closed(sol: FourierSolution, v_left: TraceModes, v_right: TraceModes) -> float:
+#: The parts of a seam pair, in the order that a pair holds them
+PARTS = ("even", "odd")
+
+#: A seam pair: its (even, odd) parts
+Pair = tuple[TraceModes, TraceModes]
+
+
+def mean_gap(variation: Pair) -> float:
+    """lam0 - rho0 of a pair of variation parts: -2 times the odd mean,
+    formed with no difference of the two seams."""
+    return -2.0 * variation[1].mean
+
+
+def boundary_term_closed(sol: FourierSolution, variation: Pair) -> float:
     """Closed form of the seam integral of H times its hyperbolic-side
-    normal derivative:
+    normal derivative, for the (even, odd) parts of the variation:
 
         2 ell d0 (lam0 - rho0)
         - sum_{n>=1} (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C
 
-    with S, C = sinh, cosh(pi n s / ell); one value per point of a family.
+    with S, C = sinh, cosh(pi n s / ell) and lam0 - rho0 from mean_gap; one
+    value per point of a family.
     """
     if (np.abs(sol.c0) > MEAN_TOL).any():
         raise SolvabilityError("closed form requires a vanishing linear coefficient")
-    return _cylinder_series(sol, 2.0 * sol.ell * sol.d0 * (v_left.mean - v_right.mean))
+    return _cylinder_series(sol, 2.0 * sol.ell * sol.d0 * mean_gap(variation))
 
 
 def seam_points(nmax: int) -> int:
@@ -109,47 +130,52 @@ def seam_grid_note(*traces: TraceModes) -> str:
     return f"trapezoid on {seam_points(nmax)} seam points, exact above 2*nmax = {2 * nmax}"
 
 
-def boundary_term_quadrature(
-    dirichlet: tuple[TraceModes, TraceModes],
-    neumann: tuple[TraceModes, TraceModes],
-    npts: int | None = None,
-) -> float:
-    """Trapezoid quadrature of the seam integral of (value) * (d/dn value).
+def boundary_term_quadrature(dirichlet: Pair, neumann: Pair, npts: int | None = None) -> float:
+    """Trapezoid quadrature of the seam integral of (value) * (d/dn value),
+    from the (even, odd) parts of the Dirichlet and d/dx Neumann data.
 
     The normal points out of the strips: +d/dx on the left seam, -d/dx on
-    the right, so the integral is int(D_l N_l) - int(D_r N_r) with N the
-    d/dx trace data, summed on seam_points(nmax) points unless npts is given.
-    Traces with a points axis give one value per point, from one inverse
-    FFT per trace.  A grid of npts <= 2 nmax points, on which the sum is not
-    exact, raises ValueError (TraceModes.on_grid).
+    the right, so the integral is int(D_l N_l) - int(D_r N_r), which in
+    parts is -2 int(D_e N_o + D_o N_e): no two seam sums cancel.  It is
+    summed on seam_points(nmax) points unless npts is given, independently
+    of the closed series.  Traces with a points axis give one value per
+    point, from one inverse FFT per trace.  A grid of npts <= 2 nmax points,
+    on which the sum is not exact, raises ValueError (TraceModes.on_grid).
     """
     traces = (*dirichlet, *neumann)
     ell = traces[0].ell
     if any(t.ell is not ell and not np.array_equal(t.ell, ell) for t in traces):
         raise ValueError("traces come from different circumferences")
     npts = seam_points(max(t.max_mode() for t in traces)) if npts is None else npts
+    (d_e, d_o), (n_e, n_o) = ((t.on_grid(npts) for t in pair) for pair in (dirichlet, neumann))
     # the sum over the grid divided by npts is np.mean's value bit for bit
-    left, right = ((d.on_grid(npts) * n.on_grid(npts)).sum(axis=-1) / npts for d, n in zip(dirichlet, neumann))
-    return _out(ell * (left - right))
+    return _out(-2.0 * ell * ((d_e * n_o + d_o * n_e).sum(axis=-1) / npts))
 
 
 # --- solved configurations --------------------------------------------------
 
 @dataclass
 class SolvedConfiguration:
-    """A chart, an interior field, its two variation fields, its quadratic
-    differential and the field's (left, right) Dirichlet seam traces.  The
-    family holds the height s fixed, so it carries no height rate ds/dt.
-    The strip modes carry the seam Dirichlet data outward.  They, the closed
-    boundary terms and the seam quadrature are computed on first use and
-    kept: no field is assigned after construction."""
+    """A chart, an interior field, the (even, odd) parts of its variation
+    fields, its quadratic differential and the parts of the field's
+    Dirichlet seam traces.  The family holds the height s fixed, so it
+    carries no height rate ds/dt.  The strip modes carry the seam Dirichlet
+    data outward.  They, the closed boundary terms and the seam quadrature
+    are computed on first use and kept: no field is assigned after
+    construction."""
 
     chart: GraftedCollar
     sol: FourierSolution
-    v_left: TraceModes
-    v_right: TraceModes
+    variation: Pair
     quad: QuadDiffModes
-    dirichlet: tuple[TraceModes, TraceModes]
+    dirichlet: Pair
+
+    def seam(self, side: str) -> tuple[TraceModes, TraceModes]:
+        """The (Dirichlet, variation) traces of one seam, "left" or "right",
+        for the consumers of a single seam: solved from the field's traces
+        on that seam, with the variation mean formed from its parts."""
+        mean = seam_part(side, *(v.mean for v in self.variation))
+        return self.sol.dirichlet_trace(side), solve_flat_variation(self.sol.neumann_trace_flat(side), mean)
 
     @cached_property
     def units(self) -> hypersolve.StripProfiles:
@@ -160,22 +186,25 @@ class SolvedConfiguration:
 
     @cached_property
     def strip_sums(self) -> tuple[float, float, float]:
-        """hypersolve.strip_sums of the unit profiles scaled to each seam's
-        Dirichlet values: (energy, seam Green form, outer Green form),
-        computed once, on first use, for every identity."""
+        """hypersolve.strip_sums of the unit profiles scaled to the parts of
+        the seam Dirichlet values, doubled: (energy, seam Green form, outer
+        Green form), computed once, on first use, for every identity.  Each
+        sum is quadratic in the seam values, per mode
+        |l|^2 + |r|^2 = 2 (|e|^2 + |o|^2), so the parts give it whole."""
         ns = self.units.ns[1:]
-        seams = (np.concatenate(([trace.mean], trace.coef[ns])) for trace in self.dirichlet)
-        return hypersolve.strip_sums(self.units, seams)
+        parts = (np.concatenate(([trace.mean], trace.coef[ns])) for trace in self.dirichlet)
+        energy, seam, outer = hypersolve.strip_sums(self.units, parts)
+        return 2.0 * energy, 2.0 * seam, 2.0 * outer
 
     @cached_property
     def closed(self) -> float:
         """boundary_term_closed of the field and its variations."""
-        return boundary_term_closed(self.sol, self.v_left, self.v_right)
+        return boundary_term_closed(self.sol, self.variation)
 
     @cached_property
-    def neumann(self) -> tuple[TraceModes, TraceModes]:
-        """The hyperbolic-side Neumann data of the (left, right) variations."""
-        return hyperbolic_neumann(self.v_left), hyperbolic_neumann(self.v_right)
+    def neumann(self) -> Pair:
+        """The parts of the hyperbolic-side Neumann data of the variations."""
+        return tuple(map(hyperbolic_neumann, self.variation))
 
     @cached_property
     def quadrature(self) -> float:
@@ -183,64 +212,56 @@ class SolvedConfiguration:
         return boundary_term_quadrature(self.dirichlet, self.neumann)
 
     @cached_property
-    def amended(self) -> tuple[TraceModes, TraceModes]:
-        """The (left, right) variations amended for the quadratic differential."""
-        return amend_variation(self.v_left, self.quad), amend_variation(self.v_right, self.quad)
+    def amended(self) -> Pair:
+        """The parts of the variations amended for the quadratic differential."""
+        return tuple(amend_variation(v, self.quad) for v in self.variation)
 
     @cached_property
     def extended_closed(self) -> float:
         """extended_boundary_term of the field on the amended variations."""
-        return extended_boundary_term(self.sol, self.quad, *self.amended)
+        return extended_boundary_term(self.sol, self.quad, self.amended)
 
 
 def solve_configuration(
     chart: GraftedCollar,
     sol: FourierSolution,
-    mean_left: float | None = None,
-    mean_right: float | None = None,
+    means: tuple[float, float] | None = None,
     quad: QuadDiffModes | None = None,
 ) -> SolvedConfiguration:
-    """Solve everything a configuration needs for the identity suite.
+    """Solve everything a configuration needs for the identity suite, on
+    the (even, odd) parts of the seam pairs.
 
-    Free constants default to the values pinned by the n = 0 seam balance
-    (the closed-form strip Dirichlet-to-Neumann value of the mean mode,
-    seam_dtn, applied to the seam means), and quad to the zero quadratic
-    differential.  The strip modes are solved only when the strip sums are
-    read, so geodesic, which reads none, solves no strip mode.
+    means are the parts of the free constants (lam0, rho0): (rho0 + lam0)/2
+    and (rho0 - lam0)/2.  They default to the values pinned by the n = 0
+    seam balance (the closed-form strip Dirichlet-to-Neumann value of the
+    mean mode, seam_dtn, applied to the seam means), and quad to the zero
+    quadratic differential.  The strip modes are solved only when the strip
+    sums are read, so geodesic, which reads none, solves no strip mode.
     """
-    sides = ("left", "right")
-    dirichlet = tuple(sol.dirichlet_trace(side) for side in sides)
-    neumann = tuple(sol.neumann_trace_flat(side) for side in sides)
-    if mean_left is None or mean_right is None:
+    dirichlet = tuple(map(sol.dirichlet_trace, PARTS))
+    if means is None:
         dtn0 = hypersolve.seam_dtn([0], chart.ell, chart.a, chart.outer_bc)[0]
-        lam0, rho0 = pinned_means(dtn0, dirichlet[0].mean, dirichlet[1].mean)
-        mean_left = lam0 if mean_left is None else mean_left
-        mean_right = rho0 if mean_right is None else mean_right
-    v_left = solve_flat_variation(neumann[0], mean_left)
-    v_right = solve_flat_variation(neumann[1], mean_right)
+        means = pinned_means(dtn0, *(d.mean for d in dirichlet))
+    variation = tuple(map(solve_flat_variation, map(sol.neumann_trace_flat, PARTS), means))
     quad = QuadDiffModes(ell=sol.ell, s=sol.s) if quad is None else quad
-    return SolvedConfiguration(chart, sol, v_left, v_right, quad, dirichlet)
+    return SolvedConfiguration(chart, sol, variation, quad, dirichlet)
 
 
 # --- slice condition --------------------------------------------------------
 
-def slice_residual(sol: FourierSolution, v_left: TraceModes, v_right: TraceModes) -> float:
+def slice_residual(sol: FourierSolution, variation: Pair) -> float:
     """lam0 - rho0 + s d0 / 2 + ds/dt with ds/dt = 0, as the family holds s
-    fixed; zero exactly on the constant-height slice of the family (one
-    value per point of a family)."""
-    return v_left.mean - v_right.mean + sol.s * sol.d0 / 2.0
+    fixed, from the parts of the variation (mean_gap); zero exactly on the
+    constant-height slice of the family (one value per point of a family)."""
+    return mean_gap(variation) + sol.s * sol.d0 / 2.0
 
 
-def slice_condition(
-    sol: FourierSolution,
-    v_left: TraceModes,
-    v_right: TraceModes,
-    tol: float,
-) -> IdentityReport:
-    """lam0 - rho0 against -s d0/2 - ds/dt, where ds/dt = 0: the family
-    holds s fixed, so the right side is the height term -s d0/2 alone.
-    Judged as its CHECKS row, within tol."""
-    lhs = v_left.mean - v_right.mean
+def slice_condition(sol: FourierSolution, variation: Pair, tol: float) -> IdentityReport:
+    """lam0 - rho0 (mean_gap of the variation parts) against
+    -s d0/2 - ds/dt, where ds/dt = 0: the family holds s fixed, so the right
+    side is the height term -s d0/2 alone.  Judged as its CHECKS row, within
+    tol."""
+    lhs = mean_gap(variation)
     rhs = -sol.s * sol.d0 / 2.0
     notes = "lam0 - rho0 must equal -s d0/2 - ds/dt, and ds/dt = 0 as the family holds s fixed"
     return CHECKS["slice_condition"].report(tol, lhs, rhs, (("mean_gap", lhs), ("height_term", rhs)), notes)
@@ -299,7 +320,7 @@ def master_identity(config: SolvedConfiguration, tol: float) -> IdentityReport:
         ("mean_term", t_mean),
         ("outer_greens", t_outer),
     )
-    sres = slice_residual(sol, config.v_left, config.v_right)
+    sres = slice_residual(sol, config.variation)
     notes = f"total is the seam data mismatch on this bounded model; slice residual {sres:.3e}"
     return CHECKS["master_identity"].report(tol, terms, config.closed, seam_form, notes)
 
@@ -315,64 +336,54 @@ def area_derivative_geometric(sol: FourierSolution, s_rate: float = 0.0) -> floa
     return -0.5 * sol.d0 * sol.ell * sol.s + sol.ell * s_rate
 
 
-def area_derivative_analytic(
-    sol: FourierSolution,
-    v_left: TraceModes,
-    v_right: TraceModes,
-) -> float:
+def area_derivative_analytic(sol: FourierSolution, variation: Pair) -> float:
     """Derivative of the flat-insert area through the interior integral of
-    -H: -ell (lam0 - rho0) - d0 ell s."""
-    return -sol.ell * (v_left.mean - v_right.mean) - sol.d0 * sol.ell * sol.s
+    -H: -ell (lam0 - rho0) - d0 ell s, lam0 - rho0 from the parts of the
+    variation (mean_gap)."""
+    return -sol.ell * mean_gap(variation) - sol.d0 * sol.ell * sol.s
 
 
 def area_derivative_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
     """Compare the geometric and analytic area-derivative routes, within tol."""
     sol = config.sol
     geo = area_derivative_geometric(sol)
-    ana = area_derivative_analytic(sol, config.v_left, config.v_right)
-    sres = slice_residual(sol, config.v_left, config.v_right)
+    ana = area_derivative_analytic(sol, config.variation)
+    sres = slice_residual(sol, config.variation)
     terms = (("geometric", geo), ("analytic", ana))
     return CHECKS["area_derivative"].report(tol, geo, ana, terms, f"slice residual {sres:.3e}")
 
 
 # --- arc length -------------------------------------------------------------
 
-def arc_length_derivative(
-    sol: FourierSolution,
-    npts: int | None = None,
-    dirichlet: TraceModes | None = None,
-) -> float:
+def arc_length_derivative(sol: FourierSolution, npts: int | None = None, dirichlet: Pair | None = None) -> float:
     """First variation of the left seam circle's length without
     quadratic-differential data: -1/2 times the seam integral of the H
     variation, summed on seam_points(nmax) points of the trace unless npts
     is given.  The trapezoid sum is exact only on a grid of more than
     2 nmax points: any other npts raises ValueError (TraceModes.on_grid).
-    Reduces to -d0 ell / 2.  dirichlet is the left Dirichlet trace of sol,
-    when the caller has it already."""
-    dirichlet = sol.dirichlet_trace("left") if dirichlet is None else dirichlet
-    npts = seam_points(dirichlet.max_mode()) if npts is None else npts
-    return float(-0.5 * (sol.ell / npts) * np.sum(dirichlet.on_grid(npts)))
+    Reduces to -d0 ell / 2.  The left grid is the even grid minus the odd
+    one, from dirichlet, the (even, odd) Dirichlet parts of sol, when the
+    caller has them already."""
+    dirichlet = tuple(map(sol.dirichlet_trace, PARTS)) if dirichlet is None else dirichlet
+    npts = seam_points(dirichlet[0].max_mode()) if npts is None else npts
+    left = seam_part("left", *(t.on_grid(npts) for t in dirichlet))
+    return float(-0.5 * (sol.ell / npts) * np.sum(left))
 
 
 # --- quadratic-differential extensions --------------------------------------
 
-def extended_boundary_term(
-    sol: FourierSolution,
-    q: QuadDiffModes,
-    w_left: TraceModes,
-    w_right: TraceModes,
-) -> float:
-    """Closed form of the seam boundary term for the amended fields: the
-    unamended expression plus the mixed series
+def extended_boundary_term(sol: FourierSolution, q: QuadDiffModes, amended: Pair) -> float:
+    """Closed form of the seam boundary term for the (even, odd) parts of
+    the amended fields: the unamended expression plus the mixed series
 
         - sum_{n>=1} (4/(pi n)) (4 pi^2 n^2 + ell^2) Im(v_n conj(c_n)
           + u_n conj(d_n)) S C.
     """
-    if not w_left.kind == w_right.kind == "amended_variation":
+    if any(w.kind != "amended_variation" for w in amended):
         raise ValueError("expected amended variation fields")
     if abs(sol.c0) > MEAN_TOL:
         raise SolvabilityError("closed form requires a vanishing linear coefficient")
-    total = 2.0 * sol.ell * sol.d0 * (w_left.mean - w_right.mean) + _cylinder_series(sol)
+    total = 2.0 * sol.ell * sol.d0 * mean_gap(amended) + _cylinder_series(sol)
     return float(_mixed_series(sol, q, total))
 
 
@@ -552,8 +563,8 @@ def _boundary_term(check: Check, tol: float, config: SolvedConfiguration, field,
 
 def _arc_length(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The left seam's arc-length derivative by quadrature against -d0 ell / 2."""
-    sol, dirichlet = config.sol, config.dirichlet[0]
-    notes = f"seam quadrature vs -d0 ell / 2; {seam_grid_note(dirichlet)}"
+    sol, dirichlet = config.sol, config.dirichlet
+    notes = f"seam quadrature vs -d0 ell / 2; {seam_grid_note(*dirichlet)}"
     value = arc_length_derivative(sol, dirichlet=dirichlet)
     return check.report(tol, value, -0.5 * sol.d0 * sol.ell, (), notes)
 
@@ -570,7 +581,7 @@ def _extended_reduction(check: Check, tol: float, config: SolvedConfiguration, f
     """The amended boundary term at the zero quadratic differential against the unamended one."""
     sol = config.sol
     q0 = QuadDiffModes(ell=sol.ell, s=sol.s)
-    zero_q = extended_boundary_term(sol, q0, amend_variation(config.v_left, q0), amend_variation(config.v_right, q0))
+    zero_q = extended_boundary_term(sol, q0, tuple(amend_variation(v, q0) for v in config.variation))
     return check.report(tol, zero_q, config.closed, (), "")
 
 
@@ -635,7 +646,7 @@ def _determinant_floor(check: Check, tol: float, config: SolvedConfiguration, fi
 CHECKS = {check.identity: check for check in (
     Check("boundary_term_closed_vs_quadrature", _equality, lambda tol: tol, _boundary_term),
     Check("slice_condition", _equality, lambda tol: max(tol, 1e-12),
-          lambda check, tol, config, field, modes: slice_condition(config.sol, config.v_left, config.v_right, tol)),
+          lambda check, tol, config, field, modes: slice_condition(config.sol, config.variation, tol)),
     Check("master_identity", _decomposition, lambda tol: 1e3 * tol,
           lambda check, tol, config, field, modes: master_identity(config, tol)),
     Check("area_derivative", _equality, lambda tol: tol,

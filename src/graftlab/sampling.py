@@ -85,7 +85,11 @@ def random_quad(
 def slice_compatible_means(
     rng: np.random.Generator, s: float, d0: float, s_rate: float = 0.0
 ) -> tuple[float, float]:
-    """Random (lam0, rho0) satisfying lam0 - rho0 = -s d0/2 - ds/dt exactly.
-    The commands hold s fixed; the acceptance gate passes a height rate."""
+    """The (even, odd) parts, (rho0 + lam0)/2 and (rho0 - lam0)/2, of random
+    means (lam0, rho0) on the slice lam0 - rho0 = -s d0/2 - ds/dt.  The odd
+    part (s d0/2 + ds/dt)/2 is the datum, so -2 times it is the slice's
+    right side bit for bit; rho0 is one standard normal draw.  The commands
+    hold s fixed; the acceptance gate passes a height rate."""
     rho0 = float(rng.standard_normal())
-    return rho0 - s * d0 / 2.0 - s_rate, rho0
+    odd = (s * d0 / 2.0 + s_rate) / 2.0
+    return rho0 - odd, odd

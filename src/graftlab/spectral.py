@@ -28,6 +28,25 @@ MEAN_TOL = 1e-13
 #: doubling each weight; its factor 2/(pi n) was frozen against the seam quadrature.
 PAIRING_FACTOR = 2.0
 
+#: The sides of a seam datum: the seams x = -s/2 and x = +s/2, and the even
+#: and odd parts of the pair, (right + left)/2 and (right - left)/2
+SIDES = ("left", "right", "even", "odd")
+
+
+def seam_part(side: str, even, odd):
+    """The side of a seam pair given as its even and odd parts: even, odd,
+    even - odd on the left seam or even + odd on the right.  The one place
+    that the seams' sign convention is written."""
+    if side == "even":
+        return even
+    if side == "odd":
+        return odd
+    if side == "left":
+        return even - odd
+    if side == "right":
+        return even + odd
+    raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+
 
 def _as_pair(x, y):
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -85,7 +104,8 @@ def _series(x, y, ell: float, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @dataclass(init=False, eq=False)
 class TraceModes:
-    """Fourier data of a real function of y on one seam circle.
+    """Fourier data of a real function of y on one seam circle, or of one
+    part of a seam pair (side "even" or "odd", seam_part).
 
     kind is one of "dirichlet", "neumann_flat" (d/dx from the cylinder side),
     "neumann_hyperbolic" (d/dx from the strip side), "variation" (the normal
@@ -103,8 +123,8 @@ class TraceModes:
     coef: np.ndarray
 
     def __init__(self, side, kind, ell, mean, modes=None, coef=None):
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
         if kind not in ("dirichlet", "neumann_flat", "neumann_hyperbolic", "variation", "amended_variation"):
             raise ValueError(f"unknown trace kind {kind!r}")
         self.side, self.kind, self.ell, self.mean = side, kind, ell, mean
@@ -238,30 +258,27 @@ class FourierSolution:
         return float(out) if out.ndim == 0 else out
 
     def seam_values(self, side: str) -> np.ndarray:
-        """Mode values c_n cosh -/+ d_n sinh on the seam x = -s/2 (left) or
-        x = +s/2 (right), indexed by n, exactly 0 at the zero modes; a
-        field's Dirichlet trace and amend_variation's quadratic-differential
-        shift both read them."""
+        """Mode values on a side of the seams (seam_part): c_n cosh and
+        d_n sinh are the even and odd parts, so c_n cosh -/+ d_n sinh on the
+        seam x = -s/2 (left) or x = +s/2 (right), indexed by n, exactly 0 at
+        the zero modes; a field's Dirichlet trace and amend_variation's
+        quadratic-differential shift both read them."""
         _, S, C = self.seam
-        return self.c * C + (-1.0 if side == "left" else 1.0) * self.d * S
+        return seam_part(side, self.c * C, self.d * S)
 
     def dirichlet_trace(self, side: str) -> TraceModes:
-        """Boundary values on the seam x = -s/2 (left) or x = +s/2 (right)."""
-        sgn = -1.0 if side == "left" else 1.0
-        return TraceModes(
-            side=side,
-            kind="dirichlet",
-            ell=self.ell,
-            mean=sgn * self.c0 * self.s / 2 + self.d0,
-            coef=self.seam_values(side),
-        )
+        """Boundary values on a side of the seams: the parts have means d0
+        and c0 s/2, and modes c_n cosh and d_n sinh."""
+        mean = seam_part(side, self.d0, self.c0 * self.s / 2)
+        return TraceModes(side=side, kind="dirichlet", ell=self.ell, mean=mean, coef=self.seam_values(side))
 
     def neumann_trace_flat(self, side: str) -> TraceModes:
-        """d/dx values on a seam, taken from the cylinder side."""
-        sgn = -1.0 if side == "left" else 1.0
+        """d/dx values on a side of the seams, taken from the cylinder side:
+        the parts have means c0 and 0, and modes k_n d_n cosh and
+        k_n c_n sinh, k_n = 2 pi n / ell."""
         n, S, C = self.seam
-        coef = (2 * np.pi * n / np.asarray(self.ell)[..., None]) * (sgn * self.c * S + self.d * C)
-        return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=self.c0, coef=coef)
+        coef = (2 * np.pi * n / np.asarray(self.ell)[..., None]) * seam_part(side, self.d * C, self.c * S)
+        return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=seam_part(side, self.c0, 0.0), coef=coef)
 
 
 def harmonicity_residual(

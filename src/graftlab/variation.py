@@ -9,7 +9,9 @@ coordinate,
 V is measured positively in the +x direction on both seams.  The amended
 field W picks up an extra forcing +d/dy Im(phi) from the off-conformal
 tensor; the sign is relative to (x, y) coordinates, in which the
-along-normal conformal frame carrying phi is negatively oriented.
+along-normal conformal frame carrying phi is negatively oriented.  Each map
+here is linear, so it takes the trace of one seam or either part of a seam
+pair alike (spectral.seam_part).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import hypersolve
 from .errors import ConvergenceError, SolvabilityError
 from .geometry import GraftedCollar
-from .spectral import MEAN_TOL, QuadDiffModes, TraceModes
+from .spectral import MEAN_TOL, QuadDiffModes, TraceModes, seam_part
 
 if TYPE_CHECKING:
     from .identities import SolvedConfiguration
@@ -101,8 +103,9 @@ def hyperbolic_neumann(v: TraceModes) -> TraceModes:
 
 def amend_variation(v: TraceModes, q: QuadDiffModes) -> TraceModes:
     """The amended field W of a solved flat variation v: W_yy gains the
-    forcing d/dy Im(phi), so per mode lambda_n shifts by
-    (ell / (2 pi i n)) (u_n cosh -/+ v_n sinh); the mean is kept."""
+    forcing d/dy Im(phi), so per mode lambda_n shifts by ell / (2 pi i n)
+    times q's seam values on v's side, u_n cosh -/+ v_n sinh on a seam and
+    u_n cosh or v_n sinh on a part; the mean is kept."""
     if v.kind != "variation":
         raise ValueError(f"expected an unamended variation field, got a {v.kind!r} trace")
     width = len(q.u)
@@ -113,14 +116,16 @@ def amend_variation(v: TraceModes, q: QuadDiffModes) -> TraceModes:
     return replace(v, kind="amended_variation", coef=coef)
 
 
-def pinned_means(dtn0: float, left_mean: float, right_mean: float) -> tuple[float, float]:
-    """Free constants pinned by the hyperbolic mean-mode balance.
+def pinned_means(dtn0: float, even_mean: float, odd_mean: float) -> tuple[float, float]:
+    """Free constants pinned by the hyperbolic mean-mode balance, as parts.
 
     Matching the mean of -2(V_yy - V) with the strip Dirichlet-to-Neumann
     data gives lambda_0 = -dtn0 * (left seam mean) / 2 and
-    rho_0 = +dtn0 * (right seam mean) / 2.
+    rho_0 = +dtn0 * (right seam mean) / 2, so the even and odd parts of
+    (lambda_0, rho_0) are dtn0 times the odd and even parts of the seam
+    Dirichlet means, over 2.
     """
-    return -dtn0 * left_mean / 2.0, dtn0 * right_mean / 2.0
+    return dtn0 * odd_mean / 2.0, dtn0 * even_mean / 2.0
 
 
 # --- globally matched fields and the geodesic oracle ------------------------
@@ -130,7 +135,8 @@ def matched_global_field(config: SolvedConfiguration) -> Callable:
     series extended into both strips by Cauchy integration of the mode ODE.
 
     The strip extensions are continuous with the configuration's Dirichlet
-    traces and carry its hyperbolic-side Neumann traces as their normal
+    traces on each seam (SolvedConfiguration.seam) and carry the
+    hyperbolic-side Neumann traces of its variations there as their normal
     derivative, so the geodesic variation of the (1 + t * H)-conformal
     family solves both regimes of the variation equation simultaneously.
     On the strips dH/dx is the strip-side (one-sided) derivative; each strip
@@ -146,10 +152,13 @@ def matched_global_field(config: SolvedConfiguration) -> Callable:
     # has xi = -x - s/2, so its slope is -d/dx
     ns = sol.nonzero_modes()
     rows = np.r_[0, ns]
-    ext_left, ext_right = (
-        hypersolve.mode_extend(rows, ell, a, np.r_[dt.mean, dt.coef[ns]], sgn * np.r_[nt.mean, nt.coef[ns]])
-        for dt, nt, sgn in zip(config.dirichlet, config.neumann, (-1.0, 1.0))
-    )
+
+    def extend(side: str, sgn: float) -> hypersolve.StripProfiles:
+        dt, v = config.seam(side)
+        nt = hyperbolic_neumann(v)
+        return hypersolve.mode_extend(rows, ell, a, np.r_[dt.mean, dt.coef[ns]], sgn * np.r_[nt.mean, nt.coef[ns]])
+
+    ext_left, ext_right = extend("left", -1.0), extend("right", 1.0)
     # pair weight 1 for n = 0, 2 for a mode and its conjugate
     weights = np.where(rows == 0, 1.0, 2.0)[:, None]
     kn = 2.0 * np.pi / ell * rows[:, None]
@@ -202,7 +211,7 @@ def geodesic_oracle(
     even from a well-formed command line.
     """
     ell, s = chart.ell, chart.s
-    base = -s / 2 if side == "left" else s / 2
+    base = seam_part(side, 0.0, s / 2)
     h = ell / m
     y = np.arange(m) * h
     if t == 0:

@@ -29,16 +29,13 @@ def test_01_boundary_term_oracle():
         ell = rng.uniform(1.0, 8.0)
         s = rng.uniform(0.1, 4.0)
         sol = sampling.random_solution(rng, ell, s, nmax=32)
-        vl = variation.solve_flat_variation(
-            sol.neumann_trace_flat("left"), float(rng.standard_normal())
-        )
-        vr = variation.solve_flat_variation(
-            sol.neumann_trace_flat("right"), float(rng.standard_normal())
-        )
-        closed = identities.boundary_term_closed(sol, vl, vr)
+        lam0, rho0 = float(rng.standard_normal()), float(rng.standard_normal())
+        means = ((rho0 + lam0) / 2, (rho0 - lam0) / 2)
+        v = tuple(map(variation.solve_flat_variation, map(sol.neumann_trace_flat, identities.PARTS), means))
+        closed = identities.boundary_term_closed(sol, v)
         quad = identities.boundary_term_quadrature(
-            (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
-            (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
+            tuple(map(sol.dirichlet_trace, identities.PARTS)),
+            tuple(map(variation.hyperbolic_neumann, v)),
         )
         worst = max(worst, abs(closed - quad) / max(abs(closed), abs(quad)))
     dt = time.perf_counter() - t0
@@ -101,14 +98,13 @@ def test_04_slice_bookkeeping():
             ell = rng.uniform(2.0, 8.0)
             s = rng.uniform(0.2, 3.0)
             sol = sampling.random_solution(rng, ell, s, nmax=6)
-            lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0, s_rate=s_rate)
-            vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
-            vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
+            means = sampling.slice_compatible_means(rng, s, sol.d0, s_rate=s_rate)
+            v = tuple(map(variation.solve_flat_variation, map(sol.neumann_trace_flat, identities.PARTS), means))
             geo = identities.area_derivative_geometric(sol, s_rate=s_rate)
-            ana = identities.area_derivative_analytic(sol, vl, vr)
+            ana = identities.area_derivative_analytic(sol, v)
             worst_gap = max(worst_gap, abs(geo - ana))
             if s_rate == 0.0:
-                worst_res = max(worst_res, abs(identities.slice_residual(sol, vl, vr)))
+                worst_res = max(worst_res, abs(identities.slice_residual(sol, v)))
     ok = worst_gap < 1e-9 and worst_res < 1e-12
     _line(4, "slice_bookkeeping", ok, f"area gap {worst_gap:.2e}, residual {worst_res:.2e}")
     assert worst_gap < 1e-9
@@ -176,10 +172,8 @@ def test_07_master_identity_nonpositivity():
         s = rng.uniform(0.2, 3.0)
         chart = GraftedCollar(ell=ell, s=s, a=1.0)
         sol = sampling.random_solution(rng, ell, s, nmax=4)
-        lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
-        cfg = identities.solve_configuration(
-            chart, sol, mean_left=lam0, mean_right=rho0
-        )
+        means = sampling.slice_compatible_means(rng, s, sol.d0)
+        cfg = identities.solve_configuration(chart, sol, means)
         rep = identities.master_identity(cfg, 1e-9)
         assert rep.passed
         worst = max(worst, *(v for label, v in rep.terms if label != "outer_greens"))
@@ -222,7 +216,8 @@ def test_09_geodesic_oracle():
     field = variation.matched_global_field(cfg)
     y0 = np.arange(256) * (ell / 256)
     worst, worst_half = 0.0, 0.0
-    for side, v in (("left", cfg.v_left), ("right", cfg.v_right)):
+    for side in ("left", "right"):
+        v = cfg.seam(side)[1]
         errs = []
         for t in (1e-3, 5e-4):
             y, rate = variation.geodesic_oracle(chart, field, side, t, m=256, initial_rate=v.reconstruct(y0))

@@ -9,19 +9,38 @@ from hypothesis import strategies as st
 from graftlab import hypersolve, identities, sampling, variation
 from graftlab.errors import DomainError, SolvabilityError
 from graftlab.geometry import GraftedCollar
-from graftlab.spectral import FourierSolution, QuadDiffModes, TraceModes
+from graftlab.spectral import SIDES, FourierSolution, QuadDiffModes, TraceModes
 from oracles import strip_integral_of_h, two_row_determinant
 
 ELL = 2.0 * np.pi
+PARTS = identities.PARTS
 
 
-def _vf(side, mean):
-    return TraceModes(side=side, kind="variation", ell=ELL, mean=mean)
+def _parts(lam0, rho0):
+    """The (even, odd) parts of seam means lam0 (left) and rho0 (right)."""
+    return (rho0 + lam0) / 2, (rho0 - lam0) / 2
 
 
-def _amended(sol, side, q, mean):
-    """The variation of sol's flat Neumann data on one seam, amended by q."""
-    return variation.amend_variation(variation.solve_flat_variation(sol.neumann_trace_flat(side), mean), q)
+def _vf(lam0, rho0):
+    """The variation parts of seam means lam0 and rho0, with no modes."""
+    return tuple(TraceModes(side=p, kind="variation", ell=ELL, mean=m) for p, m in zip(PARTS, _parts(lam0, rho0)))
+
+
+def _variation(sol, lam0, rho0):
+    """The variation parts of sol's flat Neumann data, with seam means lam0 and rho0."""
+    return tuple(map(variation.solve_flat_variation, map(sol.neumann_trace_flat, PARTS), _parts(lam0, rho0)))
+
+
+def _amended(sol, q, lam0, rho0):
+    """The variation parts of sol's flat Neumann data, amended by q."""
+    return tuple(variation.amend_variation(v, q) for v in _variation(sol, lam0, rho0))
+
+
+def _quadrature(sol, v):
+    """boundary_term_quadrature of sol's Dirichlet parts against the hyperbolic Neumann data of v."""
+    return identities.boundary_term_quadrature(
+        tuple(map(sol.dirichlet_trace, PARTS)), tuple(map(variation.hyperbolic_neumann, v))
+    )
 
 
 # --- closed boundary term ---------------------------------------------------
@@ -29,7 +48,7 @@ def _amended(sol, side, q, mean):
 def test_boundary_closed_mean_only():
     # 2 ell d0 (lam0 - rho0) with no oscillating modes
     sol = FourierSolution(ell=ELL, s=1.0, d0=0.5)
-    val = identities.boundary_term_closed(sol, _vf("left", 0.2), _vf("right", -0.1))
+    val = identities.boundary_term_closed(sol, _vf(0.2, -0.1))
     assert val == pytest.approx(2.0 * ELL * 0.5 * 0.3)
 
 
@@ -37,51 +56,53 @@ def test_boundary_closed_single_mode():
     """c1 = 1 at ell = 2 pi, s = 2: the series term is
     -(2/pi)(8 pi^2) sinh(1) cosh(1) = -16 pi sinh(1) cosh(1)."""
     sol = FourierSolution(ell=ELL, s=2.0, modes={1: (1.0, 0.0)})
-    val = identities.boundary_term_closed(sol, _vf("left", 0.0), _vf("right", 0.0))
+    val = identities.boundary_term_closed(sol, _vf(0.0, 0.0))
     assert val == pytest.approx(-16.0 * np.pi * np.sinh(1.0) * np.cosh(1.0))
 
 
 def test_boundary_closed_zero_field():
     sol = FourierSolution(ell=ELL, s=1.0)
-    assert identities.boundary_term_closed(sol, _vf("left", 0.0), _vf("right", 0.0)) == 0.0
+    assert identities.boundary_term_closed(sol, _vf(0.0, 0.0)) == 0.0
 
 
 def test_boundary_closed_rejects_linear_term():
     sol = FourierSolution(ell=ELL, s=1.0, c0=1.0)
     with pytest.raises(SolvabilityError):
-        identities.boundary_term_closed(sol, _vf("left", 0.0), _vf("right", 0.0))
+        identities.boundary_term_closed(sol, _vf(0.0, 0.0))
 
 
 # --- seam quadrature --------------------------------------------------------
 
 def test_quadrature_orthogonal_modes():
     # distinct Fourier modes integrate to zero against each other
-    d = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=0.0, modes={1: 1.0})
-    n = TraceModes(side="left", kind="neumann_hyperbolic", ell=ELL, mean=0.0, modes={2: 1.0})
-    zero = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.0)
-    zero_n = TraceModes(side="right", kind="neumann_hyperbolic", ell=ELL, mean=0.0)
-    val = identities.boundary_term_quadrature((d, zero), (n, zero_n))
+    d = TraceModes(side="even", kind="dirichlet", ell=ELL, mean=0.0, modes={1: 1.0})
+    n = TraceModes(side="odd", kind="neumann_hyperbolic", ell=ELL, mean=0.0, modes={2: 1.0})
+    zero = TraceModes(side="odd", kind="dirichlet", ell=ELL, mean=0.0)
+    zero_n = TraceModes(side="even", kind="neumann_hyperbolic", ell=ELL, mean=0.0)
+    val = identities.boundary_term_quadrature((d, zero), (zero_n, n))
     assert abs(val) < 1e-12
 
 
 def test_quadrature_constant_traces():
+    # D = d0 and N = g on the left seam, 0 on the right: each part is half
+    # the left value, with the odd part's sign flipped
     d0, g = 0.7, -0.4
-    d = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=d0)
-    n = TraceModes(side="left", kind="neumann_hyperbolic", ell=ELL, mean=g)
-    zd = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.0)
-    zn = TraceModes(side="right", kind="neumann_hyperbolic", ell=ELL, mean=0.0)
-    val = identities.boundary_term_quadrature((d, zd), (n, zn))
+    dirichlet, neumann = (
+        tuple(TraceModes(side=p, kind=kind, ell=ELL, mean=m) for p, m in zip(PARTS, _parts(left, 0.0)))
+        for kind, left in (("dirichlet", d0), ("neumann_hyperbolic", g))
+    )
+    val = identities.boundary_term_quadrature(dirichlet, neumann)
     assert val == pytest.approx(ELL * d0 * g)
 
 
 def test_quadrature_input_validation():
-    d = TraceModes(side="left", kind="dirichlet", ell=ELL, mean=0.0, modes={3: 1.0})
-    other = TraceModes(side="right", kind="dirichlet", ell=1.0, mean=0.0)
-    n = TraceModes(side="left", kind="neumann_hyperbolic", ell=ELL, mean=0.0)
-    n2 = TraceModes(side="right", kind="neumann_hyperbolic", ell=ELL, mean=0.0)
+    d = TraceModes(side="even", kind="dirichlet", ell=ELL, mean=0.0, modes={3: 1.0})
+    other = TraceModes(side="odd", kind="dirichlet", ell=1.0, mean=0.0)
+    n = TraceModes(side="even", kind="neumann_hyperbolic", ell=ELL, mean=0.0)
+    n2 = TraceModes(side="odd", kind="neumann_hyperbolic", ell=ELL, mean=0.0)
     with pytest.raises(ValueError):
         identities.boundary_term_quadrature((d, other), (n, n2))
-    d2 = TraceModes(side="right", kind="dirichlet", ell=ELL, mean=0.0)
+    d2 = TraceModes(side="odd", kind="dirichlet", ell=ELL, mean=0.0)
     with pytest.raises(ValueError):
         identities.boundary_term_quadrature((d, d2), (n, n2), npts=6)
 
@@ -89,14 +110,78 @@ def test_quadrature_input_validation():
 def test_closed_matches_quadrature_random():
     rng = np.random.default_rng(7)
     sol = sampling.random_solution(rng, ELL, 1.5, nmax=6)
-    vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), 0.3)
-    vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), -0.2)
-    closed = identities.boundary_term_closed(sol, vl, vr)
-    quad = identities.boundary_term_quadrature(
-        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
-        (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr)),
-    )
-    assert closed == pytest.approx(quad, rel=1e-10)
+    v = _variation(sol, 0.3, -0.2)
+    assert identities.boundary_term_closed(sol, v) == pytest.approx(_quadrature(sol, v), rel=1e-10)
+
+
+#: ROADMAP item 14's quadrant, as exponents of 10: log-uniform ell and s,
+#: with s = 0 a fifth of the time
+_QUADRANT = {"ell": (-12.0, 12.0), "s": (-6.0, 6.0)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    log_ell=st.floats(*_QUADRANT["ell"]),
+    log_s=st.floats(*_QUADRANT["s"]),
+    s_zero=st.integers(0, 4),
+    modes=st.sampled_from([1, 8, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seam_quadratures_match_their_closed_forms_across_the_quadrant(log_ell, log_s, s_zero, modes, seed):
+    # verify's draws: both seam quadratures against their closed forms,
+    # judged by their check's bound at verify's tol; in parts no two seam
+    # sums cancel, so the gap stays at rounding level where s is small
+    # beside ell (ROADMAP item 13)
+    ell, s = 10.0**log_ell, 0.0 if s_zero == 0 else 10.0**log_s
+    rng = np.random.default_rng(seed)
+    sol = sampling.random_solution(rng, ell, s, nmax=modes)
+    q = sampling.random_quad(rng, ell, s, nmax=modes, amplitude=0.5)
+    means = sampling.slice_compatible_means(rng, s, sol.d0)
+    config = identities.solve_configuration(GraftedCollar(ell=ell, s=s, a=1.0), sol, means, quad=q)
+    assert _EQUALITY.report(1e-10, config.closed, config.quadrature, (), "").passed
+    w = tuple(map(variation.hyperbolic_neumann, config.amended))
+    extended = identities.boundary_term_quadrature(config.dirichlet, w)
+    assert _EQUALITY.report(1e-10, config.extended_closed, extended, (), "").passed
+
+
+@pytest.mark.parametrize("ell, s", [(ELL, 1.0), (1e7, 1e-6), (1e10, 1e-3)])
+def test_closed_term_and_quadrature_match_a_50_digit_evaluation(ell, s):
+    # the closed boundary term of the same double coefficients, evaluated
+    # with 50 digits: the closed form rounds within a few eps of the sum of
+    # its terms' sizes, and the quadrature within its check's bound
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(0)
+    sol = sampling.random_solution(rng, ell, s, nmax=8)
+    means = sampling.slice_compatible_means(rng, s, sol.d0)
+    config = identities.solve_configuration(GraftedCollar(ell=ell, s=s, a=1.0), sol, means)
+    with mp.workdps(50):
+        L, H = mp.mpf(ell), mp.mpf(s)
+        mean = 2 * L * mp.mpf(sol.d0) * (-2 * mp.mpf(config.variation[1].mean))
+        series = []
+        for n in range(1, sol.c.shape[-1]):
+            arg = mp.pi * n * H / L
+            weight = abs(mp.mpc(sol.c[n])) ** 2 + abs(mp.mpc(sol.d[n])) ** 2
+            series.append(2 / (mp.pi * n) * (4 * mp.pi**2 * n**2 + L**2) * weight * mp.sinh(arg) * mp.cosh(arg))
+        exact = mean - mp.fsum(series)
+        size = abs(mean) + mp.fsum(series)
+    eps = np.finfo(float).eps
+    assert abs(config.closed - exact) <= 4 * (len(series) + 2) * eps * size
+    assert _EQUALITY.report(1e-10, float(exact), config.quadrature, (), "").passed
+
+
+def test_seam_gives_the_traces_of_one_seam():
+    # the single-seam consumers read each seam solved directly, with its
+    # variation mean formed from the parts
+    chart = GraftedCollar(ell=ELL, s=1.5, a=1.0)
+    sol = sampling.random_solution(np.random.default_rng(3), ELL, 1.5, nmax=6)
+    config = identities.solve_configuration(chart, sol, _parts(0.25, -0.5))
+    for side, mean in (("left", 0.25), ("right", -0.5)):
+        dirichlet, v = config.seam(side)
+        assert (dirichlet.side, v.side, v.kind) == (side, side, "variation")
+        direct = sol.dirichlet_trace(side)
+        assert np.array_equal(dirichlet.coef, direct.coef) and dirichlet.mean == direct.mean
+        assert v.mean == mean
+        assert np.array_equal(v.coef, variation.solve_flat_variation(sol.neumann_trace_flat(side), mean).coef)
 
 
 def test_seam_points_is_the_smallest_power_of_two_above_2_nmax():
@@ -119,13 +204,12 @@ def test_derived_seam_grid_matches_4096_points(nmax):
     # at most 64 eps times the trapezoid sum of |D N| on the 4096 points
     rng = np.random.default_rng(nmax)
     ell = 3.0
-    dirichlet = tuple(_random_trace(rng, side, "dirichlet", ell, nmax) for side in ("left", "right"))
-    neumann = tuple(
-        _random_trace(rng, side, "neumann_hyperbolic", ell, nmax) for side in ("left", "right")
-    )
+    dirichlet = tuple(_random_trace(rng, part, "dirichlet", ell, nmax) for part in PARTS)
+    neumann = tuple(_random_trace(rng, part, "neumann_hyperbolic", ell, nmax) for part in PARTS)
     got = identities.boundary_term_quadrature(dirichlet, neumann)
     ref = identities.boundary_term_quadrature(dirichlet, neumann, npts=4096)
-    terms = sum(np.abs(d.on_grid(4096) * n.on_grid(4096)) for d, n in zip(dirichlet, neumann))
+    # the integrand is -2 (D_e N_o + D_o N_e)
+    terms = 2 * sum(np.abs(d.on_grid(4096) * n.on_grid(4096)) for d, n in zip(dirichlet, neumann[::-1]))
     assert abs(got - ref) <= 64 * np.finfo(float).eps * ell * np.mean(terms)
 
 
@@ -134,15 +218,15 @@ def test_derived_seam_grid_matches_4096_points(nmax):
 def test_slice_residual_examples():
     sol = FourierSolution(ell=ELL, s=2.0, d0=0.3)
     # lam0 - rho0 = -s d0 / 2 zeroes the residual
-    assert identities.slice_residual(sol, _vf("left", -0.3), _vf("right", 0.0)) == pytest.approx(0.0)
-    assert identities.slice_residual(sol, _vf("left", -0.1), _vf("right", 0.0)) == pytest.approx(0.2)
+    assert identities.slice_residual(sol, _vf(-0.3, 0.0)) == pytest.approx(0.0)
+    assert identities.slice_residual(sol, _vf(-0.1, 0.0)) == pytest.approx(0.2)
 
 
 def test_slice_condition_report():
     sol = FourierSolution(ell=ELL, s=2.0, d0=0.3)
-    rep = identities.slice_condition(sol, _vf("left", -0.3), _vf("right", 0.0), 1e-12)
+    rep = identities.slice_condition(sol, _vf(-0.3, 0.0), 1e-12)
     assert rep.passed
-    bad = identities.slice_condition(sol, _vf("left", 0.5), _vf("right", 0.0), 1e-12)
+    bad = identities.slice_condition(sol, _vf(0.5, 0.0), 1e-12)
     assert not bad.passed
 
 
@@ -155,8 +239,7 @@ def _pinned_config(sol, chart, **kw):
 def _slice_config(rng, sol, chart, **kw):
     # means on the slice lam0 - rho0 = -s d0 / 2, where the master
     # identities hold as equalities
-    lam0, rho0 = sampling.slice_compatible_means(rng, chart.s, sol.d0)
-    return identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, **kw)
+    return identities.solve_configuration(chart, sol, sampling.slice_compatible_means(rng, chart.s, sol.d0), **kw)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +260,8 @@ def test_free_means_solve_no_strip_mode_at_large_a(chart, monkeypatch):
         config = identities.solve_configuration(chart, sol)
     assert solves == []
     dtn0 = hypersolve.seam_dtn([0], chart.ell, chart.a, chart.outer_bc)[0]
-    lam0, rho0 = variation.pinned_means(dtn0, sol.dirichlet_trace("left").mean, sol.dirichlet_trace("right").mean)
-    assert (config.v_left.mean, config.v_right.mean) == (lam0, rho0)
+    means = variation.pinned_means(dtn0, sol.dirichlet_trace("even").mean, sol.dirichlet_trace("odd").mean)
+    assert tuple(v.mean for v in config.variation) == means
     with np.errstate(all="ignore"):
         config.strip_sums
     assert len(solves) == 1
@@ -227,16 +310,13 @@ def test_zero_mode_past_cosh_overflow_is_zero():
     # pi n s / ell = 750 at n = 300, past where cosh overflows; a zero mode
     # there has exactly zero seam values, where 0 * inf would make NaN
     sol = FourierSolution(ell=ELL, s=5.0, modes={1: (0.3, 0.1j), 300: (0.0, 0.0)})
-    dirichlet = tuple(sol.dirichlet_trace(side) for side in ("left", "right"))
-    neumann = tuple(sol.neumann_trace_flat(side) for side in ("left", "right"))
-    for trace in dirichlet + neumann:
+    for trace in (sol.dirichlet_trace(side) for side in SIDES):
         assert np.all(np.isfinite(trace.coef)) and trace.coef[300] == 0.0
-    vl = variation.solve_flat_variation(neumann[0], 0.2)
-    vr = variation.solve_flat_variation(neumann[1], -0.1)
-    closed = identities.boundary_term_closed(sol, vl, vr)
-    quad = identities.boundary_term_quadrature(
-        dirichlet, (variation.hyperbolic_neumann(vl), variation.hyperbolic_neumann(vr))
-    )
+    for trace in (sol.neumann_trace_flat(side) for side in SIDES):
+        assert np.all(np.isfinite(trace.coef)) and trace.coef[300] == 0.0
+    v = _variation(sol, 0.2, -0.1)
+    closed = identities.boundary_term_closed(sol, v)
+    quad = _quadrature(sol, v)
     assert np.isfinite(closed) and closed != 0.0
     assert _EQUALITY.report(1e-10, closed, quad, (), "").passed
 
@@ -275,7 +355,7 @@ def test_master_identities_are_equalities_on_the_slice_only():
         assert rep.abs_err == abs(rep.lhs - rep.rhs)
     for rep in (identities.master_identity(on, 1e-9), identities.extended_master_identity(on, 1e-9)):
         assert rep.passed and rep.rel_err <= 1e-15
-    sres = identities.slice_residual(sol, off.v_left, off.v_right)
+    sres = identities.slice_residual(sol, off.variation)
     assert abs(2.0 * ELL * sol.d0 * sres) > 0.5
     for rep in (identities.master_identity(off, 1e-9), identities.extended_master_identity(off, 1e-9)):
         assert not rep.passed
@@ -330,18 +410,17 @@ def test_area_geometric_examples():
 
 def test_area_analytic_example():
     sol = FourierSolution(ell=ELL, s=2.0, d0=0.3)
-    val = identities.area_derivative_analytic(sol, _vf("left", -0.3), _vf("right", 0.0))
+    val = identities.area_derivative_analytic(sol, _vf(-0.3, 0.0))
     assert val == pytest.approx(-0.6 * np.pi)
 
 
 def test_area_routes_agree_on_slice():
     rng = np.random.default_rng(3)
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=4)
-    lam0, rho0 = sampling.slice_compatible_means(rng, 1.0, sol.d0)
-    vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), lam0)
-    vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), rho0)
+    means = sampling.slice_compatible_means(rng, 1.0, sol.d0)
+    v = tuple(map(variation.solve_flat_variation, map(sol.neumann_trace_flat, PARTS), means))
     geo = identities.area_derivative_geometric(sol)
-    ana = identities.area_derivative_analytic(sol, vl, vr)
+    ana = identities.area_derivative_analytic(sol, v)
     assert geo == pytest.approx(ana, abs=1e-12)
 
 
@@ -355,10 +434,10 @@ def test_strip_integral_route_matches_the_pinned_means(outer):
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=4)
     cfg = _pinned_config(sol, chart)
     ns = cfg.units.ns[1:]
-    seams = [np.concatenate(([t.mean], t.coef[ns])) for t in cfg.dirichlet]
+    seams = [np.concatenate(([t.mean], t.coef[ns])) for t in (cfg.seam(side)[0] for side in ("left", "right"))]
     int_h, flux = strip_integral_of_h(cfg.units, seams)
     assert (abs(flux) < 1e-12) == (outer == "neumann")
-    target = -sol.ell * (cfg.v_left.mean - cfg.v_right.mean)
+    target = -sol.ell * identities.mean_gap(cfg.variation)
     assert -int_h + 0.5 * flux == pytest.approx(target, rel=1e-8)
 
 
@@ -405,12 +484,8 @@ def test_extended_reduces_at_zero_quad():
     rng = np.random.default_rng(13)
     sol = sampling.random_solution(rng, ELL, 1.5, nmax=5)
     q0 = QuadDiffModes(ell=ELL, s=1.5)
-    wl = _amended(sol, "left", q0, 0.2)
-    wr = _amended(sol, "right", q0, -0.1)
-    ext = identities.extended_boundary_term(sol, q0, wl, wr)
-    vl = variation.solve_flat_variation(sol.neumann_trace_flat("left"), 0.2)
-    vr = variation.solve_flat_variation(sol.neumann_trace_flat("right"), -0.1)
-    assert ext == pytest.approx(identities.boundary_term_closed(sol, vl, vr), rel=1e-14)
+    ext = identities.extended_boundary_term(sol, q0, _amended(sol, q0, 0.2, -0.1))
+    assert ext == pytest.approx(identities.boundary_term_closed(sol, _variation(sol, 0.2, -0.1)), rel=1e-14)
 
 
 def test_extended_cross_term_example():
@@ -418,14 +493,8 @@ def test_extended_cross_term_example():
     -(4/pi)(8 pi^2) sinh(1) cosh(1) = -32 pi sinh(1) cosh(1)."""
     sol = FourierSolution(ell=ELL, s=2.0, modes={1: (1.0, 0.0)})
     q = QuadDiffModes(ell=ELL, s=2.0, modes={1: (0.0, 1j)})
-    wl = _amended(sol, "left", q, 0.0)
-    wr = _amended(sol, "right", q, 0.0)
-    ext = identities.extended_boundary_term(sol, q, wl, wr)
-    plain = identities.boundary_term_closed(
-        sol,
-        variation.solve_flat_variation(sol.neumann_trace_flat("left"), 0.0),
-        variation.solve_flat_variation(sol.neumann_trace_flat("right"), 0.0),
-    )
+    ext = identities.extended_boundary_term(sol, q, _amended(sol, q, 0.0, 0.0))
+    plain = identities.boundary_term_closed(sol, _variation(sol, 0.0, 0.0))
     cross = ext - plain
     assert cross == pytest.approx(-32.0 * np.pi * np.sinh(1.0) * np.cosh(1.0))
 
@@ -434,14 +503,8 @@ def test_extended_real_products_vanish():
     # Im(v conj(c) + u conj(d)) = 0 when everything is real
     sol = FourierSolution(ell=ELL, s=1.0, modes={1: (0.5, 0.25), 2: (0.1, 0.0)})
     q = QuadDiffModes(ell=ELL, s=1.0, modes={1: (0.2, 0.4), 2: (0.3, 0.1)})
-    wl = _amended(sol, "left", q, 0.0)
-    wr = _amended(sol, "right", q, 0.0)
-    ext = identities.extended_boundary_term(sol, q, wl, wr)
-    plain = identities.boundary_term_closed(
-        sol,
-        variation.solve_flat_variation(sol.neumann_trace_flat("left"), 0.0),
-        variation.solve_flat_variation(sol.neumann_trace_flat("right"), 0.0),
-    )
+    ext = identities.extended_boundary_term(sol, q, _amended(sol, q, 0.0, 0.0))
+    plain = identities.boundary_term_closed(sol, _variation(sol, 0.0, 0.0))
     assert ext == pytest.approx(plain, rel=1e-14)
 
 
@@ -449,24 +512,16 @@ def test_extended_requires_amended_fields():
     sol = FourierSolution(ell=ELL, s=1.0)
     q = QuadDiffModes(ell=ELL, s=1.0)
     with pytest.raises(ValueError):
-        identities.extended_boundary_term(sol, q, _vf("left", 0.0), _vf("right", 0.0))
+        identities.extended_boundary_term(sol, q, _vf(0.0, 0.0))
 
 
 def test_extended_closed_matches_quadrature():
     rng = np.random.default_rng(17)
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=5)
     q = sampling.random_quad(rng, ELL, 1.0, nmax=5)
-    wl = _amended(sol, "left", q, 0.1)
-    wr = _amended(sol, "right", q, -0.2)
-    ext = identities.extended_boundary_term(sol, q, wl, wr)
-    quad = identities.boundary_term_quadrature(
-        (sol.dirichlet_trace("left"), sol.dirichlet_trace("right")),
-        (
-            variation.hyperbolic_neumann(wl),
-            variation.hyperbolic_neumann(wr),
-        ),
-    )
-    assert ext == pytest.approx(quad, rel=1e-10)
+    w = _amended(sol, q, 0.1, -0.2)
+    ext = identities.extended_boundary_term(sol, q, w)
+    assert ext == pytest.approx(_quadrature(sol, w), rel=1e-10)
 
 
 def test_extended_master_reduces_to_master():
@@ -585,7 +640,7 @@ def test_n0_balance_strictly_negative():
 
 def test_report_serializes_to_json():
     sol = FourierSolution(ell=ELL, s=2.0, d0=0.3)
-    rep = identities.slice_condition(sol, _vf("left", -0.3), _vf("right", 0.0), 1e-12)
+    rep = identities.slice_condition(sol, _vf(-0.3, 0.0), 1e-12)
     text = json.dumps(rep.to_dict())
     data = json.loads(text)
     assert data["pass"] is True
@@ -661,10 +716,10 @@ def test_every_suite_report_passes_by_its_bound(ell, s, a, outer_bc, modes):
     rng = np.random.default_rng(0)
     sol = sampling.random_solution(rng, ell, s, nmax=modes)
     q = sampling.random_quad(rng, ell, s, nmax=modes, amplitude=0.5)
-    lam0, rho0 = sampling.slice_compatible_means(rng, s, sol.d0)
+    means = sampling.slice_compatible_means(rng, s, sol.d0)
     small = sampling.random_solution(rng, ell, s, nmax=3, amplitude=1e-4)
     chart = GraftedCollar(ell=ell, s=s, a=a, outer_bc=outer_bc)
-    config = identities.solve_configuration(chart, sol, mean_left=lam0, mean_right=rho0, quad=q)
+    config = identities.solve_configuration(chart, sol, means, quad=q)
     reports = identities.suite(config, small, modes, 1e-10)
     assert len(reports) == 13
     for report in reports:

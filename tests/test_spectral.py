@@ -95,6 +95,37 @@ def test_neumann_trace_values():
     assert FourierSolution(ell=ELL, s=S, c0=0.4).neumann_trace_flat("right").mean == 0.4
 
 
+def test_seam_part_gives_each_side_of_a_pair():
+    assert [spectral.seam_part(side, 3.0, 0.5) for side in spectral.SIDES] == [2.5, 3.5, 3.0, 0.5]
+    with pytest.raises(ValueError, match="side must be one of"):
+        spectral.seam_part("middle", 3.0, 0.5)
+    with pytest.raises(ValueError, match="side must be one of"):
+        TraceModes(side="middle", kind="dirichlet", ell=ELL, mean=0.0)
+
+
+def test_trace_parts_come_from_the_coefficients_and_combine_to_the_seams():
+    # the parts are (right + left)/2 and (right - left)/2, each formed from
+    # the coefficients with no difference: Dirichlet means d0 and c0 s/2,
+    # modes c_n cosh and d_n sinh; flat Neumann means c0 and 0, modes
+    # k_n d_n cosh and k_n c_n sinh
+    sol = FourierSolution(ell=ELL, s=S, c0=0.3, d0=-0.7, modes={1: (0.4 - 0.2j, 0.1j), 3: (0.0, -0.5)})
+    n = np.arange(4)
+    k, arg = 2 * np.pi * n / ELL, np.pi * n * S / ELL
+    C, Sh = np.cosh(arg), np.sinh(arg)
+    even, odd = sol.dirichlet_trace("even"), sol.dirichlet_trace("odd")
+    assert (even.mean, odd.mean) == (-0.7, 0.3 * S / 2)
+    assert np.array_equal(even.coef, sol.c * C) and np.array_equal(odd.coef, sol.d * Sh)
+    flat_even, flat_odd = sol.neumann_trace_flat("even"), sol.neumann_trace_flat("odd")
+    assert (flat_even.mean, flat_odd.mean) == (0.3, 0.0)
+    assert np.array_equal(flat_even.coef, k * (sol.d * C)) and np.array_equal(flat_odd.coef, k * (sol.c * Sh))
+    for trace, parts in ((sol.dirichlet_trace, (even, odd)), (sol.neumann_trace_flat, (flat_even, flat_odd))):
+        for side in ("left", "right"):
+            seam = trace(side)
+            assert seam.side == side
+            assert seam.mean == pytest.approx(spectral.seam_part(side, *(t.mean for t in parts)), rel=1e-15)
+            assert np.allclose(seam.coef, spectral.seam_part(side, *(t.coef for t in parts)), rtol=1e-15, atol=0)
+
+
 def test_neumann_trace_against_one_sided_difference():
     sol = _random_sol(2, nmax=3, amplitude=0.01)
     h = 1e-6

@@ -52,9 +52,9 @@ def test_variation_solve_rejects_what_the_closed_form_rejects():
     sol = _sol(c0=5e-13)
     with pytest.raises(SolvabilityError):
         solve_flat_variation(sol.neumann_trace_flat("left"), 0.0)
-    v = TraceModes(side="left", kind="variation", ell=ELL, mean=0.0)
+    v = TraceModes(side="even", kind="variation", ell=ELL, mean=0.0)
     with pytest.raises(SolvabilityError):
-        identities.boundary_term_closed(sol, v, replace(v, side="right"))
+        identities.boundary_term_closed(sol, (v, replace(v, side="odd")))
 
 
 def test_single_mode_coefficient():
@@ -258,14 +258,15 @@ def test_vanishing_mechanism_for_pure_means():
     # with no oscillating modes the mean-mode seam balance pins both free
     # constants to dtn-proportional values; the slice condition then kills d0
     dtn0 = hypersolve.dtn(0, ELL, 1.0)
-    lam0, rho0 = pinned_means(dtn0, 0.0, 0.0)
-    assert lam0 == rho0 == 0.0
+    even, odd = pinned_means(dtn0, 0.0, 0.0)
+    assert even == odd == 0.0
     d0 = 0.37
-    lam0, rho0 = pinned_means(dtn0, d0, d0)
+    # equal seam means d0: the even part is d0 and the odd part 0
+    even, odd = pinned_means(dtn0, d0, 0.0)
     # slice condition lam0 - rho0 = -s d0 / 2 forces (2 dtn0 - s) d0 = 0
     coeff = 2 * dtn0 - S
     assert coeff < 0
-    assert lam0 - rho0 == pytest.approx(-dtn0 * d0)
+    assert even == 0.0 and -2.0 * odd == pytest.approx(-dtn0 * d0)
 
 
 def test_matched_field_continuity():
@@ -279,7 +280,8 @@ def test_matched_field_continuity():
     )
     for modes, (mean_left, mean_right) in fields:
         sol = _sol(d0=0.3, modes=modes)
-        config = identities.solve_configuration(chart, sol, mean_left, mean_right)
+        means = ((mean_right + mean_left) / 2, (mean_right - mean_left) / 2)
+        config = identities.solve_configuration(chart, sol, means)
         field = matched_global_field(config)
         for x0, sgn in ((-S / 2, -1.0), (S / 2, 1.0)):
             inner = field(np.full(16, x0), y)[0]
@@ -287,7 +289,7 @@ def test_matched_field_continuity():
             assert np.max(np.abs(inner - outer)) < 1e-7, list(modes)
         # strip-side slope carries the variation-mediated Neumann data
         h = 1e-6
-        nl = hyperbolic_neumann(config.v_left)
+        nl = hyperbolic_neumann(config.seam("left")[1])
         fd = (field(-S / 2 - 0.0, y)[0] - field(-S / 2 - h, y)[0]) / h
         assert np.max(np.abs(fd - nl.reconstruct(y))) < 1e-4, list(modes)
         slope = field(np.full(16, -S / 2 - 1e-12), y)[1]
@@ -330,7 +332,7 @@ def test_geodesic_oracle_evaluates_its_field_once_per_residual(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "root", counted_root)
     m = 32
     y = np.arange(m) * (ELL / m)
-    geodesic_oracle(chart, spy, "right", 1e-3, m=m, initial_rate=config.v_right.reconstruct(y))
+    geodesic_oracle(chart, spy, "right", 1e-3, m=m, initial_rate=config.seam("right")[1].reconstruct(y))
     # every residual of the solve, and the check at its solution, makes one
     # call on the m grid points and the m midpoints together
     assert residuals == list(range(len(residuals)))
