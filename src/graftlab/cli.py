@@ -111,7 +111,7 @@ def load_config(path: str) -> dict:
                     values[attr] = kind(val.strip())
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return values
 
@@ -373,9 +373,8 @@ def cmd_modes(cfg: RunConfig) -> int:
 
 #: Each command's help line and flag table, option string -> (dest, type,
 #: choices, help), in the order of the help text: --config, then the
-#: command's settings.  main reads a line of exact --flag value pairs from
-#: it (_table_args), and the argparse parser for every other line is built
-#: from it (make_parser).
+#: command's settings.  The one declaration of the command line: make_parser
+#: builds every parser from it.
 _FLAGS = {
     command: (help_line, {"--config": ("config", str, None, "flat key = value config file")} | {
         "--" + key.replace("_", "-"): (attr, kind, choices, help_text)
@@ -391,51 +390,37 @@ _FLAGS = {
     )
 }
 
-#: Each command's dests, all None: the values of the flags not given
-_UNSET = {command: dict.fromkeys(dest for dest, *_ in flags.values()) for command, (_, flags) in _FLAGS.items()}
-
 
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built from _FLAGS on first use and kept: only
-    the lines that the flag table leaves need it.  argparse is imported
-    here, so neither import graftlab.cli nor a well-formed command line
-    loads it (geodesic does, through scipy: see variation.geodesic_oracle)."""
+def make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's subparser, by command name,
+    built from _FLAGS on first use and kept.  argparse is imported here, so
+    import graftlab.cli does not load it."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for command, (help_line, flags) in _FLAGS.items():
-        p = sub.add_parser(command, help=help_line)
+        commands[command] = p = sub.add_parser(command, help=help_line)
         for option, (dest, kind, choices, help_text) in flags.items():
             p.add_argument(option, dest=dest, type=kind, choices=choices, help=help_text)
-    return parser
+    return parser, commands
 
 
-def _table_args(argv: list[str]) -> dict | None:
-    """The dest -> value map that argparse gives a command line made only of
-    exact `--flag value` pairs of one command's table, each value of its
-    flag's type and within its choices; None for any other command line.
-    The value of a flag not given is None, and a repeated flag keeps its
-    last value, as in argparse."""
-    if len(argv) % 2 == 0 or argv[0] not in _FLAGS:
-        return None
-    flags = _FLAGS[argv[0]][1]
-    args = {"command": argv[0], **_UNSET[argv[0]]}
-    for option, text in zip(argv[1::2], argv[2::2]):
-        flag = flags.get(option)
-        # a value that starts with "-" may be a flag or a negative number to argparse
-        if flag is None or text.startswith("-"):
-            return None
-        dest, kind, choices, _ = flag
-        try:
-            value = kind(text)
-        except ValueError:
-            return None
-        if choices is not None and value not in choices:
-            return None
-        args[dest] = value
-    return args
+def _parse_args(argv: list[str]) -> dict:
+    """The dest -> value map of a command line, as vars(parse_args(argv)) of
+    the whole parser gives it; argparse exits on help and on errors.  A line
+    that starts with a command goes straight to that command's subparser,
+    as the whole parser would hand it on, and leftover tokens are the whole
+    parser's error; this skips the whole parser's own pass over the line."""
+    parser, commands = make_parser()
+    if not argv or argv[0] not in commands:
+        return vars(parser.parse_args(argv))
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return {"command": argv[0], **vars(args)}
 
 
 _COMMANDS = {
@@ -450,7 +435,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _table_args(argv) or vars(make_parser().parse_args(argv))
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

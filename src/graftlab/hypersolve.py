@@ -204,14 +204,15 @@ class StripProfiles:
         from one values call per block of _BLOCK to 2 _BLOCK - 1 rows, on
         the nodes of grid followed by xi = 0 and a.
 
-        Energy integrand: (|b'|^2 + (mu^2/cosh^2 + 2)|b|^2) cosh(xi), by the
+        Energy integrand: (b'^2 + (mu^2/cosh^2 + 2) b^2) cosh(xi), by the
         Gauss-Legendre rule of grid that every profile of the strip shares;
-        no scipy.integrate.  For n >= 1 the unit profile c_u u + c_w w
-        cancels at large a, and the energy loses accuracy there: the strip
-        Green check fails from a strip width that falls as ell grows
-        (README, Known limits, gives the onset per ell).  Only reading the
-        strip sums runs this pass, so geodesic, which reads none, is not
-        affected.
+        no scipy.integrate.  Only the real unit profiles of solve_modes come
+        here: mode_extend's complex profiles are only ever called.  For
+        n >= 1 the unit profile c_u u + c_w w cancels at large a, and the
+        energy loses accuracy there: the strip Green check fails from a
+        strip width that falls as ell grows (README, Known limits, gives the
+        onset per ell).  Only reading the strip sums runs this pass, so
+        geodesic, which reads none, is not affected.
         """
         xi, trig, w_cosh, w_sech = self.grid
         xi_ends = np.array([0.0, self.a])
@@ -223,8 +224,7 @@ class StripProfiles:
             rows = slice(count * k // blocks, count * (k + 1) // blocks)
             b_all, bp_all = self.values(rows, points, trig)
             b, bp = b_all[:, :n], bp_all[:, :n]
-            # b * b is np.abs(b) ** 2 bit for bit for real profiles
-            bsq, bpsq = (np.abs(b) ** 2, np.abs(bp) ** 2) if np.iscomplexobj(b) else (b * b, bp * bp)
+            bsq, bpsq = b * b, bp * bp
             energy = (bpsq + 2.0 * bsq) @ w_cosh + self.mu[rows] ** 2 * (bsq @ w_sech)
             # a copy: views would keep every block's (rows x points) arrays alive
             ends = np.stack((b_all[:, n], bp_all[:, n], b_all[:, -1], bp_all[:, -1]))

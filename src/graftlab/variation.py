@@ -206,9 +206,8 @@ def geodesic_oracle(
     geodesic of the same metric.  The Euler-Lagrange residual is checked at
     the solution either way.
 
-    scipy is imported here only, on first use.  scipy.optimize loads
-    argparse through numpy.f2py, so every geodesic run imports argparse,
-    even from a well-formed command line.
+    scipy is imported here only, on first use, so geodesic is the one
+    command that loads it.
     """
     ell, s = chart.ell, chart.s
     base = seam_part(side, 0.0, s / 2)

@@ -234,6 +234,12 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("wavelength = 6.28\n")
     assert cli.main(["verify", "--config", str(unknown)]) == 2
+    undecodable = tmp_path / "undecodable.cfg"
+    undecodable.write_bytes(b"ell = 2\n\xff\n")
+    capsys.readouterr()
+    assert cli.main(["chart", "--config", str(undecodable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {undecodable}: ") and err.count("\n") == 1
 
 
 def test_invalid_values_exit_2(capsys):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graftlab import ConfigError, DomainError, cli, geometry, hypersolve, identities
@@ -188,7 +188,7 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     assert json.loads(out)["ell"] == 3.0
 
 
-# --- the flag table ---------------------------------------------------------
+# --- the parser -------------------------------------------------------------
 
 def _value(kind, choices):
     """Literal values of a flag's type (and within its choices) that do not
@@ -216,28 +216,16 @@ def _pair_lines(draw):
     return argv
 
 
-def _typed(args: dict) -> dict:
-    # repr tells nan, -0.0 and the types apart, where == would not
-    return {dest: (type(value), repr(value)) for dest, value in args.items()}
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=_pair_lines())
-def test_the_flag_table_gives_argparse_namespace_on_flag_value_pairs(argv):
-    expected = vars(cli.make_parser().parse_args(argv))
-    assert _typed(cli._table_args(argv)) == _typed(expected)
-
-
 def _echo(cfg) -> int:
     print(repr(cfg))
     return 0
 
 
 def _argparse_main(argv: list[str]) -> int:
-    """cli.main with argparse for every command line: the reference for the
-    lines the flag table leaves to argparse."""
+    """cli.main with the whole parser's parse_args for every command line:
+    the reference for main's parse route."""
     try:
-        args = cli.make_parser().parse_args(argv)
+        args = cli.make_parser()[0].parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -257,8 +245,8 @@ def _outcome(main, argv):
 
 @st.composite
 def _argparse_lines(draw):
-    """A line of flag-value pairs changed into one that the table leaves to
-    argparse: a help flag, an abbreviated or unknown flag, --flag=value, a
+    """A line of flag-value pairs changed into one of argparse's other
+    cases: a help flag, an abbreviated or unknown flag, --flag=value, a
     value that starts with "-", an odd token count, an unknown command, or a
     value that fails its flag's type or choices."""
     argv = draw(_pair_lines())
@@ -295,9 +283,18 @@ def _argparse_lines(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=_argparse_lines())
-def test_lines_the_flag_table_leaves_to_argparse_print_as_argparse_does(argv):
-    assert cli._table_args(argv) is None
+@given(argv=_pair_lines() | _argparse_lines())
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["verify", "-h"])
+@example(argv=["verify", "--he"])
+@example(argv=["verify", "--", "--ell", "1"])
+@example(argv=["verify", "--ell=1"])
+@example(argv=["verify", "--mod", "2"])
+@example(argv=["verify", "--ell", "-1", "--s", "-0.5"])
+@example(argv=["chart", "--ell", "1", "--ell", "2"])
+@example(argv=["chart", "1", "2"])
+def test_every_command_line_prints_as_the_whole_parser_gives_it(argv):
     with mock.patch.dict(cli._COMMANDS, dict.fromkeys(cli._COMMANDS, _echo)):
         assert _outcome(cli.main, argv) == _outcome(_argparse_main, argv)
 

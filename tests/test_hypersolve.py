@@ -301,13 +301,13 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
         def b(xi):
             if np.size(xi) > 2:  # the quadrature grid, not the two endpoints
                 grid_calls[n] = grid_calls.get(n, 0) + 1
-            return np.cos(xi) + 0.5j * n * xi**2
+            return np.cos(xi) + 0.5 * n * xi**2
 
         def bp(xi):
-            return -np.sin(xi) + 1j * n * xi
+            return -np.sin(xi) + n * xi
 
         def bpp(xi):
-            return -np.cos(xi) + 1j * n
+            return -np.cos(xi) + n
 
         units, _ = manufactured_mode(n, ELL, a, b, bp, bpp)
         return units

@@ -27,14 +27,19 @@ def _run_python(code: str, **env_vars: str) -> str:
 
 @pytest.fixture(scope="module")
 def modules_after_cli_import() -> list[str]:
-    # one interpreter launch serves every import test below: the scipy and
-    # numpy.polynomial modules loaded by `import graftlab.cli`
+    # one interpreter launch serves every import test below: the scipy,
+    # numpy.polynomial and argparse modules loaded by `import graftlab.cli`
     code = (
         "import sys, graftlab.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
+        "if m.split('.')[0] in ('scipy', 'argparse') or m.startswith('numpy.polynomial')))"
     )
     return ast.literal_eval(_run_python(code))
+
+
+def test_cli_import_leaves_argparse_unloaded(modules_after_cli_import):
+    # the parser is built, and argparse imported, on the first command line
+    assert "argparse" not in modules_after_cli_import
 
 
 def test_cli_import_leaves_ode_and_spline_modules_unloaded(modules_after_cli_import):
@@ -97,29 +102,6 @@ def test_public_surface_is_pinned():
         "total_area",
         "total_area_quadrature",
     ]
-
-
-def test_cli_import_and_a_well_formed_command_leave_argparse_unloaded():
-    # a line of exact --flag value pairs of any command is read from the
-    # flag table; only the lines it leaves need the argparse parser.
-    # geodesic goes last: scipy.optimize imports argparse itself (through
-    # numpy.f2py), so after it only the parser's cache can tell
-    lines = [
-        ["verify", "--modes", "2"],
-        ["sweep", "--param", "a", "--from", "0.5", "--to", "2", "--steps", "3"],
-        ["chart", "--a", "2"],
-        ["modes", "--modes", "4"],
-        ["geodesic", "--ell", "1", "--s", "0.5", "--a", "0.5", "--modes", "1"],
-    ]
-    code = (
-        "import contextlib, io, sys, graftlab.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rcs = [graftlab.cli.main(argv) for argv in {lines[:-1]!r}]\n"
-        "    loaded = 'argparse' in sys.modules\n"
-        f"    rcs.append(graftlab.cli.main({lines[-1]!r}))\n"
-        "print(rcs, loaded, graftlab.cli.make_parser.cache_info().misses)"
-    )
-    assert _run_python(code) == "[0, 0, 0, 0, 0] False 0"
 
 
 def test_verify_output_does_not_depend_on_blas_threads():

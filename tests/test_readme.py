@@ -97,7 +97,7 @@ def test_every_synopsis_line_parses():
     for line in lines:
         argv = line.replace("[", " ").replace("]", " ").split()
         assert argv[0] == "graftlab"
-        cli.make_parser().parse_args(argv[1:])
+        cli.make_parser()[0].parse_args(argv[1:])
 
 
 #: each kind's bound and abs_err columns, then each as a function of one
