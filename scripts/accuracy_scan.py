@@ -11,7 +11,7 @@ has:
 - each draw's command line, exit code, failing checks and warning flag;
 - the exit-code counts and the count of draws that warned;
 - the families of failing checks per exit-1 draw: "strip" (the strip Green
-  check or either master identity), "seam" (either boundary check or
+  check or the master identity), "seam" (either boundary check or
   area_derivative), "floor" (the determinant floor) and "other";
 - per check, the count of failures and the largest abs_err / bound among
   the draws that pass it;
@@ -20,9 +20,11 @@ has:
 With `--check FILE` it compares the scan with FILE, a committed result,
 draw by draw, and exits 1 if any draw got worse: its exit code rose, it
 raised a warning that it did not, or at the same exit code it fails a
-check that it passed.  A draw that gets better can move from one family
-to another, so the counts are reported, not compared.  With `--check` the
-result is written only where `--out` is given.
+check that it passed.  It exits 1 as well if FILE's checks are not the
+rows of `identities.CHECKS`, and names the rows added or removed.  A draw
+that gets better can move from one family to another, so the counts are
+reported, not compared.  With `--check` the result is written only where
+`--out` is given.
 
     python scripts/accuracy_scan.py                       # write BENCH_accuracy.json
     python scripts/accuracy_scan.py --check BENCH_accuracy.json
@@ -52,7 +54,6 @@ DRAWS, SEED = 600, 11
 FAMILIES = {
     "strip_greens_identity": "strip",
     "master_identity": "strip",
-    "extended_master_identity": "strip",
     "boundary_term_closed_vs_quadrature": "seam",
     "extended_boundary_closed_vs_quadrature": "seam",
     "area_derivative": "seam",
@@ -155,6 +156,16 @@ def worsened(result: dict, committed: dict) -> list[str]:
     return lines
 
 
+def changed_rows(committed: dict) -> list[str]:
+    """The rows of identities.CHECKS that committed has no check for, and
+    committed's checks that are no longer rows: a scan of other rows is not
+    the one to hold the draws to."""
+    added = [name for name in identities.CHECKS if name not in committed["checks"]]
+    removed = [name for name in committed["checks"] if name not in identities.CHECKS]
+    return [f"rows {how} since the committed scan: {names}"
+            for how, names in (("added", added), ("removed", removed)) if names]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="where to write the result: BENCH_accuracy.json unless --check is given")
@@ -172,7 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     worse = worsened(result, committed)
     for line in worse:
         print(f"worse: {line}", file=sys.stderr)
-    return 1 if worse else 0
+    changed = changed_rows(committed)
+    for line in changed:
+        print(f"checks: {line}", file=sys.stderr)
+    return 1 if worse or changed else 0
 
 
 if __name__ == "__main__":

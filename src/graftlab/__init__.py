@@ -31,7 +31,6 @@ from .identities import (
     boundary_term_quadrature,
     determinant_floor,
     extended_boundary_term,
-    extended_master_identity,
     master_identity,
     n0_balance_coefficient,
     per_mode_determinant,

@@ -2,7 +2,8 @@
 
 Boundary-term closed form vs seam quadrature, the master nonpositivity
 identity, the slice condition, both area-derivative routes, the arc-length
-derivative, their quadratic-differential extensions, and the suite of verify.
+derivative, the boundary term's quadratic-differential extension, and the
+suite of verify.
 
 Boundary orientation: the seam normal points out of the hyperbolic strips,
 +d/dx at the left seam x = -s/2 and -d/dx at the right seam x = +s/2.
@@ -370,7 +371,7 @@ def arc_length_derivative(sol: FourierSolution, npts: int | None = None, dirichl
     return float(-0.5 * (sol.ell / npts) * np.sum(left))
 
 
-# --- quadratic-differential extensions --------------------------------------
+# --- quadratic-differential extension ---------------------------------------
 
 def extended_boundary_term(sol: FourierSolution, q: QuadDiffModes, amended: Pair) -> float:
     """Closed form of the seam boundary term for the (even, odd) parts of
@@ -385,27 +386,6 @@ def extended_boundary_term(sol: FourierSolution, q: QuadDiffModes, amended: Pair
         raise SolvabilityError("closed form requires a vanishing linear coefficient")
     total = 2.0 * sol.ell * sol.d0 * mean_gap(amended) + _cylinder_series(sol)
     return float(_mixed_series(sol, q, total))
-
-
-def extended_master_identity(config: SolvedConfiguration, tol: float) -> IdentityReport:
-    """Nonpositive decomposition of the amended boundary term.
-
-    Adds to the unamended terms the mixed Im-series (_mixed_series), which
-    is not sign-definite, and the height-rate term -2 ell s d0 (ds/dt / s),
-    which vanishes as the family holds s fixed.  The closed term of the
-    equality is extended_boundary_term's; judged as master_identity is.
-    """
-    sol = config.sol
-    energy, seam_form, t_outer = config.strip_sums
-    terms = (
-        ("hyperbolic_energy", -energy),
-        ("cylinder_series", _cylinder_series(sol)),
-        ("mixed_series", _mixed_series(sol, config.quad)),
-        ("mean_term", -sol.ell * sol.s * sol.d0**2),
-        ("outer_greens", t_outer),
-    )
-    notes = "total is the seam data mismatch of the amended fields on this bounded model"
-    return CHECKS["extended_master_identity"].report(tol, terms, config.extended_closed, seam_form, notes)
 
 
 # --- per-mode injectivity system --------------------------------------------
@@ -500,12 +480,12 @@ def _equality(tol: float, lhs: float, rhs: float, terms: tuple, notes: str) -> t
     return terms, lhs, rhs, abs_err, rel_err, tol, tol * max(1.0, scale), notes
 
 
-#: The terms of a master identity that are nonpositive by construction
+#: The terms of the master identity that are nonpositive by construction
 _NONPOSITIVE = ("hyperbolic_energy", "cylinder_series", "mean_term")
 
 
 def _decomposition(tol: float, terms: tuple, closed: float, green: float, notes: str) -> tuple:
-    """A master identity, whose total (the sum of terms) equals the closed
+    """The master identity, whose total (the sum of terms) equals the closed
     boundary term minus the strip seam Green form on the slice.  The bound
     is tol (sum |terms| + |closed| + |green|).  abs_err is the larger of the
     equality gap and that sum times the sign violation (the largest
@@ -577,14 +557,6 @@ def _extended_boundary(check: Check, tol: float, config: SolvedConfiguration, fi
     return check.report(tol, config.extended_closed, quad, (), notes)
 
 
-def _extended_reduction(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
-    """The amended boundary term at the zero quadratic differential against the unamended one."""
-    sol = config.sol
-    q0 = QuadDiffModes(ell=sol.ell, s=sol.s)
-    zero_q = extended_boundary_term(sol, q0, tuple(amend_variation(v, q0) for v in config.variation))
-    return check.report(tol, zero_q, config.closed, (), "")
-
-
 def _modulus(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The conformal modulus against its quadrature."""
     closed, quad = conformal_modulus(config.chart), conformal_modulus_quadrature(config.chart)
@@ -653,9 +625,6 @@ CHECKS = {check.identity: check for check in (
           lambda check, tol, config, field, modes: area_derivative_report(config, tol)),
     Check("arc_length_derivative", _equality, lambda tol: tol, _arc_length),
     Check("extended_boundary_closed_vs_quadrature", _equality, lambda tol: tol, _extended_boundary),
-    Check("extended_reduction_at_zero_quad", _equality, lambda tol: tol, _extended_reduction),
-    Check("extended_master_identity", _decomposition, lambda tol: 1e3 * tol,
-          lambda check, tol, config, field, modes: extended_master_identity(config, tol)),
     Check("conformal_modulus_closed_vs_quadrature", _equality, lambda tol: tol, _modulus),
     Check("total_area_closed_vs_quadrature", _equality, lambda tol: tol, _area),
     Check("interior_harmonicity_stencil", _residual, lambda tol: None, _stencil),

@@ -189,21 +189,28 @@ def test_08_extended_reduction_and_scaling():
     sol = sampling.random_solution(rng, ell, s, nmax=4)
     q = sampling.random_quad(rng, ell, s, nmax=4)
 
+    # at q = 0 the mixed series is a sum of zeros and amending keeps the
+    # means, so the amended closed term is the unamended one: exactly but
+    # for the order in which the two add the cylinder series to the mean
+    # term, which can move their last bits
     cfg0 = identities.solve_configuration(chart, sol)
-    base = identities.master_identity(cfg0, 1e-9)
-    ext0 = identities.extended_master_identity(cfg0, 1e-9)
-    exact = ext0.lhs == base.lhs and dict(ext0.terms)["mixed_series"] == 0.0
+    q0 = QuadDiffModes(ell=ell, s=s)
+    amended0 = tuple(variation.amend_variation(v, q0) for v in cfg0.variation)
+    ext0 = identities.extended_boundary_term(sol, q0, amended0)
+    closed0 = identities.boundary_term_closed(sol, cfg0.variation)
+    ulps = abs(ext0 - closed0) / np.spacing(abs(closed0))
+    reduces = identities._mixed_series(sol, q0) == 0.0 and ulps <= 2
 
     eps = np.array([1e-2, 1e-3, 1e-4])
     mixed = []
     for e in eps.tolist():
         scaled = QuadDiffModes(q.ell, q.s, e * q.u0, e * q.v0, u=e * q.u, v=e * q.v)
-        cfg = identities.solve_configuration(chart, sol, quad=scaled)
-        mixed.append(abs(dict(identities.extended_master_identity(cfg, 1e-9).terms)["mixed_series"]))
+        mixed.append(abs(identities._mixed_series(sol, scaled)))
     slope = np.polyfit(np.log(eps), np.log(mixed), 1)[0]
-    ok = exact and abs(slope - 1.0) < 0.05
-    _line(8, "extended_reduction_scaling", ok, f"q=0 exact {exact}, fitted exponent {slope:.4f}")
-    assert exact
+    ok = reduces and abs(slope - 1.0) < 0.05
+    detail = f"q=0 reduces {reduces} ({ulps:.0f} ulp apart), fitted exponent {slope:.4f}"
+    _line(8, "extended_reduction_scaling", ok, detail)
+    assert reduces
     assert abs(slope - 1.0) < 0.05
 
 

@@ -62,6 +62,25 @@ def test_check_compares_without_writing_over_the_committed_file(short, tmp_path,
     assert json.loads((tmp_path / "out.json").read_text())["draws"] == short["draws"]
 
 
+def test_check_fails_where_the_committed_checks_are_not_the_rows(short, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scan, "DRAWS", 12)
+    # the same draws, scored by a check table with one row renamed
+    stale = json.loads(json.dumps(short))
+    stale["checks"]["extended_master_identity"] = stale["checks"].pop("master_identity")
+    committed = tmp_path / "committed.json"
+    committed.write_text(json.dumps(stale))
+    assert scan.main(["--check", str(committed)]) == 1
+    assert capsys.readouterr().err == (
+        "checks: rows added since the committed scan: ['master_identity']\n"
+        "checks: rows removed since the committed scan: ['extended_master_identity']\n"
+    )
+
+
+def test_every_family_names_a_row_of_the_check_table():
+    # a name that is no row would sort nothing into its family
+    assert set(scan.FAMILIES) <= set(scan.identities.CHECKS)
+
+
 def test_the_committed_scan_has_no_seam_failure_and_no_warning():
     # ROADMAP item 13: the seam pairs as even and odd parts; the ratchet
     # holds every draw to the committed one in CI

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -27,7 +28,7 @@ def test_verify_passes_and_reports(capsys):
     assert code == 0
     payload = json.loads(out)
     reports = payload["reports"]
-    assert len(reports) >= 12
+    assert len(reports) == 11
     assert all(r["pass"] for r in reports)
     names = {r["identity"] for r in reports}
     assert "master_identity" in names
@@ -154,9 +155,6 @@ def test_verify_stays_finite_where_cosh_overflows(capsys):
         assert all(math.isfinite(v) for v in values), r["identity"]
 
 
-_MASTERS = ("master_identity", "extended_master_identity")
-
-
 @pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
 def test_master_identities_fail_where_the_strip_quadrature_cancels(outer, capsys):
     # from a = 23 the unit profiles of the modes n >= 1 cancel on the
@@ -169,9 +167,9 @@ def test_master_identities_fail_where_the_strip_quadrature_cancels(outer, capsys
         code, out = run(["verify", "--a", a, "--outer-bc", outer], capsys)
         assert code == 1
         reports = {r["identity"]: r for r in json.loads(out, parse_constant=_reject_non_finite)["reports"]}
-        for name in _MASTERS:
-            assert not reports[name]["pass"], (a, name)
-            assert dict((t["label"], t["value"]) for t in reports[name]["terms"])["hyperbolic_energy"] < 0.0
+        master = reports["master_identity"]
+        assert not master["pass"], a
+        assert dict((t["label"], t["value"]) for t in master["terms"])["hyperbolic_energy"] < 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -185,9 +183,7 @@ def test_verify_past_cosh_squared_overflow_prints_finite_failing_reports(a, oute
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     reports = {r["identity"]: r for r in json.loads(captured.out, parse_constant=_reject_non_finite)["reports"]}
-    assert [name for name, r in reports.items() if not r["pass"]] == [
-        "master_identity", "extended_master_identity", "strip_greens_identity",
-    ]
+    assert [name for name, r in reports.items() if not r["pass"]] == ["master_identity", "strip_greens_identity"]
 
 
 def test_verify_reports_the_mode_counts_kept(capsys):
@@ -669,15 +665,17 @@ def _canonical(out: str, drop=('"generated_at"',)) -> str:
 #: strip energy, outer Green form and strip Green residual, of the boundary
 #: quadratures and of the arc length moved (and the master identities'
 #: totals and bounds with them), the slice residual in two notes at s = 0
-#: became -0.000e+00, and every pass flag stayed
+#: became -0.000e+00, and every pass flag stayed.  Taken again when the
+#: extended master identity and the zero-q reduction left the suite: only
+#: their two report blocks went, and every other byte stayed
 _PINNED_VERIFY = {
-    "verify --modes 1": "937cac270f428d78fc2f420d2af50f8d9943a125d2e879cfc2b0fa917284c0ba",
-    "verify --s 0 --outer-bc neumann --seed 4": "89446421d1ed8a9dce560d2e5535e1a260adb45e3a0190d34a2c3229a7b740f1",
-    "verify --ell 2 --a 3 --modes 64 --seed 7": "cbf7e2d297b4325f7c46ea984501bed067c93579808855cf848a24dbc831ab42",
+    "verify --modes 1": "25b0b1507ca626ad9d26439b13293ea15de9bcf684dc1044dc4fd83539acee05",
+    "verify --s 0 --outer-bc neumann --seed 4": "8a6079b763235baf376eeef45b325c082646aeed571b71c8efba9a424888d4c6",
+    "verify --ell 2 --a 3 --modes 64 --seed 7": "40a4be207251698aa7d212494c7b2a31b50b5998dfbbd0342ce842f15c0536ec",
     "verify --ell 8 --s 20 --a 1 --outer-bc neumann --modes 256 --seed 2":
-        "c431b561bdeaadb465d03520e909aed6077b842cf3e8374ab324930a312d518d",
+        "cce463531ee208d80a9c552af1ee08eec6105364cce6cb2c83c747b3c42c146b",
     "verify --ell 0.5 --s 3 --a 0.3 --modes 256 --seed 11":
-        "b312f5a588218c804824bb97bf74b12a28ccba73f5303ca92fc5c30011cf906a",
+        "d7f811c5606758c0d7d683b67e94b41ea155ebec86c7318b459d3a8c063c4398",
 }
 
 
@@ -696,7 +694,7 @@ def test_verify_report_with_its_bounds_is_byte_reproducible(capsys):
     code, out = run(["verify", "--modes", "1"], capsys)
     assert code == 0
     assert hashlib.sha256(_canonical(out).encode()).hexdigest() == (
-        "7b035bd7f4cd0a5c52b9786f29cc66f6d032adc38cb2d72447894de02e9e67b9"
+        "ace7b69beda8d45995c79ce95b3d2a64762787323b3249be6d98f83e76920366"
     )
 
 
@@ -843,14 +841,13 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch, capsys):
     code, _ = run(["verify", "--modes", "64"], capsys)
     assert code == 0
     # the strip modes and sums once per configuration, the series terms
-    # once per field, the closed boundary term once, the amended one for q
-    # and for the zero q, and one flat variation per seam, amended for q
-    # and the zero q
+    # once per field, the closed and the amended boundary terms once each,
+    # and one flat variation per seam part
     assert collections.Counter(calls) == {
         "strip_sums": 1,
         "solve_modes": 1,
         "boundary_term_closed": 1,
-        "extended_boundary_term": 2,
+        "extended_boundary_term": 1,
         "solve_flat_variation": 2,
         "cylinder_terms": 1,
     }
@@ -864,14 +861,14 @@ def test_verify_keeps_every_report_when_one_identity_raises(monkeypatch, capsys)
     code, out = run(["verify", "--modes", "16"], capsys)
     assert code == 0
     names = [r["identity"] for r in json.loads(out)["reports"]]
-    monkeypatch.setattr(identities, "extended_master_identity", _raise_domain_error)
+    monkeypatch.setattr(identities, "master_identity", _raise_domain_error)
     code, out = run(["verify", "--modes", "16"], capsys)
     assert code == 1
     reports = json.loads(out)["reports"]
-    assert len(names) == 13
+    assert len(names) == 11
     assert [r["identity"] for r in reports] == names
     failing = [r for r in reports if not r["pass"]]
-    assert [r["identity"] for r in failing] == ["extended_master_identity"]
+    assert [r["identity"] for r in failing] == ["master_identity"]
     assert failing[0]["notes"] == "error: DomainError: injected failure"
 
 
@@ -887,6 +884,36 @@ def test_green_check_is_unchanged_when_the_master_identity_raises(monkeypatch, c
     after = {r["identity"]: r for r in json.loads(out)["reports"]}
     assert [name for name, r in after.items() if not r["pass"]] == ["master_identity"]
     assert json.dumps(after["strip_greens_identity"]) == json.dumps(before["strip_greens_identity"])
+
+
+#: a function that verify's checks read, and the check that catches its
+#: output scaled by 1 + 1e-9 on the default chart.  mean_gap's catcher is
+#: area_derivative alone: slice_condition, which area_derivative is ell
+#: times, misses it, as its bound does not scale with ell
+_CATCHERS = {
+    "_mixed_series": "extended_boundary_closed_vs_quadrature",
+    "extended_boundary_term": "extended_boundary_closed_vs_quadrature",
+    "amend_variation": "extended_boundary_closed_vs_quadrature",
+    "boundary_term_closed": "boundary_term_closed_vs_quadrature",
+    "mean_gap": "area_derivative",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATCHERS))
+def test_verify_catches_a_relative_defect_of_1e_9(name, monkeypatch, capsys):
+    original = getattr(identities, name)
+
+    def scaled(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if isinstance(out, spectral.TraceModes):
+            return dataclasses.replace(out, mean=out.mean * (1.0 + 1e-9), coef=out.coef * (1.0 + 1e-9))
+        return out * (1.0 + 1e-9)
+
+    # patched where identities looks it up, so every check that reads it sees the defect
+    monkeypatch.setattr(identities, name, scaled)
+    code, out = run(["verify"], capsys)
+    failing = [r["identity"] for r in json.loads(out)["reports"] if not r["pass"]]
+    assert code == 1 and _CATCHERS[name] in failing, failing
 
 
 def test_verify_error_before_any_report_exits_1_with_no_report(monkeypatch, capsys):

@@ -337,7 +337,6 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     quad = sampling.random_quad(rng, ELL, 1.0, nmax=6, amplitude=0.5)
     config = identities.solve_configuration(GraftedCollar(ell=ELL, s=1.0, a=1.3), sol, quad=quad)
     identities.master_identity(config, 1e-9)
-    identities.extended_master_identity(config, 1e-9)
     ns = sol.nonzero_modes()
     greens_residual(config.units, [np.concatenate(([t.mean], t.coef[ns])) for t in config.dirichlet])
     assert grid_rows == [[float(hypersolve._mu(n, ELL)) for n in range(7)]]

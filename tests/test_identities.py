@@ -295,11 +295,9 @@ def test_master_identities_fail_non_finite_terms():
     chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
     sol = FourierSolution(ell=ELL, s=1.0, modes={1: (0.3, 0.0), 1500: (1e-300, 0.0)})
     with np.errstate(over="ignore", invalid="ignore"):
-        config = _pinned_config(sol, chart)
-        reports = [identities.master_identity(config, 1e-9), identities.extended_master_identity(config, 1e-9)]
-    for rep in reports:
-        assert np.isnan(dict(rep.terms)["cylinder_series"])
-        assert not rep.passed
+        rep = identities.master_identity(_pinned_config(sol, chart), 1e-9)
+    assert np.isnan(dict(rep.terms)["cylinder_series"])
+    assert not rep.passed
 
 
 #: a check of the equality kind, to judge numbers with
@@ -349,17 +347,15 @@ def test_master_identities_are_equalities_on_the_slice_only():
     sol = sampling.random_solution(rng, ELL, 1.5, nmax=6)
     q = sampling.random_quad(rng, ELL, 1.5, nmax=6)
     on, off = _slice_config(rng, sol, chart, quad=q), _pinned_config(sol, chart, quad=q)
-    for cfg in (on, off):
-        rep = identities.master_identity(cfg, 1e-9)
+    on_rep, off_rep = (identities.master_identity(cfg, 1e-9) for cfg in (on, off))
+    for cfg, rep in ((on, on_rep), (off, off_rep)):
         assert rep.rhs == cfg.closed - cfg.strip_sums[1]
         assert rep.abs_err == abs(rep.lhs - rep.rhs)
-    for rep in (identities.master_identity(on, 1e-9), identities.extended_master_identity(on, 1e-9)):
-        assert rep.passed and rep.rel_err <= 1e-15
+    assert on_rep.passed and on_rep.rel_err <= 1e-15
     sres = identities.slice_residual(sol, off.variation)
     assert abs(2.0 * ELL * sol.d0 * sres) > 0.5
-    for rep in (identities.master_identity(off, 1e-9), identities.extended_master_identity(off, 1e-9)):
-        assert not rep.passed
-        assert rep.lhs - rep.rhs == pytest.approx(-2.0 * ELL * sol.d0 * sres, rel=1e-12)
+    assert not off_rep.passed
+    assert off_rep.lhs - off_rep.rhs == pytest.approx(-2.0 * ELL * sol.d0 * sres, rel=1e-12)
 
 
 @pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
@@ -369,15 +365,13 @@ def test_master_identities_fail_a_relative_energy_defect_of_1e_9(outer):
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=8)
     q = sampling.random_quad(rng, ELL, 1.0, nmax=8, amplitude=0.5)
     cfg = _slice_config(rng, sol, chart, quad=q)
-    checks = (identities.master_identity, identities.extended_master_identity)
     # tol 1e-12: above the rounding of the equality, below the defect
-    assert all(check(cfg, tol=1e-12).passed for check in checks)
+    assert identities.master_identity(cfg, tol=1e-12).passed
     energy, *rest = cfg.strip_sums
     cfg.strip_sums = (energy * (1.0 + 1e-9), *rest)
-    for check in checks:
-        rep = check(cfg, tol=1e-12)
-        assert not rep.passed and np.isfinite(rep.abs_err)
-        assert dict(rep.terms)["hyperbolic_energy"] < 0.0  # the signs alone would pass it
+    rep = identities.master_identity(cfg, tol=1e-12)
+    assert not rep.passed and np.isfinite(rep.abs_err)
+    assert dict(rep.terms)["hyperbolic_energy"] < 0.0  # the signs alone would pass it
 
 
 def _subtract_in_a_loop(total, terms):
@@ -522,34 +516,6 @@ def test_extended_closed_matches_quadrature():
     w = _amended(sol, q, 0.1, -0.2)
     ext = identities.extended_boundary_term(sol, q, w)
     assert ext == pytest.approx(_quadrature(sol, w), rel=1e-10)
-
-
-def test_extended_master_reduces_to_master():
-    chart = GraftedCollar(ell=ELL, s=1.0, a=1.0)
-    rng = np.random.default_rng(19)
-    sol = sampling.random_solution(rng, ELL, 1.0, nmax=4)
-    cfg = _slice_config(rng, sol, chart)
-    base = identities.master_identity(cfg, 1e-9)
-    ext = identities.extended_master_identity(cfg, 1e-9)
-    assert ext.passed
-    base_terms = dict(base.terms)
-    ext_terms = dict(ext.terms)
-    for label, v in base_terms.items():
-        assert ext_terms[label] == v
-    assert ext_terms["mixed_series"] == 0.0
-    assert set(ext_terms) == set(base_terms) | {"mixed_series"}
-    assert ext.lhs == base.lhs
-
-
-def test_extended_master_with_quad_data():
-    chart = GraftedCollar(ell=ELL, s=1.5, a=1.0)
-    rng = np.random.default_rng(23)
-    sol = sampling.random_solution(rng, ELL, 1.5, nmax=4)
-    q = sampling.random_quad(rng, ELL, 1.5, nmax=4)
-    cfg = _slice_config(rng, sol, chart, quad=q)
-    rep = identities.extended_master_identity(cfg, 1e-9)
-    assert rep.passed
-    assert dict(rep.terms)["mixed_series"] != 0.0
 
 
 # --- per-mode system --------------------------------------------------------
@@ -721,7 +687,7 @@ def test_every_suite_report_passes_by_its_bound(ell, s, a, outer_bc, modes):
     chart = GraftedCollar(ell=ell, s=s, a=a, outer_bc=outer_bc)
     config = identities.solve_configuration(chart, sol, means, quad=q)
     reports = identities.suite(config, small, modes, 1e-10)
-    assert len(reports) == 13
+    assert len(reports) == 11
     for report in reports:
         assert not np.isnan(report.bound), report.identity
         assert _verdict_holds(report), report.identity

@@ -83,7 +83,6 @@ def test_public_surface_is_pinned():
         "conformal_modulus_quadrature",
         "determinant_floor",
         "extended_boundary_term",
-        "extended_master_identity",
         "geodesic_oracle",
         "grafted_length",
         "gudermannian",
