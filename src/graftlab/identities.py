@@ -437,7 +437,7 @@ def _normalized_determinant(n, ell: float, s: float, t):
     if lost.any():
         limit = -(1.0 - damp * damp) / (1.0 + damp * damp)
         return np.where(lost, limit, _normalized_determinant(n, ell, s, np.where(lost, -1.0, t)))
-    S = (1.0 - damp) / 2.0
+    S = -np.expm1(-2.0 * arg) / 2.0
     C = (1.0 + damp) / 2.0
     # the rows (a, b) and (-a, b) have determinant 2ab and norms h each;
     # |2ab| <= h^2, and the clip keeps the rounding of a quotient near 1

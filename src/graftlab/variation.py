@@ -200,36 +200,31 @@ def geodesic_oracle(
     field: Callable,
     side: str,
     t: float,
+    initial_rate: np.ndarray,
     m: int = 256,
-    initial_rate: np.ndarray | None = None,
 ):
     """Normal displacement rate of the perturbed closed seam geodesic.
 
     Solves for the closed curve x = X(y) that is a geodesic of the metric
     (dx^2 + G^2 dy^2) / (1 + t * H), with field(x, y) -> (H, dH/dx) as
-    matched_global_field returns it, by Newton (Powell hybrid) on the
+    matched_global_field returns it, by damped Newton (_newton) on the
     Euler-Lagrange equations collocated on m uniform y points, and takes the
     forward difference (X_t - X_0) / t, which is first order in t.  Each
     residual evaluates the field once, on the grid points and the midpoints
     together.  Returns (y grid, displacement / t samples); at t = 0 the rate
     is zero and nothing is solved.
 
-    Pass initial_rate (samples of the anticipated normal variation on the
-    uniform y grid) to select the perturbed geodesic continuously connected
-    to the seam circle; from a cold start the solver can land on a distant
-    geodesic of the same metric.  The Euler-Lagrange residual is checked at
-    the solution either way.
-
-    scipy is imported here only, on first use, so geodesic is the one
-    command that loads it.
+    initial_rate (samples of the anticipated normal variation on the uniform
+    y grid; zeros start from the seam circle itself) selects the perturbed
+    geodesic continuously connected to the seam circle: from a distant
+    start the solver can land on another geodesic of the same metric.  The
+    solve is a ConvergenceError unless the Euler-Lagrange residual is at
+    most 1e-9 at its solution (a NaN residual is not).
     """
-    ell, s = chart.ell, chart.s
-    base = seam_part(side, 0.0, s / 2)
-    h = ell / m
+    base, h = seam_part(side, 0.0, chart.s / 2), chart.ell / m
     y = np.arange(m) * h
     if t == 0:
         return y, np.zeros(m)
-    from scipy.optimize import root
 
     # the y of the grid points, then of the midpoints (xm, y + h / 2)
     points_y = np.concatenate((y, y + h / 2))
@@ -239,24 +234,83 @@ def geodesic_oracle(
         xm = 0.5 * (X + Xr)
         value, dx = field(np.concatenate((X, xm)), points_y)
         xp = (Xr - X) / h
-        speed_m = np.hypot(xp, chart.G(xm))
-        P = xp / (speed_m * np.sqrt(1.0 + t * value[m:]))
-        dP = (P - np.roll(P, 1)) / h
-        xc = (Xr - np.roll(X, 1)) / (2 * h)
+        P = xp / (np.hypot(xp, chart.G(xm)) * np.sqrt(1.0 + t * value[m:]))
         G = chart.G(X)
-        speed = np.hypot(xc, G)
-        H = 1.0 + t * value[:m]
-        Hx = t * dx[:m]
+        speed = np.hypot((Xr - np.roll(X, 1)) / (2 * h), G)
+        H, Hx = 1.0 + t * value[:m], t * dx[:m]
         Q = G * chart.Gp(X) / (speed * np.sqrt(H)) - 0.5 * speed * Hx * H ** (-1.5)
-        return dP - Q
+        return (P - np.roll(P, 1)) / h - Q
 
-    x0 = np.full(m, base) if initial_rate is None else base + t * np.asarray(initial_rate, float)
-    result = root(residual, x0, method="hybr", tol=1e-12)
-    # hybr can report "not making good progress" after full convergence when
-    # the flat-region directions are nearly degenerate; judge by the residual
-    res_norm = float(np.max(np.abs(residual(result.x))))
-    if res_norm > 1e-9:
-        raise ConvergenceError(
-            f"geodesic Newton failed (residual {res_norm:.2e}): {result.message}"
-        )
-    return y, (result.x - base) / t
+    X, r, steps = _newton(residual, base + t * np.asarray(initial_rate, float))
+    res_norm = float(np.max(np.abs(r)))
+    if not res_norm <= 1e-9:
+        raise ConvergenceError(f"geodesic Newton failed (residual {res_norm:.2e} after {steps} steps)")
+    return y, (X - base) / t
+
+
+#: The Newton solve's constants: the central-difference step of the
+#: Jacobian, relative to max(1, |X_j|); the step, relative to X, below which
+#: the solve ends; the most steps
+_FD_STEP, _STEP_TOL, _MAX_STEPS = 6e-6, 1e-12, 30
+
+
+def _newton(residual: Callable, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Damped Newton on a periodic three-point residual (_jacobian_bands):
+    (X, the residual at X, the accepted steps).  A step is halved until the
+    2-norm of the residual drops.  The solve ends after an accepted step of
+    at most _STEP_TOL relative to X, when halving reaches that size with no
+    decrease (or a NaN step), or after _MAX_STEPS steps."""
+    r = residual(X)
+    for steps in range(_MAX_STEPS):
+        dX = _periodic_tridiagonal_solve(*_jacobian_bands(residual, X), -r)
+        # negated comparisons: a NaN trial residual is no decrease, and a NaN step ends the solve
+        while not np.linalg.norm(r_trial := residual(X + dX)) < np.linalg.norm(r):
+            dX = dX / 2
+            if not np.linalg.norm(dX) > _STEP_TOL * np.linalg.norm(X):
+                return X, r, steps
+        X, r = X + dX, r_trial
+        if np.linalg.norm(dX) <= _STEP_TOL * np.linalg.norm(X):
+            return X, r, steps + 1
+    return X, r, _MAX_STEPS
+
+
+def _jacobian_bands(residual: Callable, X: np.ndarray) -> np.ndarray:
+    """Rows (J[j, j-1], J[j, j], J[j, j+1]), indices mod m, of the Jacobian
+    of a residual whose node j reads X_{j-1}, X_j and X_{j+1} alone, by
+    central differences.  No row reads two columns three apart, so one pair
+    of residual calls perturbs a whole colour of columns (Curtis, Powell and
+    Reid 1974): column j < m - m % 3 takes colour j % 3, and each of the
+    last m % 3, which the wrap puts beside column 0, a colour of its own.
+    For m >= 3."""
+    m = len(X)
+    step = _FD_STEP * np.maximum(1.0, np.abs(X))
+    colour = np.r_[np.arange(m - m % 3) % 3, 3 + np.arange(m % 3)]
+    bands = np.zeros((3, m))
+    for c in range(colour[-1] + 1):
+        e = np.where(colour == c, step, 0.0)
+        # row j reads column j - 1 in the lower band, j in the diagonal, j + 1 in the upper
+        bands = np.where(np.stack((np.roll(e, 1), e, np.roll(e, -1))) > 0, residual(X + e) - residual(X - e), bands)
+    return bands / (2.0 * np.stack((np.roll(step, 1), step, np.roll(step, -1))))
+
+
+def _periodic_tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
+    """x with lower_j x_{j-1} + diag_j x_j + upper_j x_{j+1} = rhs_j, indices
+    mod m >= 3, with no LAPACK.  The matrix is a band T plus u v^T, with
+    u = (g, 0, ..., 0, upper_{m-1}), v = (1, 0, ..., 0, lower_0 / g) and
+    g = -diag_0, so that T's first diagonal entry is 2 diag_0 and its last
+    diag_{m-1} - upper_{m-1} lower_0 / g.  One Thomas sweep without
+    pivoting, on the Python complex numbers rhs + i u, gives T y = rhs and
+    T z = u together, and Sherman-Morrison x = y - (v.y / (1 + v.z)) z."""
+    corner = -lower[0] / diag[0]
+    a, b, c = lower.tolist(), diag.tolist(), upper.tolist()
+    b[0], b[-1] = 2.0 * b[0], b[-1] - corner * c[-1]
+    d = (rhs + 1j * np.r_[-diag[0], np.zeros(len(b) - 2), c[-1]]).tolist()
+    cp, dp = [c[0] / b[0]], [d[0] / b[0]]
+    for j in range(1, len(b)):
+        w = b[j] - a[j] * cp[-1]
+        cp.append(c[j] / w)
+        dp.append((d[j] - a[j] * dp[-1]) / w)
+    for j in range(len(b) - 2, -1, -1):
+        dp[j] -= cp[j] * dp[j + 1]
+    y, z = np.array(dp).real, np.array(dp).imag
+    return y - (y[0] + corner * y[-1]) / (1.0 + z[0] + corner * z[-1]) * z

@@ -3,19 +3,22 @@
 Each quantity has one production route in graftlab; the routes here are
 separate computations of the same numbers (periodic collocation, Parseval,
 manufactured strip profiles, the strip Green identity, the interior field
-rebuilt from its seam traces), identities that graftlab does not print
-(the strip integral of H), or helpers that only the tests use.
+rebuilt from its seam traces, the geodesic solved by MINPACK's hybrid
+method), identities that graftlab does not print (the strip integral of H),
+or helpers that only the tests use.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
+from unittest import mock
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.optimize import root
 
-from graftlab import hypersolve
+from graftlab import hypersolve, variation
 from graftlab.errors import GraftLabError
 from graftlab.hypersolve import StripProfiles
 from graftlab.spectral import MEAN_TOL, FourierSolution, TraceModes
@@ -250,9 +253,23 @@ def two_row_determinant(n, ell: float, s: float, t):
     C scaled by exp(-pi n s / ell), clipped to [-1, 1]."""
     k = (4.0 * np.pi**2 * n**2 + ell**2) / (2.0 * np.pi * n * ell)
     arg = np.pi * n * s / ell
-    S = (1.0 - np.exp(-2.0 * arg)) / 2.0
+    S = -np.expm1(-2.0 * arg) / 2.0
     C = (1.0 + np.exp(-2.0 * arg)) / 2.0
     row1 = (-k * S + t * C, k * C - t * S)
     row2 = (k * S - t * C, k * C - t * S)
     det = row1[0] * row2[1] - row1[1] * row2[0]
     return np.clip(det / (np.hypot(*row1) * np.hypot(*row2)), -1.0, 1.0)
+
+
+def hybr_geodesic_rate(chart, field: Callable, side: str, t: float, initial_rate: np.ndarray, m: int) -> np.ndarray:
+    """variation.geodesic_oracle's rate with its Newton solve replaced by
+    scipy's Powell hybrid method (MINPACK hybrd, tol 1e-12) on the same
+    collocated residual and the same start: a separate solver of the same
+    equations, under the same gate, max|residual| <= 1e-9 at the solution."""
+
+    def hybr(residual, X):
+        result = root(residual, X, method="hybr", tol=1e-12)
+        return result.x, residual(result.x), result.nfev
+
+    with mock.patch.object(variation, "_newton", hybr):
+        return variation.geodesic_oracle(chart, field, side, t, initial_rate, m=m)[1]

@@ -782,12 +782,13 @@ def test_verify_report_with_its_bounds_is_byte_reproducible(capsys):
 
 
 def test_geodesic_report_is_byte_reproducible(capsys):
-    # sha256 of stdout without its generated_at line, taken before the
-    # geodesic path moved onto one field function and one build per command
+    # sha256 of stdout without its generated_at line, taken when the Newton
+    # solve moved from scipy's hybr onto numpy (the half step's error moved
+    # in its eighth digit)
     code, out = run("geodesic --ell 1 --s 0.5 --a 0.5 --modes 1 --seed 0".split(), capsys)
     assert code == 0
     assert hashlib.sha256(_canonical(out).encode()).hexdigest() == (
-        "d84cf0f1d5b9cd4abc0acf43f65b11fc891def730930a0290796aaf772239f25"
+        "ded40ff71a4209bd483161ae42916941ab833b6939591c96a3852dce03f90435"
     )
 
 
@@ -805,13 +806,27 @@ def test_geodesic_at_a_tiny_ell_prints_finite_errors_with_no_warning(capsys):
 
 def test_geodesic_newton_failure_exits_1_with_its_message(capsys):
     # the quickest exit-1 line among the first 16 seed-1 geodesic benchmark
-    # ops, with its stderr as it was before the same change
+    # ops: its message names the residual and the accepted Newton steps
     argv = "geodesic --ell 0.283689 --s 17.0575 --a 6.96854 --outer-bc neumann --modes 2 --seed 15"
     code = cli.main(argv.split())
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "check failed: geodesic Newton failed (residual 2.84e-09): The solution converged.\n"
+    assert captured.err == "check failed: geodesic Newton failed (residual 2.62e-09 after 2 steps)\n"
+
+
+@pytest.mark.parametrize("s", ["1e17", "1e300", "1e308"])
+def test_geodesic_exits_2_where_s_over_2_plus_a_rounds_to_s_over_2(s, capsys):
+    # the strips vanish against the insert in double precision, so a curve
+    # near a seam has nowhere to move: one error line, before any numpy work
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["geodesic", "--s", s, "--a", "1", "--modes", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: geodesic needs s/2 + a > s/2 in double precision, but s = {float(s)!r}, a = 1.0\n"
+    )
 
 
 def test_verify_computes_each_seam_trace_once(monkeypatch, capsys):

@@ -579,6 +579,22 @@ def test_determinant_equals_the_two_row_form_bit_for_bit(ell, s, a, outer_bc, nm
         assert identities.per_mode_determinant(n, ell, s, a, outer_bc) == ref[n - 1]
 
 
+@pytest.mark.parametrize("ell", [1e5, 1e10, 1e160])
+def test_determinant_keeps_its_digits_where_s_over_ell_is_small(ell):
+    # S = sinh(arg) exp(-arg) at arg = pi n s / ell of 3e-10 and 3e-160,
+    # where 1 - exp(-2 arg) cancels (at ell = 1e160 to 23%), against the
+    # normalized determinant of the same rows in 50 digits, at the same DtN
+    # value
+    mp = pytest.importorskip("mpmath").mp
+    t = hypersolve.dtn(1, ell, 1.0)
+    with mp.workdps(50):
+        L, arg = mp.mpf(ell), mp.pi / mp.mpf(ell)
+        k = (4 * mp.pi**2 + L**2) / (2 * mp.pi * L)
+        a, b = -k * mp.sinh(arg) + t * mp.cosh(arg), k * mp.cosh(arg) - t * mp.sinh(arg)
+        reference = float(2 * a * b / (a * a + b * b))
+    assert identities.per_mode_determinant(1, ell, 1.0, 1.0) == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     ell=st.floats(0.25, 16.0),

@@ -125,3 +125,13 @@ def test_verify_runs_without_scipy_integrate():
         "print(code, 'scipy.integrate' in sys.modules)"
     )
     assert _run_python(code) == "0 False"
+
+
+def test_geodesic_runs_without_scipy():
+    # the Newton solve is numpy alone: no command loads scipy
+    code = (
+        "import sys, graftlab.cli; "
+        "code = graftlab.cli.main(['geodesic', '--ell', '1', '--s', '0.5', '--a', '0.5', '--modes', '1']); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_python(code) == "0 []"

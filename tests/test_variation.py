@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graftlab import (
+    ConvergenceError,
     FourierSolution,
     GraftedCollar,
     SolvabilityError,
@@ -15,9 +16,9 @@ from graftlab import (
     pinned_means,
     solve_flat_variation,
 )
-from graftlab import hypersolve, identities, sampling
+from graftlab import hypersolve, identities, sampling, variation
 from graftlab.spectral import MEAN_TOL
-from oracles import collocation_variation_modes, rotated
+from oracles import collocation_variation_modes, hybr_geodesic_rate, rotated
 
 ELL, S = 2 * np.pi, 2.0
 
@@ -358,39 +359,97 @@ def test_geodesic_zero_parameter_and_conformal_scaling():
     def one(x, y):
         return np.ones(np.shape(x)), np.zeros(np.shape(x))
 
-    y, rate = geodesic_oracle(chart, one, "left", 0.0, m=64)
+    y, rate = geodesic_oracle(chart, one, "left", 0.0, np.zeros(64), m=64)
     assert np.all(rate == 0.0)
     # constant conformal scaling moves no geodesic
-    y, rate = geodesic_oracle(chart, one, "left", 1e-3, m=64)
+    y, rate = geodesic_oracle(chart, one, "left", 1e-3, np.zeros(64), m=64)
     assert np.max(np.abs(rate)) < 1e-6
 
 
-def test_geodesic_oracle_evaluates_its_field_once_per_residual(monkeypatch):
-    import scipy.optimize
+def test_geodesic_oracle_fails_on_a_nan_residual():
+    # a NaN residual fails the 1e-9 gate instead of passing it as a NaN rate
+    chart = GraftedCollar(ell=ELL, s=S, a=1.0)
 
+    def nan_field(x, y):
+        return np.full(np.shape(x), np.nan), np.zeros(np.shape(x))
+
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        geodesic_oracle(chart, nan_field, "left", 1e-3, np.zeros(64), m=64)
+
+
+def test_geodesic_oracle_evaluates_its_field_once_per_residual(monkeypatch):
     chart = GraftedCollar(ell=ELL, s=S, a=1.0)
     config = identities.solve_configuration(chart, _sol(modes={1: (0.02, 0.01j), 2: (-0.01, 0.005)}))
     field = matched_global_field(config)
     residuals, shapes = [], []
-    root = scipy.optimize.root
+    newton = variation._newton
 
-    def counted_root(fun, x0, **kw):
-        def counted(X, *args):
+    def counted_newton(residual, X):
+        def counted(X):
             residuals.append(len(shapes))
-            return fun(X, *args)
+            return residual(X)
 
-        return root(counted, x0, **kw)
+        return newton(counted, X)
 
     def spy(x, y):
         shapes.append((np.shape(x), np.shape(y)))
         return field(x, y)
 
-    monkeypatch.setattr(scipy.optimize, "root", counted_root)
+    monkeypatch.setattr(variation, "_newton", counted_newton)
     m = 32
     y = np.arange(m) * (ELL / m)
-    geodesic_oracle(chart, spy, "right", 1e-3, m=m, initial_rate=config.seam("right")[1].reconstruct(y))
-    # every residual of the solve, and the check at its solution, makes one
-    # call on the m grid points and the m midpoints together
+    geodesic_oracle(chart, spy, "right", 1e-3, config.seam("right")[1].reconstruct(y), m=m)
+    # every residual of the solve, the Jacobian's among them, makes one call
+    # on the m grid points and the m midpoints together, and the solve's
+    # last residual is the one its gate reads
     assert residuals == list(range(len(residuals)))
-    assert len(shapes) == len(residuals) + 1
+    assert len(shapes) == len(residuals) > 1
     assert set(shapes) == {((2 * m,), (2 * m,))}
+
+
+@pytest.mark.parametrize(
+    "ell, s, a, outer_bc, seed",
+    [(ELL, S, 1.0, "dirichlet", 0), (0.8, 4.0, 2.0, "neumann", 5)],
+)
+def test_geodesic_rate_matches_the_hybrid_method(ell, s, a, outer_bc, seed):
+    # the same collocated equations solved by MINPACK's hybrid method
+    chart = GraftedCollar(ell=ell, s=s, a=a, outer_bc=outer_bc)
+    sol = sampling.random_solution(np.random.default_rng(seed), ell, s, nmax=4, amplitude=0.3)
+    config = identities.solve_configuration(chart, sol)
+    field = matched_global_field(config)
+    m = 64
+    y = np.arange(m) * (ell / m)
+    for side in ("left", "right"):
+        start = config.seam(side)[1].reconstruct(y)
+        rate = geodesic_oracle(chart, field, side, 1e-3, start, m=m)[1]
+        reference = hybr_geodesic_rate(chart, field, side, 1e-3, start, m)
+        assert np.max(np.abs(rate - reference)) <= 1e-8 * np.max(np.abs(reference)), side
+
+
+def _periodic(lower, diag, upper):
+    """The dense m x m matrix of the periodic bands."""
+    m = len(diag)
+    J = np.diag(diag)
+    J[np.arange(m), np.arange(-1, m - 1) % m] += lower
+    J[np.arange(m), np.arange(1, m + 1) % m] += upper
+    return J
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 64])
+def test_jacobian_bands_and_periodic_solve_match_their_dense_forms(m):
+    # a periodic three-point residual with known bands: the colouring, the
+    # wrap columns of an m that is not a multiple of 3 among them, gives
+    # them to rounding, and the sweep solves them as the dense matrix does
+    rng = np.random.default_rng(m)
+    lower, upper = rng.uniform(0.5, 1.0, (2, m))
+    diag = -3.0 + rng.uniform(-0.5, 0.5, m)
+
+    def residual(X):
+        return lower * np.roll(X, 1) + diag * X + upper * np.roll(X, -1) + 0.1 * np.sin(X)
+
+    X = rng.standard_normal(m)
+    bands = variation._jacobian_bands(residual, X)
+    assert np.allclose(bands, [lower, diag + 0.1 * np.cos(X), upper], rtol=1e-9, atol=0.0)
+    rhs = rng.standard_normal(m)
+    x = variation._periodic_tridiagonal_solve(*bands, rhs)
+    assert np.allclose(x, np.linalg.solve(_periodic(*bands), rhs), rtol=1e-12, atol=1e-12)
