@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import TYPE_CHECKING
@@ -28,29 +28,35 @@ from .errors import ConfigError, GraftLabError
 if TYPE_CHECKING:
     import argparse
 
+#: The commands, in the order of the help text
+_ALL = ("verify", "sweep", "geodesic", "chart", "modes")
+#: The commands that draw a seeded field
+_SEEDED = ("verify", "sweep", "geodesic", "modes")
 #: Every setting, keyed by its config key: (RunConfig field, type, choices,
-#: help, the one command that takes it or None for all).  Its flag is --key
-#: with "-" for "_"; the flags of a command keep this order in its help, and
-#: RunConfig.validate checks the float settings for finiteness in it.
+#: help, the commands that read it).  Its flag is --key with "-" for "_", and
+#: a command takes the flags and config keys of the settings it reads; the
+#: flags of a command keep this order in its help, and RunConfig.validate
+#: checks the float settings for finiteness in it.
 _SETTINGS = {
-    "ell": ("ell", float, None, None, None),
-    "s": ("s", float, None, None, None),
-    "a": ("a", float, None, None, None),
-    "outer_bc": ("outer_bc", str, ("dirichlet", "neumann"), None, None),
-    "modes": ("modes", int, None, None, None),
-    "tol": ("tol", float, None, None, None),
-    "seed": ("seed", int, None, None, None),
-    "out": ("out", str, None, "output path (default: stdout)", None),
-    "t": ("t", float, None, None, "geodesic"),
-    "param": ("param", str, ("ell", "s", "a"), None, "sweep"),
-    "from": ("sweep_from", float, None, None, "sweep"),
-    "to": ("sweep_to", float, None, None, "sweep"),
-    "steps": ("steps", int, None, None, "sweep"),
+    "ell": ("ell", float, None, None, _ALL),
+    "s": ("s", float, None, None, _ALL),
+    "a": ("a", float, None, None, _ALL),
+    "outer_bc": ("outer_bc", str, ("dirichlet", "neumann"), None, _ALL),
+    "modes": ("modes", int, None, None, _SEEDED),
+    "tol": ("tol", float, None, None, ("verify",)),
+    "seed": ("seed", int, None, None, _SEEDED),
+    "out": ("out", str, None, "output path (default: stdout)", _ALL),
+    "t": ("t", float, None, None, ("geodesic",)),
+    "param": ("param", str, ("ell", "s", "a"), None, ("sweep",)),
+    "from": ("sweep_from", float, None, None, ("sweep",)),
+    "to": ("sweep_to", float, None, None, ("sweep",)),
+    "steps": ("steps", int, None, None, ("sweep",)),
 }
 #: (config key, RunConfig field) of each float setting
 _FLOAT_SETTINGS = tuple((key, attr) for key, (attr, kind, *_) in _SETTINGS.items() if kind is float)
-#: RunConfig's fields, one per setting, in the order that sort_keys gives them
-_CONFIG_FIELDS = sorted(attr for attr, *_ in _SETTINGS.values())
+#: The RunConfig fields that each command reads, in the order that sort_keys
+#: gives them: verify and geodesic echo these settings in their reports
+_READS = {command: sorted(attr for attr, *_, readers in _SETTINGS.values() if command in readers) for command in _ALL}
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,9 @@ class RunConfig:
         return geometry.GraftedCollar(ell=self.ell, s=self.s, a=self.a, outer_bc=self.outer_bc)
 
 
-def load_config(path: str) -> dict:
-    """The settings of a flat key = value config file, keyed by RunConfig field."""
+def load_config(path: str, command: str) -> dict:
+    """The settings of a flat key = value config file, keyed by RunConfig
+    field; a key that the command does not read is an error."""
     values = {}
     try:
         with open(path) as fh:
@@ -104,23 +111,25 @@ def load_config(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _SETTINGS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in _SETTINGS or command not in _SETTINGS[key][-1]:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
                 attr, kind, *_ = _SETTINGS[key]
                 try:
                     values[attr] = kind(val.strip())
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes that are not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return values
 
 
 def build_config(args: dict) -> RunConfig:
     """The config file's values, each overridden by its flag when given;
-    args maps each flag's dest to its value, None when it is not given."""
-    values = load_config(args["config"]) if args.get("config") else {}
-    flags = {attr: val for attr in _CONFIG_FIELDS if (val := args.get(attr)) is not None}
+    args maps the command and each flag's dest to its value, None when it
+    is not given."""
+    command = args["command"]
+    values = load_config(args["config"], command) if args.get("config") else {}
+    flags = {attr: val for attr in _READS[command] if (val := args.get(attr)) is not None}
     return RunConfig(**(values | flags)).validate()
 
 
@@ -164,8 +173,8 @@ def _emit_csv(header, columns, out: str | None, chart, key: str) -> None:
 
 def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], dict]:
     """The identity reports (identities.suite) of the seeded draws, and the
-    mode counts: requested, and kept by the samplers for the field and the
-    quadratic differential.  A GraftLabError raised before any report exists
+    mode counts that the samplers kept for the field and the quadratic
+    differential.  A GraftLabError raised before any report exists
     (samplers, solve_configuration, _require_finite) propagates."""
     chart = cfg.chart()
     # each gated number is named by the report field, term or note that
@@ -192,7 +201,7 @@ def _verify_reports(cfg: RunConfig) -> tuple[list[identities.IdentityReport], di
     _require_finite(numbers, chart)
     reports = identities.suite(config, small, cfg.modes, cfg.tol)
     kept = (len(sol.nonzero_modes()), len(q.nonzero_modes()))
-    return reports, {"requested": cfg.modes, "field": kept[0], "quadratic_differential": kept[1]}
+    return reports, {"field": kept[0], "quadratic_differential": kept[1]}
 
 
 #: json's token for each non-finite float, by its repr
@@ -215,7 +224,7 @@ def _json_scalar(value) -> str:
 
 
 def _report_block(r: identities.IdentityReport) -> str:
-    """r.to_dict() as one item of the report list, in json's indent=2 layout."""
+    """Report r as one item of the report list, in json's indent=2 layout."""
     terms = ",\n".join(
         f'        {{\n          "label": {_json_str(label)},\n'
         f'          "value": {_json_float(value)}\n        }}'
@@ -234,11 +243,12 @@ def _report_block(r: identities.IdentityReport) -> str:
 
 def _report_json(cfg: RunConfig, generated_at: str, counts: dict, reports: list) -> str:
     """The verify report by its schema, byte for byte as json.dumps(indent=2,
-    sort_keys=True) writes {generated_at, config: asdict(cfg), mode_counts:
-    counts, reports: [r.to_dict() for r in reports]}, NaN and infinite values
-    included, at a third of that encoder's cost (the pure-Python encoder,
-    which json.dumps runs for any indent); tests pin the two together."""
-    config = ",\n".join(f'    "{name}": {_json_scalar(getattr(cfg, name))}' for name in _CONFIG_FIELDS)
+    sort_keys=True) writes {generated_at, config: the settings verify reads,
+    mode_counts: counts, reports: one dict per report}, NaN and infinite
+    values included, at a third of that encoder's cost (the pure-Python
+    encoder, which json.dumps runs for any indent); the tests pin the two
+    together, with their own dict of a report as the oracle."""
+    config = ",\n".join(f'    "{name}": {_json_scalar(getattr(cfg, name))}' for name in _READS["verify"])
     mode_counts = ",\n".join(f'    "{key}": {_json_scalar(counts[key])}' for key in sorted(counts))
     blocks = ",\n".join(map(_report_block, reports))
     blocks = f"[\n{blocks}\n  ]" if reports else "[]"
@@ -325,7 +335,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     ok = err < 1e-2 and err_half < err
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": asdict(cfg),
+        "config": {name: getattr(cfg, name) for name in _READS["geodesic"]},
         "max_rel_err": err,
         "max_rel_err_half_step": err_half,
         "first_order_convergence": err_half < err,
@@ -381,16 +391,16 @@ def cmd_modes(cfg: RunConfig) -> int:
 _FLAGS = {
     command: (help_line, {"--config": ("config", str, None, "flat key = value config file")} | {
         "--" + key.replace("_", "-"): (attr, kind, choices, help_text)
-        for key, (attr, kind, choices, help_text, only) in _SETTINGS.items()
-        if only in (None, command)
+        for key, (attr, kind, choices, help_text, readers) in _SETTINGS.items()
+        if command in readers
     })
-    for command, help_line in (
-        ("verify", "run the identity suite, emit JSON"),
-        ("sweep", "parameter sweep, emit CSV"),
-        ("geodesic", "numeric geodesic vs closed-form variation"),
-        ("chart", "dump the chart as JSON"),
-        ("modes", "dump per-mode solver data as CSV"),
-    )
+    for command, help_line in zip(_ALL, (
+        "run the identity suite, emit JSON",
+        "parameter sweep, emit CSV",
+        "numeric geodesic vs closed-form variation",
+        "dump the chart as JSON",
+        "dump per-mode solver data as CSV",
+    ))
 }
 
 

@@ -63,20 +63,6 @@ class IdentityReport:
         values = (self.lhs, self.rhs, *(v for _, v in self.terms))
         return all(map(math.isfinite, values)) and bool(self.abs_err <= self.bound)
 
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "terms": [{"label": l, "value": float(v)} for l, v in self.terms],
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "abs_err": float(self.abs_err),
-            "bound": float(self.bound),
-            "rel_err": float(self.rel_err),
-            "tol": float(self.tol),
-            "pass": self.passed,
-            "notes": self.notes,
-        }
-
 
 def error_report(identity: str, exc: Exception) -> IdentityReport:
     """The failing report of an identity that raised exc: NaN values, the error in its notes."""

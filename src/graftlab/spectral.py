@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -338,34 +338,18 @@ class FourierSolution:
         return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=seam_part(side, self.c0, 0.0), coef=coef)
 
 
-def harmonicity_residual(
-    fld: FourierSolution | Callable,
-    ell: float | None = None,
-    s: float | None = None,
-) -> float:
+def harmonicity_residual(fld: FourierSolution) -> float:
     """Max 5-point-stencil Laplacian over an interior grid of 16 x 32 points,
     with step h = ell/256.
 
-    O(h^2) for resolved harmonic fields; a callable may be passed in place of
-    a FourierSolution (used to inject non-harmonic terms in tests).  The
-    field is evaluated once, on the tensor grid (xs - h, xs, xs + h) x
-    (ys - h, ys, ys + h), and the five stencil values are blocks of it: a
-    FourierSolution on the open grid, which its series sums separably, a
-    callable on the meshgrid.
+    O(h^2) for resolved harmonic fields.  The field is evaluated once, on
+    the open tensor grid (xs - h, xs, xs + h) x (ys - h, ys, ys + h), which
+    its series sums separably, and the five stencil values are blocks of it.
     """
-    if isinstance(fld, FourierSolution):
-        ell = fld.ell if ell is None else ell
-        s = fld.s if s is None else s
-    elif ell is None or s is None:
-        raise ValueError("ell and s required for a bare callable")
-    h = ell / 256
-    xs = _stencil_xs(s, h)
-    ys = np.arange(32) * (ell / 32)
-    x3, y3 = np.concatenate((xs - h, xs, xs + h)), np.concatenate((ys - h, ys, ys + h))
-    if isinstance(fld, FourierSolution):
-        u = fld.evaluate(x3[:, None], y3)
-    else:
-        u = fld(*np.meshgrid(x3, y3, indexing="ij"))
+    h = fld.ell / 256
+    xs = _stencil_xs(fld.s, h)
+    ys = np.arange(32) * (fld.ell / 32)
+    u = fld.evaluate(np.concatenate((xs - h, xs, xs + h))[:, None], np.concatenate((ys - h, ys, ys + h)))
     u = u.reshape(3, len(xs), 3, len(ys))
     lap = (u[2, :, 1] + u[0, :, 1] + u[1, :, 2] + u[1, :, 0] - 4.0 * u[1, :, 1]) / h**2
     return float(np.max(np.abs(lap)))

@@ -273,3 +273,21 @@ def hybr_geodesic_rate(chart, field: Callable, side: str, t: float, initial_rate
 
     with mock.patch.object(variation, "_newton", hybr):
         return variation.geodesic_oracle(chart, field, side, t, initial_rate, m=m)[1]
+
+
+def report_dict(report) -> dict:
+    """An identities.IdentityReport as the dict that one item of verify's
+    report list holds, each number a float: with json.dumps(indent=2,
+    sort_keys=True), the oracle for the writer cli._report_json."""
+    return {
+        "identity": report.identity,
+        "terms": [{"label": label, "value": float(value)} for label, value in report.terms],
+        "lhs": float(report.lhs),
+        "rhs": float(report.rhs),
+        "abs_err": float(report.abs_err),
+        "bound": float(report.bound),
+        "rel_err": float(report.rel_err),
+        "tol": float(report.tol),
+        "pass": report.passed,
+        "notes": report.notes,
+    }

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graftlab import ConfigError, DomainError, cli, geometry, hypersolve, identities
+from oracles import report_dict
 
 
 def run(args, capsys):
@@ -60,19 +61,24 @@ def test_verify_error_report_is_json_dumps_layout_with_nan_tokens(monkeypatch, c
     assert '"lhs": NaN,' in out and '"terms": [],' in out
 
 
+#: the settings that verify reads, and so echoes in its config block
+_VERIFY_SETTINGS = ("a", "ell", "modes", "out", "outer_bc", "s", "seed", "tol")
+
+
 def _payload_json(cfg, generated_at, counts, reports) -> str:
     payload = {
         "generated_at": generated_at,
-        "config": asdict(cfg),
+        "config": {name: value for name, value in asdict(cfg).items() if name in _VERIFY_SETTINGS},
         "mode_counts": counts,
-        "reports": [r.to_dict() for r in reports],
+        "reports": [report_dict(r) for r in reports],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_report_writer_equals_json_dumps_of_the_payload():
     # the values as well as the layout: every field of every report, the
-    # config fields (None, int, float, str) and the mode counts
+    # config fields that verify reads (int, float, str; sweep's settings,
+    # set here, are not among them) and the mode counts
     cfg = cli.RunConfig(ell=3.0, modes=32, seed=4, out="ü.json", param="s", sweep_from=-0.0).validate()
     reports, counts = cli._verify_reports(cfg)
     stamp = "2026-01-01T00:00:00+00:00"
@@ -86,7 +92,7 @@ def test_report_writer_writes_each_value_as_json_does(value):
         rel_err=value, tol=value, bound=value, notes="snow ☃ \x00",
     )
     cfg = cli.RunConfig()
-    counts = {"requested": 1, "field": 0, "quadratic_differential": 1}
+    counts = {"field": 0, "quadratic_differential": 1}
     for reports in ([report], [], [identities.error_report("e", DomainError("x"))]):
         assert cli._report_json(cfg, "t", counts, reports) == _payload_json(cfg, "t", counts, reports)
 
@@ -303,13 +309,75 @@ def test_every_command_line_prints_as_the_whole_parser_gives_it(argv):
 
 @pytest.mark.parametrize("command", ["verify", "sweep", "geodesic", "chart", "modes"])
 def test_negative_seed_exits_2(command, tmp_path, capsys):
+    # chart reads no seed: its flag is argparse's error, and its config key unknown to it
     extra = ["--param", "s", "--from", "0", "--to", "1"] if command == "sweep" else []
     code, out, err = run([command, *extra, "--seed", "-1"], capsys)
-    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+    if command == "chart":
+        assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --seed -1\n")
+    else:
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
     path = tmp_path / "run.cfg"
     path.write_text("seed = -3\n")
     code, out, err = run([command, *extra, "--config", str(path)], capsys)
-    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -3\n")
+    expected = f"{path}:1: unknown key 'seed' for chart" if command == "chart" else "seed must be >= 0, got -3"
+    assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+#: (command, config key) of each setting that the command does not read
+_UNREAD = [(command, key) for key, (*_, readers) in cli._SETTINGS.items() for command in cli._COMMANDS
+           if command not in readers]
+
+
+@pytest.mark.parametrize("command, key", _UNREAD)
+def test_a_setting_the_command_does_not_read_exits_2(command, key, tmp_path, capsys):
+    # as its flag, with argparse's error, unless argparse takes it for the
+    # flag it abbreviates (--t for verify's --tol and sweep's --to); as a
+    # config key, with one error line that names the file, the line and the key
+    option = "--" + key.replace("_", "-")
+    if not any(flag.startswith(option) for flag in cli._FLAGS[command][1]):
+        code, out, err = run([command, option, "1"], capsys)
+        assert (code, out) == (2, "") and err.endswith(f"graftlab: error: unrecognized arguments: {option} 1\n")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"ell = 2\n{key} = 1\n")
+    code, out, err = run([command, "--config", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}:2: unknown key {key!r} for {command}\n")
+
+
+#: a line of each command that exits 0, and a value of each setting that
+#: differs from its value there; sweep's line sweeps ell, and s where the
+#: setting is ell, since the swept value replaces its fixed one
+_BASE_LINES = {
+    "verify": ["verify"],
+    "sweep": ["sweep", "--param", "ell", "--from", "0.5", "--to", "2", "--steps", "3"],
+    "geodesic": ["geodesic", "--ell", "1", "--s", "0.5", "--a", "0.5", "--modes", "1"],
+    "chart": ["chart"],
+    "modes": ["modes", "--modes", "2"],
+}
+_OTHER_VALUES = {"ell": "3", "s": "0.75", "a": "0.75", "outer_bc": "neumann", "modes": "3", "tol": "1e-9",
+                 "seed": "3", "t": "2e-3", "param": "a", "from": "0.25", "to": "3", "steps": "4"}
+
+
+def _printed_numbers(argv):
+    """The stdout of a command line, its stamp and its echo of the settings
+    dropped; the line must print."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) in (0, 1), argv
+    assert out.getvalue(), argv
+    if argv[0] in ("sweep", "modes"):
+        return out.getvalue()
+    payload = json.loads(out.getvalue())
+    return {key: value for key, value in payload.items() if key not in ("generated_at", "config")}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for key, (*_, readers) in cli._SETTINGS.items()
+                                          if key != "out" for command in readers])
+def test_every_setting_a_command_takes_changes_what_it_prints(command, key):
+    # a setting that a command takes is one that it reads: another value
+    # moves a number that it prints, not only the echo of its settings
+    base = _BASE_LINES[command] + (["--param", "s"] if (command, key) == ("sweep", "ell") else [])
+    other = base + ["--" + key.replace("_", "-"), _OTHER_VALUES[key]]
+    assert _printed_numbers(other) != _printed_numbers(base)
 
 
 # --- the chart oracles ------------------------------------------------------

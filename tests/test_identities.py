@@ -10,7 +10,7 @@ from graftlab import hypersolve, identities, sampling, variation
 from graftlab.errors import DomainError, SolvabilityError
 from graftlab.geometry import GraftedCollar
 from graftlab.spectral import SIDES, FourierSolution, TraceModes
-from oracles import strip_integral_of_h, two_row_determinant
+from oracles import report_dict, strip_integral_of_h, two_row_determinant
 
 ELL = 2.0 * np.pi
 PARTS = identities.PARTS
@@ -640,7 +640,7 @@ def test_n0_balance_strictly_negative():
 def test_report_serializes_to_json():
     sol = FourierSolution(ell=ELL, s=2.0, d0=0.3)
     rep = identities.slice_condition(sol, _vf(-0.3, 0.0), 1e-12)
-    text = json.dumps(rep.to_dict())
+    text = json.dumps(report_dict(rep))
     data = json.loads(text)
     assert data["pass"] is True
     assert data["identity"] == "slice_condition"
@@ -696,7 +696,7 @@ def test_master_identity_fails_a_positive_energy_whose_equality_holds():
 
 
 def _verdict_holds(report) -> bool:
-    d = report.to_dict()
+    d = report_dict(report)
     values = [d["lhs"], d["rhs"], *(t["value"] for t in d["terms"])]
     return d["pass"] == (all(map(np.isfinite, values)) and d["abs_err"] <= d["bound"])
 

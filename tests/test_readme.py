@@ -85,10 +85,21 @@ def test_flag_table_is_the_settings_table():
     defaults = cli.RunConfig()
     config = rows[0]
     assert (config[1], _ticked(config[2]), ast.literal_eval(_ticked(config[3])[0])) == ("all", ["str"], None)
-    for row, (attr, kind, choices, _, only) in zip(rows[1:], cli._SETTINGS.values()):
-        assert row[1] == (only or "all"), row
+    for row, (attr, kind, choices, _, readers) in zip(rows[1:], cli._SETTINGS.values()):
+        assert row[1] == ("all" if readers == tuple(cli._COMMANDS) else ", ".join(readers)), row
         assert _ticked(row[2]) == (list(choices) if choices else [kind.__name__]), row
         assert ast.literal_eval(_ticked(row[3])[0]) == getattr(defaults, attr), row
+
+
+def test_each_commands_help_lists_the_flags_whose_row_names_it(capsys):
+    takes = {command: [] for command in cli._COMMANDS}
+    for row in _table("Command line"):
+        for command in cli._COMMANDS if row[1] == "all" else row[1].split(", "):
+            takes[command] += _ticked(row[0])
+    for command, flags in takes.items():
+        assert cli.main([command, "--help"]) == 0
+        assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE) == flags, command
+    assert sum(map(len, takes.values())) == 44
 
 
 def test_every_synopsis_line_parses():
@@ -158,7 +169,8 @@ def test_output_schema_is_what_the_commands_print(outputs):
     assert schema["`chart`"] == list(json.loads(outputs["chart"]))
     assert schema["`modes`"] == outputs["modes"].splitlines()[0].split(",")
     assert schema["`geodesic`"] == list(json.loads(outputs["geodesic"]))
-    assert len(schema) == 8
+    assert schema["`geodesic` config"] == list(json.loads(outputs["geodesic"])["config"])
+    assert len(schema) == 9
 
 
 def test_layout_has_one_line_per_module():
