@@ -32,7 +32,6 @@ from .identities import (
     determinant_floor,
     extended_boundary_term,
     master_identity,
-    n0_balance_coefficient,
     per_mode_determinant,
     slice_condition,
     slice_residual,

@@ -134,11 +134,15 @@ def build_config(args: dict) -> RunConfig:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out, "w")
+    except ValueError as exc:  # a NUL in the path; main reports an OSError itself
+        raise ConfigError(f"cannot write {out!r}: {exc}") from exc
+    with fh:
+        fh.write(text)
 
 
 def _require_finite(numbers: dict, chart, key: str | None = None) -> None:
@@ -285,11 +289,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # every bound is a lower bound, so the smallest value is the one to check
     replace(cfg, **{cfg.param: float(values.min())}).validate()
     ell, s, a = (values if k == cfg.param else np.full(cfg.steps, getattr(cfg, k)) for k in ("ell", "s", "a"))
-    nmax = min(cfg.modes, 8)
 
     # every point draws from the same seed, so one draw serves them all
     rng = np.random.default_rng(cfg.seed)
-    sol = sampling.random_solution(rng, ell, s, nmax=nmax)
+    sol = sampling.random_solution(rng, ell, s, nmax=cfg.modes)
     means = sampling.slice_compatible_means(rng, s, sol.d0)
     chart = geometry.GraftedCollar(ell=ell, s=s, a=a, outer_bc=cfg.outer_bc)
     # a number that overflows is named by _emit_csv's exit 2, not by a numpy warning
@@ -297,7 +300,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         config = identities.solve_configuration(chart, sol, means)
         denom = np.maximum(np.maximum(np.abs(config.closed), np.abs(config.quadrature)), 1e-300)
         columns = ([cfg.param] * cfg.steps, values, ell, s, a, geometry.conformal_modulus(chart),
-                   identities.determinant_floor(nmax, ell, s, a, cfg.outer_bc),
+                   identities.determinant_floor(cfg.modes, ell, s, a, cfg.outer_bc),
                    np.abs(config.closed - config.quadrature) / denom, identities.slice_residual(sol, config.variation))
     _emit_csv(_SWEEP_FIELDS, columns, cfg.out, chart, cfg.param)
     return 0
@@ -317,6 +320,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
         raise ConfigError(f"geodesic needs s/2 + a > s/2 in double precision, but s = {cfg.s!r}, a = {cfg.a!r}")
     rng = np.random.default_rng(cfg.seed)
     chart = cfg.chart()
+    # at most 4 modes: at 16 the Newton solve fails on the default chart (ROADMAP item 4)
     sol = sampling.random_solution(rng, cfg.ell, cfg.s, nmax=min(cfg.modes, 4), amplitude=0.3)
     config = identities.solve_configuration(chart, sol)
     field = variation.matched_global_field(config)
@@ -407,15 +411,16 @@ _FLAGS = {
 @functools.cache
 def make_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and each command's subparser, by command name,
-    built from _FLAGS on first use and kept.  argparse is imported here, so
-    import graftlab.cli does not load it."""
+    built from _FLAGS on first use and kept; every flag is taken whole, so
+    an abbreviation is an unrecognized argument.  argparse is imported here,
+    so import graftlab.cli does not load it."""
     import argparse
 
-    parser = argparse.ArgumentParser(prog="graftlab", description=__doc__)
+    parser = argparse.ArgumentParser(prog="graftlab", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for command, (help_line, flags) in _FLAGS.items():
-        commands[command] = p = sub.add_parser(command, help=help_line)
+        commands[command] = p = sub.add_parser(command, help=help_line, allow_abbrev=False)
         for option, (dest, kind, choices, help_text) in flags.items():
             p.add_argument(option, dest=dest, type=kind, choices=choices, help=help_text)
     return parser, commands

@@ -48,7 +48,8 @@ def _mu(n, ell: float):
 
 
 def _trig(xi):
-    """(sinh xi, cosh xi, gd xi): all that _pair needs of the points xi."""
+    """(sinh xi, cosh xi, gd xi): all that StripProfiles.values needs of the
+    points xi."""
     sh = np.sinh(xi)
     return sh, np.cosh(xi), np.arctan(sh)
 
@@ -64,39 +65,6 @@ def _gd_offset(sh, edge: tuple):
     scale = math.ldexp(1.0, -max(math.frexp(edge[0])[1], 0))
     s_a = edge[0] * scale
     return np.arctan((sh * scale - s_a) / (scale + sh * s_a))
-
-
-def _pair(mu, trig, edge: tuple | None = None):
-    """Fundamental solutions (u, u', w, w') of the mode ODE at the points
-    whose sinh, cosh and gd are trig (see _trig).  mu is a scalar, or an
-    array that broadcasts against the points (a column of modes: one row
-    each).
-
-    mu > 0: u = (sinh xi + mu) exp(mu theta) and w = (sinh xi - mu)
-    exp(-mu theta), with u' and w' equal to (cosh^2 xi +/- mu sinh xi +
-    mu^2) sech xi times the same exponential.  mu = 0: u = 1 + theta sinh xi
-    and w = sinh xi.  An outer edge = (sinh a, gd a) shifts u to the same
-    solution times exp(-2 mu gd a), which keeps every exponent <= 0 on
-    [0, a] so that nothing overflows, and at mu = 0 to u - (gd a) w =
-    1 + (theta - gd a) sinh xi, with theta - gd a from _gd_offset.
-    """
-    sh, ch, theta = trig
-    shift = 0.0 if edge is None else 2.0 * edge[1]
-    grow = np.exp(mu * (theta - shift))
-    decay = np.exp(-mu * theta)
-    mu_sh, mu_sq = mu * sh, mu * mu
-    pair = (
-        (sh + mu) * grow,
-        (ch + (mu_sh + mu_sq) / ch) * grow,
-        (sh - mu) * decay,
-        (ch + (mu_sq - mu_sh) / ch) * decay,
-    )
-    zero = np.equal(mu, 0.0)
-    if zero.any():
-        offset = theta if edge is None else _gd_offset(sh, edge)
-        pair0 = (1.0 + offset * sh, sh / ch + offset * ch, sh, ch)
-        pair = tuple(np.where(zero, p0, p) for p0, p in zip(pair0, pair))
-    return pair
 
 
 def _check_strip(a, outer_bc: str) -> None:
@@ -140,7 +108,8 @@ def _strip_constants(mu, a, outer_bc: str):
 
 def _unit_solution(mu: np.ndarray, a, outer_bc: str):
     """(edge, c_u, c_w): the unit seam solve of each mode is c_u u + c_w w,
-    on the pair of _pair shifted to the outer edge = (sinh a, gd a).
+    on the pair of StripProfiles.values shifted to the outer edge =
+    (sinh a, gd a).
     n >= 1: c_u = (1 - d) / (mu den) and c_w = -1 / (mu den),
     den = 2 - d + (1 - d)(E - 1) = (alpha E + beta) / beta; n = 0: c_u = 1
     and c_w = c (_strip_constants), so b = 1 + ((gd xi - gd a) + c) sinh xi
@@ -158,15 +127,13 @@ def _unit_solution(mu: np.ndarray, a, outer_bc: str):
 @dataclass(eq=False)
 class StripProfiles:
     """Profiles b_k = cu[k] u + cw[k] w of the modes ns[k] on the strip
-    [0, a], with slopes b_k', on the pair (u, w) of _pair for edge.
+    [0, a], with slopes b_k', on the pair (u, w) of values for edge.
 
-    values(rows, xi, trig) returns (b, b') of the profiles ns[rows] as
-    (rows, points) arrays; trig = _trig(xi) is passed in so that the
-    quadrature grid's sinh, cosh and gd come once per grid.  On first use
-    each block of _BLOCK to 2 _BLOCK - 1 rows is evaluated once, on the
-    grid's nodes and both ends, for its quadratures and endpoint values
-    (_one_pass), which strip_sums scales to each seam's Dirichlet values;
-    calling the profiles evaluates them at any other points.
+    On first use each block of _BLOCK to 2 _BLOCK - 1 rows is evaluated
+    once, on the grid's nodes and both ends, for its quadratures and
+    endpoint values (_one_pass), which strip_sums scales to each seam's
+    Dirichlet values; calling the profiles evaluates them at any other
+    points.
     """
 
     ns: np.ndarray
@@ -177,9 +144,34 @@ class StripProfiles:
     cw: np.ndarray
 
     def values(self, rows, xi, trig):
+        """(b, b') of the profiles ns[rows] at the points xi, as (rows,
+        points) arrays; trig = _trig(xi) is passed in so that the quadrature
+        grid's sinh, cosh and gd come once per grid.
+
+        The pair: mu > 0: u = (sinh xi + mu) exp(mu theta) and w = (sinh xi
+        - mu) exp(-mu theta), with u' and w' equal to (cosh^2 xi +/- mu sinh
+        xi + mu^2) sech xi times the same exponential.  mu = 0: u = 1 +
+        theta sinh xi and w = sinh xi.  An outer edge = (sinh a, gd a)
+        shifts u to the same solution times exp(-2 mu gd a), which keeps
+        every exponent <= 0 on [0, a] so that nothing overflows, and at
+        mu = 0 to u - (gd a) w = 1 + (theta - gd a) sinh xi, with
+        theta - gd a from _gd_offset.  The n = 0 rows are written over the
+        mu > 0 form, which is finite there.
+        """
+        sh, ch, theta = trig
         col = (rows,) + (None,) * xi.ndim
-        u, up, w, wp = _pair(self.mu[col], trig, self.edge)
-        return self.cu[col] * u + self.cw[col] * w, self.cu[col] * up + self.cw[col] * wp
+        mu, cu, cw = self.mu[col], self.cu[col], self.cw[col]
+        shift = 0.0 if self.edge is None else 2.0 * self.edge[1]
+        grow, decay = np.exp(mu * (theta - shift)), np.exp(-mu * theta)
+        mu_sh, mu_sq = mu * sh, mu * mu
+        b = cu * ((sh + mu) * grow) + cw * ((sh - mu) * decay)
+        bp = cu * ((ch + (mu_sh + mu_sq) / ch) * grow) + cw * ((ch + (mu_sq - mu_sh) / ch) * decay)
+        zero = np.flatnonzero(self.mu[rows] == 0.0)
+        if zero.size:
+            offset = theta if self.edge is None else _gd_offset(sh, self.edge)
+            b[zero] = cu[zero] * (1.0 + offset * sh) + cw[zero] * sh
+            bp[zero] = cu[zero] * (sh / ch + offset * ch) + cw[zero] * ch
+        return b, bp
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -219,17 +211,14 @@ class StripProfiles:
         points, trig = np.concatenate((xi, xi_ends)), tuple(map(np.concatenate, zip(trig, _trig(xi_ends))))
         count, n = len(self.ns), len(xi)
         blocks = max(1, count // _BLOCK)
-        columns = []
+        energy, ends = np.empty(count), np.empty((4, count))
         for k in range(blocks):
             rows = slice(count * k // blocks, count * (k + 1) // blocks)
             b_all, bp_all = self.values(rows, points, trig)
             b, bp = b_all[:, :n], bp_all[:, :n]
             bsq, bpsq = b * b, bp * bp
-            energy = (bpsq + 2.0 * bsq) @ w_cosh + self.mu[rows] ** 2 * (bsq @ w_sech)
-            # a copy: views would keep every block's (rows x points) arrays alive
-            ends = np.stack((b_all[:, n], bp_all[:, n], b_all[:, -1], bp_all[:, -1]))
-            columns.append((energy, *ends))
-        energy, *ends = map(np.concatenate, zip(*columns))
+            energy[rows] = (bpsq + 2.0 * bsq) @ w_cosh + self.mu[rows] ** 2 * (bsq @ w_sech)
+            ends[:, rows] = b_all[:, n], bp_all[:, n], b_all[:, -1], bp_all[:, -1]
         return energy, tuple(ends)
 
     quadrature = property(lambda self: self._one_pass[0], doc="The energy integral of each profile.")
@@ -241,8 +230,8 @@ def solve_modes(ns, ell: float, a: float, outer_bc: str = "dirichlet") -> StripP
     at once, so ends[1] is each mode's seam Dirichlet-to-Neumann value.
 
     Closed form: the unit solve c_u u + c_w w of _unit_solution on the
-    scaled Poschl-Teller pair of _pair; strip_sums scales them to seam
-    Dirichlet values.  A one-mode solve is solve_modes([n], ...).
+    scaled Poschl-Teller pair of StripProfiles.values; strip_sums scales
+    them to seam Dirichlet values.  A one-mode solve is solve_modes([n], ...).
     """
     ns = np.asarray(ns, dtype=int).ravel()
     return StripProfiles(ns, ell, a, *_unit_solution(_mu(ns, ell), a, outer_bc))
@@ -278,7 +267,7 @@ def mode_extend(ns, ell: float, a: float, seam_values, seam_slopes) -> StripProf
     """Extend each mode ns[k] from the seam with prescribed Cauchy data
     (v, p) = (seam_values[k], seam_slopes[k]), as one row of profiles.
 
-    Closed form on the unscaled pair of _pair: for n >= 1,
+    Closed form on the unscaled pair of StripProfiles.values: for n >= 1,
     b = A u + B w with A = (v/mu + p/(1+mu^2))/2 and B = (p/(1+mu^2) - v/mu)/2;
     for n = 0, b = v u + p w.  The growing solution is kept, so the profile
     grows exactly as the Cauchy problem does.

@@ -450,15 +450,6 @@ def determinant_floor(
     return _out(np.min(np.abs(_normalized_determinant(ns, ell, s, t)), axis=-1))
 
 
-def n0_balance_coefficient(
-    ell: float, s: float, a: float, outer_bc: str = "dirichlet"
-) -> float:
-    """Coefficient multiplying d0 in the combined n = 0 seam balance and
-    slice condition: 2 * dtn(0) - s.  Strictly negative (the seam ratio is
-    negative and s >= 0), so the balance forces d0 = 0."""
-    return 2.0 * hypersolve.dtn(0, ell, a, outer_bc) - s
-
-
 # --- the verify suite -------------------------------------------------------
 #
 # A kind turns a check's numbers, at its tol, into the fields of its report

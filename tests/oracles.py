@@ -2,7 +2,8 @@
 
 Each quantity has one production route in graftlab; the routes here are
 separate computations of the same numbers (periodic collocation, Parseval,
-manufactured strip profiles, the strip Green identity, the interior field
+manufactured strip profiles, the strip profiles from their four pair arrays,
+the strip Green identity, the interior field
 rebuilt from its seam traces, the geodesic solved by MINPACK's hybrid
 method), identities that graftlab does not print (the strip integral of H),
 or helpers that only the tests use.
@@ -90,6 +91,34 @@ def _one_mode(units: StripProfiles, which: int, xi, seam_dirichlet: complex):
     if len(units.ns) != 1:
         raise ValueError(f"b_fn and bp_fn need one-mode profiles, not {len(units.ns)} modes")
     return seam_dirichlet * units(xi)[which][0]
+
+
+def pair_profiles(units: StripProfiles, rows, xi, trig) -> tuple[np.ndarray, np.ndarray]:
+    """(b, b') of the profiles units.ns[rows] as StripProfiles.values forms
+    them, from the four (rows x points) arrays (u, u', w, w') of the pair,
+    each built over every row and then merged with the n = 0 pair by
+    np.where: the oracle that values must equal bit for bit."""
+    sh, ch, theta = trig
+    col = (rows,) + (None,) * xi.ndim
+    mu, edge = units.mu[col], units.edge
+    shift = 0.0 if edge is None else 2.0 * edge[1]
+    grow = np.exp(mu * (theta - shift))
+    decay = np.exp(-mu * theta)
+    mu_sh, mu_sq = mu * sh, mu * mu
+    pair = (
+        (sh + mu) * grow,
+        (ch + (mu_sh + mu_sq) / ch) * grow,
+        (sh - mu) * decay,
+        (ch + (mu_sq - mu_sh) / ch) * decay,
+    )
+    zero = np.equal(mu, 0.0)
+    if zero.any():
+        offset = theta if edge is None else hypersolve._gd_offset(sh, edge)
+        pair0 = (1.0 + offset * sh, sh / ch + offset * ch, sh, ch)
+        pair = tuple(np.where(zero, p0, p) for p0, p in zip(pair0, pair))
+    u, up, w, wp = pair
+    cu, cw = units.cu[col], units.cw[col]
+    return cu * u + cw * w, cu * up + cw * wp
 
 
 def two_pass_strip_values(units: StripProfiles) -> tuple[np.ndarray, tuple]:
@@ -245,6 +274,13 @@ def unit_profile_reference(n: int, ell: float, a: float, outer_bc: str, digits: 
         ib = mp.quad(lambda x: profile(x)[0] * profile(x)[2], cuts, method="gauss-legendre")
         ba, bpa, _ = profile(a)
         return tuple(float(v) for v in (mp.quad(energy, cuts, method="gauss-legendre"), ib, ba, bpa))
+
+
+def n0_balance_coefficient(ell: float, s: float, a: float, outer_bc: str = "dirichlet") -> float:
+    """Coefficient multiplying d0 in the combined n = 0 seam balance and
+    slice condition: 2 * dtn(0) - s.  Strictly negative (the seam ratio is
+    negative and s >= 0), so the balance forces d0 = 0."""
+    return 2.0 * hypersolve.dtn(0, ell, a, outer_bc) - s
 
 
 def two_row_determinant(n, ell: float, s: float, t):

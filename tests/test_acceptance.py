@@ -14,7 +14,7 @@ from graftlab import geometry, hypersolve, identities, sampling, variation
 from graftlab.errors import SolvabilityError
 from graftlab.geometry import GraftedCollar
 from graftlab.spectral import MEAN_TOL, FourierSolution, TraceModes
-from oracles import collocation_variation_modes, im_phi_dy
+from oracles import collocation_variation_modes, im_phi_dy, n0_balance_coefficient
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> None:
@@ -143,7 +143,7 @@ def test_06_vanishing_mechanism():
                 det_min = min(det_min, min(dets))
                 bal_max = max(
                     bal_max,
-                    identities.n0_balance_coefficient(ell, s, a),
+                    n0_balance_coefficient(ell, s, a),
                 )
     chart = GraftedCollar(ell=2 * np.pi, s=1.0, a=1.0)
     zero = identities.master_identity(

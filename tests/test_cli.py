@@ -526,7 +526,7 @@ def test_modes_csv_shape(capsys):
 def _one_point_row(param, value, ell, s, a, outer_bc, modes, seed):
     """A sweep row from one-point calls of the functions the sweep batches."""
     rng = np.random.default_rng(seed)
-    sol = sampling.random_solution(rng, ell, s, nmax=min(modes, 8))
+    sol = sampling.random_solution(rng, ell, s, nmax=modes)
     means = sampling.slice_compatible_means(rng, s, sol.d0)
     v = variation.solve_flat_variation(sol.neumann_trace_flat(identities.PARTS), np.asarray(means))
     closed = identities.boundary_term_closed(sol, v)
@@ -537,7 +537,7 @@ def _one_point_row(param, value, ell, s, a, outer_bc, modes, seed):
         s,
         a,
         geometry.conformal_modulus(geometry.GraftedCollar(ell=ell, s=s, a=a, outer_bc=outer_bc)),
-        identities.determinant_floor(min(modes, 8), ell, s, a, outer_bc),
+        identities.determinant_floor(modes, ell, s, a, outer_bc),
         abs(closed - quad) / max(abs(closed), abs(quad), 1e-300),
         identities.slice_residual(sol, v),
     ]
@@ -553,6 +553,8 @@ def _one_point_row(param, value, ell, s, a, outer_bc, modes, seed):
         # from ell = 1 to past spectral.LARGE_ELL, where ell^2 overflows: the
         # family scales ell by a power of two at those points only
         (dict(ell=1.0, s=1.0, a=1.0, outer_bc="dirichlet", modes=8, seed=0), "ell", 1.0, 1e160, 3),
+        # 64 modes: the field and det_min take every one of them
+        (dict(ell=2 * np.pi, s=1.0, a=1.0, outer_bc="dirichlet", modes=64, seed=0), "ell", 0.5, 2.0, 3),
     ],
 )
 def test_sweep_rows_equal_the_one_point_calls(point, param, lo, hi, steps, capsys):

@@ -181,10 +181,15 @@ def test_bad_option_value_exits_2_in_the_subparsers_words(capsys):
     assert err.endswith("graftlab verify: error: argument --modes: invalid int value: 'x'\n")
 
 
-def test_option_abbreviations_still_parse(capsys):
-    code, out, _ = run(["verify", "--mod", "3"], capsys)
-    assert code == 0
-    assert json.loads(out)["config"]["modes"] == 3
+def test_abbreviated_flags_exit_2(capsys):
+    # every flag is taken whole: a prefix of one is an unrecognized argument,
+    # also where it abbreviates one flag alone (--mod) or names a setting
+    # that the command does not read (--t beside verify's --tol and sweep's --to)
+    sweep = ["sweep", "--param", "a", "--from", "0.5", "--to", "2", "--steps", "3"]
+    for argv in (["verify", "--mod", "2"], ["verify", "--t", "1e-3"], sweep + ["--t", "3"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"graftlab: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
@@ -330,13 +335,11 @@ _UNREAD = [(command, key) for key, (*_, readers) in cli._SETTINGS.items() for co
 
 @pytest.mark.parametrize("command, key", _UNREAD)
 def test_a_setting_the_command_does_not_read_exits_2(command, key, tmp_path, capsys):
-    # as its flag, with argparse's error, unless argparse takes it for the
-    # flag it abbreviates (--t for verify's --tol and sweep's --to); as a
-    # config key, with one error line that names the file, the line and the key
+    # as its flag, with argparse's error; as a config key, with one error
+    # line that names the file, the line and the key
     option = "--" + key.replace("_", "-")
-    if not any(flag.startswith(option) for flag in cli._FLAGS[command][1]):
-        code, out, err = run([command, option, "1"], capsys)
-        assert (code, out) == (2, "") and err.endswith(f"graftlab: error: unrecognized arguments: {option} 1\n")
+    code, out, err = run([command, option, "1"], capsys)
+    assert (code, out) == (2, "") and err.endswith(f"graftlab: error: unrecognized arguments: {option} 1\n")
     path = tmp_path / "run.cfg"
     path.write_text(f"ell = 2\n{key} = 1\n")
     code, out, err = run([command, "--config", str(path)], capsys)
@@ -357,6 +360,18 @@ _OTHER_VALUES = {"ell": "3", "s": "0.75", "a": "0.75", "outer_bc": "neumann", "m
                  "seed": "3", "t": "2e-3", "param": "a", "from": "0.25", "to": "3", "steps": "4"}
 
 
+@pytest.mark.parametrize("command", sorted(_BASE_LINES))
+def test_a_nul_byte_in_out_exits_2(command, tmp_path, capsys):
+    # open() raises ValueError, not OSError, on a path with a NUL in it;
+    # the command computes its output and then exits 2 with one error line
+    expected = (2, "", "error: cannot write '\\x00': embedded null byte\n")
+    assert run([*_BASE_LINES[command], "--out", "\x00"], capsys) == expected
+    if command == "chart":
+        path = tmp_path / "run.cfg"
+        path.write_text("out = \x00\n")
+        assert run(["chart", "--config", str(path)], capsys) == expected
+
+
 def _printed_numbers(argv):
     """The stdout of a command line, its stamp and its echo of the settings
     dropped; the line must print."""
@@ -374,10 +389,13 @@ def _printed_numbers(argv):
                                           if key != "out" for command in readers])
 def test_every_setting_a_command_takes_changes_what_it_prints(command, key):
     # a setting that a command takes is one that it reads: another value
-    # moves a number that it prints, not only the echo of its settings
+    # moves a number that it prints, not only the echo of its settings; a
+    # mode count of 64 also, so that no cap at the default of 8 or below
+    # can hide it
     base = _BASE_LINES[command] + (["--param", "s"] if (command, key) == ("sweep", "ell") else [])
-    other = base + ["--" + key.replace("_", "-"), _OTHER_VALUES[key]]
-    assert _printed_numbers(other) != _printed_numbers(base)
+    base_numbers = _printed_numbers(base)
+    for value in [_OTHER_VALUES[key]] + (["64"] if key == "modes" else []):
+        assert _printed_numbers(base + ["--" + key.replace("_", "-"), value]) != base_numbers, value
 
 
 # --- the chart oracles ------------------------------------------------------

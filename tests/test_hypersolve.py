@@ -15,6 +15,7 @@ from oracles import (
     bp_fn,
     greens_residual,
     manufactured_mode,
+    pair_profiles,
     strip_integral_of_h,
     two_pass_strip_values,
     unit_profile_reference,
@@ -173,11 +174,29 @@ def test_strip_profiles_are_data():
         assert not any(callable(getattr(profiles, f.name)) for f in dataclasses.fields(profiles))
     assert ext.edge is None and units.edge == (np.sinh(1.0), geometry.gudermannian(1.0))
     assert not hasattr(hypersolve, "_profiles")
-    xi = np.linspace(0.0, 1.0, 7)
-    b, bp = units(xi)
-    u, up, w, wp = hypersolve._pair(units.mu[:, None], hypersolve._trig(xi), units.edge)
-    assert np.array_equal(b, units.cu[:, None] * u + units.cw[:, None] * w)
-    assert np.array_equal(bp, units.cu[:, None] * up + units.cw[:, None] * wp)
+    assert not hasattr(hypersolve, "_pair")
+
+
+@pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 30.0])
+def test_values_equal_the_pair_form_bit_for_bit(outer, a):
+    # values writes the n = 0 rows alone over the n >= 1 form; the oracle
+    # merges four full pair arrays by np.where, and the two agree bit for
+    # bit, for unit and mode_extend profiles, with and without n = 0 rows,
+    # on a points axis, a grid of points and one point
+    ns = [0, 1, 4, 0, 33]
+    units = hypersolve.solve_modes(ns, ELL, a, outer)
+    ext = hypersolve.mode_extend(ns, ELL, a, [0.5, 0.1j, -1.0, 2.0 - 1j, 0.25], [0.2, -0.3, 1j, 0.0, 4.0])
+    for profiles in (units, ext):
+        for xi in (np.linspace(0.0, a, 9), np.linspace(0.0, a, 6).reshape(2, 3), np.float64(a / 3)):
+            xi = np.asarray(xi)
+            trig = hypersolve._trig(xi)
+            for rows in (slice(None), slice(1, 3), np.array([0, 3]), np.array([4, 0, 2])):
+                got = profiles.values(rows, xi, trig)
+                expected = pair_profiles(profiles, rows, xi, trig)
+                for g, e in zip(got, expected):
+                    assert g.shape == e.shape and g.dtype == e.dtype
+                    assert g.tobytes() == e.tobytes(), (outer, a, rows, xi.shape)
 
 
 def test_unit_seam_slopes_equal_seam_dtn_at_every_a():
@@ -324,14 +343,14 @@ def test_interior_quadrature_runs_once_per_mode(monkeypatch):
     # ... and one solve_configuration makes one batched grid pass over all
     # its modes, shared by both seams and by every identity
     grid_rows = []
-    pair = hypersolve._pair
+    values = hypersolve.StripProfiles.values
 
-    def counted_pair(mu, trig, shift=0.0):
-        if np.size(trig[0]) > 2:
-            grid_rows.append(np.ravel(mu).tolist())
-        return pair(mu, trig, shift)
+    def counted_values(self, rows, xi, trig):
+        if np.size(xi) > 2:
+            grid_rows.append(self.mu[rows].tolist())
+        return values(self, rows, xi, trig)
 
-    monkeypatch.setattr(hypersolve, "_pair", counted_pair)
+    monkeypatch.setattr(hypersolve.StripProfiles, "values", counted_values)
     rng = np.random.default_rng(4)
     sol = sampling.random_solution(rng, ELL, 1.0, nmax=6)
     quad = sampling.random_solution(rng, ELL, 1.0, nmax=6, amplitude=0.5)
@@ -360,16 +379,16 @@ def test_one_pass_equals_the_two_pass_evaluation_bit_for_bit(ell, log_a, outer, 
 
 
 def test_verify_evaluates_each_strip_block_once(monkeypatch, capsys):
-    # one verify op calls _pair once per block of strip rows, on the nodes
+    # one verify op calls values once per block of strip rows, on the nodes
     # and both ends together, and never on the two ends alone
     calls = []
-    pair = hypersolve._pair
+    values = hypersolve.StripProfiles.values
 
-    def spy(mu, trig, edge=None):
-        calls.append((np.size(mu), np.size(trig[0])))
-        return pair(mu, trig, edge)
+    def spy(self, rows, xi, trig):
+        calls.append((len(self.ns[rows]), np.size(xi)))
+        return values(self, rows, xi, trig)
 
-    monkeypatch.setattr(hypersolve, "_pair", spy)
+    monkeypatch.setattr(hypersolve.StripProfiles, "values", spy)
     assert cli.main(["verify", "--modes", "100"]) == 0
     count = 1 + json.loads(capsys.readouterr().out)["mode_counts"]["field"]
     blocks = count // hypersolve._BLOCK

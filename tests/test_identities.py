@@ -10,7 +10,7 @@ from graftlab import hypersolve, identities, sampling, variation
 from graftlab.errors import DomainError, SolvabilityError
 from graftlab.geometry import GraftedCollar
 from graftlab.spectral import SIDES, FourierSolution, TraceModes
-from oracles import report_dict, strip_integral_of_h, two_row_determinant
+from oracles import n0_balance_coefficient, report_dict, strip_integral_of_h, two_row_determinant
 
 ELL = 2.0 * np.pi
 PARTS = identities.PARTS
@@ -632,7 +632,7 @@ def test_normalized_determinant_takes_its_limit_where_the_dtn_value_is_minus_inf
 def test_n0_balance_strictly_negative():
     for outer in ("dirichlet", "neumann"):
         for s in (0.0, 0.5, 3.0):
-            assert identities.n0_balance_coefficient(ELL, s, 1.0, outer) < 0.0
+            assert n0_balance_coefficient(ELL, s, 1.0, outer) < 0.0
 
 
 # --- reporting --------------------------------------------------------------

@@ -90,7 +90,6 @@ def test_public_surface_is_pinned():
         "hyperbolic_neumann",
         "master_identity",
         "matched_global_field",
-        "n0_balance_coefficient",
         "per_mode_determinant",
         "pinned_means",
         "slice_condition",
