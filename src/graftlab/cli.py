@@ -41,7 +41,7 @@ _SETTINGS = {
     "ell": ("ell", float, None, None, _ALL),
     "s": ("s", float, None, None, _ALL),
     "a": ("a", float, None, None, _ALL),
-    "outer_bc": ("outer_bc", str, ("dirichlet", "neumann"), None, _ALL),
+    "outer_bc": ("outer_bc", str, geometry.OUTER_BCS, None, _ALL),
     "modes": ("modes", int, None, None, _SEEDED),
     "tol": ("tol", float, None, None, ("verify",)),
     "seed": ("seed", int, None, None, _SEEDED),
@@ -83,7 +83,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.ell <= 0 or self.a <= 0 or self.s < 0:
             raise ConfigError("need ell > 0, a > 0, s >= 0")
-        if self.outer_bc not in ("dirichlet", "neumann"):
+        if self.outer_bc not in geometry.OUTER_BCS:
             raise ConfigError(f"unknown outer_bc {self.outer_bc!r}")
         if self.modes < 1 or self.steps < 1:
             raise ConfigError("modes and steps must be >= 1")
@@ -325,7 +325,7 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     config = identities.solve_configuration(chart, sol)
     field = variation.matched_global_field(config)
     # each variation on the oracle's y grid: its initial rate and its target
-    y = np.arange(256) * (cfg.ell / 256)
+    y = variation.geodesic_grid(cfg.ell)
     targets = [(side, config.seam(side)[1].reconstruct(y)) for side in ("left", "right")]
 
     def max_rel_err(t: float) -> float:

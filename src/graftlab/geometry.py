@@ -17,6 +17,10 @@ from .errors import DomainError
 
 _SEAM_TOL = 1e-12
 
+#: The self-adjoint outer conditions of a strip, by the names that every
+#: command, chart and strip solve accepts
+OUTER_BCS = ("dirichlet", "neumann")
+
 #: The 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their
 #: weights (the rule is symmetric), rounded to double from 50-digit values.
 _GAUSS16 = (
@@ -85,7 +89,7 @@ class GraftedCollar:
             raise ValueError("s must be nonnegative")
         if np.less_equal(self.a, 0).any():
             raise ValueError("a must be positive")
-        if self.outer_bc not in ("dirichlet", "neumann"):
+        if self.outer_bc not in OUTER_BCS:
             raise ValueError(f"outer_bc must be 'dirichlet' or 'neumann', got {self.outer_bc!r}")
 
     @property

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import _gauss_legendre, _panel_edges, gudermannian
+from . import geometry
 
 #: Profiles evaluated together on the quadrature grid: R rows split into
 #: R // _BLOCK equal blocks of _BLOCK to 2 _BLOCK - 1 rows (one block below
@@ -67,13 +67,6 @@ def _gd_offset(sh, edge: tuple):
     return np.arctan((sh * scale - s_a) / (scale + sh * s_a))
 
 
-def _check_strip(a, outer_bc: str) -> None:
-    if np.less_equal(a, 0).any():
-        raise ValueError("strip half-width a must be positive")
-    if outer_bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown outer boundary condition {outer_bc!r}")
-
-
 def _strip_constants(mu, a, outer_bc: str):
     """(m, gd a, d, E - 1, c) of the modes mu on strips of half-width a (a
     scalar, or an array that broadcasts against mu); m is mu with 1 at n = 0.
@@ -87,11 +80,15 @@ def _strip_constants(mu, a, outer_bc: str):
     p = mu csch a, is 2 above p = 1e300, where 1 + p rounds to p and 2p or p
     itself may overflow.  Nothing overflows at any a > 0 or mu but csch a,
     which only an outer Dirichlet condition reads: below a = 5.6e-309 it
-    passes the double range, and c is -inf there, with no warning.
+    passes the double range, and c is -inf there, with no warning.  A width
+    a <= 0, or an outer condition not in geometry.OUTER_BCS, is a ValueError.
     """
-    _check_strip(a, outer_bc)
+    if np.less_equal(a, 0).any():
+        raise ValueError("strip half-width a must be positive")
+    if outer_bc not in geometry.OUTER_BCS:
+        raise ValueError(f"unknown outer boundary condition {outer_bc!r}")
     ea = np.exp(-np.asarray(a, dtype=float))
-    G = gudermannian(a)
+    G = geometry.gudermannian(a)
     m = np.where(mu == 0.0, 1.0, mu)
     if outer_bc == "dirichlet":
         with np.errstate(over="ignore", invalid="ignore"):
@@ -184,9 +181,9 @@ class StripProfiles:
     @cached_property
     def grid(self) -> tuple:
         """(xi, _trig(xi), w cosh xi, w / cosh xi): the Gauss-Legendre rule on
-        the panels of _panel_edges for the strip width and the largest mu of
-        the profiles, shared by every profile."""
-        xi, w = _gauss_legendre(_panel_edges(self.a, float(self.mu.max(initial=0.0))))
+        the panels of geometry._panel_edges for the strip width and the
+        largest mu of the profiles, shared by every profile."""
+        xi, w = geometry._gauss_legendre(geometry._panel_edges(self.a, float(self.mu.max(initial=0.0))))
         trig = _trig(xi)
         return xi, trig, w * trig[1], w / trig[1]
 

@@ -25,14 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import hypersolve
+from . import geometry, hypersolve, spectral, variation
 from .errors import GraftLabError, SolvabilityError
-from .geometry import GraftedCollar, conformal_modulus, conformal_modulus_quadrature, total_area, total_area_quadrature
-from .spectral import (
-    MEAN_TOL, FourierSolution, TraceModes, harmonicity_bound, harmonicity_residual, mode_arg, seam_part,
-    sum_of_squares,
-)
-from .variation import amend_variation, hyperbolic_neumann, pinned_means, solve_flat_variation
+from .spectral import MEAN_TOL, FourierSolution, TraceModes
 
 #: The mixed-term series sums over n >= 1 with conjugate modes already
 #: paired, like the cylinder series (spectral.PAIRING_FACTOR); its factor
@@ -79,15 +74,15 @@ def _out(x):
 PARTS = ("even", "odd")
 
 
-def mean_gap(variation: TraceModes) -> float:
-    """lam0 - rho0 of the variation parts: -2 times the odd mean, formed
+def mean_gap(v: TraceModes) -> float:
+    """lam0 - rho0 of the variation parts v: -2 times the odd mean, formed
     with no difference of the two seams."""
-    return -2.0 * variation.mean[1]
+    return -2.0 * v.mean[1]
 
 
-def boundary_term_closed(sol: FourierSolution, variation: TraceModes) -> float:
+def boundary_term_closed(sol: FourierSolution, v: TraceModes) -> float:
     """Closed form of the seam integral of H times its hyperbolic-side
-    normal derivative, for the (even, odd) parts of the variation:
+    normal derivative, for the (even, odd) parts v of the variation:
 
         2 ell d0 (lam0 - rho0)
         - sum_{n>=1} (2/(pi n)) (4 pi^2 n^2 + ell^2) (|c_n|^2 + |d_n|^2) S C
@@ -97,7 +92,7 @@ def boundary_term_closed(sol: FourierSolution, variation: TraceModes) -> float:
     """
     if (np.abs(sol.c0) > MEAN_TOL).any():
         raise SolvabilityError("closed form requires a vanishing linear coefficient")
-    return _cylinder_series(sol, 2.0 * sol.ell * sol.d0 * mean_gap(variation))
+    return _cylinder_series(sol, 2.0 * sol.ell * sol.d0 * mean_gap(v))
 
 
 def seam_points(nmax: int) -> int:
@@ -153,7 +148,7 @@ class SolvedConfiguration:
     quadrature are computed on first use and kept: no field is assigned
     after construction."""
 
-    chart: GraftedCollar
+    chart: geometry.GraftedCollar
     sol: FourierSolution
     variation: TraceModes
     quad: FourierSolution
@@ -164,8 +159,8 @@ class SolvedConfiguration:
         or of a tuple of seams in one trace each, for the consumers of the
         seams themselves: solved from the field's traces on those seams,
         with the variation means formed from the parts."""
-        mean = seam_part(side, self.variation.mean[0], self.variation.mean[1])
-        return self.sol.dirichlet_trace(side), solve_flat_variation(self.sol.neumann_trace_flat(side), mean)
+        mean = spectral.seam_part(side, self.variation.mean[0], self.variation.mean[1])
+        return self.sol.dirichlet_trace(side), variation.solve_flat_variation(self.sol.neumann_trace_flat(side), mean)
 
     @cached_property
     def units(self) -> hypersolve.StripProfiles:
@@ -192,7 +187,7 @@ class SolvedConfiguration:
     @cached_property
     def neumann(self) -> TraceModes:
         """The parts of the hyperbolic-side Neumann data of the variations."""
-        return hyperbolic_neumann(self.variation)
+        return variation.hyperbolic_neumann(self.variation)
 
     @cached_property
     def quadrature(self) -> float:
@@ -202,7 +197,7 @@ class SolvedConfiguration:
     @cached_property
     def amended(self) -> TraceModes:
         """The parts of the variations amended for the quadratic differential."""
-        return amend_variation(self.variation, self.quad)
+        return variation.amend_variation(self.variation, self.quad)
 
     @cached_property
     def extended_closed(self) -> float:
@@ -211,7 +206,7 @@ class SolvedConfiguration:
 
 
 def solve_configuration(
-    chart: GraftedCollar,
+    chart: geometry.GraftedCollar,
     sol: FourierSolution,
     means: tuple[float, float] | None = None,
     quad: FourierSolution | None = None,
@@ -228,27 +223,27 @@ def solve_configuration(
     """
     dirichlet = sol.dirichlet_trace(PARTS)
     if means is None:
-        means = pinned_means(hypersolve.seam_dtn([0], chart.ell, chart.a, chart.outer_bc)[0], dirichlet.mean)
-    variation = solve_flat_variation(sol.neumann_trace_flat(PARTS), np.asarray(means))
+        means = variation.pinned_means(hypersolve.seam_dtn([0], chart.ell, chart.a, chart.outer_bc)[0], dirichlet.mean)
+    v = variation.solve_flat_variation(sol.neumann_trace_flat(PARTS), np.asarray(means))
     quad = FourierSolution(ell=sol.ell, s=sol.s) if quad is None else quad
-    return SolvedConfiguration(chart, sol, variation, quad, dirichlet)
+    return SolvedConfiguration(chart, sol, v, quad, dirichlet)
 
 
 # --- slice condition --------------------------------------------------------
 
-def slice_residual(sol: FourierSolution, variation: TraceModes) -> float:
+def slice_residual(sol: FourierSolution, v: TraceModes) -> float:
     """lam0 - rho0 + s d0 / 2 + ds/dt with ds/dt = 0, as the family holds s
-    fixed, from the parts of the variation (mean_gap); zero exactly on the
+    fixed, from the parts v of the variation (mean_gap); zero exactly on the
     constant-height slice of the family (one value per point of a family)."""
-    return mean_gap(variation) + sol.s * sol.d0 / 2.0
+    return mean_gap(v) + sol.s * sol.d0 / 2.0
 
 
-def slice_condition(sol: FourierSolution, variation: TraceModes, tol: float) -> IdentityReport:
-    """lam0 - rho0 (mean_gap of the variation parts) against
+def slice_condition(sol: FourierSolution, v: TraceModes, tol: float) -> IdentityReport:
+    """lam0 - rho0 (mean_gap of the variation parts v) against
     -s d0/2 - ds/dt, where ds/dt = 0: the family holds s fixed, so the right
     side is the height term -s d0/2 alone.  Judged as its CHECKS row, within
     tol."""
-    lhs = mean_gap(variation)
+    lhs = mean_gap(v)
     rhs = -sol.s * sol.d0 / 2.0
     notes = "lam0 - rho0 must equal -s d0/2 - ds/dt, and ds/dt = 0 as the family holds s fixed"
     return CHECKS["slice_condition"].report(tol, lhs, rhs, (("mean_gap", lhs), ("height_term", rhs)), notes)
@@ -325,11 +320,11 @@ def area_derivative_geometric(sol: FourierSolution, s_rate: float = 0.0) -> floa
     return -0.5 * sol.d0 * sol.ell * sol.s + sol.ell * s_rate
 
 
-def area_derivative_analytic(sol: FourierSolution, variation: TraceModes) -> float:
+def area_derivative_analytic(sol: FourierSolution, v: TraceModes) -> float:
     """Derivative of the flat-insert area through the interior integral of
-    -H: -ell (lam0 - rho0) - d0 ell s, lam0 - rho0 from the parts of the
+    -H: -ell (lam0 - rho0) - d0 ell s, lam0 - rho0 from the parts v of the
     variation (mean_gap)."""
-    return -sol.ell * mean_gap(variation) - sol.d0 * sol.ell * sol.s
+    return -sol.ell * mean_gap(v) - sol.d0 * sol.ell * sol.s
 
 
 def area_derivative_report(config: SolvedConfiguration, tol: float) -> IdentityReport:
@@ -356,7 +351,7 @@ def arc_length_derivative(sol: FourierSolution, npts: int | None = None, dirichl
     dirichlet = sol.dirichlet_trace(PARTS) if dirichlet is None else dirichlet
     npts = seam_points(dirichlet.max_mode()) if npts is None else npts
     grid = dirichlet.on_grid(npts)
-    return float(-0.5 * (sol.ell / npts) * np.sum(seam_part("left", grid[0], grid[1])))
+    return float(-0.5 * (sol.ell / npts) * np.sum(spectral.seam_part("left", grid[0], grid[1])))
 
 
 # --- quadratic-differential extension ---------------------------------------
@@ -413,11 +408,11 @@ def _normalized_determinant(n, ell: float, s: float, t):
     0 where S = 0; every finite t takes the rows below.  Past LARGE_ELL, k
     is formed from its numerator and denominator both scaled by 2^-e
     (sum_of_squares), so it stays finite where ell^2 overflows."""
-    p, e = sum_of_squares(n, ell)
+    p, e = spectral.sum_of_squares(n, ell)
     k = p / (2.0 * np.pi * n * np.ldexp(ell, -e))
     # sinh and cosh scaled by exp(-arg): the normalized determinant is
     # invariant under the common row factor, and this never overflows
-    arg = mode_arg(n, s, ell)
+    arg = spectral.mode_arg(n, s, ell)
     damp = np.exp(-2.0 * arg)
     lost = np.isneginf(t)
     if lost.any():
@@ -507,8 +502,10 @@ class Check(NamedTuple):
     kind (_equality, _decomposition, _residual or _lower_bound), its tol as
     a function of verify's tol (the stencil's is None: its route judges it
     at its own bound) and its route.  The route takes (check, that tol,
-    config, stencil field, modes) and returns the check's report; it looks
-    up what it calls when it runs, so a replaced function is the one run."""
+    config, stencil field, modes) and returns the check's report.  Every
+    module reaches a sibling's functions through the module, as
+    geometry.total_area, so replacing module.f replaces f for every caller,
+    route and command gate alike."""
 
     identity: str
     kind: Callable[..., tuple]
@@ -536,7 +533,7 @@ def _arc_length(check: Check, tol: float, config: SolvedConfiguration, field, mo
 
 def _extended_boundary(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The amended boundary term against its seam quadrature."""
-    neumann = hyperbolic_neumann(config.amended)
+    neumann = variation.hyperbolic_neumann(config.amended)
     quad = boundary_term_quadrature(config.dirichlet, neumann)
     notes = seam_grid_note(config.dirichlet, neumann)
     return check.report(tol, config.extended_closed, quad, (), notes)
@@ -544,34 +541,34 @@ def _extended_boundary(check: Check, tol: float, config: SolvedConfiguration, fi
 
 def _modulus(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The conformal modulus against its quadrature."""
-    closed, quad = conformal_modulus(config.chart), conformal_modulus_quadrature(config.chart)
+    closed, quad = geometry.conformal_modulus(config.chart), geometry.conformal_modulus_quadrature(config.chart)
     return check.report(tol, closed, quad, (), "")
 
 
 def _area(check: Check, tol: float, config: SolvedConfiguration, field, modes) -> IdentityReport:
     """The total area against its quadrature."""
-    return check.report(tol, total_area(config.chart), total_area_quadrature(config.chart), (), "")
+    return check.report(tol, geometry.total_area(config.chart), geometry.total_area_quadrature(config.chart), (), "")
 
 
 def _stencil(check: Check, tol: None, config: SolvedConfiguration, field: FourierSolution, modes) -> IdentityReport:
-    """The five-point stencil on the stencil field at h = ell/256, within its
-    own bound, the truncation bound plus rounding allowance
-    (spectral.harmonicity_bound), which is also its tol.  Not applicable,
-    and passing on zeros, where the insert is thinner than 2h, since the
-    stencil's x +/- h steps would leave it, and where h * h underflows to 0
-    (ell below about 4e-160), since the stencil and its rounding allowance
-    divide by h^2.  The notes name h and the reason."""
-    h = field.ell / 256
+    """The five-point stencil on the stencil field at its step h
+    (spectral.stencil_step), within its own bound, the truncation bound plus
+    rounding allowance (spectral.harmonicity_bound), which is also its tol.
+    Not applicable, and passing on zeros, where the insert is thinner than
+    2h, since the stencil's x +/- h steps would leave it, and where h * h
+    underflows to 0 (ell below about 4e-160), since the stencil and its
+    rounding allowance divide by h^2.  The notes name h and the reason."""
+    h, cells = spectral.stencil_step(field.ell), spectral.STENCIL_CELLS
     residual = truncation = rounding = 0.0
     if field.s / 2 < h:
-        notes = f"not applicable: s/2 = {field.s / 2!r} is below the stencil step h = ell/256 = {h!r}"
+        notes = f"not applicable: s/2 = {field.s / 2!r} is below the stencil step h = ell/{cells} = {h!r}"
     elif h * h == 0.0:
-        notes = f"not applicable: the stencil step h = ell/256 = {h!r} squares to 0 in double precision"
+        notes = f"not applicable: the stencil step h = ell/{cells} = {h!r} squares to 0 in double precision"
     else:
-        residual = harmonicity_residual(field)
-        truncation, rounding = harmonicity_bound(field)
+        residual = spectral.harmonicity_residual(field)
+        truncation, rounding = spectral.harmonicity_bound(field)
         notes = (
-            f"five-point Laplacian on the series partial sum, h = ell/256 = {h!r}:"
+            f"five-point Laplacian on the series partial sum, h = ell/{cells} = {h!r}:"
             f" residual {residual:.3e} against the bound {truncation + rounding:.3e}"
             f" (truncation bound {truncation:.3e}, rounding allowance {rounding:.3e})"
         )

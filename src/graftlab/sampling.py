@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import FourierSolution, mode_arg
+from . import spectral
 
 #: Largest pi n s / ell at which cosh^2 is a finite double, about 354.9.
 #: Both samplers drop the modes above it: their 1/cosh damping underflows
@@ -34,7 +34,7 @@ def _damped_modes(rng, ell, s, nmax, amplitude) -> tuple[np.ndarray, np.ndarray]
     and 0 at n = 0 and where pi n s / ell > MAX_DAMPED_ARG, up to the last
     mode kept.  ell and s may hold one value per point: one draw serves all."""
     n, c, d = _complex_modes(rng, nmax)
-    arg = mode_arg(n, np.asarray(s)[..., None], np.asarray(ell)[..., None])
+    arg = spectral.mode_arg(n, np.asarray(s)[..., None], np.asarray(ell)[..., None])
     keep = arg <= MAX_DAMPED_ARG
     damp = np.where(keep, amplitude / np.cosh(np.where(keep, arg, 0.0)), 0.0)
     width = 1 + int(keep.sum(axis=-1).max())
@@ -48,7 +48,7 @@ def random_solution(
     s: float,
     nmax: int = 8,
     amplitude: float = 1.0,
-) -> FourierSolution:
+) -> spectral.FourierSolution:
     """Random interior field with decaying mode amplitudes.
 
     c0 is 0 so the periodic variation problem is solvable.
@@ -58,7 +58,7 @@ def random_solution(
     give one field per point, all from the same draws.
     """
     c, d = _damped_modes(rng, ell, s, nmax, amplitude)
-    return FourierSolution(
+    return spectral.FourierSolution(
         ell=ell,
         s=s,
         c0=0.0,

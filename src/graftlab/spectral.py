@@ -338,15 +338,24 @@ class FourierSolution:
         return TraceModes(side=side, kind="neumann_flat", ell=self.ell, mean=seam_part(side, self.c0, 0.0), coef=coef)
 
 
+#: The five-point stencil's steps per circumference (stencil_step)
+STENCIL_CELLS = 256
+
+
+def stencil_step(ell: float) -> float:
+    """The step h = ell/STENCIL_CELLS of the five-point stencil."""
+    return ell / STENCIL_CELLS
+
+
 def harmonicity_residual(fld: FourierSolution) -> float:
     """Max 5-point-stencil Laplacian over an interior grid of 16 x 32 points,
-    with step h = ell/256.
+    with step h = stencil_step(ell).
 
     O(h^2) for resolved harmonic fields.  The field is evaluated once, on
     the open tensor grid (xs - h, xs, xs + h) x (ys - h, ys, ys + h), which
     its series sums separably, and the five stencil values are blocks of it.
     """
-    h = fld.ell / 256
+    h = stencil_step(fld.ell)
     xs = _stencil_xs(fld.s, h)
     ys = np.arange(32) * (fld.ell / 32)
     u = fld.evaluate(np.concatenate((xs - h, xs, xs + h))[:, None], np.concatenate((ys - h, ys, ys + h)))
@@ -371,7 +380,7 @@ STENCIL_ROUNDING = 16.0
 
 def harmonicity_bound(fld: FourierSolution) -> tuple[float, float]:
     """(truncation bound, rounding allowance) for harmonicity_residual(fld),
-    at its step h = ell/256.
+    at its step h = stencil_step(ell).
 
     The five-point Laplacian of a harmonic mode (c cosh kx + d sinh kx)
     exp(iky), k = 2 pi n / ell, is exactly its value times
@@ -381,7 +390,7 @@ def harmonicity_bound(fld: FourierSolution) -> tuple[float, float]:
     plus STENCIL_ROUNDING eps max|u| / h^2 with max|u| the sup-norm bound
     FourierSolution.norm.
     """
-    h = fld.ell / 256
+    h = stencil_step(fld.ell)
     k = 2.0 * np.pi * np.arange(1, fld.c.shape[-1]) / fld.ell
     c, d = np.abs(fld.c[1:]), np.abs(fld.d[1:])
     factor = (2.0 * np.cosh(k * h) + 2.0 * np.cos(k * h) - 4.0) / h**2

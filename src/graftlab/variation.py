@@ -21,10 +21,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import hypersolve
+from . import geometry, hypersolve, spectral
 from .errors import ConvergenceError, SolvabilityError
-from .geometry import GraftedCollar
-from .spectral import LARGE_ELL, MEAN_TOL, FourierSolution, TraceModes, seam_part
+from .spectral import LARGE_ELL, MEAN_TOL, FourierSolution, TraceModes
 
 if TYPE_CHECKING:
     from .identities import SolvedConfiguration
@@ -195,34 +194,44 @@ def matched_global_field(config: SolvedConfiguration) -> Callable:
     return field
 
 
+#: Points of geodesic_oracle's uniform y grid
+GEODESIC_POINTS = 256
+
+
+def geodesic_grid(ell: float, m: int = GEODESIC_POINTS) -> np.ndarray:
+    """The m uniform points y_j = j ell / m on which geodesic_oracle
+    collocates, and at which it takes and returns its rates."""
+    return np.arange(m) * (ell / m)
+
+
 def geodesic_oracle(
-    chart: GraftedCollar,
+    chart: geometry.GraftedCollar,
     field: Callable,
     side: str,
     t: float,
     initial_rate: np.ndarray,
-    m: int = 256,
+    m: int = GEODESIC_POINTS,
 ):
     """Normal displacement rate of the perturbed closed seam geodesic.
 
     Solves for the closed curve x = X(y) that is a geodesic of the metric
     (dx^2 + G^2 dy^2) / (1 + t * H), with field(x, y) -> (H, dH/dx) as
     matched_global_field returns it, by damped Newton (_newton) on the
-    Euler-Lagrange equations collocated on m uniform y points, and takes the
-    forward difference (X_t - X_0) / t, which is first order in t.  Each
-    residual evaluates the field once, on the grid points and the midpoints
-    together.  Returns (y grid, displacement / t samples); at t = 0 the rate
-    is zero and nothing is solved.
+    Euler-Lagrange equations collocated on the m points of geodesic_grid,
+    and takes the forward difference (X_t - X_0) / t, which is first order
+    in t.  Each residual evaluates the field once, on the grid points and
+    the midpoints together.  Returns (y grid, displacement / t samples); at
+    t = 0 the rate is zero and nothing is solved.
 
-    initial_rate (samples of the anticipated normal variation on the uniform
-    y grid; zeros start from the seam circle itself) selects the perturbed
+    initial_rate (samples of the anticipated normal variation on that grid;
+    zeros start from the seam circle itself) selects the perturbed
     geodesic continuously connected to the seam circle: from a distant
     start the solver can land on another geodesic of the same metric.  The
     solve is a ConvergenceError unless the Euler-Lagrange residual is at
     most 1e-9 at its solution (a NaN residual is not).
     """
-    base, h = seam_part(side, 0.0, chart.s / 2), chart.ell / m
-    y = np.arange(m) * h
+    base, h = spectral.seam_part(side, 0.0, chart.s / 2), chart.ell / m
+    y = geodesic_grid(chart.ell, m)
     if t == 0:
         return y, np.zeros(m)
 

@@ -403,6 +403,19 @@ def test_verify_exits_2_on_the_closed_area_before_any_strip_grid(a, monkeypatch,
     )
 
 
+def test_verify_builds_the_chart_grid_and_the_strip_grid(monkeypatch, capsys):
+    # the grid builder that the test above replaces: a plain verify builds
+    # the chart's quadrature grid, at mu_max = 0, and the strip profiles'
+    # grid, at the largest mu of the field's 8 modes, 2 pi 8 / ell = 8 on
+    # the default chart
+    grids = []
+    panel_edges = geometry._panel_edges
+    monkeypatch.setattr(geometry, "_panel_edges", lambda a, mu_max: grids.append((a, mu_max)) or panel_edges(a, mu_max))
+    code, _ = run(["verify"], capsys)
+    assert code == 0
+    assert sorted(grids) == [(1.0, 0.0), (1.0, 8.0)]
+
+
 @pytest.mark.parametrize("outer", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("ell, a", [(0.3, 706.0), (0.3, 708.0), (0.3, 709.9), (0.3, 710.4), (2.0, 708.0), (2.0, 709.0)])
 def test_verify_exits_2_where_the_strip_quadrature_overflows(ell, a, outer, capsys):
@@ -929,9 +942,7 @@ def test_verify_computes_each_shared_quantity_once(monkeypatch, capsys):
     spy(hypersolve, "solve_modes")
     spy(identities, "boundary_term_closed")
     spy(identities, "extended_boundary_term")
-    # identities binds solve_flat_variation by name
-    for owner in (variation, identities):
-        spy(owner, "solve_flat_variation")
+    spy(variation, "solve_flat_variation")
     terms = spectral.FourierSolution.__dict__["cylinder_terms"].func
 
     def counted_terms(self):
@@ -989,22 +1000,31 @@ def test_green_check_is_unchanged_when_the_master_identity_raises(monkeypatch, c
     assert json.dumps(after["strip_greens_identity"]) == json.dumps(before["strip_greens_identity"])
 
 
-#: a function that verify's checks read, and the check that catches its
-#: output scaled by 1 + 1e-9 on the default chart.  mean_gap's catcher is
-#: area_derivative alone: slice_condition, which area_derivative is ell
-#: times, misses it, as its bound does not scale with ell
+#: a function that verify's checks read, by its module and name, and the
+#: check that catches its output scaled by 1 + 1e-9 on the default chart.
+#: mean_gap's catcher is area_derivative alone: slice_condition, which
+#: area_derivative is ell times, misses it, as its bound does not scale
+#: with ell
 _CATCHERS = {
-    "_mixed_series": "extended_boundary_closed_vs_quadrature",
-    "extended_boundary_term": "extended_boundary_closed_vs_quadrature",
-    "amend_variation": "extended_boundary_closed_vs_quadrature",
-    "boundary_term_closed": "boundary_term_closed_vs_quadrature",
-    "mean_gap": "area_derivative",
+    (identities, "_mixed_series"): "extended_boundary_closed_vs_quadrature",
+    (identities, "extended_boundary_term"): "extended_boundary_closed_vs_quadrature",
+    (variation, "amend_variation"): "extended_boundary_closed_vs_quadrature",
+    (identities, "boundary_term_closed"): "boundary_term_closed_vs_quadrature",
+    (variation, "hyperbolic_neumann"): "boundary_term_closed_vs_quadrature",
+    (variation, "solve_flat_variation"): "boundary_term_closed_vs_quadrature",
+    (identities, "mean_gap"): "area_derivative",
+    (geometry, "total_area"): "total_area_closed_vs_quadrature",
+    (geometry, "total_area_quadrature"): "total_area_closed_vs_quadrature",
+    (geometry, "conformal_modulus"): "conformal_modulus_closed_vs_quadrature",
+    (geometry, "conformal_modulus_quadrature"): "conformal_modulus_closed_vs_quadrature",
 }
 
 
-@pytest.mark.parametrize("name", sorted(_CATCHERS))
-def test_verify_catches_a_relative_defect_of_1e_9(name, monkeypatch, capsys):
-    original = getattr(identities, name)
+@pytest.mark.parametrize(
+    "owner, name", [pytest.param(*key, id=key[1]) for key in sorted(_CATCHERS, key=lambda key: key[1])]
+)
+def test_verify_catches_a_relative_defect_of_1e_9(owner, name, monkeypatch, capsys):
+    original = getattr(owner, name)
 
     def scaled(*args, **kwargs):
         out = original(*args, **kwargs)
@@ -1012,11 +1032,11 @@ def test_verify_catches_a_relative_defect_of_1e_9(name, monkeypatch, capsys):
             return dataclasses.replace(out, mean=out.mean * (1.0 + 1e-9), coef=out.coef * (1.0 + 1e-9))
         return out * (1.0 + 1e-9)
 
-    # patched where identities looks it up, so every check that reads it sees the defect
-    monkeypatch.setattr(identities, name, scaled)
+    # patched in its own module, where every caller looks it up
+    monkeypatch.setattr(owner, name, scaled)
     code, out = run(["verify"], capsys)
     failing = [r["identity"] for r in json.loads(out)["reports"] if not r["pass"]]
-    assert code == 1 and _CATCHERS[name] in failing, failing
+    assert code == 1 and _CATCHERS[owner, name] in failing, failing
 
 
 def test_verify_error_before_any_report_exits_1_with_no_report(monkeypatch, capsys):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -99,6 +101,27 @@ def test_public_surface_is_pinned():
         "total_area",
         "total_area_quadrature",
     ]
+
+
+def test_no_module_binds_a_sibling_function_by_name():
+    # a module reaches a sibling's functions through the module
+    # (geometry.total_area), so replacing module.f replaces f for every
+    # caller; a class, constant or exception is one object and may be
+    # imported by name.  The package's __init__ re-exports by name
+    package = Path(graftlab.__file__).parent
+    bindings = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                owner = importlib.import_module(f"graftlab.{node.module}")
+                bindings += [
+                    f"{path.stem}: from .{node.module} import {alias.name}"
+                    for alias in node.names
+                    if inspect.isfunction(getattr(owner, alias.name))
+                ]
+    assert not bindings, "functions bound by name:\n" + "\n".join(bindings)
 
 
 def test_verify_output_does_not_depend_on_blas_threads():
